@@ -41,11 +41,9 @@ from .forecast import (
     evaluate_holdout,
     fit_arma,
     model_suite,
-    predict_one_step,
     surrogate_test,
 )
 from .ingest import (
-    AttitudeSeries,
     MessageRecord,
     MonthlyBucket,
     ThreadSummary,
@@ -71,7 +69,6 @@ __all__ = [
     "MessageRecord",
     "ThreadSummary",
     "MonthlyBucket",
-    "AttitudeSeries",
     "parse_messages",
     "build_threads",
     "filter_threads",
@@ -100,7 +97,6 @@ __all__ = [
     "SuiteEntry",
     "SurrogateReport",
     "fit_arma",
-    "predict_one_step",
     "evaluate",
     "evaluate_holdout",
     "model_suite",

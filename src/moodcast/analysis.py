@@ -180,12 +180,8 @@ def rolling_correlation(
         ys = y.values[lo : hi + 1]
         n = hi - lo + 1
         n_out.append(n)
-        if any(v is None for v in xs) or any(v is None for v in ys):
-            r_out.append(None)
-            p_out.append(None)
-            sig_out.append(False)
-            continue
-        r = _pearson(xs, ys)  # type: ignore[arg-type]
+        gap = any(v is None for v in xs) or any(v is None for v in ys)
+        r = None if gap else _pearson(xs, ys)  # type: ignore[arg-type]
         if r is None:
             r_out.append(None)
             p_out.append(None)

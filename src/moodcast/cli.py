@@ -1,116 +1,74 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages so each is independently runnable:
-ingest, score, smooth, correlate, forecast, suite, surrogate, report, and
-run (everything at once). Exit codes: 0 success, 2 input or parse error,
-3 analysis precondition error, 4 internal error.
+Each stage subcommand (ingest, score, smooth, correlate, forecast, suite,
+surrogate) reads its inputs from files and calls the code that ``run``
+calls for that stage: a stage function of ``moodcast.pipeline``, or for
+correlate and plain-series smoothing the analysis function and its writer.
+report renders a finished run.
+Exit codes: 0 success, 2 input or parse error, 3 analysis precondition
+error, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
 from typing import Optional
 
-from .analysis import (
-    NumericSeries,
-    hamming_smooth,
-    linear_interpolate,
-    rolling_correlation,
-)
-from .emotion import (
-    DIMENSIONS,
-    assemble_from_components,
-    build_series,
-    component_series,
-    top_lexicon_words,
-)
+from .analysis import NumericSeries, hamming_smooth, rolling_correlation
+from .emotion import COMPONENTS, component_series
 from .errors import InputFormatError
-from .forecast import (
-    MODEL_EXOGENOUS,
-    MODEL_NAMES,
-    ArmaSpec,
-    model_suite,
-    surrogate_test,
-)
-from .ingest import (
-    build_threads,
-    filter_threads,
-    monthly_subject_buckets,
-    parse_messages,
-)
+from .forecast import EXOGENOUS_MODELS, MODEL_NAMES
+from .ingest import parse_messages
 from .lexicon import load_lexicon
-from .pipeline import GAP_POLICIES, PipelineConfig, run_pipeline
+from .pipeline import (
+    GAP_POLICIES,
+    PipelineConfig,
+    fill_gaps,
+    ingest_stage,
+    run_pipeline,
+    score_stage,
+    smooth_emotion,
+    suite_stage,
+    surrogate_stage,
+)
 from .reports import (
     EMOTION_HEADER,
     read_buckets_json,
     read_emotion_csv,
+    read_header,
     read_series_csv,
     render_run_report,
-    suite_entry_payload,
-    write_buckets_json,
     write_correlation_csv,
-    write_counts_csv,
-    write_emotion_csv,
     write_series_csv,
-    write_surrogate_json,
-    write_top_words_csv,
-    _write_json,
 )
 from .version import PACKAGE_VERSION
 
 logger = logging.getLogger(__name__)
 
-# Emotion CSV column name -> component series key.
-_EMOTION_COLUMNS = {
-    f"{dim}_{stat}": f"{stat}-{dim}" for dim in DIMENSIONS for stat in ("mean", "std")
-}
-
-_EXOGENOUS_MODELS = tuple(n for n in MODEL_NAMES if n != "ar")
+# Emotion table column name (``valence_mean``) -> component name (``mean-valence``).
+_EMOTION_COLUMNS = {"_".join(reversed(name.split("-"))): name for name in COMPONENTS}
 
 
-def _sniff_emotion_layout(path: Path) -> bool:
-    """True when the CSV at ``path`` uses the emotion-series header."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            header = next(csv.reader(handle))
-        except StopIteration:
-            raise InputFormatError(f"{path}: file has no header") from None
-    return tuple(header) == EMOTION_HEADER
-
-
-def _apply_gap_policy(series: NumericSeries, name: str, policy: str) -> NumericSeries:
-    gaps = [m for m, v in zip(series.months, series.values) if v is None]
-    if not gaps:
-        return series
-    if policy == "fail":
-        raise ValueError(
-            f"series {name} has no value for {gaps[0]} ({len(gaps)} gap month(s)); "
-            "rerun with --gap-policy linear-interpolate to fill gaps"
-        )
-    return linear_interpolate(series)
+def _wrote(paths: list[Path]) -> int:
+    for path in paths:
+        print(f"wrote {path}")
+    return 0
 
 
 def _load_series_column(path: Path, column: Optional[str]) -> NumericSeries:
-    """Load one numeric column from an emotion or two-column series CSV."""
-    if _sniff_emotion_layout(path):
-        if column is None:
-            raise ValueError(
-                f"{path} is an emotion table; pick a column from "
-                f"{', '.join(sorted(_EMOTION_COLUMNS))}"
-            )
-        if column not in _EMOTION_COLUMNS:
-            raise ValueError(
-                f"unknown emotion column {column!r}; choose from "
-                f"{', '.join(sorted(_EMOTION_COLUMNS))}"
-            )
-        series, _ = read_emotion_csv(path)
-        return component_series(series)[_EMOTION_COLUMNS[column]]
-    loaded = read_series_csv(path)
-    return loaded
+    """Load one numeric column from an emotion table or a two-column series CSV."""
+    if read_header(path) != EMOTION_HEADER:
+        return read_series_csv(path)
+    choices = ", ".join(sorted(_EMOTION_COLUMNS))
+    if column is None:
+        raise ValueError(f"{path} is an emotion table; pick a column from {choices}")
+    if column not in _EMOTION_COLUMNS:
+        raise ValueError(f"unknown emotion column {column!r}; choose from {choices}")
+    series, _ = read_emotion_csv(path)
+    return component_series(series)[_EMOTION_COLUMNS[column]]
 
 
 def _load_forecast_inputs(args) -> tuple[NumericSeries, dict[str, NumericSeries]]:
@@ -119,144 +77,63 @@ def _load_forecast_inputs(args) -> tuple[NumericSeries, dict[str, NumericSeries]
     return target, component_series(emotion)
 
 
-def _wrote(path: Path) -> None:
-    print(f"wrote {path}")
-
-
 def _cmd_ingest(args) -> int:
     messages = parse_messages(Path(args.messages))
-    threads = filter_threads(build_threads(messages), args.min_messages)
-    buckets = monthly_subject_buckets(threads)
-    if not buckets:
-        raise ValueError(
-            f"no threads with at least {args.min_messages} messages; nothing to bucket"
-        )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_buckets_json(out / "buckets.json", buckets)
-    _wrote(out / "buckets.json")
-    write_counts_csv(out / "discussion_counts.csv", buckets)
-    _wrote(out / "discussion_counts.csv")
-    return 0
+    *_, paths = ingest_stage(messages, Path(args.out), min_messages=args.min_messages)
+    return _wrote(paths)
 
 
 def _cmd_score(args) -> int:
     lexicon = load_lexicon(Path(args.lexicon))
     buckets = read_buckets_json(Path(args.buckets))
-    if not buckets:
-        raise ValueError(f"{args.buckets} holds no monthly buckets")
-    series = build_series(buckets, lexicon)
-    thread_counts = {b.month: b.thread_count for b in buckets}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_emotion_csv(out / "emotion_series.csv", series, thread_counts)
-    _wrote(out / "emotion_series.csv")
-    per_year = {}
-    for year in sorted({m[:4] for m in series.months}):
-        words = top_lexicon_words(buckets, lexicon, period=(f"{year}-01", f"{year}-12"))
-        if words:
-            per_year[year] = words
-    write_top_words_csv(out / "top_words.csv", per_year)
-    _wrote(out / "top_words.csv")
-    return 0
+    *_, paths = score_stage(buckets, lexicon, Path(args.out))
+    return _wrote(paths)
 
 
 def _cmd_smooth(args) -> int:
-    path = Path(args.series)
-    out = Path(args.out)
-    if _sniff_emotion_layout(path):
+    path, out = Path(args.series), Path(args.out)
+    header = read_header(path)
+    if header == EMOTION_HEADER:
         series, thread_counts = read_emotion_csv(path)
-        components = {
-            name: _apply_gap_policy(component, name, args.gap_policy)
-            for name, component in component_series(series).items()
-        }
-        smoothed = {
-            name: hamming_smooth(component, args.smooth_window)
-            for name, component in components.items()
-        }
-        result = assemble_from_components(series.months, smoothed, series)
-        write_emotion_csv(out, result, thread_counts)
+        components, _ = fill_gaps(component_series(series), args.gap_policy)
+        smooth_emotion(components, series, thread_counts, out, window=args.smooth_window)
     else:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            header = next(csv.reader(handle))
         series = read_series_csv(path)
-        filled = _apply_gap_policy(series, header[1], args.gap_policy)
-        write_series_csv(out, hamming_smooth(filled, args.smooth_window), header[1])
-    _wrote(out)
-    return 0
+        name = header[1]
+        filled, _ = fill_gaps({name: series}, args.gap_policy)
+        write_series_csv(out, hamming_smooth(filled[name], args.smooth_window), name)
+    return _wrote([out])
 
 
 def _cmd_correlate(args) -> int:
     series_a = _load_series_column(Path(args.series_a), args.column_a)
     series_b = _load_series_column(Path(args.series_b), args.column_b)
     track = rolling_correlation(series_a, series_b, args.corr_window, args.alpha)
-    out = Path(args.out)
-    write_correlation_csv(out, track)
-    _wrote(out)
-    return 0
+    write_correlation_csv(Path(args.out), track)
+    return _wrote([Path(args.out)])
 
 
 def _cmd_forecast(args) -> int:
-    target, components = _load_forecast_inputs(args)
-    holdout = args.holdout if args.holdout else None
-    entries = model_suite(
-        target,
-        components,
-        ar_order=args.p,
-        exog_order=args.q,
-        holdout=holdout,
-    )
-    chosen = next(e for e in entries if e.name == args.model)
-    mode = "in-sample" if holdout is None else "held-out"
-    out = Path(args.out)
-    _write_json(out, {"models": [suite_entry_payload(chosen, mode)]})
-    _wrote(out)
-    return 0
+    return _cmd_suite(args, model=args.model)
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args, model: Optional[str] = None) -> int:
     target, components = _load_forecast_inputs(args)
-    holdout = args.holdout if args.holdout else None
-    entries = model_suite(
-        target,
-        components,
-        ar_order=args.p,
-        exog_order=args.q,
-        holdout=holdout,
+    holdout = args.holdout or None
+    _, paths = suite_stage(
+        target, components, Path(args.out), ar_order=args.p, exog_order=args.q,
+        holdout=holdout, model=model,
     )
-    mode = "in-sample" if holdout is None else "held-out"
-    out = Path(args.out)
-    _write_json(out, {"models": [suite_entry_payload(e, mode) for e in entries]})
-    _wrote(out)
-    return 0
+    return _wrote(paths)
 
 
 def _cmd_surrogate(args) -> int:
     target, components = _load_forecast_inputs(args)
-    spec = ArmaSpec(
-        ar_order=args.p,
-        exog_order=args.q,
-        exogenous_names=MODEL_EXOGENOUS[args.model],
+    report, paths = surrogate_stage(
+        target, components, Path(args.out), model=args.model, ar_order=args.p,
+        exog_order=args.q, n_surrogates=args.surrogates, seed=args.seed, include_maes=args.full,
     )
-    exogenous = {name: components[name] for name in spec.exogenous_names}
-    report = surrogate_test(
-        spec,
-        target,
-        exogenous,
-        n_surrogates=args.surrogates,
-        seed=args.seed,
-    )
-    out = Path(args.out)
-    write_surrogate_json(
-        out,
-        report,
-        model_name=args.model,
-        ar_order=args.p,
-        exog_order=args.q,
-        exogenous=list(spec.exogenous_names),
-        include_maes=args.full,
-    )
-    _wrote(out)
+    _wrote(paths)
     print(f"p_hat = {report.p_hat} over {report.n_surrogates} surrogates")
     return 0
 
@@ -268,52 +145,115 @@ def _cmd_report(args) -> int:
     text = render_run_report(run_dir)
     out = Path(args.out) if args.out else run_dir / "report.md"
     out.write_text(text, encoding="utf-8")
-    _wrote(out)
-    return 0
+    return _wrote([out])
 
 
 def _cmd_run(args) -> int:
-    config = PipelineConfig(
-        lexicon_path=Path(args.lexicon),
-        messages_path=Path(args.messages),
-        attitude_path=Path(args.attitude),
-        out_dir=Path(args.out),
-        min_messages=args.min_messages,
-        smooth_window=args.smooth_window,
-        corr_window=args.corr_window,
-        alpha=args.alpha,
-        ar_order=args.p,
-        exog_order=args.q,
-        n_surrogates=args.surrogates,
-        seed=args.seed,
-        gap_policy=args.gap_policy,
-        surrogate_model=args.surrogate_model,
-        surrogate_full=args.surrogate_full,
-    )
+    config = PipelineConfig.from_flags(vars(args))
     manifest = run_pipeline(config)
     n_artifacts = len(manifest["artifacts"]) + 1
     print(f"wrote {n_artifacts} artifacts to {config.out_dir}")
     surrogate = manifest["surrogate"]
-    print(
-        f"surrogate test: model {surrogate['model']}, "
-        f"p_hat = {surrogate['p_hat']}"
-    )
+    print(f"surrogate test: model {surrogate['model']}, p_hat = {surrogate['p_hat']}")
     return 0
 
 
-def _add_forecast_io(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--attitude-series",
-        required=True,
-        help="month,rate CSV of the (smoothed) target series",
-    )
-    parser.add_argument(
-        "--emotion-series",
-        required=True,
-        help="emotion-table CSV of the (smoothed) component series",
-    )
-    parser.add_argument("--p", type=int, default=1, help="autoregressive lag order")
-    parser.add_argument("--q", type=int, default=3, help="exogenous lag order")
+# Every option of every subcommand, declared once.
+_OPTIONS = {
+    "--lexicon": dict(required=True, help="lexicon CSV file"),
+    "--messages": dict(required=True, help="message JSONL file"),
+    "--attitude": dict(required=True, help="attitude CSV file"),
+    "--buckets": dict(required=True, help="buckets JSON from ingest"),
+    "--series": dict(required=True, help="emotion-table or month,value CSV"),
+    "--series-a": dict(required=True, help="first series CSV"),
+    "--series-b": dict(required=True, help="second series CSV"),
+    "--column-a": dict(help="column name when --series-a is an emotion table"),
+    "--column-b": dict(help="column name when --series-b is an emotion table"),
+    "--attitude-series": dict(
+        required=True, help="month,rate CSV of the (smoothed) target series"
+    ),
+    "--emotion-series": dict(
+        required=True, help="emotion-table CSV of the (smoothed) component series"
+    ),
+    "--run": dict(required=True, help="run output directory"),
+    "--out": dict(required=True, help="output path (a directory for ingest, score and run)"),
+    "--min-messages": dict(
+        type=int, default=3, help="minimum messages for a thread to count (default 3)"
+    ),
+    "--smooth-window": dict(type=int, default=4, help="smoothing window in months (default 4)"),
+    "--gap-policy": dict(
+        choices=GAP_POLICIES, default="fail", help="what to do with missing months (default fail)"
+    ),
+    "--corr-window": dict(
+        type=int, default=13, help="correlation window in months (default 13)"
+    ),
+    "--alpha": dict(type=float, default=0.05, help="significance level (default 0.05)"),
+    "--p": dict(type=int, default=1, help="autoregressive lag order (default 1)"),
+    "--q": dict(type=int, default=3, help="exogenous lag order (default 3)"),
+    "--model": dict(required=True, choices=MODEL_NAMES, help="model to fit"),
+    "--holdout": dict(
+        type=int,
+        default=0,
+        help="evaluate on the last N months instead of in-sample (default 0)",
+    ),
+    "--surrogates": dict(type=int, default=1000, help="number of surrogates (default 1000)"),
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--full": dict(action="store_true", help="include every surrogate mae in the output"),
+    "--surrogate-model": dict(
+        choices=EXOGENOUS_MODELS,
+        help="model for the surrogate test (default: lowest-mae exogenous model)",
+    ),
+    "--surrogate-full": dict(
+        action="store_true", help="include every surrogate mae in surrogate.json"
+    ),
+}
+
+_FORECAST_IO = ("--attitude-series", "--emotion-series", "--p", "--q")
+
+# Subcommand -> (summary, options). An option given as (flag, overrides)
+# changes some of the table's settings for that subcommand only.
+_COMMANDS = {
+    "ingest": (
+        "parse messages into monthly token buckets",
+        ("--messages", "--min-messages", "--out"),
+    ),
+    "score": (
+        "score monthly buckets against an affective lexicon",
+        ("--lexicon", "--buckets", "--out"),
+    ),
+    "smooth": (
+        "apply causal Hamming smoothing",
+        ("--series", "--smooth-window", "--gap-policy", "--out"),
+    ),
+    "correlate": (
+        "rolling windowed correlation between two series",
+        ("--series-a", "--series-b", "--column-a", "--column-b", "--corr-window", "--alpha",
+         "--out"),
+    ),
+    "forecast": (
+        "fit and evaluate one named forecast model",
+        (*_FORECAST_IO, "--model", "--holdout", "--out"),
+    ),
+    "suite": (
+        "fit and evaluate the full ten-model comparison",
+        (*_FORECAST_IO, "--holdout", "--out"),
+    ),
+    "surrogate": (
+        "permutation significance test for one model",
+        (*_FORECAST_IO, ("--model", dict(choices=EXOGENOUS_MODELS, help="model to test")),
+         "--surrogates", "--seed", "--full", "--out"),
+    ),
+    "report": (
+        "render a markdown summary of a completed run",
+        ("--run", ("--out", dict(required=False, help="output path (default <run>/report.md)"))),
+    ),
+    "run": (
+        "run the full pipeline",
+        ("--lexicon", "--messages", "--attitude", "--out", "--min-messages", "--smooth-window",
+         "--corr-window", "--alpha", "--p", "--q", "--surrogates", "--seed", "--gap-policy",
+         "--surrogate-model", "--surrogate-full"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,161 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true", help="log stage progress to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser(
-        "ingest", help="parse messages into monthly token buckets"
-    )
-    p_ingest.add_argument("--messages", required=True, help="message JSONL file")
-    p_ingest.add_argument(
-        "--min-messages",
-        type=int,
-        default=3,
-        help="minimum messages for a thread to count (default 3)",
-    )
-    p_ingest.add_argument("--out", required=True, help="output directory")
-    p_ingest.set_defaults(func=_cmd_ingest)
-
-    p_score = sub.add_parser(
-        "score", help="score monthly buckets against an affective lexicon"
-    )
-    p_score.add_argument("--lexicon", required=True, help="lexicon CSV file")
-    p_score.add_argument("--buckets", required=True, help="buckets JSON from ingest")
-    p_score.add_argument("--out", required=True, help="output directory")
-    p_score.set_defaults(func=_cmd_score)
-
-    p_smooth = sub.add_parser("smooth", help="apply causal Hamming smoothing")
-    p_smooth.add_argument(
-        "--series", required=True, help="emotion-table or month,value CSV"
-    )
-    p_smooth.add_argument(
-        "--smooth-window", type=int, default=4, help="window length in months (default 4)"
-    )
-    p_smooth.add_argument(
-        "--gap-policy",
-        choices=GAP_POLICIES,
-        default="fail",
-        help="what to do with missing months (default fail)",
-    )
-    p_smooth.add_argument("--out", required=True, help="output CSV path")
-    p_smooth.set_defaults(func=_cmd_smooth)
-
-    p_corr = sub.add_parser(
-        "correlate", help="rolling windowed correlation between two series"
-    )
-    p_corr.add_argument("--series-a", required=True, help="first series CSV")
-    p_corr.add_argument("--series-b", required=True, help="second series CSV")
-    p_corr.add_argument(
-        "--column-a", help="column name when --series-a is an emotion table"
-    )
-    p_corr.add_argument(
-        "--column-b", help="column name when --series-b is an emotion table"
-    )
-    p_corr.add_argument(
-        "--corr-window", type=int, default=13, help="window length in months (default 13)"
-    )
-    p_corr.add_argument(
-        "--alpha", type=float, default=0.05, help="significance level (default 0.05)"
-    )
-    p_corr.add_argument("--out", required=True, help="output CSV path")
-    p_corr.set_defaults(func=_cmd_correlate)
-
-    p_forecast = sub.add_parser(
-        "forecast", help="fit and evaluate one named forecast model"
-    )
-    _add_forecast_io(p_forecast)
-    p_forecast.add_argument(
-        "--model", required=True, choices=MODEL_NAMES, help="model to fit"
-    )
-    p_forecast.add_argument(
-        "--holdout",
-        type=int,
-        default=0,
-        help="evaluate on the last N months instead of in-sample (default 0)",
-    )
-    p_forecast.add_argument("--out", required=True, help="output JSON path")
-    p_forecast.set_defaults(func=_cmd_forecast)
-
-    p_suite = sub.add_parser(
-        "suite", help="fit and evaluate the full ten-model comparison"
-    )
-    _add_forecast_io(p_suite)
-    p_suite.add_argument(
-        "--holdout",
-        type=int,
-        default=0,
-        help="evaluate on the last N months instead of in-sample (default 0)",
-    )
-    p_suite.add_argument("--out", required=True, help="output JSON path")
-    p_suite.set_defaults(func=_cmd_suite)
-
-    p_surr = sub.add_parser(
-        "surrogate", help="permutation significance test for one model"
-    )
-    _add_forecast_io(p_surr)
-    p_surr.add_argument(
-        "--model", required=True, choices=_EXOGENOUS_MODELS, help="model to test"
-    )
-    p_surr.add_argument(
-        "--surrogates", type=int, default=1000, help="number of surrogates (default 1000)"
-    )
-    p_surr.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p_surr.add_argument(
-        "--full", action="store_true", help="include every surrogate mae in the output"
-    )
-    p_surr.add_argument("--out", required=True, help="output JSON path")
-    p_surr.set_defaults(func=_cmd_surrogate)
-
-    p_report = sub.add_parser(
-        "report", help="render a markdown summary of a completed run"
-    )
-    p_report.add_argument("--run", required=True, help="run output directory")
-    p_report.add_argument("--out", help="output path (default <run>/report.md)")
-    p_report.set_defaults(func=_cmd_report)
-
-    p_run = sub.add_parser("run", help="run the full pipeline")
-    p_run.add_argument("--lexicon", required=True, help="lexicon CSV file")
-    p_run.add_argument("--messages", required=True, help="message JSONL file")
-    p_run.add_argument("--attitude", required=True, help="attitude CSV file")
-    p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument(
-        "--min-messages",
-        type=int,
-        default=3,
-        help="minimum messages for a thread to count (default 3)",
-    )
-    p_run.add_argument(
-        "--smooth-window", type=int, default=4, help="smoothing window (default 4)"
-    )
-    p_run.add_argument(
-        "--corr-window", type=int, default=13, help="correlation window (default 13)"
-    )
-    p_run.add_argument(
-        "--alpha", type=float, default=0.05, help="significance level (default 0.05)"
-    )
-    p_run.add_argument("--p", type=int, default=1, help="autoregressive lag order")
-    p_run.add_argument("--q", type=int, default=3, help="exogenous lag order")
-    p_run.add_argument(
-        "--surrogates", type=int, default=1000, help="number of surrogates (default 1000)"
-    )
-    p_run.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p_run.add_argument(
-        "--gap-policy",
-        choices=GAP_POLICIES,
-        default="fail",
-        help="what to do with missing months (default fail)",
-    )
-    p_run.add_argument(
-        "--surrogate-model",
-        choices=_EXOGENOUS_MODELS,
-        help="model for the surrogate test (default: lowest-mae exogenous model)",
-    )
-    p_run.add_argument(
-        "--surrogate-full",
-        action="store_true",
-        help="include every surrogate mae in surrogate.json",
-    )
-    p_run.set_defaults(func=_cmd_run)
-
+    handlers = globals()
+    for name, (summary, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for option in options:
+            flag, overrides = option if isinstance(option, tuple) else (option, {})
+            command.add_argument(flag, **{**_OPTIONS[flag], **overrides})
+        command.set_defaults(func=handlers[f"_cmd_{name}"])
     return parser
 
 

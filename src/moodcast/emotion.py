@@ -19,6 +19,10 @@ if TYPE_CHECKING:
     from .analysis import NumericSeries
 
 DIMENSIONS = ("valence", "arousal", "dominance")
+STATS = ("mean", "std")
+
+# The six component series of an emotion series, named ``<stat>-<dimension>``.
+COMPONENTS = tuple(f"{stat}-{dim}" for stat in STATS for dim in DIMENSIONS)
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,6 @@ class MonthEmotion:
     mean: dict[str, Optional[float]]
     std: dict[str, Optional[float]]
     match_count: int
-    distinct_words: int
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,7 @@ def score_month(bucket: MonthlyBucket, lexicon: Lexicon) -> MonthEmotion:
     if match_count == 0:
         none_stats: dict[str, Optional[float]] = {dim: None for dim in DIMENSIONS}
         return MonthEmotion(
-            month=bucket.month,
-            mean=dict(none_stats),
-            std=dict(none_stats),
-            match_count=0,
-            distinct_words=0,
+            month=bucket.month, mean=dict(none_stats), std=dict(none_stats), match_count=0
         )
     mean: dict[str, Optional[float]] = {}
     std: dict[str, Optional[float]] = {}
@@ -88,13 +87,7 @@ def score_month(bucket: MonthlyBucket, lexicon: Lexicon) -> MonthEmotion:
         hi = max(scores[dim] for _, scores in matched)
         mean[dim] = min(max(mu, lo), hi)
         std[dim] = math.sqrt(max(var, 0.0))
-    return MonthEmotion(
-        month=bucket.month,
-        mean=mean,
-        std=std,
-        match_count=match_count,
-        distinct_words=len(matched),
-    )
+    return MonthEmotion(month=bucket.month, mean=mean, std=std, match_count=match_count)
 
 
 def build_series(buckets: list[MonthlyBucket], lexicon: Lexicon) -> EmotionSeries:
@@ -107,18 +100,18 @@ def build_series(buckets: list[MonthlyBucket], lexicon: Lexicon) -> EmotionSerie
 
 
 def component_series(series: EmotionSeries) -> dict[str, "NumericSeries"]:
-    """Split an emotion series into its six named numeric components.
+    """Split an emotion series into its six numeric components.
 
-    Keys are ``mean-valence`` .. ``std-dominance``; unmatched months carry
-    None values.
+    Keys are the ``COMPONENTS`` names in their order; unmatched months
+    carry None values.
     """
     from .analysis import NumericSeries
 
     out: dict[str, NumericSeries] = {}
-    for stat in ("mean", "std"):
-        for dim in DIMENSIONS:
-            values = [getattr(rec, stat)[dim] for rec in series.records]
-            out[f"{stat}-{dim}"] = NumericSeries(months=list(series.months), values=values)
+    for name in COMPONENTS:
+        stat, dim = name.split("-")
+        values = [getattr(rec, stat)[dim] for rec in series.records]
+        out[name] = NumericSeries(months=list(series.months), values=values)
     return out
 
 
@@ -129,26 +122,17 @@ def assemble_from_components(
 ) -> EmotionSeries:
     """Rebuild an emotion series from named component values.
 
-    ``components`` holds the six series keyed ``mean-valence`` ..
-    ``std-dominance`` on the ``months`` axis; ``template`` supplies the
-    match and distinct-word counts per month (its axis must cover
-    ``months``). Used to carry counts through smoothing and interpolation.
+    ``components`` holds the six ``COMPONENTS`` series on the ``months``
+    axis; ``template`` supplies the match count per month (its axis must
+    cover ``months``). Used to carry counts through smoothing and
+    interpolation.
     """
-    by_month = {rec.month: rec for rec in template.records}
+    match_counts = {rec.month: rec.match_count for rec in template.records}
     records = []
     for i, month in enumerate(months):
         mean = {dim: components[f"mean-{dim}"].values[i] for dim in DIMENSIONS}
         std = {dim: components[f"std-{dim}"].values[i] for dim in DIMENSIONS}
-        source = by_month[month]
-        records.append(
-            MonthEmotion(
-                month=month,
-                mean=mean,
-                std=std,
-                match_count=source.match_count,
-                distinct_words=source.distinct_words,
-            )
-        )
+        records.append(MonthEmotion(month, mean, std, match_counts[month]))
     return EmotionSeries(months=list(months), records=records)
 
 
@@ -191,6 +175,8 @@ def top_lexicon_words(
 
 __all__ = [
     "DIMENSIONS",
+    "STATS",
+    "COMPONENTS",
     "MonthEmotion",
     "EmotionSeries",
     "WeightedWord",

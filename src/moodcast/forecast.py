@@ -2,9 +2,9 @@
 
 The model is linear in lagged values: the target regressed on its last
 ``ar_order`` values and on the last ``exog_order`` values of each exogenous
-series, with no intercept unless requested. Coefficients come from ordinary
-least squares. Evaluation is in-sample one-step-ahead: mean absolute error
-plus the running mean of absolute errors over the evaluated months.
+series, with no intercept. Coefficients come from ordinary least squares.
+Evaluation is in-sample one-step-ahead: mean absolute error plus the
+running mean of absolute errors over the evaluated months.
 """
 
 from __future__ import annotations
@@ -16,32 +16,19 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .analysis import NumericSeries
+from .emotion import COMPONENTS, DIMENSIONS
 
-MODEL_NAMES = (
-    "ar",
-    "mean-valence",
-    "mean-arousal",
-    "mean-dominance",
-    "std-valence",
-    "std-arousal",
-    "std-dominance",
-    "both-valence",
-    "both-arousal",
-    "both-dominance",
-)
-
+# The ten standard models, in report order: the pure autoregressive
+# benchmark, one per emotion component, and one per mean+std pair.
 MODEL_EXOGENOUS: dict[str, tuple[str, ...]] = {
     "ar": (),
-    "mean-valence": ("mean-valence",),
-    "mean-arousal": ("mean-arousal",),
-    "mean-dominance": ("mean-dominance",),
-    "std-valence": ("std-valence",),
-    "std-arousal": ("std-arousal",),
-    "std-dominance": ("std-dominance",),
-    "both-valence": ("mean-valence", "std-valence"),
-    "both-arousal": ("mean-arousal", "std-arousal"),
-    "both-dominance": ("mean-dominance", "std-dominance"),
+    **{name: (name,) for name in COMPONENTS},
+    **{f"both-{dim}": (f"mean-{dim}", f"std-{dim}") for dim in DIMENSIONS},
 }
+MODEL_NAMES = tuple(MODEL_EXOGENOUS)
+
+# The models with at least one emotion series: candidates for the surrogate test.
+EXOGENOUS_MODELS = tuple(name for name in MODEL_NAMES if MODEL_EXOGENOUS[name])
 
 
 @dataclass(frozen=True)
@@ -51,7 +38,6 @@ class ArmaSpec:
     ar_order: int
     exog_order: int
     exogenous_names: tuple[str, ...] = ()
-    include_intercept: bool = False
 
     def __post_init__(self) -> None:
         if self.ar_order < 0 or self.exog_order < 0:
@@ -72,20 +58,14 @@ class ArmaSpec:
         # same months as the models it is compared against.
         return max(self.ar_order, self.exog_order)
 
-    @property
-    def n_columns(self) -> int:
-        cols = self.ar_order + self.n_exogenous * self.exog_order
-        return cols + (1 if self.include_intercept else 0)
-
 
 @dataclass(frozen=True)
 class RegressionSystem:
-    """A lagged design matrix and its response, with row and column labels."""
+    """A lagged design matrix and its response, rows labelled by month."""
 
     regressors: np.ndarray
     response: np.ndarray
     months: list[str]
-    columns: list[str]
 
 
 def assemble_regression(
@@ -118,11 +98,6 @@ def assemble_regression(
         raise ValueError(
             f"series of length {total} is too short for maximum lag {start}"
         )
-    columns = [f"target[t-{i}]" for i in range(1, spec.ar_order + 1)]
-    for name in spec.exogenous_names:
-        columns.extend(f"{name}[t-{i}]" for i in range(1, spec.exog_order + 1))
-    if spec.include_intercept:
-        columns.append("intercept")
     tv = series_values["target"]
     rows = []
     for t in range(start, total):
@@ -130,14 +105,11 @@ def assemble_regression(
         for name in spec.exogenous_names:
             ev = series_values[name]
             row.extend(ev[t - i] for i in range(1, spec.exog_order + 1))
-        if spec.include_intercept:
-            row.append(1.0)
         rows.append(row)
     return RegressionSystem(
         regressors=np.asarray(rows, dtype=float),
         response=np.asarray(tv[start:], dtype=float),
         months=list(target.months[start:]),
-        columns=columns,
     )
 
 
@@ -148,7 +120,6 @@ class ArmaModel:
     spec: ArmaSpec
     ar_coeffs: list[float]
     exog_coeffs: list[list[float]]
-    intercept: float
     training_months: list[str]
     sse: float
 
@@ -156,8 +127,6 @@ class ArmaModel:
         flat = list(self.ar_coeffs)
         for per_series in self.exog_coeffs:
             flat.extend(per_series)
-        if self.spec.include_intercept:
-            flat.append(self.intercept)
         return np.asarray(flat, dtype=float)
 
 
@@ -193,47 +162,13 @@ def fit_arma(
     for _ in spec.exogenous_names:
         exog_coeffs.append([float(c) for c in solution[offset : offset + spec.exog_order]])
         offset += spec.exog_order
-    intercept = float(solution[offset]) if spec.include_intercept else 0.0
     return ArmaModel(
         spec=spec,
         ar_coeffs=ar_coeffs,
         exog_coeffs=exog_coeffs,
-        intercept=intercept,
         training_months=system.months,
         sse=sse,
     )
-
-
-def predict_one_step(
-    model: ArmaModel,
-    target: NumericSeries,
-    exogenous: Mapping[str, NumericSeries],
-    month: str,
-) -> float:
-    """Predict the target at ``month`` from values strictly before it."""
-    spec = model.spec
-    try:
-        t = target.months.index(month)
-    except ValueError:
-        raise ValueError(f"month {month} is not on the target axis") from None
-    if t < spec.max_lag:
-        raise ValueError(f"month {month} has fewer than {spec.max_lag} months of history")
-    acc = model.intercept
-    for i, coeff in enumerate(model.ar_coeffs, start=1):
-        value = target.values[t - i]
-        if value is None:
-            raise ValueError(f"target is missing a value at lag {i} before {month}")
-        acc += coeff * value
-    for name, per_series in zip(spec.exogenous_names, model.exog_coeffs):
-        series = exogenous[name]
-        if series.months != target.months:
-            raise ValueError(f"exogenous series {name!r} is not on the target month axis")
-        for i, coeff in enumerate(per_series, start=1):
-            value = series.values[t - i]
-            if value is None:
-                raise ValueError(f"series {name!r} is missing a value at lag {i} before {month}")
-            acc += coeff * value
-    return float(acc)
 
 
 @dataclass(frozen=True)
@@ -247,9 +182,19 @@ class EvaluationReport:
     cumulative_mean_abs_error: list[float]
     mae: float
 
-    @property
-    def month_range(self) -> tuple[str, str]:
-        return self.months[0], self.months[-1]
+
+def _report(months: list[str], predictions: np.ndarray, actuals: np.ndarray) -> EvaluationReport:
+    """Signed errors and the running-mean absolute error curve of predictions."""
+    errors = actuals - predictions
+    cumulative = np.cumsum(np.abs(errors)) / np.arange(1, len(errors) + 1)
+    return EvaluationReport(
+        months=list(months),
+        predictions=[float(v) for v in predictions],
+        actuals=[float(v) for v in actuals],
+        errors=[float(v) for v in errors],
+        cumulative_mean_abs_error=[float(v) for v in cumulative],
+        mae=float(cumulative[-1]),
+    )
 
 
 def evaluate(
@@ -262,19 +207,7 @@ def evaluate(
     The final point of the cumulative curve equals the mean absolute error.
     """
     system = assemble_regression(model.spec, target, exogenous or {})
-    predictions = system.regressors @ model.coefficient_vector()
-    errors = system.response - predictions
-    abs_cumsum = np.cumsum(np.abs(errors))
-    counts = np.arange(1, len(errors) + 1)
-    cumulative = abs_cumsum / counts
-    return EvaluationReport(
-        months=list(system.months),
-        predictions=[float(v) for v in predictions],
-        actuals=[float(v) for v in system.response],
-        errors=[float(v) for v in errors],
-        cumulative_mean_abs_error=[float(v) for v in cumulative],
-        mae=float(cumulative[-1]),
-    )
+    return _report(system.months, system.regressors @ model.coefficient_vector(), system.response)
 
 
 def evaluate_holdout(
@@ -308,18 +241,7 @@ def evaluate_holdout(
     system = assemble_regression(spec, target, exogenous)
     keep = [i for i, month in enumerate(system.months) if month >= target.months[split]]
     predictions = system.regressors[keep] @ model.coefficient_vector()
-    actuals = system.response[keep]
-    errors = actuals - predictions
-    cumulative = np.cumsum(np.abs(errors)) / np.arange(1, len(errors) + 1)
-    report = EvaluationReport(
-        months=[system.months[i] for i in keep],
-        predictions=[float(v) for v in predictions],
-        actuals=[float(v) for v in actuals],
-        errors=[float(v) for v in errors],
-        cumulative_mean_abs_error=[float(v) for v in cumulative],
-        mae=float(cumulative[-1]),
-    )
-    return model, report
+    return model, _report([system.months[i] for i in keep], predictions, system.response[keep])
 
 
 @dataclass(frozen=True)
@@ -429,6 +351,7 @@ def surrogate_test(
 __all__ = [
     "MODEL_NAMES",
     "MODEL_EXOGENOUS",
+    "EXOGENOUS_MODELS",
     "ArmaSpec",
     "RegressionSystem",
     "ArmaModel",
@@ -437,7 +360,6 @@ __all__ = [
     "SurrogateReport",
     "assemble_regression",
     "fit_arma",
-    "predict_one_step",
     "evaluate",
     "evaluate_holdout",
     "model_suite",

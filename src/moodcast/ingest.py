@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Callable, Iterable, Union
 
+from .analysis import NumericSeries
 from .errors import InputFormatError
 from .lexicon import tokenize
 from .months import check_month, month_of, month_ord, month_range
@@ -45,16 +46,13 @@ class ThreadSummary:
     """Per-thread rollup used by the monthly aggregation.
 
     ``subject`` is the canonical subject: the earliest message's subject
-    line with repeated leading reply markers stripped. ``participant_count``
-    is informational; the message wire format carries no author field, so
-    threads built from JSONL always report 0.
+    line with repeated leading reply markers stripped.
     """
 
     thread_id: str
     subject: str
     message_count: int
     first_month: str
-    participant_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,6 @@ class MonthlyBucket:
     month: str
     token_counts: dict[str, int] = field(default_factory=dict)
     thread_count: int = 0
-
-
-@dataclass(frozen=True)
-class AttitudeSeries:
-    """External monthly attitude rates in percent, gap-free and sorted."""
-
-    months: list[str]
-    values: list[float]
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -178,7 +168,6 @@ def build_threads(messages: list[MessageRecord]) -> list[ThreadSummary]:
                 subject=strip_reply_markers(first.subject),
                 message_count=counts[thread_id],
                 first_month=month_of(timestamp),
-                participant_count=0,
             )
         )
     return summaries
@@ -222,7 +211,7 @@ def monthly_subject_buckets(
     ]
 
 
-def load_attitude_series(source: Union[str, Path, IO[str]]) -> AttitudeSeries:
+def load_attitude_series(source: Union[str, Path, IO[str]]) -> NumericSeries:
     """Load the attitude CSV (header ``month,rate``) as a sorted series.
 
     Months must form a contiguous range once sorted; rates must lie in
@@ -235,7 +224,7 @@ def load_attitude_series(source: Union[str, Path, IO[str]]) -> AttitudeSeries:
     return _load_attitude_stream(source)
 
 
-def _load_attitude_stream(stream: IO[str]) -> AttitudeSeries:
+def _load_attitude_stream(stream: IO[str]) -> NumericSeries:
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -271,7 +260,7 @@ def _load_attitude_stream(stream: IO[str]) -> AttitudeSeries:
     if months != expected:
         gap = next(m for m in expected if m not in rows)
         raise InputFormatError(f"attitude series: missing month {gap}")
-    return AttitudeSeries(months=months, values=[rows[m] for m in months])
+    return NumericSeries(months=months, values=[rows[m] for m in months])
 
 
 __all__ = [
@@ -280,7 +269,6 @@ __all__ = [
     "MessageRecord",
     "ThreadSummary",
     "MonthlyBucket",
-    "AttitudeSeries",
     "parse_messages",
     "strip_reply_markers",
     "build_threads",

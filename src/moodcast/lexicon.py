@@ -81,11 +81,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def lookup(lexicon: Lexicon, token: str) -> Optional[LexiconEntry]:
-    """Functional alias for :meth:`Lexicon.lookup`."""
-    return lexicon.lookup(token)
-
-
 def load_lexicon(source: Union[str, Path, IO[str]]) -> Lexicon:
     """Load a lexicon from CSV with header ``word,valence,arousal,dominance``.
 
@@ -155,6 +150,5 @@ __all__ = [
     "LexiconEntry",
     "Lexicon",
     "tokenize",
-    "lookup",
     "load_lexicon",
 ]

@@ -1,21 +1,27 @@
-"""Full-run orchestration: inputs to plot-ready artifacts in one pass.
+"""Pipeline stages and the full run.
 
-``run_pipeline`` executes every stage in order (ingest, score, align, gap
-policy, smooth, correlate, forecast, surrogate) and writes all artifacts
-plus a manifest of configuration, input digests and artifact digests. The
-only timestamp lives in the manifest, so reruns with identical inputs and
-configuration reproduce every other artifact byte for byte. A failed stage
-leaves a ``run.failed`` marker naming the stage.
+Each stage function (ingest, score, gap policy, emotion smoothing, suite,
+surrogate) takes in-memory inputs, writes its artifacts and returns its
+result followed by the list of paths it wrote. The ``moodcast`` stage
+subcommands read their inputs back from files and call these functions;
+``run_pipeline`` calls them in order, with the align step between score
+and gap policy and the rolling correlations after smoothing, so a staged
+run and a full run write the same bytes. The full run ends with a manifest
+of configuration, input digests and artifact digests. The only timestamp lives
+in the manifest, so reruns with identical inputs and configuration
+reproduce every other artifact byte for byte. A failed stage leaves a
+``run.failed`` marker naming the stage.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
 from .analysis import (
     NumericSeries,
@@ -24,26 +30,33 @@ from .analysis import (
     rolling_correlation,
 )
 from .emotion import (
+    COMPONENTS,
+    EmotionSeries,
     assemble_from_components,
     build_series,
     component_series,
     top_lexicon_words,
 )
 from .forecast import (
+    EXOGENOUS_MODELS,
     MODEL_EXOGENOUS,
     MODEL_NAMES,
     ArmaSpec,
+    SuiteEntry,
+    SurrogateReport,
     model_suite,
     surrogate_test,
 )
 from .ingest import (
+    MessageRecord,
+    MonthlyBucket,
     build_threads,
     filter_threads,
     load_attitude_series,
     monthly_subject_buckets,
     parse_messages,
 )
-from .lexicon import load_lexicon
+from .lexicon import Lexicon, load_lexicon
 from .months import month_ord
 from .reports import (
     _write_json,
@@ -64,17 +77,19 @@ logger = logging.getLogger(__name__)
 GAP_POLICIES = ("fail", "linear-interpolate")
 
 # Canonical series order for correlation pair files.
-SERIES_ORDER = (
-    "mean_valence",
-    "mean_arousal",
-    "mean_dominance",
-    "std_valence",
-    "std_arousal",
-    "std_dominance",
-    "attitude",
-)
+SERIES_ORDER = tuple(name.replace("-", "_") for name in COMPONENTS) + ("attitude",)
 
 FAILURE_MARKER = "run.failed"
+MANIFEST = "run_manifest.json"
+
+# PipelineConfig fields whose command-line flag has another name.
+_PATH_FLAGS = {
+    "lexicon_path": "lexicon",
+    "messages_path": "messages",
+    "attitude_path": "attitude",
+    "out_dir": "out",
+}
+_FLAG_NAMES = {**_PATH_FLAGS, "ar_order": "p", "exog_order": "q", "n_surrogates": "surrogates"}
 
 
 @dataclass(frozen=True)
@@ -102,31 +117,169 @@ class PipelineConfig:
             raise ValueError(
                 f"gap_policy must be one of {GAP_POLICIES}, got {self.gap_policy!r}"
             )
-        if self.surrogate_model is not None:
-            if self.surrogate_model not in MODEL_NAMES or self.surrogate_model == "ar":
-                raise ValueError(
-                    f"surrogate_model must be an exogenous model name, got {self.surrogate_model!r}"
-                )
+        if self.surrogate_model is not None and self.surrogate_model not in EXOGENOUS_MODELS:
+            raise ValueError(
+                f"surrogate_model must be an exogenous model name, got {self.surrogate_model!r}"
+            )
+
+    @classmethod
+    def from_flags(cls, flags: Mapping) -> "PipelineConfig":
+        """Configuration from parsed ``moodcast run`` flags, keyed by flag name."""
+        values = {f.name: flags[_FLAG_NAMES.get(f.name, f.name)] for f in fields(cls)}
+        return cls(**{**values, **{name: Path(values[name]) for name in _PATH_FLAGS}})
 
     def flag_view(self) -> dict:
         """Configuration under its command-line flag names, for the manifest."""
         return {
-            "lexicon": str(self.lexicon_path),
-            "messages": str(self.messages_path),
-            "attitude": str(self.attitude_path),
-            "out": str(self.out_dir),
-            "min_messages": self.min_messages,
-            "smooth_window": self.smooth_window,
-            "corr_window": self.corr_window,
-            "alpha": self.alpha,
-            "p": self.ar_order,
-            "q": self.exog_order,
-            "surrogates": self.n_surrogates,
-            "seed": self.seed,
-            "gap_policy": self.gap_policy,
-            "surrogate_model": self.surrogate_model,
-            "surrogate_full": self.surrogate_full,
-        }
+            _FLAG_NAMES.get(f.name, f.name): getattr(self, f.name) for f in fields(self)
+        } | {flag: str(getattr(self, name)) for name, flag in _PATH_FLAGS.items()}
+
+
+def ingest_stage(
+    messages: list[MessageRecord], out: Path, *, min_messages: int
+) -> tuple[list[MonthlyBucket], dict[str, int], list[Path]]:
+    """Thread, filter and bucket messages into ``buckets.json`` and
+    ``discussion_counts.csv`` under ``out``.
+
+    Returns the monthly buckets and the message, thread and kept-thread
+    counts, then the paths written.
+    """
+    threads = build_threads(messages)
+    kept = filter_threads(threads, min_messages)
+    buckets = monthly_subject_buckets(kept)
+    if not buckets:
+        raise ValueError(f"no threads with at least {min_messages} messages; nothing to score")
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / "buckets.json", out / "discussion_counts.csv"]
+    write_buckets_json(paths[0], buckets)
+    write_counts_csv(paths[1], buckets)
+    counts = {"messages": len(messages), "threads": len(threads), "threads_kept": len(kept)}
+    return buckets, counts, paths
+
+
+def score_stage(
+    buckets: list[MonthlyBucket], lexicon: Lexicon, out: Path
+) -> tuple[EmotionSeries, dict[str, int], list[Path]]:
+    """Score buckets into ``emotion_series.csv`` and rank each year's
+    lexicon words into ``top_words.csv`` under ``out``.
+
+    Returns the raw emotion series and the thread count per month, then
+    the paths written.
+    """
+    emotion = build_series(buckets, lexicon)
+    thread_counts = {b.month: b.thread_count for b in buckets}
+    per_year = {}
+    for year in sorted({m[:4] for m in emotion.months}):
+        words = top_lexicon_words(buckets, lexicon, period=(f"{year}-01", f"{year}-12"))
+        if words:
+            per_year[year] = words
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / "emotion_series.csv", out / "top_words.csv"]
+    write_emotion_csv(paths[0], emotion, thread_counts)
+    write_top_words_csv(paths[1], per_year)
+    return emotion, thread_counts, paths
+
+
+def fill_gaps(
+    components: Mapping[str, NumericSeries], policy: str
+) -> tuple[dict[str, NumericSeries], dict[str, list[str]]]:
+    """Apply the gap policy to named series that may lack some months.
+
+    ``fail`` rejects the first series, in name order, with a missing month;
+    ``linear-interpolate`` fills every gap. Returns the gap-free series and
+    the filled months per series.
+    """
+    filled = dict(components)
+    interpolated: dict[str, list[str]] = {}
+    for name in sorted(components):
+        series = components[name]
+        gaps = [m for m, v in zip(series.months, series.values) if v is None]
+        if not gaps:
+            continue
+        if policy == "fail":
+            raise ValueError(
+                f"series {name} has no value for {gaps[0]} ({len(gaps)} gap month(s) in "
+                f"{series.months[0]}..{series.months[-1]}); rerun with "
+                "--gap-policy linear-interpolate to fill gaps"
+            )
+        filled[name] = linear_interpolate(series)
+        interpolated[name] = gaps
+    return filled, interpolated
+
+
+def _write_components(
+    path: Path,
+    components: Mapping[str, NumericSeries],
+    template: EmotionSeries,
+    thread_counts: Mapping[str, int],
+) -> None:
+    """Write the six components as an emotion table on their month axis."""
+    months = components[COMPONENTS[0]].months
+    write_emotion_csv(path, assemble_from_components(months, components, template), thread_counts)
+
+
+def smooth_emotion(
+    components: Mapping[str, NumericSeries],
+    template: EmotionSeries,
+    thread_counts: Mapping[str, int],
+    path: Path,
+    *,
+    window: int,
+) -> tuple[dict[str, NumericSeries], list[Path]]:
+    """Smooth the six gap-free components into an emotion table at ``path``.
+
+    ``template`` supplies the per-month match counts for the table.
+    """
+    smoothed = {name: hamming_smooth(series, window) for name, series in components.items()}
+    _write_components(path, smoothed, template, thread_counts)
+    return smoothed, [path]
+
+
+def suite_stage(
+    target: NumericSeries,
+    components: Mapping[str, NumericSeries],
+    path: Path,
+    *,
+    ar_order: int,
+    exog_order: int,
+    holdout: Optional[int] = None,
+    model: Optional[str] = None,
+) -> tuple[list[SuiteEntry], list[Path]]:
+    """Fit and evaluate the ten-model suite into a models JSON at ``path``.
+
+    ``holdout`` switches to the held-out evaluation; ``model`` keeps only
+    that model's entry.
+    """
+    entries = model_suite(
+        target, components, ar_order=ar_order, exog_order=exog_order, holdout=holdout
+    )
+    if model is not None:
+        entries = [e for e in entries if e.name == model]
+    write_models_json(path, entries, "in-sample" if holdout is None else "held-out")
+    return entries, [path]
+
+
+def surrogate_stage(
+    target: NumericSeries,
+    components: Mapping[str, NumericSeries],
+    path: Path,
+    *,
+    model: str,
+    ar_order: int,
+    exog_order: int,
+    n_surrogates: int,
+    seed: int,
+    include_maes: bool,
+) -> tuple[SurrogateReport, list[Path]]:
+    """Surrogate test of one exogenous model, written as JSON at ``path``."""
+    spec = ArmaSpec(ar_order, exog_order, MODEL_EXOGENOUS[model])
+    exogenous = {name: components[name] for name in spec.exogenous_names}
+    report = surrogate_test(spec, target, exogenous, n_surrogates=n_surrogates, seed=seed)
+    write_surrogate_json(
+        path, report, model_name=model, ar_order=ar_order, exog_order=exog_order,
+        exogenous=list(spec.exogenous_names), include_maes=include_maes,
+    )
+    return report, [path]
 
 
 def _slice_numeric(series: NumericSeries, first: str, last: str) -> NumericSeries:
@@ -135,23 +288,21 @@ def _slice_numeric(series: NumericSeries, first: str, last: str) -> NumericSerie
     return NumericSeries(months=series.months[lo : hi + 1], values=series.values[lo : hi + 1])
 
 
-def _component_key(name: str) -> str:
-    return name.replace("-", "_")
-
-
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and return the manifest dictionary.
 
-    Any stage failure writes ``run.failed`` (stage name plus diagnostic)
-    into the output directory and re-raises the underlying error.
+    The manifest and failure marker of an earlier run are removed first,
+    and the new manifest is written last, by rename, so it only ever
+    describes a finished run. Any stage failure writes ``run.failed``
+    (stage name plus diagnostic) into the output directory and re-raises
+    the underlying error.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / FAILURE_MARKER
-    if marker.exists():
-        marker.unlink()
+    for stale in (marker, out / MANIFEST):
+        stale.unlink(missing_ok=True)
     artifacts: list[Path] = []
-    caught_warnings: list[str] = []
     stage = "load-inputs"
     try:
         logger.info("stage load-inputs")
@@ -161,31 +312,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
         stage = "ingest"
         logger.info("stage ingest: %d messages", len(messages))
-        threads = build_threads(messages)
-        kept = filter_threads(threads, config.min_messages)
-        buckets = monthly_subject_buckets(kept)
-        if not buckets:
-            raise ValueError(
-                f"no threads with at least {config.min_messages} messages; nothing to score"
-            )
-        write_buckets_json(out / "buckets.json", buckets)
-        artifacts.append(out / "buckets.json")
-        write_counts_csv(out / "discussion_counts.csv", buckets)
-        artifacts.append(out / "discussion_counts.csv")
+        buckets, corpus, paths = ingest_stage(messages, out, min_messages=config.min_messages)
+        artifacts += paths
 
         stage = "score"
         logger.info("stage score: %d monthly buckets", len(buckets))
-        raw_emotion = build_series(buckets, lexicon)
-        thread_counts = {b.month: b.thread_count for b in buckets}
-        write_emotion_csv(out / "emotion_series.csv", raw_emotion, thread_counts)
-        artifacts.append(out / "emotion_series.csv")
-        per_year: dict[str, list] = {}
-        for year in sorted({m[:4] for m in raw_emotion.months}):
-            words = top_lexicon_words(buckets, lexicon, period=(f"{year}-01", f"{year}-12"))
-            if words:
-                per_year[year] = words
-        write_top_words_csv(out / "top_words.csv", per_year)
-        artifacts.append(out / "top_words.csv")
+        raw_emotion, thread_counts, paths = score_stage(buckets, lexicon, out)
+        artifacts += paths
 
         stage = "align"
         first = max(raw_emotion.months[0], attitude.months[0], key=month_ord)
@@ -200,65 +333,34 @@ def run_pipeline(config: PipelineConfig) -> dict:
             name: _slice_numeric(series, first, last)
             for name, series in component_series(raw_emotion).items()
         }
-        attitude_series = _slice_numeric(
-            NumericSeries(months=attitude.months, values=list(attitude.values)),
-            first,
-            last,
-        )
+        attitude = _slice_numeric(attitude, first, last)
 
         stage = "gaps"
-        interpolated: dict[str, list[str]] = {}
-        for name in sorted(components):
-            series = components[name]
-            gaps = [m for m, v in zip(series.months, series.values) if v is None]
-            if not gaps:
-                continue
-            if config.gap_policy == "fail":
-                raise ValueError(
-                    f"series {name} has no value for {gaps[0]} "
-                    f"({len(gaps)} gap month(s) in {first}..{last}); rerun with "
-                    "gap policy linear-interpolate to fill gaps"
-                )
-            components[name] = linear_interpolate(series)
-            interpolated[name] = gaps
+        components, interpolated = fill_gaps(components, config.gap_policy)
         if interpolated:
-            logger.info(
-                "stage gaps: interpolated %d series", len(interpolated)
-            )
-        aligned_emotion = assemble_from_components(
-            attitude_series.months, components, raw_emotion
-        )
-        aligned_counts = {m: thread_counts.get(m, 0) for m in attitude_series.months}
-        write_emotion_csv(out / "emotion_series_aligned.csv", aligned_emotion, aligned_counts)
-        artifacts.append(out / "emotion_series_aligned.csv")
-        write_series_csv(out / "attitude_aligned.csv", attitude_series, "rate")
-        artifacts.append(out / "attitude_aligned.csv")
+            logger.info("stage gaps: interpolated %d series", len(interpolated))
+        aligned = [out / "emotion_series_aligned.csv", out / "attitude_aligned.csv"]
+        _write_components(aligned[0], components, raw_emotion, thread_counts)
+        write_series_csv(aligned[1], attitude, "rate")
+        artifacts += aligned
 
         stage = "smooth"
         logger.info("stage smooth: window %d", config.smooth_window)
-        smooth_components = {
-            name: hamming_smooth(series, config.smooth_window)
-            for name, series in components.items()
-        }
-        smooth_attitude = hamming_smooth(attitude_series, config.smooth_window)
-        smoothed_emotion = assemble_from_components(
-            attitude_series.months, smooth_components, raw_emotion
+        smooth_components, paths = smooth_emotion(
+            components, raw_emotion, thread_counts, out / "emotion_series_smoothed.csv",
+            window=config.smooth_window,
         )
-        write_emotion_csv(
-            out / "emotion_series_smoothed.csv", smoothed_emotion, aligned_counts
-        )
-        artifacts.append(out / "emotion_series_smoothed.csv")
+        smooth_attitude = hamming_smooth(attitude, config.smooth_window)
         write_series_csv(out / "attitude_smoothed.csv", smooth_attitude, "rate")
-        artifacts.append(out / "attitude_smoothed.csv")
+        artifacts += [*paths, out / "attitude_smoothed.csv"]
 
         stage = "correlate"
         logger.info("stage correlate: window %d, alpha %s", config.corr_window, config.alpha)
-        for label, pool in (
-            ("raw", {**{_component_key(n): s for n, s in components.items()},
-                     "attitude": attitude_series}),
-            ("smoothed", {**{_component_key(n): s for n, s in smooth_components.items()},
-                          "attitude": smooth_attitude}),
+        for label, emotion, target in (
+            ("raw", components, attitude),
+            ("smoothed", smooth_components, smooth_attitude),
         ):
+            pool = dict(zip(SERIES_ORDER, [*(emotion[name] for name in COMPONENTS), target]))
             pair_dir = out / "correlations" / label
             pair_dir.mkdir(parents=True, exist_ok=True)
             for i, name_a in enumerate(SERIES_ORDER):
@@ -270,60 +372,31 @@ def run_pipeline(config: PipelineConfig) -> dict:
                     write_correlation_csv(path, track)
                     artifacts.append(path)
 
-        stage = "forecast"
-        logger.info(
-            "stage forecast: %d models, lag orders %d/%d",
-            len(MODEL_NAMES),
-            config.ar_order,
-            config.exog_order,
-        )
         with warnings.catch_warnings(record=True) as fit_warnings:
             warnings.simplefilter("always")
-            entries = model_suite(
-                smooth_attitude,
-                smooth_components,
-                ar_order=config.ar_order,
-                exog_order=config.exog_order,
+            stage = "forecast"
+            logger.info(
+                "stage forecast: %d models, lag orders %d/%d",
+                len(MODEL_NAMES), config.ar_order, config.exog_order,
             )
-        caught_warnings.extend(str(w.message) for w in fit_warnings)
-        write_models_json(out / "models.json", entries)
-        artifacts.append(out / "models.json")
+            lags = {"ar_order": config.ar_order, "exog_order": config.exog_order}
+            entries, paths = suite_stage(
+                smooth_attitude, smooth_components, out / "models.json", **lags
+            )
+            artifacts += paths
 
-        stage = "surrogate"
-        if config.surrogate_model is None:
-            candidates = [e for e in entries if e.name != "ar"]
-            chosen = min(candidates, key=lambda e: (e.report.mae, MODEL_NAMES.index(e.name)))
-        else:
-            chosen = next(e for e in entries if e.name == config.surrogate_model)
-        logger.info(
-            "stage surrogate: model %s, %d surrogates", chosen.name, config.n_surrogates
-        )
-        spec = ArmaSpec(
-            ar_order=config.ar_order,
-            exog_order=config.exog_order,
-            exogenous_names=MODEL_EXOGENOUS[chosen.name],
-        )
-        exog = {n: smooth_components[n] for n in spec.exogenous_names}
-        with warnings.catch_warnings(record=True) as fit_warnings:
-            warnings.simplefilter("always")
-            surrogate = surrogate_test(
-                spec,
-                smooth_attitude,
-                exog,
-                n_surrogates=config.n_surrogates,
-                seed=config.seed,
+            stage = "surrogate"
+            chosen = config.surrogate_model or min(
+                (e for e in entries if e.name in EXOGENOUS_MODELS),
+                key=lambda e: (e.report.mae, MODEL_NAMES.index(e.name)),
+            ).name
+            logger.info("stage surrogate: model %s, %d surrogates", chosen, config.n_surrogates)
+            surrogate, paths = surrogate_stage(
+                smooth_attitude, smooth_components, out / "surrogate.json", model=chosen,
+                n_surrogates=config.n_surrogates, seed=config.seed,
+                include_maes=config.surrogate_full, **lags,
             )
-        caught_warnings.extend(str(w.message) for w in fit_warnings)
-        write_surrogate_json(
-            out / "surrogate.json",
-            surrogate,
-            model_name=chosen.name,
-            ar_order=config.ar_order,
-            exog_order=config.exog_order,
-            exogenous=list(spec.exogenous_names),
-            include_maes=config.surrogate_full,
-        )
-        artifacts.append(out / "surrogate.json")
+            artifacts += paths
 
         stage = "manifest"
         manifest = {
@@ -331,40 +404,34 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "config": config.flag_view(),
             "inputs": {
-                "lexicon": {
-                    "path": str(config.lexicon_path),
-                    "sha256": sha256_file(config.lexicon_path),
-                },
-                "messages": {
-                    "path": str(config.messages_path),
-                    "sha256": sha256_file(config.messages_path),
-                },
-                "attitude": {
-                    "path": str(config.attitude_path),
-                    "sha256": sha256_file(config.attitude_path),
-                },
+                name: {"path": str(path), "sha256": sha256_file(path)}
+                for name, path in (
+                    ("lexicon", config.lexicon_path),
+                    ("messages", config.messages_path),
+                    ("attitude", config.attitude_path),
+                )
             },
             "corpus": {
-                "messages": len(messages),
-                "threads": len(threads),
-                "threads_kept": len(kept),
+                **corpus,
                 "first_month": raw_emotion.months[0],
                 "last_month": raw_emotion.months[-1],
             },
             "aligned_months": {"first": first, "last": last},
             "interpolated_months": interpolated,
             "surrogate": {
-                "model": chosen.name,
+                "model": chosen,
                 "p_hat": surrogate.p_hat,
                 "empirical_mae": surrogate.empirical_mae,
             },
-            "warnings": caught_warnings,
+            "warnings": [str(w.message) for w in fit_warnings],
             "artifacts": {
                 str(path.relative_to(out)): sha256_file(path)
                 for path in sorted(artifacts)
             },
         }
-        _write_json(out / "run_manifest.json", manifest)
+        pending = out / (MANIFEST + ".tmp")
+        _write_json(pending, manifest)
+        os.replace(pending, out / MANIFEST)
         logger.info("run complete: %d artifacts in %s", len(artifacts) + 1, out)
         return manifest
     except Exception as exc:
@@ -376,6 +443,13 @@ __all__ = [
     "GAP_POLICIES",
     "SERIES_ORDER",
     "FAILURE_MARKER",
+    "MANIFEST",
     "PipelineConfig",
+    "ingest_stage",
+    "score_stage",
+    "fill_gaps",
+    "smooth_emotion",
+    "suite_stage",
+    "surrogate_stage",
     "run_pipeline",
 ]

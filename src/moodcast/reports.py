@@ -3,7 +3,8 @@
 Every writer is deterministic: fixed column and key order, Unix newlines,
 floats serialized with ``repr`` round-trip fidelity, dictionary keys sorted
 where insertion order is not meaningful. Missing values become empty CSV
-fields and JSON nulls.
+fields and JSON nulls. Every reader rejects malformed and non-finite
+numbers with an ``InputFormatError`` naming the file and row.
 """
 
 from __future__ import annotations
@@ -11,11 +12,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Iterator, Optional, Union
 
 from .analysis import CorrelationTrack, NumericSeries
-from .emotion import DIMENSIONS, EmotionSeries, MonthEmotion, WeightedWord
+from .emotion import (
+    DIMENSIONS,
+    STATS,
+    EmotionSeries,
+    MonthEmotion,
+    WeightedWord,
+    component_series,
+)
 from .errors import InputFormatError
 from .forecast import SuiteEntry, SurrogateReport
 from .ingest import MonthlyBucket
@@ -23,12 +32,7 @@ from .months import check_month
 
 EMOTION_HEADER = (
     "month",
-    "valence_mean",
-    "valence_std",
-    "arousal_mean",
-    "arousal_std",
-    "dominance_mean",
-    "dominance_std",
+    *(f"{dim}_{stat}" for dim in DIMENSIONS for stat in STATS),
     "match_count",
     "thread_count",
 )
@@ -49,6 +53,63 @@ def _fmt(value: Optional[float]) -> str:
 
 def _writer(stream: IO[str]) -> "csv._writer":
     return csv.writer(stream, lineterminator="\n")
+
+
+def read_header(path: Union[str, Path]) -> tuple[str, ...]:
+    """The header row of a CSV file, which must have one."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        header = next(csv.reader(handle), None)
+    if header is None:
+        raise InputFormatError(f"{path}: file has no header")
+    return tuple(header)
+
+
+def _read_csv(
+    path: Union[str, Path], width: int
+) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
+    """Header and numbered non-blank rows of a CSV file.
+
+    Rows are checked for ``width`` fields as they are consumed, so a
+    caller checks the header first.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise InputFormatError(f"{path}: file has no header")
+
+    def numbered() -> Iterator[tuple[int, list[str]]]:
+        for rownum, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise InputFormatError(f"{path} row {rownum}: expected {width} fields")
+            yield rownum, row
+
+    return tuple(rows[0]), numbered()
+
+
+def _month(path: Union[str, Path], rownum: int, cell: str) -> str:
+    try:
+        return check_month(cell)
+    except ValueError:
+        raise InputFormatError(f"{path} row {rownum}: bad month {cell!r}") from None
+
+
+def _number(path: Union[str, Path], rownum: int, cell: str, kind: type = float):
+    """One numeric CSV cell; an empty float cell is a missing value.
+
+    Anything that does not parse as ``kind``, and any non-finite value,
+    is an input format error.
+    """
+    if kind is float and cell == "":
+        return None
+    try:
+        value = kind(cell)
+    except ValueError:
+        raise InputFormatError(f"{path} row {rownum}: not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise InputFormatError(f"{path} row {rownum}: not a finite number: {cell!r}")
+    return value
 
 
 def sha256_file(path: Union[str, Path]) -> str:
@@ -81,47 +142,20 @@ def write_emotion_csv(
 
 def read_emotion_csv(path: Union[str, Path]) -> tuple[EmotionSeries, dict[str, int]]:
     """Read an emotion table back into a series and thread counts."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise InputFormatError(f"{path}: file has no header") from None
-        if header != EMOTION_HEADER:
-            raise InputFormatError(
-                f"{path}: emotion header must be {','.join(EMOTION_HEADER)!r}"
-            )
-        months: list[str] = []
-        records: list[MonthEmotion] = []
-        thread_counts: dict[str, int] = {}
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(EMOTION_HEADER):
-                raise InputFormatError(
-                    f"{path} row {rownum}: expected {len(EMOTION_HEADER)} fields"
-                )
-            try:
-                month = check_month(row[0])
-            except ValueError:
-                raise InputFormatError(f"{path} row {rownum}: bad month {row[0]!r}") from None
-            mean: dict[str, Optional[float]] = {}
-            std: dict[str, Optional[float]] = {}
-            for i, dim in enumerate(DIMENSIONS):
-                mean[dim] = float(row[1 + 2 * i]) if row[1 + 2 * i] else None
-                std[dim] = float(row[2 + 2 * i]) if row[2 + 2 * i] else None
-            match_count = int(row[7])
-            months.append(month)
-            records.append(
-                MonthEmotion(
-                    month=month,
-                    mean=mean,
-                    std=std,
-                    match_count=match_count,
-                    distinct_words=0,
-                )
-            )
-            thread_counts[month] = int(row[8])
+    header, rows = _read_csv(path, len(EMOTION_HEADER))
+    if header != EMOTION_HEADER:
+        raise InputFormatError(f"{path}: emotion header must be {','.join(EMOTION_HEADER)!r}")
+    months: list[str] = []
+    records: list[MonthEmotion] = []
+    thread_counts: dict[str, int] = {}
+    for rownum, row in rows:
+        month = _month(path, rownum, row[0])
+        stats = [_number(path, rownum, cell) for cell in row[1:7]]
+        mean = dict(zip(DIMENSIONS, stats[0::2]))
+        std = dict(zip(DIMENSIONS, stats[1::2]))
+        months.append(month)
+        records.append(MonthEmotion(month, mean, std, _number(path, rownum, row[7], int)))
+        thread_counts[month] = _number(path, rownum, row[8], int)
     return EmotionSeries(months=months, records=records), thread_counts
 
 
@@ -136,30 +170,18 @@ def write_series_csv(path: Union[str, Path], series: NumericSeries, value_name: 
 
 def read_series_csv(path: Union[str, Path], value_name: Optional[str] = None) -> NumericSeries:
     """Read a two-column monthly series; the value header may be checked."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError(f"{path}: file has no header") from None
-        if len(header) != 2 or header[0].strip() != "month":
-            raise InputFormatError(f"{path}: expected a month,value header")
-        if value_name is not None and header[1].strip() != value_name:
-            raise InputFormatError(
-                f"{path}: expected value column {value_name!r}, got {header[1]!r}"
-            )
-        months: list[str] = []
-        values: list[Optional[float]] = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputFormatError(f"{path} row {rownum}: expected 2 fields")
-            try:
-                months.append(check_month(row[0]))
-            except ValueError:
-                raise InputFormatError(f"{path} row {rownum}: bad month {row[0]!r}") from None
-            values.append(float(row[1]) if row[1] else None)
+    header, rows = _read_csv(path, 2)
+    if len(header) != 2 or header[0].strip() != "month":
+        raise InputFormatError(f"{path}: expected a month,value header")
+    if value_name is not None and header[1].strip() != value_name:
+        raise InputFormatError(
+            f"{path}: expected value column {value_name!r}, got {header[1]!r}"
+        )
+    months: list[str] = []
+    values: list[Optional[float]] = []
+    for rownum, row in rows:
+        months.append(_month(path, rownum, row[0]))
+        values.append(_number(path, rownum, row[1]))
     return NumericSeries(months=months, values=values)
 
 
@@ -186,35 +208,24 @@ def read_correlation_csv(
     window: int = 13,
 ) -> CorrelationTrack:
     """Read a correlation track; alpha and window are not stored in the file."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise InputFormatError(f"{path}: file has no header") from None
-        if header != CORRELATION_HEADER:
-            raise InputFormatError(
-                f"{path}: correlation header must be {','.join(CORRELATION_HEADER)!r}"
-            )
-        months: list[str] = []
-        r: list[Optional[float]] = []
-        n_window: list[int] = []
-        p_value: list[Optional[float]] = []
-        significant: list[bool] = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise InputFormatError(f"{path} row {rownum}: expected 5 fields")
-            months.append(check_month(row[0]))
-            r.append(float(row[1]) if row[1] else None)
-            n_window.append(int(row[2]))
-            p_value.append(float(row[3]) if row[3] else None)
-            if row[4] not in ("true", "false"):
-                raise InputFormatError(
-                    f"{path} row {rownum}: significant must be true or false"
-                )
-            significant.append(row[4] == "true")
+    header, rows = _read_csv(path, len(CORRELATION_HEADER))
+    if header != CORRELATION_HEADER:
+        raise InputFormatError(
+            f"{path}: correlation header must be {','.join(CORRELATION_HEADER)!r}"
+        )
+    months: list[str] = []
+    r: list[Optional[float]] = []
+    n_window: list[int] = []
+    p_value: list[Optional[float]] = []
+    significant: list[bool] = []
+    for rownum, row in rows:
+        months.append(_month(path, rownum, row[0]))
+        r.append(_number(path, rownum, row[1]))
+        n_window.append(_number(path, rownum, row[2], int))
+        p_value.append(_number(path, rownum, row[3]))
+        if row[4] not in ("true", "false"):
+            raise InputFormatError(f"{path} row {rownum}: significant must be true or false")
+        significant.append(row[4] == "true")
     return CorrelationTrack(
         months=months,
         r=r,
@@ -267,15 +278,11 @@ def write_buckets_json(path: Union[str, Path], buckets: list[MonthlyBucket]) -> 
 
 def read_buckets_json(path: Union[str, Path]) -> list[MonthlyBucket]:
     """Read monthly token buckets back."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: invalid JSON ({exc.msg})") from None
-    if not isinstance(payload, dict) or "buckets" not in payload:
+    items = _read_json(path).get("buckets")
+    if not isinstance(items, list):
         raise InputFormatError(f"{path}: expected an object with a buckets list")
     buckets = []
-    for item in payload["buckets"]:
+    for item in items:
         try:
             buckets.append(
                 MonthlyBucket(
@@ -284,7 +291,7 @@ def read_buckets_json(path: Union[str, Path]) -> list[MonthlyBucket]:
                     thread_count=int(item["thread_count"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{path}: malformed bucket entry ({exc})") from None
     return buckets
 
@@ -301,7 +308,7 @@ def suite_entry_payload(entry: SuiteEntry, evaluation_mode: str = "in-sample") -
         "coefficients": {
             "ar": [float(c) for c in entry.model.ar_coeffs],
             "exogenous": [[float(c) for c in row] for row in entry.model.exog_coeffs],
-            "intercept": float(entry.model.intercept),
+            "intercept": 0.0,
         },
         "sse": float(entry.model.sse),
         "mae": float(report.mae),
@@ -394,134 +401,102 @@ def render_run_report(run_dir: Union[str, Path]) -> str:
 
     Reads the manifest, the model and surrogate reports, the smoothed
     emotion series, and the smoothed correlation tracks; renders tables
-    only, no figures.
+    only, no figures. A file that lacks a field the report needs, or holds
+    one of the wrong type, is an input format error.
     """
     run_dir = Path(run_dir)
+    try:
+        return _render_run_report(run_dir)
+    except InputFormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(
+            f"{run_dir}: malformed run artifacts ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _section(title: str, headers: list[str], rows: list[list[str]]) -> list[str]:
+    return [f"## {title}", "", *_md_table(headers, rows), ""]
+
+
+def _render_run_report(run_dir: Path) -> str:
     manifest = _read_json(run_dir / "run_manifest.json")
     models = _read_json(run_dir / "models.json")["models"]
     surrogate = _read_json(run_dir / "surrogate.json")
 
-    lines = ["# Run report", ""]
-    lines.append(
-        f"Pipeline version {manifest['version']}, run created {manifest['created_utc']}."
-    )
-    lines.append("")
-
+    lines = [
+        "# Run report",
+        "",
+        f"Pipeline version {manifest['version']}, run created {manifest['created_utc']}.",
+        "",
+    ]
     corpus = manifest["corpus"]
     aligned = manifest["aligned_months"]
-    lines.append("## Corpus")
-    lines.append("")
-    lines.extend(
-        _md_table(
-            ["metric", "value"],
-            [
-                ["messages", str(corpus["messages"])],
-                ["threads", str(corpus["threads"])],
-                ["threads kept", str(corpus["threads_kept"])],
-                ["corpus months", f"{corpus['first_month']} to {corpus['last_month']}"],
-                ["aligned months", f"{aligned['first']} to {aligned['last']}"],
-            ],
-        )
-    )
-    lines.append("")
+    lines += _section("Corpus", ["metric", "value"], [
+        ["messages", str(corpus["messages"])],
+        ["threads", str(corpus["threads"])],
+        ["threads kept", str(corpus["threads_kept"])],
+        ["corpus months", f"{corpus['first_month']} to {corpus['last_month']}"],
+        ["aligned months", f"{aligned['first']} to {aligned['last']}"],
+    ])
 
     emotion_path = run_dir / "emotion_series_smoothed.csv"
     if emotion_path.exists():
         series, _ = read_emotion_csv(emotion_path)
-        lines.append("## Smoothed emotion series")
-        lines.append("")
         rows = []
-        for stat in ("mean", "std"):
-            for dim in DIMENSIONS:
-                values = [
-                    getattr(rec, stat)[dim]
-                    for rec in series.records
-                    if getattr(rec, stat)[dim] is not None
-                ]
-                if not values:
-                    rows.append([f"{stat}-{dim}", "-", "-", "-"])
-                    continue
-                rows.append(
-                    [
-                        f"{stat}-{dim}",
-                        f"{min(values):.4f}",
-                        f"{max(values):.4f}",
-                        f"{sum(values) / len(values):.4f}",
-                    ]
-                )
-        lines.extend(_md_table(["series", "min", "max", "mean"], rows))
+        for name, component in component_series(series).items():
+            values = [v for v in component.values if v is not None]
+            if not values:
+                rows.append([name, "-", "-", "-"])
+                continue
+            mean = sum(values) / len(values)
+            rows.append([name, f"{min(values):.4f}", f"{max(values):.4f}", f"{mean:.4f}"])
+        lines += _section("Smoothed emotion series", ["series", "min", "max", "mean"], rows)
+
+    rows = [
+        [e["name"], ", ".join(e["exogenous"]) or "-", f"{e['mae']:.4f}", f"{e['sse']:.4f}"]
+        for e in models
+    ]
+    lines += _section("Forecast models", ["model", "exogenous series", "mae", "sse"], rows)
+    by_name = {entry["name"]: entry for entry in models}
+    others = [e for e in models if e["name"] != "ar"]
+    if "ar" in by_name and others and by_name["ar"]["mae"] > 0:
+        best = min(others, key=lambda e: e["mae"])
+        ar_mae = by_name["ar"]["mae"]
+        gain = (ar_mae - best["mae"]) / ar_mae * 100.0
+        lines.append(
+            f"Best exogenous model: {best['name']} "
+            f"(mae {best['mae']:.4f}, {gain:.1f}% below the benchmark's {ar_mae:.4f})."
+        )
         lines.append("")
 
-    lines.append("## Forecast models")
-    lines.append("")
-    rows = [
-        [
-            entry["name"],
-            ", ".join(entry["exogenous"]) or "-",
-            f"{entry['mae']:.4f}",
-            f"{entry['sse']:.4f}",
-        ]
-        for entry in models
-    ]
-    lines.extend(_md_table(["model", "exogenous series", "mae", "sse"], rows))
-    lines.append("")
-    by_name = {entry["name"]: entry for entry in models}
-    if "ar" in by_name:
-        others = [e for e in models if e["name"] != "ar"]
-        if others:
-            best = min(others, key=lambda e: e["mae"])
-            ar_mae = by_name["ar"]["mae"]
-            if ar_mae > 0:
-                gain = (ar_mae - best["mae"]) / ar_mae * 100.0
-                lines.append(
-                    f"Best exogenous model: {best['name']} "
-                    f"(mae {best['mae']:.4f}, {gain:.1f}% below the benchmark's "
-                    f"{ar_mae:.4f})."
-                )
-                lines.append("")
-
-    lines.append("## Surrogate test")
-    lines.append("")
     quantiles = surrogate["surrogate_mae_quantiles"]
-    lines.extend(
-        _md_table(
-            ["metric", "value"],
-            [
-                ["model", surrogate["model"]],
-                ["surrogates", str(surrogate["n_surrogates"])],
-                ["seed", str(surrogate["seed"])],
-                ["empirical mae", f"{surrogate['empirical_mae']:.4f}"],
-                ["p_hat", f"{surrogate['p_hat']:.4f}"],
-                ["surrogate mae min", f"{quantiles['min']:.4f}"],
-                ["surrogate mae median", f"{quantiles['p50']:.4f}"],
-                ["surrogate mae max", f"{quantiles['max']:.4f}"],
-            ],
-        )
-    )
-    lines.append("")
+    lines += _section("Surrogate test", ["metric", "value"], [
+        ["model", surrogate["model"]],
+        ["surrogates", str(surrogate["n_surrogates"])],
+        ["seed", str(surrogate["seed"])],
+        ["empirical mae", f"{surrogate['empirical_mae']:.4f}"],
+        ["p_hat", f"{surrogate['p_hat']:.4f}"],
+        ["surrogate mae min", f"{quantiles['min']:.4f}"],
+        ["surrogate mae median", f"{quantiles['p50']:.4f}"],
+        ["surrogate mae max", f"{quantiles['max']:.4f}"],
+    ])
 
     corr_dir = run_dir / "correlations" / "smoothed"
     if corr_dir.is_dir():
-        lines.append("## Correlations (smoothed series)")
-        lines.append("")
         rows = []
         for path in sorted(corr_dir.glob("*.csv")):
             track = read_correlation_csv(path)
-            pair = path.stem.replace("__", " vs ")
-            total = len(track.months)
             hits = sum(1 for flag in track.significant if flag)
             present = [r for r in track.r if r is not None]
             mean_r = f"{sum(present) / len(present):.3f}" if present else "-"
-            rows.append([pair, f"{hits}/{total}", mean_r])
-        lines.extend(_md_table(["pair", "significant months", "mean r"], rows))
-        lines.append("")
+            rows.append([path.stem.replace("__", " vs "), f"{hits}/{len(track.months)}", mean_r])
+        lines += _section(
+            "Correlations (smoothed series)", ["pair", "significant months", "mean r"], rows
+        )
 
     if manifest.get("warnings"):
-        lines.append("## Warnings")
-        lines.append("")
-        for message in manifest["warnings"]:
-            lines.append(f"- {message}")
-        lines.append("")
+        lines += ["## Warnings", "", *(f"- {message}" for message in manifest["warnings"]), ""]
 
     return "\n".join(lines)
 
@@ -531,6 +506,7 @@ __all__ = [
     "CORRELATION_HEADER",
     "COUNTS_HEADER",
     "TOP_WORDS_HEADER",
+    "read_header",
     "sha256_file",
     "write_emotion_csv",
     "read_emotion_csv",

@@ -9,11 +9,45 @@ import pytest
 
 import moodcast
 from moodcast.cli import main
+from moodcast.reports import EMOTION_HEADER
 from moodcast.version import PACKAGE_VERSION
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _bucket_file(token_counts):
+    entry = f'{{"month": "2001-01", "thread_count": 1, "token_counts": {token_counts}}}'
+    return f'{{"buckets": [{entry}]}}'
+
+
+def _series_file(cell):
+    return f"month,rate\n2001-01,1.0\n2001-02,{cell}\n2001-03,3.0\n"
+
+
+# Malformed input -> (file, its text, subcommand that reads it). The file
+# path is relative to a run directory, which report cases copy from a
+# finished run.
+MALFORMED = {
+    "buckets-not-a-list": ("buckets.json", '{"buckets": 5}', "score"),
+    "token-counts-a-list": ("buckets.json", _bucket_file('["war"]'), "score"),
+    "count-overflows-int": ("buckets.json", _bucket_file('{"war": 1e400}'), "score"),
+    "empty-manifest": ("run_manifest.json", "{}", "report"),
+    "rate-not-a-number": ("series.csv", _series_file("oops"), "smooth"),
+    "rate-nan": ("series.csv", _series_file("nan"), "smooth"),
+    "rate-inf": ("series.csv", _series_file("inf"), "correlate"),
+    "thread-count-not-a-number": (
+        "emotion.csv",
+        ",".join(EMOTION_HEADER) + "\n2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,x\n",
+        "smooth",
+    ),
+    "correlation-bad-month": (
+        "correlations/smoothed/mean_valence__attitude.csv",
+        "month,r,n_window,p_value,significant\n2001-13,0.5,7,0.25,false\n",
+        "report",
+    ),
+}
 
 
 class TestParserBasics:
@@ -148,9 +182,78 @@ class TestExitCodes:
         marker = (out / "run.failed").read_text(encoding="utf-8")
         assert marker.startswith("load-inputs: ")
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_is_2(self, case, tmp_path, capsys, lexicon_path, pipeline_run):
+        rel, text, command = MALFORMED[case]
+        run_dir = tmp_path / "run"
+        if command == "report":
+            shutil.copytree(pipeline_run[0], run_dir)
+        path = run_dir / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        argv = {
+            "score": ["--lexicon", str(lexicon_path), "--buckets", str(path)],
+            "smooth": ["--series", str(path)],
+            "correlate": ["--series-a", str(path), "--series-b", str(path)],
+            "report": ["--run", str(run_dir)],
+        }[command]
+        assert run_cli(command, *argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(run_dir) in err
+
+    def test_failed_rerun_removes_the_old_manifest(
+        self, tmp_path, lexicon_path, messages_path, attitude_path
+    ):
+        out = tmp_path / "run"
+        inputs = ["--lexicon", str(lexicon_path), "--attitude", str(attitude_path)]
+        ok = run_cli("run", *inputs, "--messages", str(messages_path), "--out", str(out),
+                     "--surrogates", "2")
+        assert ok == 0
+        assert (out / "run_manifest.json").exists()
+        assert not (out / "run_manifest.json.tmp").exists()
+        failed = run_cli("run", *inputs, "--messages", str(tmp_path / "missing.jsonl"),
+                         "--out", str(out), "--surrogates", "2")
+        assert failed == 2
+        assert (out / "run.failed").exists()
+        assert not (out / "run_manifest.json").exists()
+
 
 class TestComposition:
     """Each subcommand reproduces the matching full-pipeline artifact."""
+
+    def test_readme_chain_matches_run(
+        self, tmp_path, lexicon_path, messages_path, attitude_path, capsys
+    ):
+        # Every stage reads the previous stage's own outputs, as in the README.
+        stage, full = tmp_path / "stage", tmp_path / "full"
+        emotion, attitude = stage / "emotion_series_smoothed.csv", stage / "attitude_smoothed.csv"
+        track = stage / "mean_valence__attitude.csv"
+        forecast_io = ["--attitude-series", str(attitude), "--emotion-series", str(emotion)]
+        chain = [
+            ["ingest", "--messages", str(messages_path), "--out", str(stage)],
+            ["score", "--lexicon", str(lexicon_path), "--buckets", str(stage / "buckets.json"),
+             "--out", str(stage)],
+            ["smooth", "--series", str(stage / "emotion_series.csv"), "--out", str(emotion)],
+            ["smooth", "--series", str(attitude_path), "--out", str(attitude)],
+            ["correlate", "--series-a", str(emotion), "--column-a", "valence_mean",
+             "--series-b", str(attitude), "--out", str(track)],
+            ["suite", *forecast_io, "--out", str(stage / "models.json")],
+            ["surrogate", *forecast_io, "--model", "both-arousal", "--surrogates", "50",
+             "--seed", "7", "--out", str(stage / "surrogate.json")],
+        ]
+        assert [run_cli(*argv) for argv in chain] == [0] * len(chain)
+        assert run_cli(
+            "run", "--lexicon", str(lexicon_path), "--messages", str(messages_path),
+            "--attitude", str(attitude_path), "--out", str(full), "--surrogates", "50",
+            "--seed", "7", "--surrogate-model", "both-arousal",
+        ) == 0
+        staged = sorted(p.name for p in stage.iterdir())
+        assert len(staged) == 9
+        for name in staged:
+            expected = full / name
+            if name == track.name:
+                expected = full / "correlations" / "smoothed" / name
+            assert (stage / name).read_bytes() == expected.read_bytes(), name
 
     def test_ingest_fragment(self, tmp_path, messages_path, pipeline_run, capsys):
         out, _ = pipeline_run

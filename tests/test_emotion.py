@@ -36,7 +36,6 @@ class TestScoreMonth:
         assert result.std["valence"] == 0.0
         assert result.mean["arousal"] == 7.49
         assert result.match_count == 1
-        assert result.distinct_words == 1
 
     def test_weighted_mean_and_std(self):
         # {a:3, b:1} with valence 2 and 8 expands to [2,2,2,8]:
@@ -45,7 +44,6 @@ class TestScoreMonth:
         assert result.mean["valence"] == pytest.approx(3.5, abs=1e-12)
         assert result.std["valence"] == pytest.approx(math.sqrt(27.0 / 4.0), abs=1e-12)
         assert result.match_count == 4
-        assert result.distinct_words == 2
 
     def test_no_matches_gives_missing(self):
         result = score_month(_bucket(unknown=5), TWO_WORD_LEX)

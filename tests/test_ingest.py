@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from moodcast.errors import InputFormatError
 from moodcast.ingest import (
-    AttitudeSeries,
     MessageRecord,
     ThreadSummary,
     build_threads,
@@ -122,7 +121,6 @@ class TestBuildThreads:
         assert threads[0].subject == "Tax cuts"
         assert threads[0].message_count == 3
         assert threads[0].first_month == "2004-03"
-        assert threads[0].participant_count == 0
 
     def test_empty_input(self):
         assert build_threads([]) == []

@@ -8,7 +8,6 @@ from moodcast.lexicon import (
     Lexicon,
     LexiconEntry,
     load_lexicon,
-    lookup,
     tokenize,
 )
 
@@ -41,10 +40,6 @@ def test_entry_score_by_dimension():
     assert entry.score("valence") == 7.9
     assert entry.score("arousal") == 5.4
     assert entry.score("dominance") == 6.1
-
-
-def test_lookup_alias(lexicon):
-    assert lookup(lexicon, "war") is lexicon.lookup("war")
 
 
 def test_rejects_bad_header():

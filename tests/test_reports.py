@@ -41,9 +41,7 @@ def months_from(first, count):
 def month_record(month, base, match_count=5):
     mean = {"valence": base, "arousal": base + 0.5, "dominance": None}
     std = {"valence": 0.0, "arousal": base / 7.0, "dominance": None}
-    return MonthEmotion(
-        month=month, mean=mean, std=std, match_count=match_count, distinct_words=3
-    )
+    return MonthEmotion(month=month, mean=mean, std=std, match_count=match_count)
 
 
 class TestEmotionCsv:
@@ -55,7 +53,6 @@ class TestEmotionCsv:
             mean={d: None for d in ("valence", "arousal", "dominance")},
             std={d: None for d in ("valence", "arousal", "dominance")},
             match_count=0,
-            distinct_words=0,
         )
         series = EmotionSeries(months=months, records=records)
         counts = {m: i for i, m in enumerate(months)}
@@ -79,7 +76,6 @@ class TestEmotionCsv:
                     mean={"valence": 1.5, "arousal": None, "dominance": None},
                     std={"valence": 0.0, "arousal": None, "dominance": None},
                     match_count=2,
-                    distinct_words=1,
                 )
             ],
         )
@@ -97,7 +93,6 @@ class TestEmotionCsv:
                 mean={"valence": v, "arousal": v, "dominance": v},
                 std={"valence": v, "arousal": v, "dominance": v},
                 match_count=1,
-                distinct_words=1,
             )
             for m, v in zip(months, AWKWARD)
         ]
