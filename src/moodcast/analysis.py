@@ -3,7 +3,9 @@
 Operates on ``NumericSeries`` values: contiguous monthly axes with float or
 None (missing) entries. Smoothing is a causal truncated Hamming window;
 correlation is a centered rolling Pearson r with edge windows truncated
-symmetrically and an exact t-test for significance.
+symmetrically and an exact t-test for significance. The t-test's tail comes
+from ``scipy.special.stdtr``, imported by ``fisher_significance`` itself so
+that only the stages that correlate pay for loading scipy.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-from scipy import stats
 
 from .months import check_contiguous
 
@@ -116,8 +116,11 @@ def fisher_significance(r: float, n: int, alpha: float = 0.05) -> tuple[float, b
         raise ValueError(f"significance needs n >= 3, got {n}")
     if not -1.0 < r < 1.0:
         raise ValueError(f"r must lie strictly inside (-1, 1), got {r}")
+    # Imported here so that only `correlate` and `run` pay for loading scipy.
+    from scipy.special import stdtr
+
     t = r * math.sqrt(n - 2) / math.sqrt(1.0 - r * r)
-    p = 2.0 * float(stats.t.sf(abs(t), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return p, p < alpha
 
 

@@ -4,7 +4,8 @@ Every writer is deterministic: fixed column and key order, Unix newlines,
 floats serialized with ``repr`` round-trip fidelity, dictionary keys sorted
 where insertion order is not meaningful. Missing values become empty CSV
 fields and JSON nulls. Every reader rejects malformed and non-finite
-numbers with an ``InputFormatError`` naming the file and row.
+numbers with an ``InputFormatError`` naming the file and row, and the
+series readers reject a month axis that is empty or not contiguous.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .emotion import (
 from .errors import InputFormatError
 from .forecast import SuiteEntry, SurrogateReport
 from .ingest import MonthlyBucket
-from .months import check_month
+from .months import check_month, month_ord, ord_month
 
 EMOTION_HEADER = (
     "month",
@@ -42,6 +43,9 @@ CORRELATION_HEADER = ("month", "r", "n_window", "p_value", "significant")
 COUNTS_HEADER = ("month", "thread_count")
 
 TOP_WORDS_HEADER = ("year", "rank", "word", "occurrences", "display_weight")
+
+# Counts are weighted as floats, which hold every integer up to 2**53.
+_MAX_COUNT = 2**53
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -95,11 +99,29 @@ def _month(path: Union[str, Path], rownum: int, cell: str) -> str:
         raise InputFormatError(f"{path} row {rownum}: bad month {cell!r}") from None
 
 
+def _series_axis(
+    path: Union[str, Path], rows: Iterator[tuple[int, list[str]]]
+) -> Iterator[tuple[int, str, list[str]]]:
+    """Rows paired with their months, which must form a contiguous axis."""
+    previous: Optional[str] = None
+    for rownum, row in rows:
+        month = _month(path, rownum, row[0])
+        if previous is not None and month_ord(month) != month_ord(previous) + 1:
+            raise InputFormatError(
+                f"{path} row {rownum}: expected month {ord_month(month_ord(previous) + 1)}, "
+                f"got {month} (months must be contiguous)"
+            )
+        previous = month
+        yield rownum, month, row
+    if previous is None:
+        raise InputFormatError(f"{path}: no data rows")
+
+
 def _number(path: Union[str, Path], rownum: int, cell: str, kind: type = float):
     """One numeric CSV cell; an empty float cell is a missing value.
 
     Anything that does not parse as ``kind``, and any non-finite value,
-    is an input format error.
+    is an input format error. Integer cells are counts in [0, 2**53].
     """
     if kind is float and cell == "":
         return None
@@ -107,7 +129,10 @@ def _number(path: Union[str, Path], rownum: int, cell: str, kind: type = float):
         value = kind(cell)
     except ValueError:
         raise InputFormatError(f"{path} row {rownum}: not a number: {cell!r}") from None
-    if not math.isfinite(value):
+    if kind is int:
+        if not 0 <= value <= _MAX_COUNT:
+            raise InputFormatError(f"{path} row {rownum}: count not in [0, 2**53]: {cell!r}")
+    elif not math.isfinite(value):
         raise InputFormatError(f"{path} row {rownum}: not a finite number: {cell!r}")
     return value
 
@@ -148,8 +173,7 @@ def read_emotion_csv(path: Union[str, Path]) -> tuple[EmotionSeries, dict[str, i
     months: list[str] = []
     records: list[MonthEmotion] = []
     thread_counts: dict[str, int] = {}
-    for rownum, row in rows:
-        month = _month(path, rownum, row[0])
+    for rownum, month, row in _series_axis(path, rows):
         stats = [_number(path, rownum, cell) for cell in row[1:7]]
         mean = dict(zip(DIMENSIONS, stats[0::2]))
         std = dict(zip(DIMENSIONS, stats[1::2]))
@@ -179,8 +203,8 @@ def read_series_csv(path: Union[str, Path], value_name: Optional[str] = None) ->
         )
     months: list[str] = []
     values: list[Optional[float]] = []
-    for rownum, row in rows:
-        months.append(_month(path, rownum, row[0]))
+    for rownum, month, row in _series_axis(path, rows):
+        months.append(month)
         values.append(_number(path, rownum, row[1]))
     return NumericSeries(months=months, values=values)
 
@@ -276,8 +300,15 @@ def write_buckets_json(path: Union[str, Path], buckets: list[MonthlyBucket]) -> 
     _write_json(path, payload)
 
 
+def _count(value) -> int:
+    """A count from JSON: an integer in [0, _MAX_COUNT], and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= _MAX_COUNT:
+        raise ValueError(f"count must be an integer in [0, 2**53], got {value!r}")
+    return value
+
+
 def read_buckets_json(path: Union[str, Path]) -> list[MonthlyBucket]:
-    """Read monthly token buckets back."""
+    """Read monthly token buckets back; every count is a non-negative integer."""
     items = _read_json(path).get("buckets")
     if not isinstance(items, list):
         raise InputFormatError(f"{path}: expected an object with a buckets list")
@@ -287,11 +318,11 @@ def read_buckets_json(path: Union[str, Path]) -> list[MonthlyBucket]:
             buckets.append(
                 MonthlyBucket(
                     month=check_month(item["month"]),
-                    token_counts={str(k): int(v) for k, v in item["token_counts"].items()},
-                    thread_count=int(item["thread_count"]),
+                    token_counts={str(k): _count(v) for k, v in item["token_counts"].items()},
+                    thread_count=_count(item["thread_count"]),
                 )
             )
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{path}: malformed bucket entry ({exc})") from None
     return buckets
 

@@ -181,6 +181,18 @@ class TestFisherSignificance:
             fisher_significance(-0.6, 13)[0], abs=1e-15
         )
 
+    def test_matches_scipy_stats_t_sf_exactly(self):
+        # Oracle: the earlier implementation, 2 * stats.t.sf(|t|, n - 2).
+        # Tolerance 0.0: both evaluate the same cephes Student-t routine.
+        from scipy import stats
+
+        rs = [*np.linspace(-0.999, 0.999, 97), 1e-12, -1e-9, 0.9999999, -0.99999999999]
+        for dof in range(1, 201):
+            t_stats = [r * math.sqrt(dof) / math.sqrt(1.0 - r * r) for r in rs]
+            expected = 2.0 * stats.t.sf(np.abs(t_stats), dof)
+            got = [fisher_significance(r, dof + 2)[0] for r in rs]
+            assert got == expected.tolist(), f"dof={dof}"
+
     def test_rejects_small_n_and_perfect_r(self):
         with pytest.raises(ValueError):
             fisher_significance(0.5, 2)

@@ -26,6 +26,10 @@ def _series_file(cell):
     return f"month,rate\n2001-01,1.0\n2001-02,{cell}\n2001-03,3.0\n"
 
 
+def _emotion_file(*rows):
+    return ",".join(EMOTION_HEADER) + "".join(f"\n{row}" for row in rows) + "\n"
+
+
 # Malformed input -> (file, its text, subcommand that reads it). The file
 # path is relative to a run directory, which report cases copy from a
 # finished run.
@@ -33,13 +37,31 @@ MALFORMED = {
     "buckets-not-a-list": ("buckets.json", '{"buckets": 5}', "score"),
     "token-counts-a-list": ("buckets.json", _bucket_file('["war"]'), "score"),
     "count-overflows-int": ("buckets.json", _bucket_file('{"war": 1e400}'), "score"),
+    "count-fractional": ("buckets.json", _bucket_file('{"war": 2.7}'), "score"),
+    "count-negative": ("buckets.json", _bucket_file('{"war": -1}'), "score"),
+    "count-overflows-float": ("buckets.json", _bucket_file('{"war": 1%s}' % ("0" * 400)), "score"),
+    "thread-count-boolean": (
+        "buckets.json",
+        '{"buckets": [{"month": "2001-01", "thread_count": true, "token_counts": {}}]}',
+        "score",
+    ),
     "empty-manifest": ("run_manifest.json", "{}", "report"),
     "rate-not-a-number": ("series.csv", _series_file("oops"), "smooth"),
     "rate-nan": ("series.csv", _series_file("nan"), "smooth"),
     "rate-inf": ("series.csv", _series_file("inf"), "correlate"),
     "thread-count-not-a-number": (
+        "emotion.csv", _emotion_file("2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,x"), "smooth"
+    ),
+    "thread-count-negative": (
+        "emotion.csv", _emotion_file("2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,-1"), "smooth"
+    ),
+    "thread-count-overflows-float": (
+        "emotion.csv", _emotion_file("2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,1" + "0" * 400), "smooth"
+    ),
+    "series-month-gap": ("series.csv", "month,rate\n2001-01,1.0\n2001-03,3.0\n", "smooth"),
+    "emotion-month-gap": (
         "emotion.csv",
-        ",".join(EMOTION_HEADER) + "\n2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,x\n",
+        _emotion_file("2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,1", "2001-03,5.0,1.0,5.0,1.0,5.0,1.0,3,1"),
         "smooth",
     ),
     "correlation-bad-month": (
@@ -107,6 +129,30 @@ class TestParserBasics:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == f"moodcast {PACKAGE_VERSION}"
+
+
+class TestStartup:
+    def test_cli_import_and_ingest_load_no_scipy(self, tmp_path, messages_path):
+        # A structural check, not a timing threshold: scipy is loaded only by
+        # the step that computes p-values, so the other stages never pay for it.
+        script = (
+            "import sys\n"
+            "import moodcast.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "code = moodcast.cli.main(['ingest', '--messages', sys.argv[1], '--out', sys.argv[2]])\n"
+            "assert code == 0, code\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+        )
+        src_dir = Path(moodcast.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(messages_path), str(tmp_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src_dir)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "buckets.json").exists()
 
 
 class TestExitCodes:

@@ -119,6 +119,18 @@ class TestEmotionCsv:
         path.write_text(",".join(EMOTION_HEADER) + "\n2000-01,1,1\n", encoding="utf-8")
         with pytest.raises(InputFormatError, match="expected 9 fields"):
             read_emotion_csv(path)
+        path.write_text(
+            ",".join(EMOTION_HEADER) + "\n2000-01,1,1,1,1,1,1,1,1\n2000-03,1,1,1,1,1,1,1,1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match="expected month 2000-02"):
+            read_emotion_csv(path)
+        path.write_text(",".join(EMOTION_HEADER) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="no data rows"):
+            read_emotion_csv(path)
+        path.write_text(",".join(EMOTION_HEADER) + "\n2000-01,1,1,1,1,1,1,-2,1\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match=r"row 2: count not in \[0, 2\*\*53\]: '-2'"):
+            read_emotion_csv(path)
 
 
 class TestSeriesCsv:
@@ -137,6 +149,18 @@ class TestSeriesCsv:
         path = tmp_path / "series.csv"
         write_series_csv(path, series, "rate")
         assert read_series_csv(path).values == [1.0, None, 3.0]
+
+    def test_rejects_month_gap_naming_the_missing_month(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("month,rate\n2001-01,1.0\n2001-03,3.0\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="row 3: expected month 2001-02, got 2001-03"):
+            read_series_csv(path)
+        path.write_text("month,rate\n2001-02,1.0\n2001-01,3.0\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="expected month 2001-03, got 2001-01"):
+            read_series_csv(path)
+        path.write_text("month,rate\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="no data rows"):
+            read_series_csv(path)
 
     def test_value_name_check(self, tmp_path):
         series = NumericSeries(months=months_from("2003-05", 2), values=[1.0, 2.0])
@@ -188,6 +212,15 @@ class TestCorrelationCsv:
             encoding="utf-8",
         )
         with pytest.raises(InputFormatError, match="true or false"):
+            read_correlation_csv(path)
+
+    def test_rejects_negative_window_length(self, tmp_path):
+        path = tmp_path / "corr.csv"
+        path.write_text(
+            ",".join(CORRELATION_HEADER) + "\n2002-01,0.5,-13,0.04,false\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match="count not in"):
             read_correlation_csv(path)
 
 
@@ -260,6 +293,21 @@ class TestBucketsJson:
             json.dumps({"buckets": [{"month": "2000-01"}]}), encoding="utf-8"
         )
         with pytest.raises(InputFormatError, match="malformed bucket"):
+            read_buckets_json(path)
+
+    @pytest.mark.parametrize(
+        "token_count, thread_count",
+        [(2.7, 1), (2.0, 1), (-1, 1), (True, 1), ("2", 1), (2**53 + 1, 1), (10**400, 1),
+         (2, True), (2, -3), (2, 1.5)],
+    )
+    def test_rejects_counts_that_are_not_non_negative_ints(
+        self, tmp_path, token_count, thread_count
+    ):
+        path = tmp_path / "buckets.json"
+        entry = {"month": "2000-01", "thread_count": thread_count,
+                 "token_counts": {"war": token_count}}
+        path.write_text(json.dumps({"buckets": [entry]}), encoding="utf-8")
+        with pytest.raises(InputFormatError, match="integer in"):
             read_buckets_json(path)
 
 
