@@ -14,20 +14,21 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .months import check_contiguous
+from .months import MonthAxis, check_contiguous
 
 
 @dataclass(frozen=True)
 class NumericSeries:
-    """A monthly numeric series; None marks a missing month."""
+    """A monthly numeric series on a checked ``MonthAxis``; None marks a missing month."""
 
-    months: list[str]
+    months: MonthAxis
     values: list[Optional[float]]
 
     def __post_init__(self) -> None:
         if len(self.months) != len(self.values):
             raise ValueError("months and values must have equal length")
-        check_contiguous(self.months, what="numeric series")
+        if not isinstance(self.months, MonthAxis):
+            object.__setattr__(self, "months", check_contiguous(self.months, "numeric series"))
 
     def __len__(self) -> int:
         return len(self.months)
@@ -58,12 +59,12 @@ def hamming_smooth(series: NumericSeries, window_len: int = 4) -> NumericSeries:
     resolve gaps first (see ``linear_interpolate``).
     """
     weights = hamming_weights(window_len)
-    for month, value in zip(series.months, series.values):
-        if value is None:
-            raise ValueError(
-                f"cannot smooth a series with missing values (first gap at {month}); "
-                "apply a gap policy such as linear interpolation first"
-            )
+    if None in series.values:
+        gap = series.months[series.values.index(None)]
+        raise ValueError(
+            f"cannot smooth a series with missing values (first gap at {gap}); "
+            "apply a gap policy such as linear interpolation first"
+        )
     out: list[Optional[float]] = []
     for t in range(len(series)):
         span = min(window_len, t + 1)
@@ -74,7 +75,7 @@ def hamming_smooth(series: NumericSeries, window_len: int = 4) -> NumericSeries:
             for k in range(span)
         )
         out.append(acc / total)
-    return NumericSeries(months=list(series.months), values=out)
+    return NumericSeries(months=series.months, values=out)
 
 
 def linear_interpolate(series: NumericSeries) -> NumericSeries:
@@ -102,7 +103,7 @@ def linear_interpolate(series: NumericSeries) -> NumericSeries:
         for i in range(lo + 1, hi):
             frac = (i - lo) / (hi - lo)
             values[i] = a + frac * (b - a)
-    return NumericSeries(months=list(series.months), values=values)
+    return NumericSeries(months=series.months, values=values)
 
 
 def fisher_significance(r: float, n: int, alpha: float = 0.05) -> tuple[float, bool]:
@@ -142,13 +143,17 @@ def _pearson(x: list[float], y: list[float]) -> Optional[float]:
 class CorrelationTrack:
     """Rolling-correlation results, one entry per month of the input axis."""
 
-    months: list[str]
+    months: MonthAxis
     r: list[Optional[float]]
     n_window: list[int]
     p_value: list[Optional[float]]
     significant: list[bool]
     alpha: float
     window: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.months, MonthAxis):
+            object.__setattr__(self, "months", check_contiguous(self.months, "correlation track"))
 
 
 def rolling_correlation(
@@ -170,8 +175,7 @@ def rolling_correlation(
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
     h = (window - 1) // 2
-    months = list(x.months)
-    total = len(months)
+    total = len(x.months)
     r_out: list[Optional[float]] = []
     n_out: list[int] = []
     p_out: list[Optional[float]] = []
@@ -202,7 +206,7 @@ def rolling_correlation(
         p_out.append(p)
         sig_out.append(sig)
     return CorrelationTrack(
-        months=months,
+        months=x.months,
         r=r_out,
         n_window=n_out,
         p_value=p_out,

@@ -67,13 +67,13 @@ def _load_series_column(path: Path, column: Optional[str]) -> NumericSeries:
         raise ValueError(f"{path} is an emotion table; pick a column from {choices}")
     if column not in _EMOTION_COLUMNS:
         raise ValueError(f"unknown emotion column {column!r}; choose from {choices}")
-    series, _ = read_emotion_csv(path)
+    series = read_emotion_csv(path)
     return component_series(series)[_EMOTION_COLUMNS[column]]
 
 
 def _load_forecast_inputs(args) -> tuple[NumericSeries, dict[str, NumericSeries]]:
     target = read_series_csv(Path(args.attitude_series))
-    emotion, _ = read_emotion_csv(Path(args.emotion_series))
+    emotion = read_emotion_csv(Path(args.emotion_series))
     return target, component_series(emotion)
 
 
@@ -94,9 +94,9 @@ def _cmd_smooth(args) -> int:
     path, out = Path(args.series), Path(args.out)
     header = read_header(path)
     if header == EMOTION_HEADER:
-        series, thread_counts = read_emotion_csv(path)
+        series = read_emotion_csv(path)
         components, _ = fill_gaps(component_series(series), args.gap_policy)
-        smooth_emotion(components, series, thread_counts, out, window=args.smooth_window)
+        smooth_emotion(components, series, out, window=args.smooth_window)
     else:
         series = read_series_csv(path)
         name = header[1]
@@ -311,3 +311,6 @@ def entrypoint() -> None:
 
 
 __all__ = ["build_parser", "main", "entrypoint"]
+
+if __name__ == "__main__":
+    entrypoint()

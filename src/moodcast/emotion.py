@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from .ingest import MonthlyBucket
 from .lexicon import Lexicon
-from .months import check_contiguous
+from .months import MonthAxis, check_contiguous
 
 if TYPE_CHECKING:
     from .analysis import NumericSeries
@@ -31,25 +31,28 @@ class MonthEmotion:
 
     ``mean`` and ``std`` map dimension name to the frequency-weighted
     population statistic, or to None when no token matched the lexicon.
+    ``thread_count`` is the number of threads the month's tokens came from.
     """
 
     month: str
     mean: dict[str, Optional[float]]
     std: dict[str, Optional[float]]
     match_count: int
+    thread_count: int = 0
 
 
 @dataclass(frozen=True)
 class EmotionSeries:
-    """Month-indexed emotion records on a contiguous axis."""
+    """Month-indexed emotion records on a contiguous axis, checked as in ``NumericSeries``."""
 
-    months: list[str]
+    months: MonthAxis
     records: list[MonthEmotion]
 
     def __post_init__(self) -> None:
         if len(self.months) != len(self.records):
             raise ValueError("months and records must have equal length")
-        check_contiguous(self.months, what="emotion series")
+        if not isinstance(self.months, MonthAxis):
+            object.__setattr__(self, "months", check_contiguous(self.months, "emotion series"))
 
 
 def score_month(bucket: MonthlyBucket, lexicon: Lexicon) -> MonthEmotion:
@@ -66,10 +69,8 @@ def score_month(bucket: MonthlyBucket, lexicon: Lexicon) -> MonthEmotion:
             matched.append((count, scores))
     match_count = sum(count for count, _ in matched)
     if match_count == 0:
-        none_stats: dict[str, Optional[float]] = {dim: None for dim in DIMENSIONS}
-        return MonthEmotion(
-            month=bucket.month, mean=dict(none_stats), std=dict(none_stats), match_count=0
-        )
+        missing: dict[str, Optional[float]] = {dim: None for dim in DIMENSIONS}
+        return MonthEmotion(bucket.month, dict(missing), dict(missing), 0, bucket.thread_count)
     mean: dict[str, Optional[float]] = {}
     std: dict[str, Optional[float]] = {}
     for dim in DIMENSIONS:
@@ -87,15 +88,14 @@ def score_month(bucket: MonthlyBucket, lexicon: Lexicon) -> MonthEmotion:
         hi = max(scores[dim] for _, scores in matched)
         mean[dim] = min(max(mu, lo), hi)
         std[dim] = math.sqrt(max(var, 0.0))
-    return MonthEmotion(month=bucket.month, mean=mean, std=std, match_count=match_count)
+    return MonthEmotion(bucket.month, mean, std, match_count, bucket.thread_count)
 
 
 def build_series(buckets: list[MonthlyBucket], lexicon: Lexicon) -> EmotionSeries:
     """Score every bucket; the bucket axis must be contiguous and nonempty."""
     if not buckets:
         raise ValueError("cannot build an emotion series from zero monthly buckets")
-    months = [b.month for b in buckets]
-    check_contiguous(months, what="monthly buckets")
+    months = check_contiguous([b.month for b in buckets], what="monthly buckets")
     return EmotionSeries(months=months, records=[score_month(b, lexicon) for b in buckets])
 
 
@@ -111,29 +111,29 @@ def component_series(series: EmotionSeries) -> dict[str, "NumericSeries"]:
     for name in COMPONENTS:
         stat, dim = name.split("-")
         values = [getattr(rec, stat)[dim] for rec in series.records]
-        out[name] = NumericSeries(months=list(series.months), values=values)
+        out[name] = NumericSeries(months=series.months, values=values)
     return out
 
 
 def assemble_from_components(
-    months: list[str],
     components: "Mapping[str, NumericSeries]",
     template: EmotionSeries,
 ) -> EmotionSeries:
     """Rebuild an emotion series from named component values.
 
-    ``components`` holds the six ``COMPONENTS`` series on the ``months``
-    axis; ``template`` supplies the match count per month (its axis must
-    cover ``months``). Used to carry counts through smoothing and
-    interpolation.
+    ``components`` holds the six ``COMPONENTS`` series on one month axis;
+    ``template`` supplies the match and thread counts per month (its axis
+    must cover the components' axis). Used to carry counts through
+    smoothing and interpolation.
     """
-    match_counts = {rec.month: rec.match_count for rec in template.records}
+    months = components[COMPONENTS[0]].months
+    offset = template.months.index(months[0])
     records = []
-    for i, month in enumerate(months):
+    for i, (month, counted) in enumerate(zip(months, template.records[offset:])):
         mean = {dim: components[f"mean-{dim}"].values[i] for dim in DIMENSIONS}
         std = {dim: components[f"std-{dim}"].values[i] for dim in DIMENSIONS}
-        records.append(MonthEmotion(month, mean, std, match_counts[month]))
-    return EmotionSeries(months=list(months), records=records)
+        records.append(MonthEmotion(month, mean, std, counted.match_count, counted.thread_count))
+    return EmotionSeries(months=months, records=records)
 
 
 @dataclass(frozen=True)

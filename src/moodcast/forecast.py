@@ -17,6 +17,7 @@ import numpy as np
 
 from .analysis import NumericSeries
 from .emotion import COMPONENTS, DIMENSIONS
+from .months import MonthAxis
 
 # The ten standard models, in report order: the pure autoregressive
 # benchmark, one per emotion component, and one per mean+std pair.
@@ -65,7 +66,7 @@ class RegressionSystem:
 
     regressors: np.ndarray
     response: np.ndarray
-    months: list[str]
+    months: MonthAxis
 
 
 def assemble_regression(
@@ -88,9 +89,9 @@ def assemble_regression(
     for label, series in [("target", target)] + [
         (name, exogenous[name]) for name in spec.exogenous_names
     ]:
-        for month, value in zip(series.months, series.values):
-            if value is None:
-                raise ValueError(f"series {label!r} has a missing value at {month}")
+        if None in series.values:
+            month = series.months[series.values.index(None)]
+            raise ValueError(f"series {label!r} has a missing value at {month}")
         series_values[label] = series.values  # type: ignore[assignment]
     start = spec.max_lag
     total = len(target.months)
@@ -109,7 +110,7 @@ def assemble_regression(
     return RegressionSystem(
         regressors=np.asarray(rows, dtype=float),
         response=np.asarray(tv[start:], dtype=float),
-        months=list(target.months[start:]),
+        months=target.months[start:],
     )
 
 
@@ -120,7 +121,7 @@ class ArmaModel:
     spec: ArmaSpec
     ar_coeffs: list[float]
     exog_coeffs: list[list[float]]
-    training_months: list[str]
+    training_months: MonthAxis
     sse: float
 
     def coefficient_vector(self) -> np.ndarray:
@@ -175,7 +176,7 @@ def fit_arma(
 class EvaluationReport:
     """In-sample one-step evaluation over the rows the model can predict."""
 
-    months: list[str]
+    months: MonthAxis
     predictions: list[float]
     actuals: list[float]
     errors: list[float]
@@ -183,12 +184,12 @@ class EvaluationReport:
     mae: float
 
 
-def _report(months: list[str], predictions: np.ndarray, actuals: np.ndarray) -> EvaluationReport:
+def _report(months: MonthAxis, predictions: np.ndarray, actuals: np.ndarray) -> EvaluationReport:
     """Signed errors and the running-mean absolute error curve of predictions."""
     errors = actuals - predictions
     cumulative = np.cumsum(np.abs(errors)) / np.arange(1, len(errors) + 1)
     return EvaluationReport(
-        months=list(months),
+        months=months,
         predictions=[float(v) for v in predictions],
         actuals=[float(v) for v in actuals],
         errors=[float(v) for v in errors],
@@ -239,9 +240,9 @@ def evaluate_holdout(
 
     model = fit_arma(spec, prefix(target), {n: prefix(s) for n, s in exogenous.items()})
     system = assemble_regression(spec, target, exogenous)
-    keep = [i for i, month in enumerate(system.months) if month >= target.months[split]]
-    predictions = system.regressors[keep] @ model.coefficient_vector()
-    return model, _report([system.months[i] for i in keep], predictions, system.response[keep])
+    held_out = split - spec.max_lag  # first row that predicts month ``split``
+    predictions = system.regressors[held_out:] @ model.coefficient_vector()
+    return model, _report(system.months[held_out:], predictions, system.response[held_out:])
 
 
 @dataclass(frozen=True)
@@ -291,11 +292,11 @@ def model_suite(
 
 def permute_series(series: NumericSeries, rng: np.random.Generator) -> NumericSeries:
     """Randomly reorder a gap-free series' values on the same month axis."""
-    for month, value in zip(series.months, series.values):
-        if value is None:
-            raise ValueError(f"cannot permute a series with a missing value at {month}")
+    if None in series.values:
+        month = series.months[series.values.index(None)]
+        raise ValueError(f"cannot permute a series with a missing value at {month}")
     shuffled = rng.permutation(np.asarray(series.values, dtype=float))
-    return NumericSeries(months=list(series.months), values=[float(v) for v in shuffled])
+    return NumericSeries(months=series.months, values=[float(v) for v in shuffled])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import IO, Callable, Iterable, Union
 from .analysis import NumericSeries
 from .errors import InputFormatError
 from .lexicon import tokenize
-from .months import check_month, month_of, month_ord, month_range
+from .months import MonthAxis, check_month, month_of, month_ord
 
 MESSAGE_KEYS = ("message_id", "thread_id", "group", "timestamp", "subject")
 
@@ -192,10 +192,8 @@ def monthly_subject_buckets(
     """
     if not threads:
         return []
-    months = month_range(
-        min(threads, key=lambda t: month_ord(t.first_month)).first_month,
-        max(threads, key=lambda t: month_ord(t.first_month)).first_month,
-    )
+    first = min(month_ord(t.first_month) for t in threads)
+    months = MonthAxis(first, max(month_ord(t.first_month) for t in threads) - first + 1)
     counters: dict[str, Counter[str]] = {m: Counter() for m in months}
     thread_counts: dict[str, int] = {m: 0 for m in months}
     for thread in threads:
@@ -256,11 +254,11 @@ def _load_attitude_stream(stream: IO[str]) -> NumericSeries:
     if not rows:
         raise InputFormatError("attitude series: no data rows")
     months = sorted(rows, key=month_ord)
-    expected = month_range(months[0], months[-1])
-    if months != expected:
-        gap = next(m for m in expected if m not in rows)
+    axis = MonthAxis(month_ord(months[0]), month_ord(months[-1]) - month_ord(months[0]) + 1)
+    if len(axis) != len(months):  # distinct sorted months: a gap makes the axis longer
+        gap = next(m for m in axis if m not in rows)
         raise InputFormatError(f"attitude series: missing month {gap}")
-    return NumericSeries(months=months, values=[rows[m] for m in months])
+    return NumericSeries(months=axis, values=[rows[m] for m in months])
 
 
 __all__ = [

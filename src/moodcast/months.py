@@ -1,13 +1,15 @@
 """Calendar-month axis helpers.
 
-Months are passed around as ``YYYY-MM`` strings everywhere; these helpers
-centralize validation, ordering and range arithmetic so every module agrees
-on what a contiguous month axis means.
+Months are ``YYYY-MM`` strings, and a series keeps its months as a checked
+``MonthAxis``; these helpers centralize validation, ordering and axis
+arithmetic so every module agrees on what a contiguous month axis means.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 _MONTH_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])$")
@@ -33,12 +35,42 @@ def ord_month(ordinal: int) -> str:
     return f"{year:04d}-{mon + 1:02d}"
 
 
-def month_range(first: str, last: str) -> list[str]:
-    """All months from ``first`` to ``last`` inclusive."""
-    lo, hi = month_ord(first), month_ord(last)
-    if hi < lo:
-        raise ValueError(f"month range is reversed: {first} > {last}")
-    return [ord_month(i) for i in range(lo, hi + 1)]
+@dataclass(frozen=True)
+class MonthAxis(Sequence[str]):
+    """``length`` consecutive months from the ordinal ``start`` (see :func:`month_ord`).
+
+    A sequence of ``YYYY-MM`` strings whose equality, slices, ``len`` and
+    ``index`` are arithmetic on the two numbers.
+    """
+
+    start: int
+    length: int
+
+    def __post_init__(self) -> None:
+        if self.length < 0 or self.start < 0 or self.start + self.length > 10000 * 12:
+            raise ValueError(f"month axis out of range: start {self.start}, length {self.length}")
+        if not self.length:
+            object.__setattr__(self, "start", 0)  # every empty axis is the same axis
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[str]:
+        return map(ord_month, range(self.start, self.start + self.length))
+
+    def __getitem__(self, i):
+        ords = range(self.start, self.start + self.length)[i]
+        if isinstance(ords, int):
+            return ord_month(ords)
+        if ords.step != 1:
+            raise ValueError("a month axis slice must have step 1")
+        return MonthAxis(ords.start, len(ords))
+
+    def index(self, month: str) -> int:  # type: ignore[override]
+        i = month_ord(month) - self.start
+        if not 0 <= i < self.length:
+            raise ValueError(f"{month} is not on the month axis")
+        return i
 
 
 def month_of(instant: datetime) -> str:
@@ -48,8 +80,8 @@ def month_of(instant: datetime) -> str:
     return f"{instant.year:04d}-{instant.month:02d}"
 
 
-def check_contiguous(months: list[str], what: str = "series") -> list[str]:
-    """Require a non-empty, strictly increasing, gap-free month list."""
+def check_contiguous(months: Sequence[str], what: str = "series") -> MonthAxis:
+    """The axis of a non-empty, strictly increasing, gap-free month list."""
     if not months:
         raise ValueError(f"{what}: month axis is empty")
     ords = [month_ord(m) for m in months]
@@ -59,4 +91,4 @@ def check_contiguous(months: list[str], what: str = "series") -> list[str]:
                 f"{what}: month axis not contiguous near {m} "
                 f"(expected {ord_month(prev + 1)})"
             )
-    return months
+    return MonthAxis(ords[0], len(ords))

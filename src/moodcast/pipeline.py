@@ -159,15 +159,13 @@ def ingest_stage(
 
 def score_stage(
     buckets: list[MonthlyBucket], lexicon: Lexicon, out: Path
-) -> tuple[EmotionSeries, dict[str, int], list[Path]]:
+) -> tuple[EmotionSeries, list[Path]]:
     """Score buckets into ``emotion_series.csv`` and rank each year's
     lexicon words into ``top_words.csv`` under ``out``.
 
-    Returns the raw emotion series and the thread count per month, then
-    the paths written.
+    Returns the raw emotion series, then the paths written.
     """
     emotion = build_series(buckets, lexicon)
-    thread_counts = {b.month: b.thread_count for b in buckets}
     per_year = {}
     for year in sorted({m[:4] for m in emotion.months}):
         words = top_lexicon_words(buckets, lexicon, period=(f"{year}-01", f"{year}-12"))
@@ -175,9 +173,9 @@ def score_stage(
             per_year[year] = words
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "emotion_series.csv", out / "top_words.csv"]
-    write_emotion_csv(paths[0], emotion, thread_counts)
+    write_emotion_csv(paths[0], emotion)
     write_top_words_csv(paths[1], per_year)
-    return emotion, thread_counts, paths
+    return emotion, paths
 
 
 def fill_gaps(
@@ -207,31 +205,19 @@ def fill_gaps(
     return filled, interpolated
 
 
-def _write_components(
-    path: Path,
-    components: Mapping[str, NumericSeries],
-    template: EmotionSeries,
-    thread_counts: Mapping[str, int],
-) -> None:
-    """Write the six components as an emotion table on their month axis."""
-    months = components[COMPONENTS[0]].months
-    write_emotion_csv(path, assemble_from_components(months, components, template), thread_counts)
-
-
 def smooth_emotion(
     components: Mapping[str, NumericSeries],
     template: EmotionSeries,
-    thread_counts: Mapping[str, int],
     path: Path,
     *,
     window: int,
 ) -> tuple[dict[str, NumericSeries], list[Path]]:
     """Smooth the six gap-free components into an emotion table at ``path``.
 
-    ``template`` supplies the per-month match counts for the table.
+    ``template`` supplies the per-month match and thread counts for the table.
     """
     smoothed = {name: hamming_smooth(series, window) for name, series in components.items()}
-    _write_components(path, smoothed, template, thread_counts)
+    write_emotion_csv(path, assemble_from_components(smoothed, template))
     return smoothed, [path]
 
 
@@ -283,8 +269,7 @@ def surrogate_stage(
 
 
 def _slice_numeric(series: NumericSeries, first: str, last: str) -> NumericSeries:
-    lo = series.months.index(first)
-    hi = series.months.index(last)
+    lo, hi = series.months.index(first), series.months.index(last)
     return NumericSeries(months=series.months[lo : hi + 1], values=series.values[lo : hi + 1])
 
 
@@ -317,7 +302,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
         stage = "score"
         logger.info("stage score: %d monthly buckets", len(buckets))
-        raw_emotion, thread_counts, paths = score_stage(buckets, lexicon, out)
+        raw_emotion, paths = score_stage(buckets, lexicon, out)
         artifacts += paths
 
         stage = "align"
@@ -340,14 +325,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
         if interpolated:
             logger.info("stage gaps: interpolated %d series", len(interpolated))
         aligned = [out / "emotion_series_aligned.csv", out / "attitude_aligned.csv"]
-        _write_components(aligned[0], components, raw_emotion, thread_counts)
+        write_emotion_csv(aligned[0], assemble_from_components(components, raw_emotion))
         write_series_csv(aligned[1], attitude, "rate")
         artifacts += aligned
 
         stage = "smooth"
         logger.info("stage smooth: window %d", config.smooth_window)
         smooth_components, paths = smooth_emotion(
-            components, raw_emotion, thread_counts, out / "emotion_series_smoothed.csv",
+            components, raw_emotion, out / "emotion_series_smoothed.csv",
             window=config.smooth_window,
         )
         smooth_attitude = hamming_smooth(attitude, config.smooth_window)

@@ -29,7 +29,7 @@ from .emotion import (
 from .errors import InputFormatError
 from .forecast import SuiteEntry, SurrogateReport
 from .ingest import MonthlyBucket
-from .months import check_month, month_ord, ord_month
+from .months import MonthAxis, check_month, month_ord, ord_month
 
 EMOTION_HEADER = (
     "month",
@@ -117,6 +117,11 @@ def _series_axis(
         raise InputFormatError(f"{path}: no data rows")
 
 
+def _axis(months: list[str]) -> MonthAxis:
+    """The axis of the months of rows that ``_series_axis`` has passed."""
+    return MonthAxis(month_ord(months[0]), len(months))
+
+
 def _number(path: Union[str, Path], rownum: int, cell: str, kind: type = float):
     """One numeric CSV cell; an empty float cell is a missing value.
 
@@ -146,11 +151,7 @@ def sha256_file(path: Union[str, Path]) -> str:
     return digest.hexdigest()
 
 
-def write_emotion_csv(
-    path: Union[str, Path],
-    series: EmotionSeries,
-    thread_counts: dict[str, int],
-) -> None:
+def write_emotion_csv(path: Union[str, Path], series: EmotionSeries) -> None:
     """Write the monthly emotion table, one row per month."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = _writer(handle)
@@ -161,26 +162,25 @@ def write_emotion_csv(
                 row.append(_fmt(record.mean[dim]))
                 row.append(_fmt(record.std[dim]))
             row.append(str(record.match_count))
-            row.append(str(thread_counts.get(record.month, 0)))
+            row.append(str(record.thread_count))
             writer.writerow(row)
 
 
-def read_emotion_csv(path: Union[str, Path]) -> tuple[EmotionSeries, dict[str, int]]:
-    """Read an emotion table back into a series and thread counts."""
+def read_emotion_csv(path: Union[str, Path]) -> EmotionSeries:
+    """Read an emotion table back into a series."""
     header, rows = _read_csv(path, len(EMOTION_HEADER))
     if header != EMOTION_HEADER:
         raise InputFormatError(f"{path}: emotion header must be {','.join(EMOTION_HEADER)!r}")
     months: list[str] = []
     records: list[MonthEmotion] = []
-    thread_counts: dict[str, int] = {}
     for rownum, month, row in _series_axis(path, rows):
         stats = [_number(path, rownum, cell) for cell in row[1:7]]
         mean = dict(zip(DIMENSIONS, stats[0::2]))
         std = dict(zip(DIMENSIONS, stats[1::2]))
+        counts = [_number(path, rownum, cell, int) for cell in row[7:9]]
         months.append(month)
-        records.append(MonthEmotion(month, mean, std, _number(path, rownum, row[7], int)))
-        thread_counts[month] = _number(path, rownum, row[8], int)
-    return EmotionSeries(months=months, records=records), thread_counts
+        records.append(MonthEmotion(month, mean, std, *counts))
+    return EmotionSeries(months=_axis(months), records=records)
 
 
 def write_series_csv(path: Union[str, Path], series: NumericSeries, value_name: str) -> None:
@@ -206,7 +206,7 @@ def read_series_csv(path: Union[str, Path], value_name: Optional[str] = None) ->
     for rownum, month, row in _series_axis(path, rows):
         months.append(month)
         values.append(_number(path, rownum, row[1]))
-    return NumericSeries(months=months, values=values)
+    return NumericSeries(months=_axis(months), values=values)
 
 
 def write_correlation_csv(path: Union[str, Path], track: CorrelationTrack) -> None:
@@ -242,8 +242,8 @@ def read_correlation_csv(
     n_window: list[int] = []
     p_value: list[Optional[float]] = []
     significant: list[bool] = []
-    for rownum, row in rows:
-        months.append(_month(path, rownum, row[0]))
+    for rownum, month, row in _series_axis(path, rows):
+        months.append(month)
         r.append(_number(path, rownum, row[1]))
         n_window.append(_number(path, rownum, row[2], int))
         p_value.append(_number(path, rownum, row[3]))
@@ -251,7 +251,7 @@ def read_correlation_csv(
             raise InputFormatError(f"{path} row {rownum}: significant must be true or false")
         significant.append(row[4] == "true")
     return CorrelationTrack(
-        months=months,
+        months=_axis(months),
         r=r,
         n_window=n_window,
         p_value=p_value,
@@ -473,7 +473,7 @@ def _render_run_report(run_dir: Path) -> str:
 
     emotion_path = run_dir / "emotion_series_smoothed.csv"
     if emotion_path.exists():
-        series, _ = read_emotion_csv(emotion_path)
+        series = read_emotion_csv(emotion_path)
         rows = []
         for name, component in component_series(series).items():
             values = [v for v in component.values if v is not None]

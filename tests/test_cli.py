@@ -69,6 +69,12 @@ MALFORMED = {
         "month,r,n_window,p_value,significant\n2001-13,0.5,7,0.25,false\n",
         "report",
     ),
+    "correlation-month-gap": (
+        "correlations/smoothed/mean_valence__attitude.csv",
+        "month,r,n_window,p_value,significant\n"
+        "2001-03,0.5,7,0.25,false\n2001-01,0.5,7,0.25,false\n",
+        "report",
+    ),
 }
 
 
@@ -129,6 +135,27 @@ class TestParserBasics:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == f"moodcast {PACKAGE_VERSION}"
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["moodcast", "moodcast.cli"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        env = {**os.environ, "PYTHONPATH": str(Path(moodcast.__file__).resolve().parents[1])}
+
+        def python_m(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+            )
+
+        version = python_m("--version")
+        assert version.returncode == 0, version.stderr
+        assert version.stdout.strip() == "moodcast 0.1.0"
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("month,rate\n2001-01,1.0\n2001-03,3.0\n", encoding="utf-8")
+        smooth = python_m("smooth", "--series", str(gapped), "--out", str(tmp_path / "o.csv"))
+        assert smooth.returncode == 2, smooth.stderr
+        assert "expected month 2001-02" in smooth.stderr
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestStartup:

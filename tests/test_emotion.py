@@ -96,7 +96,7 @@ class TestScoreMonth:
 class TestBuildSeries:
     def test_axis_preserved(self, corpus_buckets, lexicon):
         series = build_series(corpus_buckets, lexicon)
-        assert series.months == [b.month for b in corpus_buckets]
+        assert list(series.months) == [b.month for b in corpus_buckets]
         assert len(series.records) == 66
 
     def test_token_map_order_irrelevant(self):
@@ -143,9 +143,7 @@ class TestComponentSeries:
 
     def test_round_trip_through_assemble(self, corpus_buckets, lexicon):
         series = build_series(corpus_buckets, lexicon)
-        rebuilt = assemble_from_components(
-            series.months, component_series(series), series
-        )
+        rebuilt = assemble_from_components(component_series(series), series)
         assert rebuilt == series
 
 

@@ -241,7 +241,7 @@ class TestLoadAttitude:
     def test_sorted_contiguous(self):
         csv_text = "month,rate\n2004-02,51.5\n2004-01,50.0\n2004-03,52.0\n"
         series = load_attitude_series(io.StringIO(csv_text))
-        assert series.months == ["2004-01", "2004-02", "2004-03"]
+        assert list(series.months) == ["2004-01", "2004-02", "2004-03"]
         assert series.values == [50.0, 51.5, 52.0]
 
     def test_fixture_covers_66_months(self, attitude):

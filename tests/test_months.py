@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moodcast.months import (
+    MonthAxis,
     check_contiguous,
     check_month,
     month_of,
     month_ord,
-    month_range,
     ord_month,
 )
 
@@ -31,8 +31,8 @@ def test_ord_round_trip(ordinal):
     assert month_ord(ord_month(ordinal)) == ordinal
 
 
-def test_month_range_crosses_years():
-    assert month_range("2000-11", "2001-02") == [
+def test_month_axis_crosses_years():
+    assert list(MonthAxis(month_ord("2000-11"), 4)) == [
         "2000-11",
         "2000-12",
         "2001-01",
@@ -40,13 +40,54 @@ def test_month_range_crosses_years():
     ]
 
 
-def test_month_range_single_month():
-    assert month_range("2003-07", "2003-07") == ["2003-07"]
+def test_month_axis_single_month():
+    assert list(MonthAxis(month_ord("2003-07"), 1)) == ["2003-07"]
 
 
-def test_month_range_rejects_reversed():
+def test_month_axis_rejects_negative_length():
     with pytest.raises(ValueError):
-        month_range("2001-02", "2001-01")
+        MonthAxis(month_ord("2001-02"), -1)
+
+
+# Axes that start anywhere in 1998-2001 and run up to four years, so that
+# most of them cross at least one year boundary.
+AXES = st.builds(
+    MonthAxis, st.integers(month_ord("1998-01"), month_ord("2001-12")), st.integers(0, 48)
+)
+
+
+@given(AXES, st.integers(-60, 60), st.integers(-60, 60))
+def test_month_axis_matches_its_month_list(axis, i, j):
+    oracle = [ord_month(axis.start + k) for k in range(axis.length)]
+    assert list(axis) == oracle
+    assert len(axis) == len(oracle)
+    if -len(oracle) <= i < len(oracle):
+        assert axis[i] == oracle[i]
+    else:
+        with pytest.raises(IndexError):
+            oracle[i]
+        with pytest.raises(IndexError):
+            axis[i]
+    assert list(axis[i:j]) == oracle[i:j]
+    assert list(axis[i:]) == oracle[i:]
+    assert list(axis[:j]) == oracle[:j]
+    month = ord_month(month_ord("1998-01") + 30 + i)
+    if month in oracle:
+        assert axis.index(month) == oracle.index(month)
+    else:
+        with pytest.raises(ValueError):
+            oracle.index(month)
+        with pytest.raises(ValueError):
+            axis.index(month)
+
+
+@given(AXES, AXES)
+def test_month_axis_equality_is_list_equality(a, b):
+    assert (a == b) == (list(a) == list(b))
+    assert (a[1:] == b[1:]) == (list(a)[1:] == list(b)[1:])
+    assert a == MonthAxis(a.start, a.length)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def test_month_of_converts_to_utc():
@@ -60,8 +101,10 @@ def test_month_of_naive():
 
 
 def test_check_contiguous_accepts_gap_free():
-    months = month_range("2000-01", "2000-06")
-    assert check_contiguous(months) == months
+    months = ["2000-01", "2000-02", "2000-03", "2000-04", "2000-05", "2000-06"]
+    axis = check_contiguous(months)
+    assert list(axis) == months
+    assert axis == MonthAxis(month_ord("2000-01"), 6)
 
 
 def test_check_contiguous_names_gap():
@@ -72,3 +115,34 @@ def test_check_contiguous_names_gap():
 def test_check_contiguous_rejects_empty():
     with pytest.raises(ValueError):
         check_contiguous([])
+
+
+def test_run_checks_each_outside_month_list_once(
+    tmp_path, monkeypatch, lexicon_path, messages_path, attitude_path
+):
+    # A structural check that counts calls and times nothing: a series built
+    # from another series' axis is never re-checked, so a whole run checks
+    # only the month lists that come from outside (the buckets and, at most,
+    # the attitude file), not one per series construction.
+    import moodcast.analysis
+    import moodcast.emotion
+    from moodcast.pipeline import PipelineConfig, run_pipeline
+
+    calls = []
+
+    def counting(months, *args, **kwargs):
+        calls.append(len(months))
+        return check_contiguous(months, *args, **kwargs)
+
+    for module in (moodcast.analysis, moodcast.emotion):
+        monkeypatch.setattr(module, "check_contiguous", counting)
+    run_pipeline(
+        PipelineConfig(
+            lexicon_path=lexicon_path,
+            messages_path=messages_path,
+            attitude_path=attitude_path,
+            out_dir=tmp_path,
+            n_surrogates=50,
+        )
+    )
+    assert 1 <= len(calls) <= 2, calls

@@ -38,29 +38,32 @@ def months_from(first, count):
     return [ord_month(start + i) for i in range(count)]
 
 
-def month_record(month, base, match_count=5):
+def month_record(month, base, match_count=5, thread_count=0):
     mean = {"valence": base, "arousal": base + 0.5, "dominance": None}
     std = {"valence": 0.0, "arousal": base / 7.0, "dominance": None}
-    return MonthEmotion(month=month, mean=mean, std=std, match_count=match_count)
+    return MonthEmotion(
+        month=month, mean=mean, std=std, match_count=match_count, thread_count=thread_count
+    )
 
 
 class TestEmotionCsv:
     def test_round_trip(self, tmp_path):
         months = months_from("2000-11", 4)
-        records = [month_record(m, i + 0.125) for i, m in enumerate(months)]
+        records = [month_record(m, i + 0.125, thread_count=i) for i, m in enumerate(months)]
         records[2] = MonthEmotion(
             month=months[2],
             mean={d: None for d in ("valence", "arousal", "dominance")},
             std={d: None for d in ("valence", "arousal", "dominance")},
             match_count=0,
+            thread_count=2,
         )
         series = EmotionSeries(months=months, records=records)
         counts = {m: i for i, m in enumerate(months)}
         path = tmp_path / "emotion.csv"
-        write_emotion_csv(path, series, counts)
-        loaded, loaded_counts = read_emotion_csv(path)
-        assert loaded.months == months
-        assert loaded_counts == counts
+        write_emotion_csv(path, series)
+        loaded = read_emotion_csv(path)
+        assert list(loaded.months) == months
+        assert {r.month: r.thread_count for r in loaded.records} == counts
         for original, copy in zip(records, loaded.records):
             assert copy.mean == original.mean
             assert copy.std == original.std
@@ -76,11 +79,12 @@ class TestEmotionCsv:
                     mean={"valence": 1.5, "arousal": None, "dominance": None},
                     std={"valence": 0.0, "arousal": None, "dominance": None},
                     match_count=2,
+                    thread_count=2,
                 )
             ],
         )
         path = tmp_path / "emotion.csv"
-        write_emotion_csv(path, series, {months[0]: 2})
+        write_emotion_csv(path, series)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(EMOTION_HEADER)
         assert lines[1] == "2000-01,1.5,0.0,,,,,2,2"
@@ -97,8 +101,8 @@ class TestEmotionCsv:
             for m, v in zip(months, AWKWARD)
         ]
         path = tmp_path / "emotion.csv"
-        write_emotion_csv(path, EmotionSeries(months=months, records=records), {})
-        loaded, _ = read_emotion_csv(path)
+        write_emotion_csv(path, EmotionSeries(months=months, records=records))
+        loaded = read_emotion_csv(path)
         for record, v in zip(loaded.records, AWKWARD):
             assert record.mean["valence"] == v
             assert record.std["dominance"] == v
@@ -221,6 +225,23 @@ class TestCorrelationCsv:
             encoding="utf-8",
         )
         with pytest.raises(InputFormatError, match="count not in"):
+            read_correlation_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["2001-01", "2001-03"], "row 3: expected month 2001-02, got 2001-03"),
+            (["2001-03", "2001-01"], "row 3: expected month 2001-04, got 2001-01"),
+            (["2001-01", "2001-01"], "row 3: expected month 2001-02, got 2001-01"),
+            ([], "no data rows"),
+        ],
+        ids=["gap", "out-of-order", "repeated", "no-rows"],
+    )
+    def test_rejects_months_that_are_not_contiguous(self, tmp_path, rows, message):
+        path = tmp_path / "corr.csv"
+        body = "".join(f"\n{month},0.5,13,0.04,false" for month in rows)
+        path.write_text(",".join(CORRELATION_HEADER) + body + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match=message):
             read_correlation_csv(path)
 
 
