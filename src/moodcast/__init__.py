@@ -44,7 +44,6 @@ from .forecast import (
     surrogate_test,
 )
 from .ingest import (
-    MessageRecord,
     MonthlyBucket,
     ThreadSummary,
     build_threads,
@@ -66,7 +65,6 @@ __all__ = [
     "LexiconEntry",
     "load_lexicon",
     "tokenize",
-    "MessageRecord",
     "ThreadSummary",
     "MonthlyBucket",
     "parse_messages",

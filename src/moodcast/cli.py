@@ -78,8 +78,8 @@ def _load_forecast_inputs(args) -> tuple[NumericSeries, dict[str, NumericSeries]
 
 
 def _cmd_ingest(args) -> int:
-    messages = parse_messages(Path(args.messages))
-    *_, paths = ingest_stage(messages, Path(args.out), min_messages=args.min_messages)
+    tally = parse_messages(Path(args.messages))
+    *_, paths = ingest_stage(tally, Path(args.out), min_messages=args.min_messages)
     return _wrote(paths)
 
 

@@ -1,6 +1,6 @@
 """Corpus and attitude-series ingestion.
 
-Parses message archives (JSONL), groups messages into discussion threads,
+Folds message archives (JSONL) into discussion threads in one pass,
 applies the minimum-thread-size spam filter, buckets canonical thread
 subjects by calendar month, and loads the external monthly attitude series
 (CSV). All outputs are plain immutable records on a YYYY-MM month axis.
@@ -23,6 +23,7 @@ from .lexicon import tokenize
 from .months import MonthAxis, check_month, month_of, month_ord
 
 MESSAGE_KEYS = ("message_id", "thread_id", "group", "timestamp", "subject")
+_KEY_SET = frozenset(MESSAGE_KEYS)
 
 ATTITUDE_HEADER = ("month", "rate")
 
@@ -31,14 +32,21 @@ _REPLY_RE = re.compile(r"\s*re\s*:", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
-class MessageRecord:
-    """One archived message; ``timestamp`` is timezone-aware UTC."""
+class ThreadTally:
+    """What ``parse_messages`` returns: a message archive folded per thread.
 
-    message_id: str
-    thread_id: str
-    group: str
-    timestamp: datetime
-    subject: str
+    Read it through ``len()``, the message count, and ``build_threads``.
+    ``threads`` is this module's working layout, not an interface: each
+    thread id, in first appearance order, maps to ``[timestamp, subject,
+    message count]``, the UTC timestamp and raw subject of the thread's
+    earliest message.
+    """
+
+    threads: dict[str, list]
+    message_count: int
+
+    def __len__(self) -> int:
+        return self.message_count
 
 
 @dataclass(frozen=True)
@@ -75,22 +83,23 @@ def _parse_timestamp(raw: str) -> datetime:
     return moment.astimezone(timezone.utc)
 
 
-def parse_messages(source: Union[str, Path, IO[str]]) -> list[MessageRecord]:
-    """Parse a message JSONL stream into records, order preserved.
+def parse_messages(source: Union[str, Path, IO[str]]) -> ThreadTally:
+    """Parse a message JSONL stream and fold it into threads in one pass.
 
     Each non-blank line must be a JSON object with exactly the keys
     ``message_id, thread_id, group, timestamp, subject`` (all strings;
     timestamp ISO-8601). Rejects malformed lines with their line number and
-    duplicate message ids by name.
+    duplicate message ids by name. Only the message ids and one entry per
+    thread are kept, never a record per message.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            return _parse_message_lines(handle)
-    return _parse_message_lines(source)
+            return _fold_message_lines(handle)
+    return _fold_message_lines(source)
 
 
-def _parse_message_lines(lines: Iterable[str]) -> list[MessageRecord]:
-    records: list[MessageRecord] = []
+def _fold_message_lines(lines: Iterable[str]) -> ThreadTally:
+    threads: dict[str, list] = {}
     seen_ids: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -99,39 +108,46 @@ def _parse_message_lines(lines: Iterable[str]) -> list[MessageRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"messages line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise InputFormatError(f"messages line {lineno}: expected a JSON object")
-        missing = [k for k in MESSAGE_KEYS if k not in obj]
-        extra = [k for k in obj if k not in MESSAGE_KEYS]
-        if missing or extra:
-            detail = []
-            if missing:
-                detail.append(f"missing {missing}")
-            if extra:
-                detail.append(f"unexpected {extra}")
-            raise InputFormatError(f"messages line {lineno}: {', '.join(detail)}")
-        for key in MESSAGE_KEYS:
-            if not isinstance(obj[key], str):
-                raise InputFormatError(f"messages line {lineno}: {key} must be a string")
+        except RecursionError:
+            raise InputFormatError(f"messages line {lineno}: invalid JSON (nested too deeply)") from None
+        # Fast path for a well-formed message; the detailed check runs only on failure.
+        if not (type(obj) is dict and obj.keys() == _KEY_SET
+                and all(type(value) is str for value in obj.values())):
+            raise InputFormatError(f"messages line {lineno}: {_message_problem(obj)}")
+        raw = obj["timestamp"]
         try:
-            timestamp = _parse_timestamp(obj["timestamp"])
-        except ValueError:
-            raise InputFormatError(
-                f"messages line {lineno}: bad timestamp {obj['timestamp']!r}"
-            ) from None
-        if obj["message_id"] in seen_ids:
-            raise InputFormatError(f"duplicate message_id: {obj['message_id']!r}")
-        seen_ids.add(obj["message_id"])
-        records.append(
-            MessageRecord(
-                message_id=obj["message_id"],
-                thread_id=obj["thread_id"],
-                group=obj["group"],
-                timestamp=timestamp,
-                subject=obj["subject"],
-            )
-        )
-    return records
+            timestamp = _parse_timestamp(raw)
+        except (ValueError, OverflowError):
+            raise InputFormatError(f"messages line {lineno}: bad timestamp {raw!r}") from None
+        message_id = obj["message_id"]
+        if message_id in seen_ids:
+            raise InputFormatError(f"duplicate message_id: {message_id!r}")
+        seen_ids.add(message_id)
+        entry = threads.get(obj["thread_id"])
+        if entry is None:
+            threads[obj["thread_id"]] = [timestamp, obj["subject"], 1]
+        else:
+            entry[2] += 1
+            if timestamp < entry[0]:  # strict: a tie keeps the earlier line
+                entry[0], entry[1] = timestamp, obj["subject"]
+    return ThreadTally(threads=threads, message_count=len(seen_ids))
+
+
+def _message_problem(obj) -> str:
+    """The first thing wrong with a parsed line that is not a valid message."""
+    if not isinstance(obj, dict):
+        return "expected a JSON object"
+    missing = [k for k in MESSAGE_KEYS if k not in obj]
+    extra = [k for k in obj if k not in MESSAGE_KEYS]
+    if missing or extra:
+        detail = []
+        if missing:
+            detail.append(f"missing {missing}")
+        if extra:
+            detail.append(f"unexpected {extra}")
+        return ", ".join(detail)
+    key = next(k for k in MESSAGE_KEYS if not isinstance(obj[k], str))
+    return f"{key} must be a string"
 
 
 def strip_reply_markers(subject: str) -> str:
@@ -145,32 +161,22 @@ def strip_reply_markers(subject: str) -> str:
     return text.lstrip()
 
 
-def build_threads(messages: list[MessageRecord]) -> list[ThreadSummary]:
-    """Roll messages up into one summary per thread.
+def build_threads(tally: ThreadTally) -> list[ThreadSummary]:
+    """One summary per thread, in first appearance order of thread ids.
 
     The canonical subject comes from the thread's earliest message
     (timestamp ties broken by input order); ``first_month`` is that
-    message's UTC calendar month. Output follows first appearance order of
-    thread ids.
+    message's UTC calendar month.
     """
-    earliest: dict[str, tuple[datetime, int, MessageRecord]] = {}
-    counts: Counter[str] = Counter()
-    for index, message in enumerate(messages):
-        counts[message.thread_id] += 1
-        key = (message.timestamp, index, message)
-        if message.thread_id not in earliest or key < earliest[message.thread_id]:
-            earliest[message.thread_id] = key
-    summaries = []
-    for thread_id, (timestamp, _, first) in earliest.items():
-        summaries.append(
-            ThreadSummary(
-                thread_id=thread_id,
-                subject=strip_reply_markers(first.subject),
-                message_count=counts[thread_id],
-                first_month=month_of(timestamp),
-            )
+    return [
+        ThreadSummary(
+            thread_id=thread_id,
+            subject=strip_reply_markers(subject),
+            message_count=count,
+            first_month=month_of(timestamp),
         )
-    return summaries
+        for thread_id, (timestamp, subject, count) in tally.threads.items()
+    ]
 
 
 def filter_threads(threads: list[ThreadSummary], min_messages: int = 3) -> list[ThreadSummary]:
@@ -264,7 +270,6 @@ def _load_attitude_stream(stream: IO[str]) -> NumericSeries:
 __all__ = [
     "MESSAGE_KEYS",
     "ATTITUDE_HEADER",
-    "MessageRecord",
     "ThreadSummary",
     "MonthlyBucket",
     "parse_messages",

@@ -48,8 +48,8 @@ from .forecast import (
     surrogate_test,
 )
 from .ingest import (
-    MessageRecord,
     MonthlyBucket,
+    ThreadTally,
     build_threads,
     filter_threads,
     load_attitude_series,
@@ -136,15 +136,15 @@ class PipelineConfig:
 
 
 def ingest_stage(
-    messages: list[MessageRecord], out: Path, *, min_messages: int
+    tally: ThreadTally, out: Path, *, min_messages: int
 ) -> tuple[list[MonthlyBucket], dict[str, int], list[Path]]:
-    """Thread, filter and bucket messages into ``buckets.json`` and
-    ``discussion_counts.csv`` under ``out``.
+    """Summarize, filter and bucket parsed threads into ``buckets.json``
+    and ``discussion_counts.csv`` under ``out``.
 
     Returns the monthly buckets and the message, thread and kept-thread
     counts, then the paths written.
     """
-    threads = build_threads(messages)
+    threads = build_threads(tally)
     kept = filter_threads(threads, min_messages)
     buckets = monthly_subject_buckets(kept)
     if not buckets:
@@ -153,7 +153,7 @@ def ingest_stage(
     paths = [out / "buckets.json", out / "discussion_counts.csv"]
     write_buckets_json(paths[0], buckets)
     write_counts_csv(paths[1], buckets)
-    counts = {"messages": len(messages), "threads": len(threads), "threads_kept": len(kept)}
+    counts = {"messages": len(tally), "threads": len(threads), "threads_kept": len(kept)}
     return buckets, counts, paths
 
 
@@ -292,12 +292,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     try:
         logger.info("stage load-inputs")
         lexicon = load_lexicon(config.lexicon_path)
-        messages = parse_messages(config.messages_path)
+        tally = parse_messages(config.messages_path)
         attitude = load_attitude_series(config.attitude_path)
 
         stage = "ingest"
-        logger.info("stage ingest: %d messages", len(messages))
-        buckets, corpus, paths = ingest_stage(messages, out, min_messages=config.min_messages)
+        logger.info("stage ingest: %d messages", len(tally))
+        buckets, corpus, paths = ingest_stage(tally, out, min_messages=config.min_messages)
         artifacts += paths
 
         stage = "score"

@@ -414,6 +414,8 @@ def _read_json(path: Union[str, Path]) -> dict:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise InputFormatError(f"{path}: invalid JSON (nested too deeply)") from None
     if not isinstance(payload, dict):
         raise InputFormatError(f"{path}: expected a JSON object")
     return payload

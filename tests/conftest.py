@@ -38,13 +38,13 @@ def lexicon(lexicon_path):
 
 
 @pytest.fixture(scope="session")
-def corpus_messages(messages_path):
+def corpus_tally(messages_path):
     return parse_messages(messages_path)
 
 
 @pytest.fixture(scope="session")
-def corpus_buckets(corpus_messages):
-    threads = filter_threads(build_threads(corpus_messages), 3)
+def corpus_buckets(corpus_tally):
+    threads = filter_threads(build_threads(corpus_tally), 3)
     return monthly_subject_buckets(threads)
 
 

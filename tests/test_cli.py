@@ -30,11 +30,28 @@ def _emotion_file(*rows):
     return ",".join(EMOTION_HEADER) + "".join(f"\n{row}" for row in rows) + "\n"
 
 
+def _message_file(timestamp):
+    message = {"message_id": "m0", "thread_id": "t0", "group": "g", "timestamp": timestamp,
+               "subject": "war"}
+    return json.dumps(message) + "\n"
+
+
+_DEEPLY_NESTED = "[" * 100000 + "]" * 100000
+
+
 # Malformed input -> (file, its text, subcommand that reads it). The file
 # path is relative to a run directory, which report cases copy from a
 # finished run.
 MALFORMED = {
     "buckets-not-a-list": ("buckets.json", '{"buckets": 5}', "score"),
+    "buckets-deeply-nested": ("buckets.json", _DEEPLY_NESTED, "score"),
+    "messages-deeply-nested": ("messages.jsonl", _DEEPLY_NESTED + "\n", "ingest"),
+    "timestamp-before-year-1-in-utc": (
+        "messages.jsonl", _message_file("0001-01-01T00:30:00+01:00"), "ingest"
+    ),
+    "timestamp-after-year-9999-in-utc": (
+        "messages.jsonl", _message_file("9999-12-31T23:30:00-01:00"), "ingest"
+    ),
     "token-counts-a-list": ("buckets.json", _bucket_file('["war"]'), "score"),
     "count-overflows-int": ("buckets.json", _bucket_file('{"war": 1e400}'), "score"),
     "count-fractional": ("buckets.json", _bucket_file('{"war": 2.7}'), "score"),
@@ -265,6 +282,7 @@ class TestExitCodes:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
         argv = {
+            "ingest": ["--messages", str(path)],
             "score": ["--lexicon", str(lexicon_path), "--buckets", str(path)],
             "smooth": ["--series", str(path)],
             "correlate": ["--series-a", str(path), "--series-b", str(path)],
@@ -272,7 +290,9 @@ class TestExitCodes:
         }[command]
         assert run_cli(command, *argv, "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(run_dir) in err
+        # Message errors name the line; every other reader names its file.
+        where = "messages line 1: " if command == "ingest" else str(run_dir)
+        assert err.startswith("error: ") and where in err
 
     def test_failed_rerun_removes_the_old_manifest(
         self, tmp_path, lexicon_path, messages_path, attitude_path

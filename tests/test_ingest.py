@@ -1,12 +1,16 @@
 import io
 import json
+import re
+from collections import Counter
+from dataclasses import dataclass
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
 from moodcast.errors import InputFormatError
 from moodcast.ingest import (
-    MessageRecord,
+    MESSAGE_KEYS,
     ThreadSummary,
     build_threads,
     filter_threads,
@@ -15,6 +19,7 @@ from moodcast.ingest import (
     parse_messages,
     strip_reply_markers,
 )
+from moodcast.months import month_of
 
 
 def _line(message_id, thread_id="t1", timestamp="2004-03-05T10:00:00Z", subject="war talk"):
@@ -35,24 +40,194 @@ def _thread(thread_id, subject, month, count=3):
     )
 
 
+# The reference: the two-pass ingest that kept one record per message and
+# then walked the records again. It differs from the original only where
+# that crashed: a timestamp that leaves datetime's range in UTC is a bad
+# timestamp, and an over-deep line is invalid JSON.
+
+
+@dataclass(frozen=True)
+class _Record:
+    message_id: str
+    thread_id: str
+    group: str
+    timestamp: datetime
+    subject: str
+
+
+def _oracle_timestamp(raw):
+    text = raw.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    moment = datetime.fromisoformat(text)
+    if moment.tzinfo is None:
+        return moment.replace(tzinfo=timezone.utc)
+    return moment.astimezone(timezone.utc)
+
+
+def _oracle_parse(text):
+    records = []
+    seen_ids = set()
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"messages line {lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise InputFormatError(f"messages line {lineno}: invalid JSON (nested too deeply)") from None
+        if not isinstance(obj, dict):
+            raise InputFormatError(f"messages line {lineno}: expected a JSON object")
+        missing = [k for k in MESSAGE_KEYS if k not in obj]
+        extra = [k for k in obj if k not in MESSAGE_KEYS]
+        if missing or extra:
+            detail = []
+            if missing:
+                detail.append(f"missing {missing}")
+            if extra:
+                detail.append(f"unexpected {extra}")
+            raise InputFormatError(f"messages line {lineno}: {', '.join(detail)}")
+        for key in MESSAGE_KEYS:
+            if not isinstance(obj[key], str):
+                raise InputFormatError(f"messages line {lineno}: {key} must be a string")
+        try:
+            timestamp = _oracle_timestamp(obj["timestamp"])
+        except (ValueError, OverflowError):
+            raise InputFormatError(
+                f"messages line {lineno}: bad timestamp {obj['timestamp']!r}"
+            ) from None
+        if obj["message_id"] in seen_ids:
+            raise InputFormatError(f"duplicate message_id: {obj['message_id']!r}")
+        seen_ids.add(obj["message_id"])
+        records.append(_Record(**{key: obj[key] for key in MESSAGE_KEYS} | {"timestamp": timestamp}))
+    return records
+
+
+def _oracle_threads(records):
+    earliest = {}
+    counts = Counter()
+    for index, record in enumerate(records):
+        counts[record.thread_id] += 1
+        key = (record.timestamp, index, record)
+        if record.thread_id not in earliest or key < earliest[record.thread_id]:
+            earliest[record.thread_id] = key
+    return [
+        ThreadSummary(
+            thread_id=thread_id,
+            subject=strip_reply_markers(first.subject),
+            message_count=counts[thread_id],
+            first_month=month_of(timestamp),
+        )
+        for thread_id, (timestamp, _, first) in earliest.items()
+    ]
+
+
+# Local clock readings near month ends, and offsets that move some of them
+# across a month boundary in UTC; one pair names the same instant twice.
+_CLOCKS = ["2004-02-29T23:30:00", "2004-03-01T04:00:00", "2004-03-31T22:30:00",
+           "2004-04-01T03:30:00", "2004-12-31T23:00:00", "2005-01-01T00:00:00"]
+_ZONES = ["", "Z", "z", "+00:00", "-05:00", "+05:00", "+13:00", "-11:30"]
+_SUBJECTS = ["Tax cuts", "Re: Tax cuts", "RE: re:Tax cuts", "  re : war", "war", ""]
+
+_messages = st.lists(
+    st.tuples(
+        st.sampled_from(["t0", "t1", "t2"]),
+        st.sampled_from(_CLOCKS),
+        st.sampled_from(_ZONES),
+        st.sampled_from(_SUBJECTS),
+        st.sampled_from(["", " ", "\t"]),  # JSON whitespace around the object
+        st.booleans(),  # a blank line before the message
+    ),
+    max_size=25,
+)
+
+
+def _archive(messages):
+    lines = []
+    for i, (thread_id, clock, zone, subject, pad, blank) in enumerate(messages):
+        if blank:
+            lines.append(" " * (i % 3))
+        lines.append(pad + _line(f"m{i}", thread_id, clock + zone, subject) + pad)
+    return "\n".join(lines) + "\n"
+
+
+_CORRUPTIONS = [
+    lambda obj: "{not json",
+    lambda obj: json.dumps(obj) + " x",
+    lambda obj: "\ufeff" + json.dumps(obj),
+    lambda obj: "[" * 5000 + "]" * 5000,
+    lambda obj: json.dumps([obj]),
+    lambda obj: "5",
+    lambda obj: json.dumps({k: v for k, v in obj.items() if k != "group"}),
+    lambda obj: json.dumps(obj | {"sender": "x"}),
+    lambda obj: json.dumps({k: v for k, v in obj.items() if k != "subject"} | {"extra": 1}),
+    lambda obj: json.dumps(obj | {"subject": 7, "group": None}),
+    lambda obj: json.dumps(obj | {"thread_id": ["t1"]}),
+    lambda obj: json.dumps(obj | {"timestamp": "yesterday"}),
+    lambda obj: json.dumps(obj | {"timestamp": "0001-01-01T00:30:00+01:00"}),
+    lambda obj: json.dumps(obj | {"timestamp": "9999-12-31T23:30:00-01:00"}),
+    lambda obj: json.dumps(obj | {"message_id": "m0"}),
+]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except InputFormatError as exc:
+        return f"error: {exc}"
+
+
+def _fold(text):
+    return build_threads(parse_messages(io.StringIO(text)))
+
+
+def _two_pass(text):
+    return _oracle_threads(_oracle_parse(text))
+
+
+class TestAgainstTwoPassOracle:
+    @given(_messages)
+    def test_same_threads_and_count(self, messages):
+        text = _archive(messages)
+        records = _oracle_parse(text)
+        tally = parse_messages(io.StringIO(text))
+        assert len(tally) == len(records) == len(messages)
+        assert build_threads(tally) == _oracle_threads(records)
+
+    @given(_messages.filter(bool), st.data())
+    def test_same_outcome_with_a_corrupted_line(self, messages, data):
+        lines = _archive(messages).splitlines()
+        index = data.draw(st.integers(0, len(lines) - 1))
+        obj = json.loads(lines[index]) if lines[index].strip() else json.loads(_line("m0"))
+        lines[index] = data.draw(st.sampled_from(_CORRUPTIONS))(obj)
+        text = "\n".join(lines) + "\n"
+        assert _outcome(_fold, text) == _outcome(_two_pass, text)
+
+
 class TestParseMessages:
     def test_three_lines_three_records(self):
         text = "\n".join(_line(f"m{i}") for i in range(3)) + "\n"
-        records = parse_messages(io.StringIO(text))
-        assert len(records) == 3
-        assert [r.message_id for r in records] == ["m0", "m1", "m2"]
+        tally = parse_messages(io.StringIO(text))
+        assert len(tally) == 3
+        assert [(t.thread_id, t.message_count) for t in build_threads(tally)] == [("t1", 3)]
 
     def test_fields_reproduced(self):
-        records = parse_messages(io.StringIO(_line("m0") + "\n"))
-        rec = records[0]
-        assert rec.thread_id == "t1"
-        assert rec.group == "g"
-        assert rec.subject == "war talk"
-        assert rec.timestamp.tzinfo is not None
-        assert rec.timestamp.utcoffset().total_seconds() == 0
+        tally = parse_messages(io.StringIO(_line("m0") + "\n"))
+        assert len(tally) == 1
+        assert build_threads(tally) == [_thread("t1", "war talk", "2004-03", count=1)]
+        # The thread keeps the instant 2004-03-05T10:00Z: a later message at
+        # that instant leaves its subject, one a second earlier replaces it.
+        same = _line("m1", timestamp="2004-03-05T11:00:00+01:00", subject="same instant")
+        earlier = _line("m1", timestamp="2004-03-05T10:59:59+01:00", subject="a second earlier")
+        for second, subject in ((same, "war talk"), (earlier, "a second earlier")):
+            text = _line("m0") + "\n" + second + "\n"
+            assert build_threads(parse_messages(io.StringIO(text))) == [
+                _thread("t1", subject, "2004-03", count=2)
+            ]
 
     def test_blank_lines_skipped(self):
-        text = _line("m0") + "\n\n" + _line("m1") + "\n"
+        text = _line("m0") + "\n\n  \n" + _line("m1") + "\n"
         assert len(parse_messages(io.StringIO(text))) == 2
 
     def test_missing_key_names_line(self):
@@ -82,6 +257,17 @@ class TestParseMessages:
         with pytest.raises(InputFormatError, match="timestamp"):
             parse_messages(io.StringIO(_line("m0", timestamp="yesterday") + "\n"))
 
+    @pytest.mark.parametrize("raw", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+    def test_timestamp_out_of_range_in_utc_rejected(self, raw):
+        text = _line("m0") + "\n" + _line("m1", timestamp=raw) + "\n"
+        with pytest.raises(InputFormatError, match=re.escape(f"line 2: bad timestamp '{raw}'")):
+            parse_messages(io.StringIO(text))
+
+    def test_deeply_nested_line_named(self):
+        text = _line("m0") + "\n" + "[" * 100000 + "]" * 100000 + "\n"
+        with pytest.raises(InputFormatError, match="line 2: invalid JSON"):
+            parse_messages(io.StringIO(text))
+
     def test_duplicate_id_named(self):
         text = _line("m0") + "\n" + _line("m0") + "\n"
         with pytest.raises(InputFormatError, match="duplicate message_id: 'm0'"):
@@ -89,8 +275,8 @@ class TestParseMessages:
 
     def test_offset_timestamp_converted_to_utc(self):
         text = _line("m0", timestamp="2004-03-31T22:30:00-05:00") + "\n"
-        rec = parse_messages(io.StringIO(text))[0]
-        assert rec.timestamp.month == 4  # crossed into April in UTC
+        threads = build_threads(parse_messages(io.StringIO(text)))
+        assert threads == [_thread("t1", "war talk", "2004-04", count=1)]  # April in UTC
 
 
 class TestStripReplyMarkers:
@@ -116,14 +302,16 @@ class TestBuildThreads:
             _line(f"m{i}", timestamp=f"2004-03-0{i + 1}T10:00:00Z", subject=s)
             for i, s in enumerate(subjects)
         )
-        threads = build_threads(parse_messages(io.StringIO(text)))
+        threads = _fold(text)
         assert len(threads) == 1
         assert threads[0].subject == "Tax cuts"
         assert threads[0].message_count == 3
         assert threads[0].first_month == "2004-03"
 
     def test_empty_input(self):
-        assert build_threads([]) == []
+        tally = parse_messages(io.StringIO(""))
+        assert len(tally) == 0
+        assert build_threads(tally) == []
 
     def test_earliest_message_wins_even_out_of_order(self):
         text = "\n".join(
@@ -132,7 +320,7 @@ class TestBuildThreads:
                 _line("m1", timestamp="2004-02-20T10:00:00Z", subject="Original"),
             ]
         )
-        threads = build_threads(parse_messages(io.StringIO(text)))
+        threads = _fold(text)
         assert threads[0].subject == "Original"
         assert threads[0].first_month == "2004-02"
 
@@ -143,13 +331,13 @@ class TestBuildThreads:
                 _line("m1", timestamp="2004-03-10T10:00:00Z", subject="Second in file"),
             ]
         )
-        threads = build_threads(parse_messages(io.StringIO(text)))
+        threads = _fold(text)
         assert threads[0].subject == "First in file"
 
     def test_two_threads_counted_separately(self):
         lines = [_line(f"a{i}", thread_id="ta") for i in range(7)]
         lines += [_line(f"b{i}", thread_id="tb") for i in range(3)]
-        threads = build_threads(parse_messages(io.StringIO("\n".join(lines))))
+        threads = _fold("\n".join(lines))
         counts = {t.thread_id: t.message_count for t in threads}
         assert counts == {"ta": 7, "tb": 3}
 
@@ -161,7 +349,7 @@ class TestBuildThreads:
                 _line("m2", thread_id="tz"),
             ]
         )
-        threads = build_threads(parse_messages(io.StringIO(text)))
+        threads = _fold(text)
         assert [t.thread_id for t in threads] == ["tz", "ta"]
 
 
@@ -223,8 +411,8 @@ class TestMonthlyBuckets:
     def test_empty_input(self):
         assert monthly_subject_buckets([]) == []
 
-    def test_thread_count_sums_to_thread_total(self, corpus_buckets, corpus_messages):
-        kept = filter_threads(build_threads(corpus_messages), 3)
+    def test_thread_count_sums_to_thread_total(self, corpus_buckets, corpus_tally):
+        kept = filter_threads(build_threads(corpus_tally), 3)
         assert sum(b.thread_count for b in corpus_buckets) == len(kept)
 
     def test_fixture_axis_is_66_contiguous_months(self, corpus_buckets):
