@@ -48,12 +48,12 @@ from .ingest import (
     ThreadSummary,
     build_threads,
     filter_threads,
-    load_attitude_series,
     monthly_subject_buckets,
     parse_messages,
 )
 from .lexicon import Lexicon, LexiconEntry, load_lexicon, tokenize
 from .pipeline import PipelineConfig, run_pipeline
+from .reports import load_attitude_series
 from .version import PACKAGE_VERSION
 
 __version__ = PACKAGE_VERSION

@@ -164,16 +164,18 @@ def rolling_correlation(
 ) -> CorrelationTrack:
     """Centered rolling Pearson correlation with truncated edge windows.
 
-    ``window`` must be odd and >= 3. At month t the window covers
-    [t - h, t + h] clipped to the axis, so edge windows shrink down to
-    h + 1 months. Windows containing a missing value yield a missing r;
-    windows where either side is constant also yield a missing r. A perfect
-    |r| = 1 is reported with p = 0.
+    ``window`` must be odd and >= 3, and ``alpha`` in (0, 1). At month t
+    the window covers [t - h, t + h] clipped to the axis, so edge windows
+    shrink down to h + 1 months. Windows containing a missing value yield a
+    missing r; windows where either side is constant also yield a missing
+    r. A perfect |r| = 1 is reported with p = 0.
     """
     if x.months != y.months:
         raise ValueError("correlation inputs must share one month axis")
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     h = (window - 1) // 2
     total = len(x.months)
     r_out: list[Optional[float]] = []

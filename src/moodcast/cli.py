@@ -35,7 +35,9 @@ from .pipeline import (
     surrogate_stage,
 )
 from .reports import (
+    ATTITUDE_HEADER,
     EMOTION_HEADER,
+    load_attitude_series,
     read_buckets_json,
     read_emotion_csv,
     read_header,
@@ -98,7 +100,8 @@ def _cmd_smooth(args) -> int:
         components, _ = fill_gaps(component_series(series), args.gap_policy)
         smooth_emotion(components, series, out, window=args.smooth_window)
     else:
-        series = read_series_csv(path)
+        attitude = tuple(cell.strip() for cell in header) == ATTITUDE_HEADER
+        series = load_attitude_series(path, missing_ok=True) if attitude else read_series_csv(path)
         name = header[1]
         filled, _ = fill_gaps({name: series}, args.gap_policy)
         write_series_csv(out, hamming_smooth(filled[name], args.smooth_window), name)

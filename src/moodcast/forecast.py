@@ -327,6 +327,8 @@ def surrogate_test(
     """
     if n_surrogates < 1:
         raise ValueError(f"n_surrogates must be >= 1, got {n_surrogates}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not spec.exogenous_names:
         raise ValueError("surrogate test needs at least one exogenous series")
     empirical = evaluate(fit_arma(spec, target, exogenous), target, exogenous)

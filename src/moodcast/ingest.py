@@ -1,14 +1,14 @@
-"""Corpus and attitude-series ingestion.
+"""Corpus ingestion.
 
 Folds message archives (JSONL) into discussion threads in one pass,
-applies the minimum-thread-size spam filter, buckets canonical thread
-subjects by calendar month, and loads the external monthly attitude series
-(CSV). All outputs are plain immutable records on a YYYY-MM month axis.
+applies the minimum-thread-size spam filter and buckets canonical thread
+subjects by calendar month. All outputs are plain immutable records on a
+YYYY-MM month axis. The attitude series is a table, read by
+``moodcast.reports.load_attitude_series``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from collections import Counter
@@ -17,15 +17,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Callable, Iterable, Union
 
-from .analysis import NumericSeries
 from .errors import InputFormatError
 from .lexicon import tokenize
-from .months import MonthAxis, check_month, month_of, month_ord
+from .months import MonthAxis, month_of, month_ord
 
 MESSAGE_KEYS = ("message_id", "thread_id", "group", "timestamp", "subject")
 _KEY_SET = frozenset(MESSAGE_KEYS)
-
-ATTITUDE_HEADER = ("month", "rate")
 
 # Repeated leading reply markers: "re:" in any case, optional whitespace.
 _REPLY_RE = re.compile(r"\s*re\s*:", re.IGNORECASE)
@@ -93,9 +90,26 @@ def parse_messages(source: Union[str, Path, IO[str]]) -> ThreadTally:
     thread are kept, never a record per message.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return _fold_message_lines(handle)
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                return _fold_message_lines(handle)
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                f"messages line {_undecodable_line(source)}: {source} is not valid UTF-8 "
+                f"({exc.reason})"
+            ) from None
     return _fold_message_lines(source)
+
+
+def _undecodable_line(path: Union[str, Path]) -> int:
+    """Number of the first line of a file that is not valid UTF-8."""
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    raise AssertionError(f"{path} decodes as UTF-8")
 
 
 def _fold_message_lines(lines: Iterable[str]) -> ThreadTally:
@@ -215,61 +229,8 @@ def monthly_subject_buckets(
     ]
 
 
-def load_attitude_series(source: Union[str, Path, IO[str]]) -> NumericSeries:
-    """Load the attitude CSV (header ``month,rate``) as a sorted series.
-
-    Months must form a contiguous range once sorted; rates must lie in
-    [0, 100]. Gaps, duplicate months and out-of-range rates are rejected by
-    month name.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _load_attitude_stream(handle)
-    return _load_attitude_stream(source)
-
-
-def _load_attitude_stream(stream: IO[str]) -> NumericSeries:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputFormatError("attitude series: file has no header") from None
-    if tuple(cell.strip() for cell in header) != ATTITUDE_HEADER:
-        raise InputFormatError(
-            f"attitude header must be {','.join(ATTITUDE_HEADER)!r}, got {','.join(header)!r}"
-        )
-    rows: dict[str, float] = {}
-    for rownum, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise InputFormatError(f"attitude row {rownum}: expected 2 fields, got {len(row)}")
-        try:
-            month = check_month(row[0].strip())
-        except ValueError:
-            raise InputFormatError(f"attitude row {rownum}: bad month {row[0]!r}") from None
-        if month in rows:
-            raise InputFormatError(f"attitude series: duplicate month {month}")
-        try:
-            rate = float(row[1])
-        except ValueError:
-            raise InputFormatError(f"attitude row {rownum}: rate is not a number: {row[1]!r}") from None
-        if not 0.0 <= rate <= 100.0:
-            raise InputFormatError(f"attitude series: rate {rate} outside [0, 100] at {month}")
-        rows[month] = rate
-    if not rows:
-        raise InputFormatError("attitude series: no data rows")
-    months = sorted(rows, key=month_ord)
-    axis = MonthAxis(month_ord(months[0]), month_ord(months[-1]) - month_ord(months[0]) + 1)
-    if len(axis) != len(months):  # distinct sorted months: a gap makes the axis longer
-        gap = next(m for m in axis if m not in rows)
-        raise InputFormatError(f"attitude series: missing month {gap}")
-    return NumericSeries(months=axis, values=[rows[m] for m in months])
-
-
 __all__ = [
     "MESSAGE_KEYS",
-    "ATTITUDE_HEADER",
     "ThreadSummary",
     "MonthlyBucket",
     "parse_messages",
@@ -277,5 +238,4 @@ __all__ = [
     "build_threads",
     "filter_threads",
     "monthly_subject_buckets",
-    "load_attitude_series",
 ]

@@ -8,13 +8,13 @@ across threads.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InputFormatError
+from .tables import number_cell, read_table
 
 SCALE_MIN = 1.0
 SCALE_MAX = 9.0
@@ -81,65 +81,39 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def load_lexicon(source: Union[str, Path, IO[str]]) -> Lexicon:
+def load_lexicon(path: Union[str, Path]) -> Lexicon:
     """Load a lexicon from CSV with header ``word,valence,arousal,dominance``.
 
     Words are normalized to lowercase. Rejects duplicate words, scores
     outside [1, 9], malformed rows and files with no data rows.
 
-    Args:
-        source: path or open text stream.
-
     Raises:
-        InputFormatError: on any format violation.
+        InputFormatError: on any format violation, naming the file and row.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _load_lexicon_stream(handle)
-    return _load_lexicon_stream(source)
-
-
-def _load_lexicon_stream(stream: IO[str]) -> Lexicon:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputFormatError("empty lexicon: file has no header") from None
+    header, rows = read_table(path, len(LEXICON_HEADER))
     if tuple(cell.strip() for cell in header) != LEXICON_HEADER:
         raise InputFormatError(
-            f"lexicon header must be {','.join(LEXICON_HEADER)!r}, "
+            f"{path}: lexicon header must be {','.join(LEXICON_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
 
     entries: dict[str, LexiconEntry] = {}
-    for rownum, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise InputFormatError(f"lexicon row {rownum}: expected 4 fields, got {len(row)}")
+    for rownum, row in rows:
         word = row[0].strip().lower()
         if not word or any(ch.isspace() for ch in word):
-            raise InputFormatError(f"lexicon row {rownum}: invalid word {row[0]!r}")
+            raise InputFormatError(f"{path} row {rownum}: invalid word {row[0]!r}")
         if word in entries:
-            raise InputFormatError(f"lexicon row {rownum}: duplicate word {word!r}")
-        scores = []
-        for name, cell in zip(LEXICON_HEADER[1:], row[1:]):
-            try:
-                value = float(cell)
-            except ValueError:
+            raise InputFormatError(f"{path} row {rownum}: duplicate word {word!r}")
+        scores = [number_cell(path, rownum, cell) for cell in row[1:]]
+        for name, cell, value in zip(LEXICON_HEADER[1:], row[1:], scores):
+            if value is None or not SCALE_MIN <= value <= SCALE_MAX:
                 raise InputFormatError(
-                    f"lexicon row {rownum}: {name} is not a number: {cell!r}"
-                ) from None
-            if not SCALE_MIN <= value <= SCALE_MAX:
-                raise InputFormatError(
-                    f"lexicon row {rownum}: {name} {value} outside "
-                    f"[{SCALE_MIN:g}, {SCALE_MAX:g}]"
+                    f"{path} row {rownum}: {name} {cell!r} outside [{SCALE_MIN:g}, {SCALE_MAX:g}]"
                 )
-            scores.append(value)
         entries[word] = LexiconEntry(word, *scores)
 
     if not entries:
-        raise InputFormatError("empty lexicon: no data rows")
+        raise InputFormatError(f"{path}: no data rows")
     return Lexicon(entries)
 
 

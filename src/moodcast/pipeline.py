@@ -52,7 +52,6 @@ from .ingest import (
     ThreadTally,
     build_threads,
     filter_threads,
-    load_attitude_series,
     monthly_subject_buckets,
     parse_messages,
 )
@@ -60,6 +59,7 @@ from .lexicon import Lexicon, load_lexicon
 from .months import month_ord
 from .reports import (
     _write_json,
+    load_attitude_series,
     sha256_file,
     write_buckets_json,
     write_correlation_csv,

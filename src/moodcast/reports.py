@@ -1,21 +1,21 @@
-"""Artifact readers and writers.
+"""Artifact readers and writers, and the attitude series loader.
 
 Every writer is deterministic: fixed column and key order, Unix newlines,
 floats serialized with ``repr`` round-trip fidelity, dictionary keys sorted
 where insertion order is not meaningful. Missing values become empty CSV
-fields and JSON nulls. Every reader rejects malformed and non-finite
-numbers with an ``InputFormatError`` naming the file and row, and the
-series readers reject a month axis that is empty or not contiguous.
+fields and JSON nulls, and a non-finite float is never written. Tables
+are read and written in the one CSV dialect of ``moodcast.tables``. Every
+reader rejects malformed and non-finite numbers with an
+``InputFormatError`` naming the file and row, and the series readers
+reject a month axis that is empty or not contiguous.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
-import math
 from pathlib import Path
-from typing import IO, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .analysis import CorrelationTrack, NumericSeries
 from .emotion import (
@@ -29,7 +29,15 @@ from .emotion import (
 from .errors import InputFormatError
 from .forecast import SuiteEntry, SurrogateReport
 from .ingest import MonthlyBucket
-from .months import MonthAxis, check_month, month_ord, ord_month
+from .months import check_month
+from .tables import (
+    MAX_COUNT,
+    format_number,
+    monthly_rows,
+    number_cell,
+    read_table,
+    write_table,
+)
 
 EMOTION_HEADER = (
     "month",
@@ -44,102 +52,12 @@ COUNTS_HEADER = ("month", "thread_count")
 
 TOP_WORDS_HEADER = ("year", "rank", "word", "occurrences", "display_weight")
 
-# Counts are weighted as floats, which hold every integer up to 2**53.
-_MAX_COUNT = 2**53
-
-
-def _fmt(value: Optional[float]) -> str:
-    """Shortest exact decimal form of a float; empty string for missing."""
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
-def _writer(stream: IO[str]) -> "csv._writer":
-    return csv.writer(stream, lineterminator="\n")
+ATTITUDE_HEADER = ("month", "rate")
 
 
 def read_header(path: Union[str, Path]) -> tuple[str, ...]:
     """The header row of a CSV file, which must have one."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        header = next(csv.reader(handle), None)
-    if header is None:
-        raise InputFormatError(f"{path}: file has no header")
-    return tuple(header)
-
-
-def _read_csv(
-    path: Union[str, Path], width: int
-) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
-    """Header and numbered non-blank rows of a CSV file.
-
-    Rows are checked for ``width`` fields as they are consumed, so a
-    caller checks the header first.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise InputFormatError(f"{path}: file has no header")
-
-    def numbered() -> Iterator[tuple[int, list[str]]]:
-        for rownum, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise InputFormatError(f"{path} row {rownum}: expected {width} fields")
-            yield rownum, row
-
-    return tuple(rows[0]), numbered()
-
-
-def _month(path: Union[str, Path], rownum: int, cell: str) -> str:
-    try:
-        return check_month(cell)
-    except ValueError:
-        raise InputFormatError(f"{path} row {rownum}: bad month {cell!r}") from None
-
-
-def _series_axis(
-    path: Union[str, Path], rows: Iterator[tuple[int, list[str]]]
-) -> Iterator[tuple[int, str, list[str]]]:
-    """Rows paired with their months, which must form a contiguous axis."""
-    previous: Optional[str] = None
-    for rownum, row in rows:
-        month = _month(path, rownum, row[0])
-        if previous is not None and month_ord(month) != month_ord(previous) + 1:
-            raise InputFormatError(
-                f"{path} row {rownum}: expected month {ord_month(month_ord(previous) + 1)}, "
-                f"got {month} (months must be contiguous)"
-            )
-        previous = month
-        yield rownum, month, row
-    if previous is None:
-        raise InputFormatError(f"{path}: no data rows")
-
-
-def _axis(months: list[str]) -> MonthAxis:
-    """The axis of the months of rows that ``_series_axis`` has passed."""
-    return MonthAxis(month_ord(months[0]), len(months))
-
-
-def _number(path: Union[str, Path], rownum: int, cell: str, kind: type = float):
-    """One numeric CSV cell; an empty float cell is a missing value.
-
-    Anything that does not parse as ``kind``, and any non-finite value,
-    is an input format error. Integer cells are counts in [0, 2**53].
-    """
-    if kind is float and cell == "":
-        return None
-    try:
-        value = kind(cell)
-    except ValueError:
-        raise InputFormatError(f"{path} row {rownum}: not a number: {cell!r}") from None
-    if kind is int:
-        if not 0 <= value <= _MAX_COUNT:
-            raise InputFormatError(f"{path} row {rownum}: count not in [0, 2**53]: {cell!r}")
-    elif not math.isfinite(value):
-        raise InputFormatError(f"{path} row {rownum}: not a finite number: {cell!r}")
-    return value
+    return read_table(path, 0)[0]
 
 
 def sha256_file(path: Union[str, Path]) -> str:
@@ -153,77 +71,97 @@ def sha256_file(path: Union[str, Path]) -> str:
 
 def write_emotion_csv(path: Union[str, Path], series: EmotionSeries) -> None:
     """Write the monthly emotion table, one row per month."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = _writer(handle)
-        writer.writerow(EMOTION_HEADER)
-        for record in series.records:
-            row = [record.month]
-            for dim in DIMENSIONS:
-                row.append(_fmt(record.mean[dim]))
-                row.append(_fmt(record.std[dim]))
-            row.append(str(record.match_count))
-            row.append(str(record.thread_count))
-            writer.writerow(row)
+    write_table(path, EMOTION_HEADER, (
+        [
+            record.month,
+            *(format_number(stat[dim]) for dim in DIMENSIONS for stat in (record.mean, record.std)),
+            str(record.match_count),
+            str(record.thread_count),
+        ]
+        for record in series.records
+    ))
 
 
 def read_emotion_csv(path: Union[str, Path]) -> EmotionSeries:
     """Read an emotion table back into a series."""
-    header, rows = _read_csv(path, len(EMOTION_HEADER))
+    header, rows = read_table(path, len(EMOTION_HEADER))
     if header != EMOTION_HEADER:
         raise InputFormatError(f"{path}: emotion header must be {','.join(EMOTION_HEADER)!r}")
-    months: list[str] = []
+    axis, checked = monthly_rows(path, rows)
     records: list[MonthEmotion] = []
-    for rownum, month, row in _series_axis(path, rows):
-        stats = [_number(path, rownum, cell) for cell in row[1:7]]
+    for rownum, month, row in checked:
+        stats = [number_cell(path, rownum, cell) for cell in row[1:7]]
         mean = dict(zip(DIMENSIONS, stats[0::2]))
         std = dict(zip(DIMENSIONS, stats[1::2]))
-        counts = [_number(path, rownum, cell, int) for cell in row[7:9]]
-        months.append(month)
+        counts = [number_cell(path, rownum, cell, int) for cell in row[7:9]]
         records.append(MonthEmotion(month, mean, std, *counts))
-    return EmotionSeries(months=_axis(months), records=records)
+    return EmotionSeries(months=axis, records=records)
 
 
 def write_series_csv(path: Union[str, Path], series: NumericSeries, value_name: str) -> None:
     """Write a plain two-column monthly series."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = _writer(handle)
-        writer.writerow(["month", value_name])
-        for month, value in zip(series.months, series.values):
-            writer.writerow([month, _fmt(value)])
+    write_table(
+        path,
+        ("month", value_name),
+        ([month, format_number(value)] for month, value in zip(series.months, series.values)),
+    )
 
 
 def read_series_csv(path: Union[str, Path], value_name: Optional[str] = None) -> NumericSeries:
     """Read a two-column monthly series; the value header may be checked."""
-    header, rows = _read_csv(path, 2)
+    return _read_series(path, value_name, number_cell)
+
+
+def load_attitude_series(path: Union[str, Path], missing_ok: bool = False) -> NumericSeries:
+    """Load an attitude series: a series CSV with header ``month,rate``.
+
+    Months are read as by ``read_series_csv``, and every rate must lie in
+    [0, 100]. Every rate must be present unless ``missing_ok``, which
+    ``smooth`` passes because it fills gaps by its gap policy; ``run``
+    fills none in the attitude series.
+    """
+
+    def rate(path: Union[str, Path], rownum: int, cell: str) -> Optional[float]:
+        value = number_cell(path, rownum, cell)
+        if value is None and not missing_ok:
+            raise InputFormatError(f"{path} row {rownum}: rate is missing")
+        if value is not None and not 0.0 <= value <= 100.0:
+            raise InputFormatError(f"{path} row {rownum}: rate {value!r} outside [0, 100]")
+        return value
+
+    return _read_series(path, ATTITUDE_HEADER[1], rate)
+
+
+def _read_series(
+    path: Union[str, Path],
+    value_name: Optional[str],
+    value_cell: Callable[[Union[str, Path], int, str], Optional[float]],
+) -> NumericSeries:
+    header, rows = read_table(path, 2)
     if len(header) != 2 or header[0].strip() != "month":
         raise InputFormatError(f"{path}: expected a month,value header")
     if value_name is not None and header[1].strip() != value_name:
         raise InputFormatError(
-            f"{path}: expected value column {value_name!r}, got {header[1]!r}"
+            f"{path}: expected value column {value_name!r} in the header, got {header[1]!r}"
         )
-    months: list[str] = []
-    values: list[Optional[float]] = []
-    for rownum, month, row in _series_axis(path, rows):
-        months.append(month)
-        values.append(_number(path, rownum, row[1]))
-    return NumericSeries(months=_axis(months), values=values)
+    axis, checked = monthly_rows(path, rows)
+    return NumericSeries(
+        months=axis, values=[value_cell(path, rownum, row[1]) for rownum, _, row in checked]
+    )
 
 
 def write_correlation_csv(path: Union[str, Path], track: CorrelationTrack) -> None:
     """Write one rolling-correlation track, one row per month."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = _writer(handle)
-        writer.writerow(CORRELATION_HEADER)
-        for i, month in enumerate(track.months):
-            writer.writerow(
-                [
-                    month,
-                    _fmt(track.r[i]),
-                    str(track.n_window[i]),
-                    _fmt(track.p_value[i]),
-                    "true" if track.significant[i] else "false",
-                ]
-            )
+    write_table(path, CORRELATION_HEADER, (
+        [
+            month,
+            format_number(track.r[i]),
+            str(track.n_window[i]),
+            format_number(track.p_value[i]),
+            "true" if track.significant[i] else "false",
+        ]
+        for i, month in enumerate(track.months)
+    ))
 
 
 def read_correlation_csv(
@@ -232,26 +170,25 @@ def read_correlation_csv(
     window: int = 13,
 ) -> CorrelationTrack:
     """Read a correlation track; alpha and window are not stored in the file."""
-    header, rows = _read_csv(path, len(CORRELATION_HEADER))
+    header, rows = read_table(path, len(CORRELATION_HEADER))
     if header != CORRELATION_HEADER:
         raise InputFormatError(
             f"{path}: correlation header must be {','.join(CORRELATION_HEADER)!r}"
         )
-    months: list[str] = []
+    axis, checked = monthly_rows(path, rows)
     r: list[Optional[float]] = []
     n_window: list[int] = []
     p_value: list[Optional[float]] = []
     significant: list[bool] = []
-    for rownum, month, row in _series_axis(path, rows):
-        months.append(month)
-        r.append(_number(path, rownum, row[1]))
-        n_window.append(_number(path, rownum, row[2], int))
-        p_value.append(_number(path, rownum, row[3]))
+    for rownum, _, row in checked:
+        r.append(number_cell(path, rownum, row[1]))
+        n_window.append(number_cell(path, rownum, row[2], int))
+        p_value.append(number_cell(path, rownum, row[3]))
         if row[4] not in ("true", "false"):
             raise InputFormatError(f"{path} row {rownum}: significant must be true or false")
         significant.append(row[4] == "true")
     return CorrelationTrack(
-        months=_axis(months),
+        months=axis,
         r=r,
         n_window=n_window,
         p_value=p_value,
@@ -263,11 +200,9 @@ def read_correlation_csv(
 
 def write_counts_csv(path: Union[str, Path], buckets: list[MonthlyBucket]) -> None:
     """Write monthly surviving-thread counts."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = _writer(handle)
-        writer.writerow(COUNTS_HEADER)
-        for bucket in buckets:
-            writer.writerow([bucket.month, str(bucket.thread_count)])
+    write_table(
+        path, COUNTS_HEADER, ([bucket.month, str(bucket.thread_count)] for bucket in buckets)
+    )
 
 
 def write_top_words_csv(
@@ -275,14 +210,11 @@ def write_top_words_csv(
     per_year: dict[str, list[WeightedWord]],
 ) -> None:
     """Write ranked lexicon words per year, years in ascending order."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = _writer(handle)
-        writer.writerow(TOP_WORDS_HEADER)
-        for year in sorted(per_year):
-            for rank, word in enumerate(per_year[year], start=1):
-                writer.writerow(
-                    [year, str(rank), word.word, str(word.occurrences), _fmt(word.display_weight)]
-                )
+    write_table(path, TOP_WORDS_HEADER, (
+        [year, str(rank), word.word, str(word.occurrences), format_number(word.display_weight)]
+        for year in sorted(per_year)
+        for rank, word in enumerate(per_year[year], start=1)
+    ))
 
 
 def write_buckets_json(path: Union[str, Path], buckets: list[MonthlyBucket]) -> None:
@@ -301,8 +233,8 @@ def write_buckets_json(path: Union[str, Path], buckets: list[MonthlyBucket]) -> 
 
 
 def _count(value) -> int:
-    """A count from JSON: an integer in [0, _MAX_COUNT], and not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= _MAX_COUNT:
+    """A count from JSON: an integer in [0, MAX_COUNT], and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= MAX_COUNT:
         raise ValueError(f"count must be an integer in [0, 2**53], got {value!r}")
     return value
 
@@ -403,8 +335,9 @@ def write_surrogate_json(
 
 
 def _write_json(path: Union[str, Path], payload: dict) -> None:
+    # NaN and infinity are not JSON; refuse them rather than write them.
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(payload, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 
@@ -412,6 +345,8 @@ def _read_json(path: Union[str, Path]) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: invalid JSON ({exc.msg})") from None
         except RecursionError:
@@ -539,12 +474,14 @@ __all__ = [
     "CORRELATION_HEADER",
     "COUNTS_HEADER",
     "TOP_WORDS_HEADER",
+    "ATTITUDE_HEADER",
     "read_header",
     "sha256_file",
     "write_emotion_csv",
     "read_emotion_csv",
     "write_series_csv",
     "read_series_csv",
+    "load_attitude_series",
     "write_correlation_csv",
     "read_correlation_csv",
     "write_counts_csv",

@@ -7,12 +7,12 @@ import pytest
 from moodcast.ingest import (
     build_threads,
     filter_threads,
-    load_attitude_series,
     monthly_subject_buckets,
     parse_messages,
 )
 from moodcast.lexicon import load_lexicon
 from moodcast.pipeline import PipelineConfig, run_pipeline
+from moodcast.reports import load_attitude_series
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -308,3 +308,9 @@ class TestRollingCorrelation:
             rolling_correlation(x, x, window=12)
         with pytest.raises(ValueError):
             rolling_correlation(x, x, window=1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
+    def test_rejects_alpha_outside_open_unit_interval(self, alpha):
+        x = ns([1.0, 2.0, 4.0, 3.0, 5.0])
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            rolling_correlation(x, x, window=3, alpha=alpha)

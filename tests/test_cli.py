@@ -92,6 +92,18 @@ MALFORMED = {
         "2001-03,0.5,7,0.25,false\n2001-01,0.5,7,0.25,false\n",
         "report",
     ),
+    "series-field-over-csv-limit": ("series.csv", _series_file("1" * 200000), "smooth"),
+    "lexicon-score-not-a-number": (
+        "lexicon.csv", "word,valence,arousal,dominance\nwar,2.08,7.49,x\n", "score"
+    ),
+    # Bytes that are not UTF-8, in every kind of file a subcommand reads.
+    "messages-not-utf8": (
+        "messages.jsonl", _message_file("2004-03-05").encode().replace(b"war", b"w\xffr"), "ingest"
+    ),
+    "buckets-not-utf8": ("buckets.json", _bucket_file('{"w\xffr": 1}').encode("latin-1"), "score"),
+    "lexicon-not-utf8": ("lexicon.csv", b"word,valence,arousal,dominance\nw\xffr,2,7,6\n", "score"),
+    "series-not-utf8": ("series.csv", _series_file("\xff").encode("latin-1"), "smooth"),
+    "manifest-not-utf8": ("run_manifest.json", b'{"version": "\xff"}', "report"),
 }
 
 
@@ -280,10 +292,12 @@ class TestExitCodes:
             shutil.copytree(pipeline_run[0], run_dir)
         path = run_dir / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        buckets = pipeline_run[0] / "buckets.json"
         argv = {
             "ingest": ["--messages", str(path)],
-            "score": ["--lexicon", str(lexicon_path), "--buckets", str(path)],
+            "score": ["--lexicon", str(path), "--buckets", str(buckets)]
+            if rel == "lexicon.csv" else ["--lexicon", str(lexicon_path), "--buckets", str(path)],
             "smooth": ["--series", str(path)],
             "correlate": ["--series-a", str(path), "--series-b", str(path)],
             "report": ["--run", str(run_dir)],
@@ -293,6 +307,8 @@ class TestExitCodes:
         # Message errors name the line; every other reader names its file.
         where = "messages line 1: " if command == "ingest" else str(run_dir)
         assert err.startswith("error: ") and where in err
+        if case.endswith("-not-utf8"):
+            assert str(path) in err and "not valid UTF-8" in err
 
     def test_failed_rerun_removes_the_old_manifest(
         self, tmp_path, lexicon_path, messages_path, attitude_path
@@ -309,6 +325,85 @@ class TestExitCodes:
         assert failed == 2
         assert (out / "run.failed").exists()
         assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--alpha", "nan", "alpha must be in (0, 1), got nan"),
+         ("--alpha", "1.5", "alpha must be in (0, 1), got 1.5"),
+         ("--alpha", "0", "alpha must be in (0, 1), got 0.0"),
+         ("--seed", "-1", "seed must be >= 0, got -1")],
+    )
+    def test_bad_alpha_or_seed_is_3_and_leaves_no_manifest(
+        self, tmp_path, capsys, lexicon_path, messages_path, attitude_path, flag, value, message
+    ):
+        out = tmp_path / "run"
+        code = run_cli(
+            "run", "--lexicon", str(lexicon_path), "--messages", str(messages_path),
+            "--attitude", str(attitude_path), "--out", str(out), "--surrogates", "2", flag, value,
+        )
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert (out / "run.failed").exists()
+        assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(["2001-02,50", "2001-01,50", "2001-03,50"], "row 3: expected month 2001-03, got 2001-01"),
+         (["2001-01,50", "2001-02,", "2001-03,50"], "row 3: rate is missing"),
+         (["2001-01,50", "2001-02,150", "2001-03,50"], "row 3: rate 150.0 outside [0, 100]")],
+        ids=["out-of-order", "empty-rate", "rate-150"],
+    )
+    def test_malformed_attitude_run_is_2(
+        self, tmp_path, capsys, lexicon_path, messages_path, rows, message
+    ):
+        attitude = tmp_path / "approval.csv"
+        attitude.write_text("month,rate\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = run_cli(
+            "run", "--lexicon", str(lexicon_path), "--messages", str(messages_path),
+            "--attitude", str(attitude), "--out", str(out), "--surrogates", "2",
+        )
+        assert code == 2
+        assert f"error: {attitude} {message}" in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
+
+    @staticmethod
+    def attitude_variant(rows, case):
+        """The shipped attitude rows with one defect, or none."""
+        month, _ = rows[5].split(",")
+        return {
+            "shipped": rows, "reversed": rows[::-1], "gap": rows[:5] + rows[6:],
+            "repeated": rows[:5] + [rows[4]] + rows[5:],
+            "padded-month": rows[:5] + [" " + rows[5]] + rows[6:],
+            "rate-150": rows[:5] + [f"{month},150"] + rows[6:],
+            "rate-negative": rows[:5] + [f"{month},-1"] + rows[6:],
+            "rate-nan": rows[:5] + [f"{month},nan"] + rows[6:],
+            "rate-empty": rows[:5] + [f"{month},"] + rows[6:],
+        }[case]
+
+    # (exit code of run, exit code of smooth --series). An empty rate differs
+    # on purpose: run fills no gap in the attitude series, smooth applies its
+    # gap policy to it (default fail: exit 3).
+    @pytest.mark.parametrize(
+        "case, codes",
+        [("shipped", (0, 0)), ("reversed", (2, 2)), ("gap", (2, 2)), ("repeated", (2, 2)),
+         ("padded-month", (2, 2)), ("rate-150", (2, 2)), ("rate-negative", (2, 2)),
+         ("rate-nan", (2, 2)), ("rate-empty", (2, 3))],
+    )
+    def test_run_and_smooth_read_attitude_files_alike(
+        self, tmp_path, lexicon_path, messages_path, attitude_path, capsys, case, codes
+    ):
+        header, *rows = attitude_path.read_text(encoding="utf-8").splitlines()
+        attitude = tmp_path / "approval.csv"
+        attitude.write_text(
+            "\n".join([header, *self.attitude_variant(rows, case)]) + "\n", encoding="utf-8"
+        )
+        assert (
+            run_cli("run", "--lexicon", str(lexicon_path), "--messages", str(messages_path),
+                    "--attitude", str(attitude), "--out", str(tmp_path / "run"),
+                    "--surrogates", "2"),
+            run_cli("smooth", "--series", str(attitude), "--out", str(tmp_path / "smoothed.csv")),
+        ) == codes
 
 
 class TestComposition:

@@ -468,3 +468,5 @@ class TestSurrogateTest:
             surrogate_test(
                 ArmaSpec(1, 1, ("y",)), target, {"y": ns(np.arange(20))}, n_surrogates=0
             )
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            surrogate_test(ArmaSpec(1, 1, ("y",)), target, {"y": ns(np.arange(20))}, seed=-1)

@@ -14,12 +14,12 @@ from moodcast.ingest import (
     ThreadSummary,
     build_threads,
     filter_threads,
-    load_attitude_series,
     monthly_subject_buckets,
     parse_messages,
     strip_reply_markers,
 )
 from moodcast.months import month_of
+from moodcast.reports import load_attitude_series
 
 
 def _line(message_id, thread_id="t1", timestamp="2004-03-05T10:00:00Z", subject="war talk"):
@@ -268,6 +268,18 @@ class TestParseMessages:
         with pytest.raises(InputFormatError, match="line 2: invalid JSON"):
             parse_messages(io.StringIO(text))
 
+    @pytest.mark.parametrize("bad_line", [1, 2, 300])
+    def test_undecodable_line_named_with_the_file(self, tmp_path, bad_line):
+        # 300 lines span several of the text layer's decoding chunks; the
+        # bad line holds a Latin-1 byte where the others hold UTF-8.
+        lines = [_line(f"m{i}").encode().replace(b"war", "w\u00e4r".encode()) for i in range(300)]
+        lines[bad_line - 1] = _line("bad").encode().replace(b"war", b"w\xe4r")
+        path = tmp_path / "messages.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        message = f"messages line {bad_line}: {path} is not valid UTF-8"
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            parse_messages(path)
+
     def test_duplicate_id_named(self):
         text = _line("m0") + "\n" + _line("m0") + "\n"
         with pytest.raises(InputFormatError, match="duplicate message_id: 'm0'"):
@@ -426,34 +438,61 @@ class TestMonthlyBuckets:
 
 
 class TestLoadAttitude:
-    def test_sorted_contiguous(self):
-        csv_text = "month,rate\n2004-02,51.5\n2004-01,50.0\n2004-03,52.0\n"
-        series = load_attitude_series(io.StringIO(csv_text))
+    @pytest.fixture
+    def load_text(self, tmp_path):
+        """Load an attitude series from text written to a file."""
+
+        def load(text, **kwargs):
+            path = tmp_path / "approval.csv"
+            path.write_text(text, encoding="utf-8")
+            return load_attitude_series(path, **kwargs)
+
+        return load
+
+    def test_months_out_of_order_named(self, load_text):
+        series = load_text("month,rate\n2004-01,50.0\n2004-02,51.5\n2004-03,52.0\n")
         assert list(series.months) == ["2004-01", "2004-02", "2004-03"]
         assert series.values == [50.0, 51.5, 52.0]
+        with pytest.raises(InputFormatError, match="row 3: expected month 2004-03, got 2004-01"):
+            load_text("month,rate\n2004-02,51.5\n2004-01,50.0\n2004-03,52.0\n")
 
     def test_fixture_covers_66_months(self, attitude):
         assert len(attitude.months) == 66
         assert all(0.0 <= v <= 100.0 for v in attitude.values)
 
-    def test_gap_named(self):
+    def test_gap_named(self, load_text):
         csv_text = "month,rate\n2004-01,50\n2004-03,52\n"
         with pytest.raises(InputFormatError, match="2004-02"):
-            load_attitude_series(io.StringIO(csv_text))
+            load_text(csv_text)
 
-    def test_duplicate_named(self):
+    def test_duplicate_named(self, load_text):
         csv_text = "month,rate\n2004-01,50\n2004-01,52\n"
-        with pytest.raises(InputFormatError, match="duplicate month 2004-01"):
-            load_attitude_series(io.StringIO(csv_text))
+        with pytest.raises(InputFormatError, match="row 3: expected month 2004-02, got 2004-01"):
+            load_text(csv_text)
 
-    def test_out_of_range_rate(self):
+    def test_out_of_range_rate(self, load_text):
         with pytest.raises(InputFormatError, match="outside"):
-            load_attitude_series(io.StringIO("month,rate\n2004-01,101\n"))
+            load_text("month,rate\n2004-01,101\n")
 
-    def test_bad_header(self):
+    @pytest.mark.parametrize(
+        "cell, message",
+        [("", "row 3: rate is missing"), ("nan", "row 3: not a finite number"),
+         ("-0.5", "row 3: rate -0.5 outside"), ("150", "row 3: rate 150.0 outside")],
+    )
+    def test_every_rate_present_and_in_range(self, load_text, cell, message):
+        with pytest.raises(InputFormatError, match=message):
+            load_text(f"month,rate\n2004-01,0\n2004-02,{cell}\n2004-03,100\n")
+
+    def test_missing_ok_keeps_an_empty_rate_as_a_gap(self, load_text):
+        series = load_text("month,rate\n2004-01,0\n2004-02,\n2004-03,100\n", missing_ok=True)
+        assert series.values == [0.0, None, 100.0]
+        with pytest.raises(InputFormatError, match="outside"):
+            load_text("month,rate\n2004-01,0\n2004-02,150\n", missing_ok=True)
+
+    def test_bad_header(self, load_text):
         with pytest.raises(InputFormatError, match="header"):
-            load_attitude_series(io.StringIO("month,approval\n2004-01,50\n"))
+            load_text("month,approval\n2004-01,50\n")
 
-    def test_no_rows(self):
+    def test_no_rows(self, load_text):
         with pytest.raises(InputFormatError, match="no data rows"):
-            load_attitude_series(io.StringIO("month,rate\n"))
+            load_text("month,rate\n")

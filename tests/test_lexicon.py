@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,8 +16,20 @@ Calm,7.8,2.4,6.4
 """
 
 
-def test_load_lexicon_basic():
-    lex = load_lexicon(io.StringIO(GOOD_CSV))
+@pytest.fixture
+def load_text(tmp_path):
+    """Load a lexicon from text written to a file."""
+
+    def load(text):
+        path = tmp_path / "lexicon.csv"
+        path.write_text(text, encoding="utf-8")
+        return load_lexicon(path)
+
+    return load
+
+
+def test_load_lexicon_basic(load_text):
+    lex = load_text(GOOD_CSV)
     assert len(lex) == 3
     assert "war" in lex
     assert "calm" in lex  # words are lowercased on load
@@ -42,44 +52,44 @@ def test_entry_score_by_dimension():
     assert entry.score("dominance") == 6.1
 
 
-def test_rejects_bad_header():
+def test_rejects_bad_header(load_text):
     with pytest.raises(InputFormatError, match="header"):
-        load_lexicon(io.StringIO("word,v,a,d\nwar,2,7,6\n"))
+        load_text("word,v,a,d\nwar,2,7,6\n")
 
 
-def test_rejects_score_out_of_range():
+def test_rejects_score_out_of_range(load_text):
     bad = "word,valence,arousal,dominance\nwar,0.5,7.49,6.38\n"
     with pytest.raises(InputFormatError, match="row 2.*valence"):
-        load_lexicon(io.StringIO(bad))
+        load_text(bad)
 
 
-def test_rejects_non_numeric_score():
+def test_rejects_non_numeric_score(load_text):
     bad = "word,valence,arousal,dominance\nwar,high,7.49,6.38\n"
     with pytest.raises(InputFormatError, match="not a number"):
-        load_lexicon(io.StringIO(bad))
+        load_text(bad)
 
 
-def test_rejects_duplicate_word():
+def test_rejects_duplicate_word(load_text):
     bad = GOOD_CSV + "WAR,3.0,3.0,3.0\n"
     with pytest.raises(InputFormatError, match="duplicate word 'war'"):
-        load_lexicon(io.StringIO(bad))
+        load_text(bad)
 
 
-def test_rejects_empty_word_and_whitespace_word():
+def test_rejects_empty_word_and_whitespace_word(load_text):
     with pytest.raises(InputFormatError):
-        load_lexicon(io.StringIO("word,valence,arousal,dominance\n,2,7,6\n"))
+        load_text("word,valence,arousal,dominance\n,2,7,6\n")
     with pytest.raises(InputFormatError):
-        load_lexicon(io.StringIO('word,valence,arousal,dominance\n"two words",2,7,6\n'))
+        load_text('word,valence,arousal,dominance\n"two words",2,7,6\n')
 
 
-def test_rejects_no_data_rows():
+def test_rejects_no_data_rows(load_text):
     with pytest.raises(InputFormatError, match="no data rows"):
-        load_lexicon(io.StringIO("word,valence,arousal,dominance\n"))
+        load_text("word,valence,arousal,dominance\n")
 
 
-def test_rejects_short_row():
+def test_rejects_short_row(load_text):
     with pytest.raises(InputFormatError, match="row 2"):
-        load_lexicon(io.StringIO("word,valence,arousal,dominance\nwar,2.08\n"))
+        load_text("word,valence,arousal,dominance\nwar,2.08\n")
 
 
 def test_from_entries_rejects_duplicates():

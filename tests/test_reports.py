@@ -1,18 +1,23 @@
+import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from moodcast.analysis import CorrelationTrack, NumericSeries
-from moodcast.emotion import EmotionSeries, MonthEmotion, WeightedWord
+from moodcast.emotion import DIMENSIONS, EmotionSeries, MonthEmotion, WeightedWord
 from moodcast.errors import InputFormatError
 from moodcast.forecast import ArmaSpec, SuiteEntry, SurrogateReport, evaluate, fit_arma
 from moodcast.ingest import MonthlyBucket
-from moodcast.months import month_ord, ord_month
+from moodcast.lexicon import load_lexicon
+from moodcast.months import MonthAxis, month_ord, ord_month
 from moodcast.reports import (
     CORRELATION_HEADER,
     EMOTION_HEADER,
+    load_attitude_series,
     read_buckets_json,
     read_correlation_csv,
     read_emotion_csv,
@@ -332,6 +337,101 @@ class TestBucketsJson:
             read_buckets_json(path)
 
 
+# Reader -> (header, a good row, row 3 with one bad cell).
+BAD_THIRD_ROW = {
+    "lexicon": (load_lexicon, "word,valence,arousal,dominance", "war,2,7,6", "love,8,6,nan"),
+    "attitude": (load_attitude_series, "month,rate", "2001-01,50", "2001-02,101"),
+    "emotion": (
+        read_emotion_csv, ",".join(EMOTION_HEADER), "2001-01,5,1,5,1,5,1,3,1",
+        "2001-02,5,1,5,1,5,1,3,-1",
+    ),
+    "series": (read_series_csv, "month,value", "2001-01,1.5", "2001-02,inf"),
+    "correlation": (
+        read_correlation_csv, ",".join(CORRELATION_HEADER), "2001-01,0.5,7,0.25,false",
+        "2001-02,0.5,7,0.25,maybe",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BAD_THIRD_ROW))
+def test_every_csv_reader_names_the_file_and_row(tmp_path, reader):
+    read, header, good, bad = BAD_THIRD_ROW[reader]
+    path = tmp_path / f"{reader}.csv"
+    path.write_text(f"{header}\n{good}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))} row 3: "):
+        read(path)
+
+
+# Round trips through every writer and its reader. Floats are any finite
+# value, written as their repr, so they must read back equal; None is an
+# empty cell.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_COUNTS = st.integers(min_value=0, max_value=2**53)
+_AXES = st.builds(
+    MonthAxis, st.integers(month_ord("1990-01"), month_ord("2030-12")), st.integers(1, 8)
+)
+_ROUND_TRIPS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestRoundTrips:
+    @_ROUND_TRIPS
+    @given(axis=_AXES, data=st.data(), name=st.sampled_from(["value", "mean_valence", "x y"]))
+    def test_series_csv(self, tmp_path, axis, data, name):
+        values = data.draw(st.lists(st.none() | _FLOATS, min_size=len(axis), max_size=len(axis)))
+        series = NumericSeries(months=axis, values=values)
+        path = tmp_path / "series.csv"
+        write_series_csv(path, series, name)
+        assert read_series_csv(path, name) == series
+
+    @_ROUND_TRIPS
+    @given(axis=_AXES, data=st.data())
+    def test_emotion_csv(self, tmp_path, axis, data):
+        stats = st.fixed_dictionaries({dim: st.none() | _FLOATS for dim in DIMENSIONS})
+        records = [
+            MonthEmotion(month, data.draw(stats), data.draw(stats), data.draw(_COUNTS),
+                         data.draw(_COUNTS))
+            for month in axis
+        ]
+        series = EmotionSeries(months=axis, records=records)
+        path = tmp_path / "emotion.csv"
+        write_emotion_csv(path, series)
+        assert read_emotion_csv(path) == series
+
+    @_ROUND_TRIPS
+    @given(axis=_AXES, data=st.data())
+    def test_correlation_csv(self, tmp_path, axis, data):
+        def column(strategy):
+            return data.draw(st.lists(strategy, min_size=len(axis), max_size=len(axis)))
+
+        track = CorrelationTrack(
+            months=axis, r=column(st.none() | _FLOATS), n_window=column(_COUNTS),
+            p_value=column(st.none() | _FLOATS), significant=column(st.booleans()),
+            alpha=0.05, window=13,
+        )
+        path = tmp_path / "corr.csv"
+        write_correlation_csv(path, track)
+        assert read_correlation_csv(path, alpha=0.05, window=13) == track
+
+    @_ROUND_TRIPS
+    @given(
+        st.lists(
+            st.builds(
+                MonthlyBucket,
+                month=st.integers(0, 10000 * 12 - 1).map(ord_month),
+                token_counts=st.dictionaries(st.text(), _COUNTS, max_size=4),
+                thread_count=_COUNTS,
+            ),
+            max_size=4,
+        )
+    )
+    def test_buckets_json(self, tmp_path, buckets):
+        path = tmp_path / "buckets.json"
+        write_buckets_json(path, buckets)
+        assert read_buckets_json(path) == buckets
+
+
 def suite_entry(seed=0):
     rng = np.random.default_rng(seed)
     months = months_from("2000-01", 40)
@@ -415,6 +515,11 @@ class TestSurrogateJson:
         assert payload["model"] == "both-arousal"
         assert payload["p_hat"] == 4 / 101
         assert "surrogate_maes" not in payload
+
+    def test_refuses_non_finite_values(self, tmp_path):
+        report = dataclasses.replace(self.make_report(), empirical_mae=float("nan"))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_surrogate_json(tmp_path / "surrogate.json", report, "both-arousal", 1, 3, [])
 
     def test_full_list_behind_flag(self, tmp_path):
         report = self.make_report()
