@@ -55,7 +55,8 @@ def hamming_smooth(series: NumericSeries, window_len: int = 4) -> NumericSeries:
     Output month t averages input months t, t-1, ... t-(L-1) with Hamming
     weights indexed so k=0 lands on month t itself. Near the start of the
     history the window is cut to the available months and the remaining
-    weights are rescaled to sum to one. Missing values are not allowed;
+    weights are rescaled to sum to one. Outputs are clamped to the input's
+    range, which rounding can leave by an ulp. Missing values are not allowed;
     resolve gaps first (see ``linear_interpolate``).
     """
     weights = hamming_weights(window_len)
@@ -65,6 +66,7 @@ def hamming_smooth(series: NumericSeries, window_len: int = 4) -> NumericSeries:
             f"cannot smooth a series with missing values (first gap at {gap}); "
             "apply a gap policy such as linear interpolation first"
         )
+    lo, hi = min(series.values, default=0.0), max(series.values, default=0.0)
     out: list[Optional[float]] = []
     for t in range(len(series)):
         span = min(window_len, t + 1)
@@ -74,7 +76,7 @@ def hamming_smooth(series: NumericSeries, window_len: int = 4) -> NumericSeries:
             weights[k] * series.values[t - k]  # type: ignore[operator]
             for k in range(span)
         )
-        out.append(acc / total)
+        out.append(min(max(acc / total, lo), hi))
     return NumericSeries(months=series.months, values=out)
 
 
@@ -139,6 +141,14 @@ def _pearson(x: list[float], y: list[float]) -> Optional[float]:
     return min(1.0, max(-1.0, r))
 
 
+def check_correlation_args(window: int, alpha: float) -> None:
+    """Reject a correlation window that is even or below 3, or alpha outside (0, 1)."""
+    if window < 3 or window % 2 == 0:
+        raise ValueError(f"window must be odd and >= 3, got {window}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class CorrelationTrack:
     """Rolling-correlation results, one entry per month of the input axis."""
@@ -148,8 +158,6 @@ class CorrelationTrack:
     n_window: list[int]
     p_value: list[Optional[float]]
     significant: list[bool]
-    alpha: float
-    window: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.months, MonthAxis):
@@ -172,10 +180,7 @@ def rolling_correlation(
     """
     if x.months != y.months:
         raise ValueError("correlation inputs must share one month axis")
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 3, got {window}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_correlation_args(window, alpha)
     h = (window - 1) // 2
     total = len(x.months)
     r_out: list[Optional[float]] = []
@@ -202,19 +207,13 @@ def rolling_correlation(
         r_out.append(r)
         if abs(r) == 1.0:
             p_out.append(0.0)
-            sig_out.append(alpha > 0.0)
+            sig_out.append(True)
             continue
         p, sig = fisher_significance(r, n, alpha)
         p_out.append(p)
         sig_out.append(sig)
     return CorrelationTrack(
-        months=x.months,
-        r=r_out,
-        n_window=n_out,
-        p_value=p_out,
-        significant=sig_out,
-        alpha=alpha,
-        window=window,
+        months=x.months, r=r_out, n_window=n_out, p_value=p_out, significant=sig_out
     )
 
 

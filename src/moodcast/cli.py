@@ -35,17 +35,15 @@ from .pipeline import (
     surrogate_stage,
 )
 from .reports import (
-    ATTITUDE_HEADER,
     EMOTION_HEADER,
-    load_attitude_series,
     read_buckets_json,
     read_emotion_csv,
-    read_header,
     read_series_csv,
     render_run_report,
     write_correlation_csv,
     write_series_csv,
 )
+from .tables import read_table
 from .version import PACKAGE_VERSION
 
 logger = logging.getLogger(__name__)
@@ -62,7 +60,7 @@ def _wrote(paths: list[Path]) -> int:
 
 def _load_series_column(path: Path, column: Optional[str]) -> NumericSeries:
     """Load one numeric column from an emotion table or a two-column series CSV."""
-    if read_header(path) != EMOTION_HEADER:
+    if read_table(path)[0] != EMOTION_HEADER:
         return read_series_csv(path)
     choices = ", ".join(sorted(_EMOTION_COLUMNS))
     if column is None:
@@ -94,14 +92,13 @@ def _cmd_score(args) -> int:
 
 def _cmd_smooth(args) -> int:
     path, out = Path(args.series), Path(args.out)
-    header = read_header(path)
+    header, _ = read_table(path)
     if header == EMOTION_HEADER:
         series = read_emotion_csv(path)
         components, _ = fill_gaps(component_series(series), args.gap_policy)
         smooth_emotion(components, series, out, window=args.smooth_window)
     else:
-        attitude = tuple(cell.strip() for cell in header) == ATTITUDE_HEADER
-        series = load_attitude_series(path, missing_ok=True) if attitude else read_series_csv(path)
+        series = read_series_csv(path)
         name = header[1]
         filled, _ = fill_gaps({name: series}, args.gap_policy)
         write_series_csv(out, hamming_smooth(filled[name], args.smooth_window), name)

@@ -310,6 +310,14 @@ class SurrogateReport:
     seed: int
 
 
+def check_surrogate_args(n_surrogates: int, seed: int) -> None:
+    """Reject a surrogate count below 1 or a negative seed."""
+    if n_surrogates < 1:
+        raise ValueError(f"n_surrogates must be >= 1, got {n_surrogates}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def surrogate_test(
     spec: ArmaSpec,
     target: NumericSeries,
@@ -325,10 +333,7 @@ def surrogate_test(
     the fraction of surrogates with error at or below the empirical
     model's.
     """
-    if n_surrogates < 1:
-        raise ValueError(f"n_surrogates must be >= 1, got {n_surrogates}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_surrogate_args(n_surrogates, seed)
     if not spec.exogenous_names:
         raise ValueError("surrogate test needs at least one exogenous series")
     empirical = evaluate(fit_arma(spec, target, exogenous), target, exogenous)

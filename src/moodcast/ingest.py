@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Iterable, Union
+from typing import IO, Iterable, Union
 
 from .errors import InputFormatError
 from .lexicon import tokenize
@@ -193,17 +193,19 @@ def build_threads(tally: ThreadTally) -> list[ThreadSummary]:
     ]
 
 
-def filter_threads(threads: list[ThreadSummary], min_messages: int = 3) -> list[ThreadSummary]:
-    """Keep threads with at least ``min_messages`` messages, order preserved."""
+def check_min_messages(min_messages: int) -> None:
+    """Reject a minimum thread size below one message."""
     if min_messages < 1:
         raise ValueError(f"min_messages must be >= 1, got {min_messages}")
+
+
+def filter_threads(threads: list[ThreadSummary], min_messages: int = 3) -> list[ThreadSummary]:
+    """Keep threads with at least ``min_messages`` messages, order preserved."""
+    check_min_messages(min_messages)
     return [t for t in threads if t.message_count >= min_messages]
 
 
-def monthly_subject_buckets(
-    threads: list[ThreadSummary],
-    tokenizer: Callable[[str], list[str]] = tokenize,
-) -> list[MonthlyBucket]:
+def monthly_subject_buckets(threads: list[ThreadSummary]) -> list[MonthlyBucket]:
     """Bucket canonical-subject tokens by thread first-month.
 
     The axis runs contiguously from the earliest to the latest first-month;
@@ -217,7 +219,7 @@ def monthly_subject_buckets(
     counters: dict[str, Counter[str]] = {m: Counter() for m in months}
     thread_counts: dict[str, int] = {m: 0 for m in months}
     for thread in threads:
-        counters[thread.first_month].update(tokenizer(thread.subject))
+        counters[thread.first_month].update(tokenize(thread.subject))
         thread_counts[thread.first_month] += 1
     return [
         MonthlyBucket(

@@ -90,7 +90,7 @@ def load_lexicon(path: Union[str, Path]) -> Lexicon:
     Raises:
         InputFormatError: on any format violation, naming the file and row.
     """
-    header, rows = read_table(path, len(LEXICON_HEADER))
+    header, rows = read_table(path)
     if tuple(cell.strip() for cell in header) != LEXICON_HEADER:
         raise InputFormatError(
             f"{path}: lexicon header must be {','.join(LEXICON_HEADER)!r}, "

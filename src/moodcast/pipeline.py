@@ -25,7 +25,9 @@ from typing import Mapping, Optional
 
 from .analysis import (
     NumericSeries,
+    check_correlation_args,
     hamming_smooth,
+    hamming_weights,
     linear_interpolate,
     rolling_correlation,
 )
@@ -44,6 +46,7 @@ from .forecast import (
     ArmaSpec,
     SuiteEntry,
     SurrogateReport,
+    check_surrogate_args,
     model_suite,
     surrogate_test,
 )
@@ -51,6 +54,7 @@ from .ingest import (
     MonthlyBucket,
     ThreadTally,
     build_threads,
+    check_min_messages,
     filter_threads,
     monthly_subject_buckets,
     parse_messages,
@@ -278,9 +282,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     The manifest and failure marker of an earlier run are removed first,
     and the new manifest is written last, by rename, so it only ever
-    describes a finished run. Any stage failure writes ``run.failed``
-    (stage name plus diagnostic) into the output directory and re-raises
-    the underlying error.
+    describes a finished run. The first stage checks every numeric option
+    with the checks of the stages that use it, before any input is read.
+    Any stage failure writes ``run.failed`` (stage name plus diagnostic)
+    into the output directory and re-raises the underlying error.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -288,8 +293,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
     for stale in (marker, out / MANIFEST):
         stale.unlink(missing_ok=True)
     artifacts: list[Path] = []
-    stage = "load-inputs"
+    stage = "config"
     try:
+        check_min_messages(config.min_messages)
+        hamming_weights(config.smooth_window)
+        check_correlation_args(config.corr_window, config.alpha)
+        for name in MODEL_NAMES:
+            ArmaSpec(config.ar_order, config.exog_order, MODEL_EXOGENOUS[name])
+        check_surrogate_args(config.n_surrogates, config.seed)
+
+        stage = "load-inputs"
         logger.info("stage load-inputs")
         lexicon = load_lexicon(config.lexicon_path)
         tally = parse_messages(config.messages_path)

@@ -7,7 +7,8 @@ fields and JSON nulls, and a non-finite float is never written. Tables
 are read and written in the one CSV dialect of ``moodcast.tables``. Every
 reader rejects malformed and non-finite numbers with an
 ``InputFormatError`` naming the file and row, and the series readers
-reject a month axis that is empty or not contiguous.
+reject a month axis that is empty or not contiguous. A ``month,rate``
+series is an attitude series: every read of one checks each rate is in [0, 100].
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .analysis import CorrelationTrack, NumericSeries
 from .emotion import (
@@ -55,11 +56,6 @@ TOP_WORDS_HEADER = ("year", "rank", "word", "occurrences", "display_weight")
 ATTITUDE_HEADER = ("month", "rate")
 
 
-def read_header(path: Union[str, Path]) -> tuple[str, ...]:
-    """The header row of a CSV file, which must have one."""
-    return read_table(path, 0)[0]
-
-
 def sha256_file(path: Union[str, Path]) -> str:
     """Hex SHA-256 digest of a file's bytes."""
     digest = hashlib.sha256()
@@ -84,7 +80,7 @@ def write_emotion_csv(path: Union[str, Path], series: EmotionSeries) -> None:
 
 def read_emotion_csv(path: Union[str, Path]) -> EmotionSeries:
     """Read an emotion table back into a series."""
-    header, rows = read_table(path, len(EMOTION_HEADER))
+    header, rows = read_table(path)
     if header != EMOTION_HEADER:
         raise InputFormatError(f"{path}: emotion header must be {','.join(EMOTION_HEADER)!r}")
     axis, checked = monthly_rows(path, rows)
@@ -109,45 +105,41 @@ def write_series_csv(path: Union[str, Path], series: NumericSeries, value_name: 
 
 def read_series_csv(path: Union[str, Path], value_name: Optional[str] = None) -> NumericSeries:
     """Read a two-column monthly series; the value header may be checked."""
-    return _read_series(path, value_name, number_cell)
+    return _read_series(path, value_name)[0]
 
 
-def load_attitude_series(path: Union[str, Path], missing_ok: bool = False) -> NumericSeries:
-    """Load an attitude series: a series CSV with header ``month,rate``.
+def load_attitude_series(path: Union[str, Path]) -> NumericSeries:
+    """Read a ``month,rate`` series as ``read_series_csv`` does, and require every rate.
 
-    Months are read as by ``read_series_csv``, and every rate must lie in
-    [0, 100]. Every rate must be present unless ``missing_ok``, which
-    ``smooth`` passes because it fills gaps by its gap policy; ``run``
-    fills none in the attitude series.
+    ``run`` fills no gap in the attitude series; ``smooth`` fills gaps by its gap policy.
     """
-
-    def rate(path: Union[str, Path], rownum: int, cell: str) -> Optional[float]:
-        value = number_cell(path, rownum, cell)
-        if value is None and not missing_ok:
+    series, rownums = _read_series(path, ATTITUDE_HEADER[1])
+    for rownum, value in zip(rownums, series.values):
+        if value is None:
             raise InputFormatError(f"{path} row {rownum}: rate is missing")
-        if value is not None and not 0.0 <= value <= 100.0:
-            raise InputFormatError(f"{path} row {rownum}: rate {value!r} outside [0, 100]")
-        return value
-
-    return _read_series(path, ATTITUDE_HEADER[1], rate)
+    return series
 
 
 def _read_series(
-    path: Union[str, Path],
-    value_name: Optional[str],
-    value_cell: Callable[[Union[str, Path], int, str], Optional[float]],
-) -> NumericSeries:
-    header, rows = read_table(path, 2)
+    path: Union[str, Path], value_name: Optional[str]
+) -> tuple[NumericSeries, list[int]]:
+    """A two-column series, and the row number of each of its months."""
+    header, rows = read_table(path)
     if len(header) != 2 or header[0].strip() != "month":
         raise InputFormatError(f"{path}: expected a month,value header")
     if value_name is not None and header[1].strip() != value_name:
         raise InputFormatError(
             f"{path}: expected value column {value_name!r} in the header, got {header[1]!r}"
         )
+    rate = header[1].strip() == ATTITUDE_HEADER[1]
     axis, checked = monthly_rows(path, rows)
-    return NumericSeries(
-        months=axis, values=[value_cell(path, rownum, row[1]) for rownum, _, row in checked]
-    )
+    values: list[Optional[float]] = []
+    for rownum, _, row in checked:
+        value = number_cell(path, rownum, row[1])
+        if rate and value is not None and not 0.0 <= value <= 100.0:
+            raise InputFormatError(f"{path} row {rownum}: rate {value!r} outside [0, 100]")
+        values.append(value)
+    return NumericSeries(months=axis, values=values), [rownum for rownum, _, _ in checked]
 
 
 def write_correlation_csv(path: Union[str, Path], track: CorrelationTrack) -> None:
@@ -164,13 +156,9 @@ def write_correlation_csv(path: Union[str, Path], track: CorrelationTrack) -> No
     ))
 
 
-def read_correlation_csv(
-    path: Union[str, Path],
-    alpha: float = 0.05,
-    window: int = 13,
-) -> CorrelationTrack:
-    """Read a correlation track; alpha and window are not stored in the file."""
-    header, rows = read_table(path, len(CORRELATION_HEADER))
+def read_correlation_csv(path: Union[str, Path]) -> CorrelationTrack:
+    """Read a correlation track back."""
+    header, rows = read_table(path)
     if header != CORRELATION_HEADER:
         raise InputFormatError(
             f"{path}: correlation header must be {','.join(CORRELATION_HEADER)!r}"
@@ -188,13 +176,7 @@ def read_correlation_csv(
             raise InputFormatError(f"{path} row {rownum}: significant must be true or false")
         significant.append(row[4] == "true")
     return CorrelationTrack(
-        months=axis,
-        r=r,
-        n_window=n_window,
-        p_value=p_value,
-        significant=significant,
-        alpha=alpha,
-        window=window,
+        months=axis, r=r, n_window=n_window, p_value=p_value, significant=significant
     )
 
 
@@ -475,7 +457,6 @@ __all__ = [
     "COUNTS_HEADER",
     "TOP_WORDS_HEADER",
     "ATTITUDE_HEADER",
-    "read_header",
     "sha256_file",
     "write_emotion_csv",
     "read_emotion_csv",

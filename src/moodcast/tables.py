@@ -23,10 +23,10 @@ MAX_COUNT = 2**53
 Rows = Iterator[tuple[int, list[str]]]
 
 
-def read_table(path: Union[str, Path], width: int) -> tuple[tuple[str, ...], Rows]:
+def read_table(path: Union[str, Path]) -> tuple[tuple[str, ...], Rows]:
     """Header and numbered non-blank rows of a table.
 
-    Rows are checked for ``width`` fields as they are consumed, so a
+    Rows are checked for the header's width as they are consumed, so a
     caller checks the header first.
     """
     try:
@@ -38,6 +38,7 @@ def read_table(path: Union[str, Path], width: int) -> tuple[tuple[str, ...], Row
         raise InputFormatError(f"{path}: malformed CSV ({exc})") from None
     if not rows:
         raise InputFormatError(f"{path}: file has no header")
+    width = len(rows[0])
 
     def numbered() -> Rows:
         for rownum, row in enumerate(rows[1:], start=2):

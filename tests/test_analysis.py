@@ -13,7 +13,7 @@ from moodcast.analysis import (
     linear_interpolate,
     rolling_correlation,
 )
-from moodcast.months import month_ord, ord_month
+from moodcast.months import MonthAxis, month_ord, ord_month
 
 
 def ns(values, first="2000-01"):
@@ -66,6 +66,17 @@ class TestHammingWeights:
             hamming_weights(0)
 
 
+def unclamped_smooth(values, window_len):
+    """The smoothing formula without the clamp to the input's range: the oracle."""
+    weights = hamming_weights(window_len)
+    out = []
+    for t in range(len(values)):
+        span = min(window_len, t + 1)
+        acc = math.fsum(weights[k] * values[t - k] for k in range(span))
+        out.append(acc / math.fsum(weights[:span]))
+    return out
+
+
 class TestHammingSmooth:
     def test_constant_preserved(self):
         smoothed = hamming_smooth(ns([3.7] * 20))
@@ -114,6 +125,26 @@ class TestHammingSmooth:
         for t, out in enumerate(smoothed.values):
             window = values[max(0, t - 3) : t + 1]
             assert min(window) - 1e-12 <= out <= max(window) + 1e-12
+
+    @given(
+        st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=40),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=200)
+    def test_clamps_the_oracle_to_the_series_range(self, values, window):
+        lo, hi = min(values), max(values)
+        smoothed = hamming_smooth(ns(values), window).values
+        assert smoothed == [min(max(v, lo), hi) for v in unclamped_smooth(values, window)]
+        assert all(lo <= v <= hi for v in smoothed)
+
+    def test_constant_100_stays_100(self):
+        # Unclamped, the third month reads 100.00000000000001, not a legal rate.
+        assert unclamped_smooth([100.0] * 4, 4)[2] > 100.0
+        assert hamming_smooth(ns([100.0] * 12), 4).values == [100.0] * 12
+
+    def test_empty_series_smooths_to_empty(self):
+        empty = NumericSeries(months=MonthAxis(month_ord("2000-01"), 0), values=[])
+        assert hamming_smooth(empty, 4).values == []
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30)

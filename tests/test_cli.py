@@ -66,6 +66,11 @@ MALFORMED = {
     "rate-not-a-number": ("series.csv", _series_file("oops"), "smooth"),
     "rate-nan": ("series.csv", _series_file("nan"), "smooth"),
     "rate-inf": ("series.csv", _series_file("inf"), "correlate"),
+    # Every command that reads a month,rate file checks the rate range.
+    "rate-150": ("series.csv", _series_file("150"), "correlate"),
+    "rate-150-suite": ("series.csv", _series_file("150"), "suite"),
+    "rate-150-forecast": ("series.csv", _series_file("150"), "forecast"),
+    "rate-150-surrogate": ("series.csv", _series_file("150"), "surrogate"),
     "thread-count-not-a-number": (
         "emotion.csv", _emotion_file("2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,x"), "smooth"
     ),
@@ -76,6 +81,7 @@ MALFORMED = {
         "emotion.csv", _emotion_file("2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,1" + "0" * 400), "smooth"
     ),
     "series-month-gap": ("series.csv", "month,rate\n2001-01,1.0\n2001-03,3.0\n", "smooth"),
+    "series-one-column": ("series.csv", "month\n2001-01\n", "smooth"),
     "emotion-month-gap": (
         "emotion.csv",
         _emotion_file("2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,1", "2001-03,5.0,1.0,5.0,1.0,5.0,1.0,3,1"),
@@ -294,12 +300,18 @@ class TestExitCodes:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         buckets = pipeline_run[0] / "buckets.json"
+        forecast_io = ["--attitude-series", str(path),
+                       "--emotion-series", str(pipeline_run[0] / "emotion_series_smoothed.csv")]
         argv = {
             "ingest": ["--messages", str(path)],
             "score": ["--lexicon", str(path), "--buckets", str(buckets)]
             if rel == "lexicon.csv" else ["--lexicon", str(lexicon_path), "--buckets", str(path)],
             "smooth": ["--series", str(path)],
-            "correlate": ["--series-a", str(path), "--series-b", str(path)],
+            "correlate": ["--series-a", str(pipeline_run[0] / "attitude_smoothed.csv"),
+                          "--series-b", str(path)],
+            "suite": forecast_io,
+            "forecast": [*forecast_io, "--model", "ar"],
+            "surrogate": [*forecast_io, "--model", "both-arousal", "--surrogates", "2"],
             "report": ["--run", str(run_dir)],
         }[command]
         assert run_cli(command, *argv, "--out", str(tmp_path / "out")) == 2
@@ -309,6 +321,8 @@ class TestExitCodes:
         assert err.startswith("error: ") and where in err
         if case.endswith("-not-utf8"):
             assert str(path) in err and "not valid UTF-8" in err
+        if case.startswith("rate-150"):
+            assert f"{path} row 3: rate 150.0 outside [0, 100]" in err
 
     def test_failed_rerun_removes_the_old_manifest(
         self, tmp_path, lexicon_path, messages_path, attitude_path
@@ -331,7 +345,13 @@ class TestExitCodes:
         [("--alpha", "nan", "alpha must be in (0, 1), got nan"),
          ("--alpha", "1.5", "alpha must be in (0, 1), got 1.5"),
          ("--alpha", "0", "alpha must be in (0, 1), got 0.0"),
-         ("--seed", "-1", "seed must be >= 0, got -1")],
+         ("--seed", "-1", "seed must be >= 0, got -1"),
+         ("--surrogates", "0", "n_surrogates must be >= 1, got 0"),
+         ("--corr-window", "4", "window must be odd and >= 3, got 4"),
+         ("--smooth-window", "0", "window length must be >= 1, got 0"),
+         ("--p", "-1", "lag orders must be non-negative"),
+         ("--q", "0", "exogenous series given but exog_order is 0"),
+         ("--min-messages", "0", "min_messages must be >= 1, got 0")],
     )
     def test_bad_alpha_or_seed_is_3_and_leaves_no_manifest(
         self, tmp_path, capsys, lexicon_path, messages_path, attitude_path, flag, value, message
@@ -343,8 +363,9 @@ class TestExitCodes:
         )
         assert code == 3
         assert message in capsys.readouterr().err
-        assert (out / "run.failed").exists()
-        assert not (out / "run_manifest.json").exists()
+        # Options are checked before any input is read or artifact written.
+        assert [p.name for p in out.iterdir()] == ["run.failed"]
+        assert (out / "run.failed").read_text(encoding="utf-8").startswith("config: ")
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -442,6 +463,24 @@ class TestComposition:
             if name == track.name:
                 expected = full / "correlations" / "smoothed" / name
             assert (stage / name).read_bytes() == expected.read_bytes(), name
+
+    def test_smoothed_rates_of_100_stay_legal_rates(self, tmp_path, pipeline_run):
+        # Unclamped, smoothing a rate of 100 could give 100.00000000000001,
+        # which every reader of a month,rate file rejects.
+        smoothed = pipeline_run[0] / "attitude_smoothed.csv"
+        header, *rows = smoothed.read_text(encoding="utf-8").splitlines()
+        attitude, once, twice = (tmp_path / name for name in ("a.csv", "once.csv", "twice.csv"))
+        attitude.write_text(
+            "\n".join([header, *(row.split(",")[0] + ",100" for row in rows)]) + "\n",
+            encoding="utf-8",
+        )
+        emotion = pipeline_run[0] / "emotion_series_smoothed.csv"
+        assert [
+            run_cli("smooth", "--series", str(attitude), "--out", str(once)),
+            run_cli("smooth", "--series", str(once), "--out", str(twice)),
+            run_cli("suite", "--attitude-series", str(once), "--emotion-series", str(emotion),
+                    "--out", str(tmp_path / "models.json")),
+        ] == [0, 0, 0]
 
     def test_ingest_fragment(self, tmp_path, messages_path, pipeline_run, capsys):
         out, _ = pipeline_run

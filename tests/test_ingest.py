@@ -19,7 +19,7 @@ from moodcast.ingest import (
     strip_reply_markers,
 )
 from moodcast.months import month_of
-from moodcast.reports import load_attitude_series
+from moodcast.reports import load_attitude_series, read_series_csv
 
 
 def _line(message_id, thread_id="t1", timestamp="2004-03-05T10:00:00Z", subject="war talk"):
@@ -442,10 +442,10 @@ class TestLoadAttitude:
     def load_text(self, tmp_path):
         """Load an attitude series from text written to a file."""
 
-        def load(text, **kwargs):
+        def load(text):
             path = tmp_path / "approval.csv"
             path.write_text(text, encoding="utf-8")
-            return load_attitude_series(path, **kwargs)
+            return load_attitude_series(path)
 
         return load
 
@@ -483,11 +483,15 @@ class TestLoadAttitude:
         with pytest.raises(InputFormatError, match=message):
             load_text(f"month,rate\n2004-01,0\n2004-02,{cell}\n2004-03,100\n")
 
-    def test_missing_ok_keeps_an_empty_rate_as_a_gap(self, load_text):
-        series = load_text("month,rate\n2004-01,0\n2004-02,\n2004-03,100\n", missing_ok=True)
-        assert series.values == [0.0, None, 100.0]
+    def test_series_reader_keeps_an_empty_rate_as_a_gap(self, tmp_path):
+        # Only run requires every rate; any other read of a month,rate file
+        # keeps an empty rate as a gap, and still checks the range.
+        path = tmp_path / "approval.csv"
+        path.write_text("month,rate\n2004-01,0\n2004-02,\n2004-03,100\n", encoding="utf-8")
+        assert read_series_csv(path).values == [0.0, None, 100.0]
+        path.write_text("month,rate\n2004-01,0\n2004-02,150\n", encoding="utf-8")
         with pytest.raises(InputFormatError, match="outside"):
-            load_text("month,rate\n2004-01,0\n2004-02,150\n", missing_ok=True)
+            read_series_csv(path)
 
     def test_bad_header(self, load_text):
         with pytest.raises(InputFormatError, match="header"):
