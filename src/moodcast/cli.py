@@ -60,15 +60,15 @@ def _wrote(paths: list[Path]) -> int:
 
 def _load_series_column(path: Path, column: Optional[str]) -> NumericSeries:
     """Load one numeric column from an emotion table or a two-column series CSV."""
-    if read_table(path)[0] != EMOTION_HEADER:
-        return read_series_csv(path)
+    table = read_table(path)
+    if table[0] != EMOTION_HEADER:
+        return read_series_csv(path, table=table)
     choices = ", ".join(sorted(_EMOTION_COLUMNS))
     if column is None:
         raise ValueError(f"{path} is an emotion table; pick a column from {choices}")
     if column not in _EMOTION_COLUMNS:
         raise ValueError(f"unknown emotion column {column!r}; choose from {choices}")
-    series = read_emotion_csv(path)
-    return component_series(series)[_EMOTION_COLUMNS[column]]
+    return component_series(read_emotion_csv(path, table))[_EMOTION_COLUMNS[column]]
 
 
 def _load_forecast_inputs(args) -> tuple[NumericSeries, dict[str, NumericSeries]]:
@@ -92,14 +92,14 @@ def _cmd_score(args) -> int:
 
 def _cmd_smooth(args) -> int:
     path, out = Path(args.series), Path(args.out)
-    header, _ = read_table(path)
-    if header == EMOTION_HEADER:
-        series = read_emotion_csv(path)
+    table = read_table(path)
+    if table[0] == EMOTION_HEADER:
+        series = read_emotion_csv(path, table)
         components, _ = fill_gaps(component_series(series), args.gap_policy)
         smooth_emotion(components, series, out, window=args.smooth_window)
     else:
-        series = read_series_csv(path)
-        name = header[1]
+        series = read_series_csv(path, table=table)
+        name = table[0][1]
         filled, _ = fill_gaps({name: series}, args.gap_policy)
         write_series_csv(out, hamming_smooth(filled[name], args.smooth_window), name)
     return _wrote([out])

@@ -85,31 +85,30 @@ def assemble_regression(
             raise ValueError(f"missing exogenous series {name!r}")
         if exogenous[name].months != target.months:
             raise ValueError(f"exogenous series {name!r} is not on the target month axis")
-    series_values: dict[str, list[float]] = {}
+    arrays: dict[str, np.ndarray] = {}
     for label, series in [("target", target)] + [
         (name, exogenous[name]) for name in spec.exogenous_names
     ]:
         if None in series.values:
             month = series.months[series.values.index(None)]
             raise ValueError(f"series {label!r} has a missing value at {month}")
-        series_values[label] = series.values  # type: ignore[assignment]
+        arrays[label] = np.asarray(series.values, dtype=float)
     start = spec.max_lag
     total = len(target.months)
     if total - start < 2:
         raise ValueError(
             f"series of length {total} is too short for maximum lag {start}"
         )
-    tv = series_values["target"]
-    rows = []
-    for t in range(start, total):
-        row = [tv[t - i] for i in range(1, spec.ar_order + 1)]
-        for name in spec.exogenous_names:
-            ev = series_values[name]
-            row.extend(ev[t - i] for i in range(1, spec.exog_order + 1))
-        rows.append(row)
+    # Column i of a series holds its lag-i values for the rows start..total-1.
+    tv = arrays["target"]
+    columns = [tv[start - i : total - i] for i in range(1, spec.ar_order + 1)]
+    for name in spec.exogenous_names:
+        ev = arrays[name]
+        columns.extend(ev[start - i : total - i] for i in range(1, spec.exog_order + 1))
+    # column_stack needs a column; ``ArmaSpec(0, q)`` (``run --p 0``'s "ar" model) has none.
     return RegressionSystem(
-        regressors=np.asarray(rows, dtype=float),
-        response=np.asarray(tv[start:], dtype=float),
+        regressors=np.column_stack(columns) if columns else np.empty((total - start, 0)),
+        response=tv[start:],
         months=target.months[start:],
     )
 
@@ -157,16 +156,10 @@ def fit_arma(
         )
     residual = system.response - system.regressors @ solution
     sse = float(residual @ residual)
-    ar_coeffs = [float(c) for c in solution[: spec.ar_order]]
-    exog_coeffs = []
-    offset = spec.ar_order
-    for _ in spec.exogenous_names:
-        exog_coeffs.append([float(c) for c in solution[offset : offset + spec.exog_order]])
-        offset += spec.exog_order
     return ArmaModel(
         spec=spec,
-        ar_coeffs=ar_coeffs,
-        exog_coeffs=exog_coeffs,
+        ar_coeffs=solution[: spec.ar_order].tolist(),
+        exog_coeffs=solution[spec.ar_order :].reshape(spec.n_exogenous, spec.exog_order).tolist(),
         training_months=system.months,
         sse=sse,
     )
@@ -190,10 +183,10 @@ def _report(months: MonthAxis, predictions: np.ndarray, actuals: np.ndarray) -> 
     cumulative = np.cumsum(np.abs(errors)) / np.arange(1, len(errors) + 1)
     return EvaluationReport(
         months=months,
-        predictions=[float(v) for v in predictions],
-        actuals=[float(v) for v in actuals],
-        errors=[float(v) for v in errors],
-        cumulative_mean_abs_error=[float(v) for v in cumulative],
+        predictions=predictions.tolist(),
+        actuals=actuals.tolist(),
+        errors=errors.tolist(),
+        cumulative_mean_abs_error=cumulative.tolist(),
         mae=float(cumulative[-1]),
     )
 
@@ -296,7 +289,7 @@ def permute_series(series: NumericSeries, rng: np.random.Generator) -> NumericSe
         month = series.months[series.values.index(None)]
         raise ValueError(f"cannot permute a series with a missing value at {month}")
     shuffled = rng.permutation(np.asarray(series.values, dtype=float))
-    return NumericSeries(months=series.months, values=[float(v) for v in shuffled])
+    return NumericSeries(months=series.months, values=shuffled.tolist())
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,17 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Union
 
 from .errors import InputFormatError
 from .lexicon import tokenize
-from .months import MonthAxis, month_of, month_ord
+from .months import MonthAxis, month_ord
 
 MESSAGE_KEYS = ("message_id", "thread_id", "group", "timestamp", "subject")
 _KEY_SET = frozenset(MESSAGE_KEYS)
+_message_fields = itemgetter(*MESSAGE_KEYS)
 
 # Repeated leading reply markers: "re:" in any case, optional whitespace.
 _REPLY_RE = re.compile(r"\s*re\s*:", re.IGNORECASE)
@@ -75,6 +77,8 @@ def _parse_timestamp(raw: str) -> datetime:
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     moment = datetime.fromisoformat(text)
+    if moment.tzinfo is timezone.utc:  # a zero offset parses to the UTC singleton
+        return moment
     if moment.tzinfo is None:
         return moment.replace(tzinfo=timezone.utc)
     return moment.astimezone(timezone.utc)
@@ -125,25 +129,26 @@ def _fold_message_lines(lines: Iterable[str]) -> ThreadTally:
         except RecursionError:
             raise InputFormatError(f"messages line {lineno}: invalid JSON (nested too deeply)") from None
         # Fast path for a well-formed message; the detailed check runs only on failure.
-        if not (type(obj) is dict and obj.keys() == _KEY_SET
-                and all(type(value) is str for value in obj.values())):
+        if type(obj) is not dict or obj.keys() != _KEY_SET:
             raise InputFormatError(f"messages line {lineno}: {_message_problem(obj)}")
-        raw = obj["timestamp"]
+        message_id, thread_id, group, raw, subject = _message_fields(obj)
+        if not (type(message_id) is str and type(thread_id) is str and type(group) is str
+                and type(raw) is str and type(subject) is str):
+            raise InputFormatError(f"messages line {lineno}: {_message_problem(obj)}")
         try:
             timestamp = _parse_timestamp(raw)
         except (ValueError, OverflowError):
             raise InputFormatError(f"messages line {lineno}: bad timestamp {raw!r}") from None
-        message_id = obj["message_id"]
         if message_id in seen_ids:
             raise InputFormatError(f"duplicate message_id: {message_id!r}")
         seen_ids.add(message_id)
-        entry = threads.get(obj["thread_id"])
+        entry = threads.get(thread_id)
         if entry is None:
-            threads[obj["thread_id"]] = [timestamp, obj["subject"], 1]
+            threads[thread_id] = [timestamp, subject, 1]
         else:
             entry[2] += 1
             if timestamp < entry[0]:  # strict: a tie keeps the earlier line
-                entry[0], entry[1] = timestamp, obj["subject"]
+                entry[0], entry[1] = timestamp, subject
     return ThreadTally(threads=threads, message_count=len(seen_ids))
 
 
@@ -180,14 +185,14 @@ def build_threads(tally: ThreadTally) -> list[ThreadSummary]:
 
     The canonical subject comes from the thread's earliest message
     (timestamp ties broken by input order); ``first_month`` is that
-    message's UTC calendar month.
+    message's calendar month, read from its stored UTC timestamp.
     """
     return [
         ThreadSummary(
             thread_id=thread_id,
             subject=strip_reply_markers(subject),
             message_count=count,
-            first_month=month_of(timestamp),
+            first_month=f"{timestamp.year:04d}-{timestamp.month:02d}",
         )
         for thread_id, (timestamp, subject, count) in tally.threads.items()
     ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 _MONTH_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])$")
 
@@ -71,13 +70,6 @@ class MonthAxis(Sequence[str]):
         if not 0 <= i < self.length:
             raise ValueError(f"{month} is not on the month axis")
         return i
-
-
-def month_of(instant: datetime) -> str:
-    """Calendar month of a timestamp, evaluated in UTC."""
-    if instant.tzinfo is not None:
-        instant = instant.astimezone(timezone.utc)
-    return f"{instant.year:04d}-{instant.month:02d}"
 
 
 def check_contiguous(months: Sequence[str], what: str = "series") -> MonthAxis:

@@ -33,6 +33,7 @@ from .ingest import MonthlyBucket
 from .months import check_month
 from .tables import (
     MAX_COUNT,
+    Table,
     format_number,
     monthly_rows,
     number_cell,
@@ -78,9 +79,9 @@ def write_emotion_csv(path: Union[str, Path], series: EmotionSeries) -> None:
     ))
 
 
-def read_emotion_csv(path: Union[str, Path]) -> EmotionSeries:
-    """Read an emotion table back into a series."""
-    header, rows = read_table(path)
+def read_emotion_csv(path: Union[str, Path], table: Optional[Table] = None) -> EmotionSeries:
+    """Read an emotion table back into a series; ``table`` is ``read_table(path)`` if read."""
+    header, rows = read_table(path) if table is None else table
     if header != EMOTION_HEADER:
         raise InputFormatError(f"{path}: emotion header must be {','.join(EMOTION_HEADER)!r}")
     axis, checked = monthly_rows(path, rows)
@@ -103,9 +104,14 @@ def write_series_csv(path: Union[str, Path], series: NumericSeries, value_name: 
     )
 
 
-def read_series_csv(path: Union[str, Path], value_name: Optional[str] = None) -> NumericSeries:
-    """Read a two-column monthly series; the value header may be checked."""
-    return _read_series(path, value_name)[0]
+def read_series_csv(
+    path: Union[str, Path], value_name: Optional[str] = None, table: Optional[Table] = None
+) -> NumericSeries:
+    """Read a two-column monthly series; the value header may be checked.
+
+    ``table`` is ``read_table(path)``, if the caller has read it.
+    """
+    return _read_series(path, value_name, table)[0]
 
 
 def load_attitude_series(path: Union[str, Path]) -> NumericSeries:
@@ -121,10 +127,10 @@ def load_attitude_series(path: Union[str, Path]) -> NumericSeries:
 
 
 def _read_series(
-    path: Union[str, Path], value_name: Optional[str]
+    path: Union[str, Path], value_name: Optional[str], table: Optional[Table] = None
 ) -> tuple[NumericSeries, list[int]]:
     """A two-column series, and the row number of each of its months."""
-    header, rows = read_table(path)
+    header, rows = read_table(path) if table is None else table
     if len(header) != 2 or header[0].strip() != "month":
         raise InputFormatError(f"{path}: expected a month,value header")
     if value_name is not None and header[1].strip() != value_name:

@@ -21,13 +21,14 @@ from .months import MonthAxis, check_month, month_ord, ord_month
 MAX_COUNT = 2**53
 
 Rows = Iterator[tuple[int, list[str]]]
+Table = tuple[tuple[str, ...], Rows]
 
 
-def read_table(path: Union[str, Path]) -> tuple[tuple[str, ...], Rows]:
+def read_table(path: Union[str, Path]) -> Table:
     """Header and numbered non-blank rows of a table.
 
     Rows are checked for the header's width as they are consumed, so a
-    caller checks the header first.
+    caller checks the header first. The rows can be consumed once.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:

@@ -3,11 +3,13 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import moodcast
+from moodcast import tables
 from moodcast.cli import main
 from moodcast.reports import EMOTION_HEADER
 from moodcast.version import PACKAGE_VERSION
@@ -577,6 +579,45 @@ class TestComposition:
             "--out", str(frag),
         ) == 0
         assert frag.read_bytes() == (out / "surrogate.json").read_bytes()
+
+
+class TestInputsReadOnce:
+    """A subcommand reads each input table once and picks its reader from that read."""
+
+    @pytest.fixture
+    def table_reads(self, monkeypatch):
+        reads = Counter()
+        read_table = tables.read_table
+
+        def counting(path):
+            reads[Path(path)] += 1
+            return read_table(path)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("moodcast") and getattr(module, "read_table", None) is read_table:
+                monkeypatch.setattr(module, "read_table", counting)
+        return reads
+
+    def test_correlate_reads_emotion_table_and_attitude_file_once(
+        self, tmp_path, pipeline_run, attitude_path, table_reads
+    ):
+        emotion = pipeline_run[0] / "emotion_series_smoothed.csv"
+        assert run_cli(
+            "correlate",
+            "--series-a", str(emotion), "--column-a", "valence_mean",
+            "--series-b", str(attitude_path),
+            "--out", str(tmp_path / "corr.csv"),
+        ) == 0
+        assert table_reads == {emotion: 1, attitude_path: 1}
+
+    @pytest.mark.parametrize("name", ["approval", "emotion"])
+    def test_smooth_reads_its_series_once(
+        self, name, tmp_path, pipeline_run, attitude_path, table_reads
+    ):
+        series = {"approval": attitude_path, "emotion": pipeline_run[0] / "emotion_series.csv"}
+        path = series[name]
+        assert run_cli("smooth", "--series", str(path), "--out", str(tmp_path / "s.csv")) == 0
+        assert table_reads == {path: 1}
 
 
 class TestForecastOptions:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moodcast.analysis import NumericSeries
+from moodcast.emotion import component_series
 from moodcast.forecast import (
     MODEL_EXOGENOUS,
     MODEL_NAMES,
@@ -19,6 +20,7 @@ from moodcast.forecast import (
     surrogate_test,
 )
 from moodcast.months import month_ord, ord_month
+from moodcast.reports import read_emotion_csv, read_series_csv
 
 
 def predict_one_step(model, target, exogenous, month):
@@ -63,6 +65,62 @@ def make_components(seed, length=66):
             "std-dominance",
         )
     }
+
+
+def rows_regression(spec, target_values, exogenous_values):
+    """Oracle: the lagged design and response built row by row from value lists.
+
+    This is how ``assemble_regression`` once built every design; the
+    array-slicing version must give the same float64 values, shape and layout.
+    """
+    start, total = spec.max_lag, len(target_values)
+    rows = []
+    for t in range(start, total):
+        row = [target_values[t - i] for i in range(1, spec.ar_order + 1)]
+        for name in spec.exogenous_names:
+            ev = exogenous_values[name]
+            row.extend(ev[t - i] for i in range(1, spec.exog_order + 1))
+        rows.append(row)
+    return np.asarray(rows, dtype=float), np.asarray(target_values[start:], dtype=float)
+
+
+def rows_surrogate_test(spec, target, exogenous, n_surrogates, seed):
+    """Oracle: the surrogate test from the row-built design, lstsq and a cumsum MAE."""
+
+    def mae(exogenous_values):
+        x, y = rows_regression(spec, target.values, exogenous_values)
+        coefficients = np.linalg.lstsq(x, y, rcond=None)[0]
+        errors = y - x @ coefficients
+        return float((np.cumsum(np.abs(errors)) / np.arange(1, len(errors) + 1))[-1])
+
+    empirical = mae({name: exogenous[name].values for name in spec.exogenous_names})
+    maes = []
+    for i in range(n_surrogates):
+        rng = np.random.default_rng([seed, i])
+        maes.append(mae({
+            name: list(rng.permutation(np.asarray(exogenous[name].values, dtype=float)))
+            for name in spec.exogenous_names
+        }))
+    return empirical, maes, sum(1 for m in maes if m <= empirical) / n_surrogates
+
+
+@st.composite
+def lag_designs(draw, min_exogenous=0, fitted=False):
+    """A valid spec with ``min_exogenous``-2 exogenous series and inputs of up to 80 months.
+
+    Inputs are at least ``max_lag + 2`` months long; a ``fitted`` design has
+    more rows than columns.
+    """
+    n_exogenous = draw(st.integers(min_exogenous, 2))
+    ar_order = draw(st.integers(0, 3))
+    exog_order = draw(st.integers(1 if n_exogenous or ar_order == 0 else 0, 3))
+    spec = ArmaSpec(ar_order, exog_order, ("a", "b")[:n_exogenous])
+    n_columns = ar_order + n_exogenous * exog_order
+    length = draw(st.integers(spec.max_lag + max(2, n_columns + 1 if fitted else 0), 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    target = ns(rng.normal(50, 5, length))
+    exogenous = {name: ns(rng.normal(0, 1, length)) for name in spec.exogenous_names}
+    return spec, target, exogenous
 
 
 class TestArmaSpec:
@@ -111,6 +169,30 @@ class TestAssembleRegression:
             [50.0, 5.0],
         ]
         assert system.response.tolist() == [20.0, 30.0, 40.0, 50.0, 60.0]
+
+    @given(lag_designs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_row_built_oracle(self, design):
+        spec, target, exogenous = design
+        system = assemble_regression(spec, target, exogenous)
+        regressors, response = rows_regression(
+            spec, target.values, {name: s.values for name, s in exogenous.items()}
+        )
+        for got, want in ((system.regressors, regressors), (system.response, response)):
+            assert got.shape == want.shape
+            assert got.dtype == want.dtype == np.float64
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    def test_spec_without_columns_has_an_empty_design(self):
+        # ``run --p 0`` gives the "ar" model no lag column at all.
+        target = ns(np.arange(12.0))
+        spec = ArmaSpec(0, 3, ())
+        system = assemble_regression(spec, target, {})
+        regressors, response = rows_regression(spec, target.values, {})
+        assert system.regressors.shape == regressors.shape == (9, 0)
+        assert system.regressors.dtype == regressors.dtype == np.float64
+        assert np.array_equal(system.response, response)
 
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="too short"):
@@ -459,6 +541,27 @@ class TestSurrogateTest:
             ArmaSpec(1, 3, ("y",)), ns(x), {"y": ns(y)}, n_surrogates=100, seed=0
         )
         assert report.p_hat <= 0.05
+
+    def test_shipped_corpus_maes_equal_the_row_built_oracle(self, pipeline_run):
+        out, _ = pipeline_run
+        target = read_series_csv(out / "attitude_smoothed.csv")
+        components = component_series(read_emotion_csv(out / "emotion_series_smoothed.csv"))
+        spec = ArmaSpec(1, 3, MODEL_EXOGENOUS["both-arousal"])
+        exogenous = {name: components[name] for name in spec.exogenous_names}
+        report = surrogate_test(spec, target, exogenous, n_surrogates=200, seed=0)
+        empirical, maes, p_hat = rows_surrogate_test(spec, target, exogenous, 200, 0)
+        assert report.empirical_mae == empirical
+        assert report.surrogate_maes == maes
+        assert report.p_hat == p_hat
+
+    @given(lag_designs(min_exogenous=1, fitted=True), st.integers(0, 1000))
+    @settings(max_examples=50, deadline=None)
+    def test_maes_equal_the_row_built_oracle(self, design, seed):
+        spec, target, exogenous = design
+        report = surrogate_test(spec, target, exogenous, n_surrogates=5, seed=seed)
+        assert (report.empirical_mae, report.surrogate_maes, report.p_hat) == (
+            rows_surrogate_test(spec, target, exogenous, 5, seed)
+        )
 
     def test_rejects_no_exogenous_and_bad_count(self):
         target = ns(np.arange(20))

@@ -18,7 +18,6 @@ from moodcast.ingest import (
     parse_messages,
     strip_reply_markers,
 )
-from moodcast.months import month_of
 from moodcast.reports import load_attitude_series, read_series_csv
 
 
@@ -117,7 +116,7 @@ def _oracle_threads(records):
             thread_id=thread_id,
             subject=strip_reply_markers(first.subject),
             message_count=counts[thread_id],
-            first_month=month_of(timestamp),
+            first_month=f"{timestamp.year:04d}-{timestamp.month:02d}",
         )
         for thread_id, (timestamp, _, first) in earliest.items()
     ]

@@ -1,5 +1,3 @@
-from datetime import datetime, timezone, timedelta
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +5,6 @@ from moodcast.months import (
     MonthAxis,
     check_contiguous,
     check_month,
-    month_of,
     month_ord,
     ord_month,
 )
@@ -88,16 +85,6 @@ def test_month_axis_equality_is_list_equality(a, b):
     assert a == MonthAxis(a.start, a.length)
     if a == b:
         assert hash(a) == hash(b)
-
-
-def test_month_of_converts_to_utc():
-    eastern = timezone(timedelta(hours=-5))
-    late_night = datetime(2004, 1, 31, 23, 30, tzinfo=eastern)
-    assert month_of(late_night) == "2004-02"
-
-
-def test_month_of_naive():
-    assert month_of(datetime(2004, 6, 15, 12, 0)) == "2004-06"
 
 
 def test_check_contiguous_accepts_gap_free():
