@@ -5,19 +5,23 @@ The model is linear in lagged values: the target regressed on its last
 series, with no intercept. Coefficients come from ordinary least squares.
 Evaluation is in-sample one-step-ahead: mean absolute error plus the
 running mean of absolute errors over the evaluated months.
+
+numpy is imported by the functions that compute, not at module import, so
+the subcommands that fit no model start without it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .analysis import NumericSeries
 from .emotion import COMPONENTS, DIMENSIONS
 from .months import MonthAxis
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The ten standard models, in report order: the pure autoregressive
 # benchmark, one per emotion component, and one per mean+std pair.
@@ -85,6 +89,8 @@ def assemble_regression(
             raise ValueError(f"missing exogenous series {name!r}")
         if exogenous[name].months != target.months:
             raise ValueError(f"exogenous series {name!r} is not on the target month axis")
+    import numpy as np
+
     arrays: dict[str, np.ndarray] = {}
     for label, series in [("target", target)] + [
         (name, exogenous[name]) for name in spec.exogenous_names
@@ -124,6 +130,8 @@ class ArmaModel:
     sse: float
 
     def coefficient_vector(self) -> np.ndarray:
+        import numpy as np
+
         flat = list(self.ar_coeffs)
         for per_series in self.exog_coeffs:
             flat.extend(per_series)
@@ -140,6 +148,8 @@ def fit_arma(
     On a rank-deficient design the minimum-norm solution is returned and a
     RuntimeWarning is issued.
     """
+    import numpy as np
+
     system = assemble_regression(spec, target, exogenous or {})
     n_rows, n_cols = system.regressors.shape
     if n_rows < n_cols:
@@ -179,6 +189,8 @@ class EvaluationReport:
 
 def _report(months: MonthAxis, predictions: np.ndarray, actuals: np.ndarray) -> EvaluationReport:
     """Signed errors and the running-mean absolute error curve of predictions."""
+    import numpy as np
+
     errors = actuals - predictions
     cumulative = np.cumsum(np.abs(errors)) / np.arange(1, len(errors) + 1)
     return EvaluationReport(
@@ -288,6 +300,8 @@ def permute_series(series: NumericSeries, rng: np.random.Generator) -> NumericSe
     if None in series.values:
         month = series.months[series.values.index(None)]
         raise ValueError(f"cannot permute a series with a missing value at {month}")
+    import numpy as np
+
     shuffled = rng.permutation(np.asarray(series.values, dtype=float))
     return NumericSeries(months=series.months, values=shuffled.tolist())
 
@@ -329,6 +343,8 @@ def surrogate_test(
     check_surrogate_args(n_surrogates, seed)
     if not spec.exogenous_names:
         raise ValueError("surrogate test needs at least one exogenous series")
+    import numpy as np
+
     empirical = evaluate(fit_arma(spec, target, exogenous), target, exogenous)
     maes = []
     for i in range(n_surrogates):

@@ -11,12 +11,14 @@ import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-_MONTH_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])$")
+# ASCII digits only, and the whole string: ``\d`` would match other
+# scripts' digits and ``$`` a trailing newline.
+_MONTH_RE = re.compile(r"(\d{4})-(0[1-9]|1[0-2])", re.ASCII)
 
 
 def check_month(month: str) -> str:
     """Validate a YYYY-MM string and return it unchanged."""
-    if not isinstance(month, str) or not _MONTH_RE.match(month):
+    if not isinstance(month, str) or not _MONTH_RE.fullmatch(month):
         raise ValueError(f"not a valid YYYY-MM month: {month!r}")
     return month
 

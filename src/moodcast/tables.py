@@ -83,10 +83,14 @@ def number_cell(path: Union[str, Path], rownum: int, cell: str, kind: type = flo
 
     Anything that does not parse as ``kind``, and any non-finite value,
     is an input format error. Integer cells are counts in [0, 2**53].
+    Digits must be ASCII and ungrouped: ``float`` and ``int`` would also
+    read other scripts' digits and ``_`` separators.
     """
     if kind is float and cell == "":
         return None
     try:
+        if not cell.isascii() or "_" in cell:
+            raise ValueError
         value = kind(cell)
     except ValueError:
         raise InputFormatError(f"{path} row {rownum}: not a number: {cell!r}") from None

@@ -82,6 +82,14 @@ MALFORMED = {
     "thread-count-overflows-float": (
         "emotion.csv", _emotion_file("2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,1" + "0" * 400), "smooth"
     ),
+    # Numbers and months are ASCII decimals: no other script's digits, no
+    # ``_`` grouping and no newline inside a quoted month.
+    "rate-underscore": ("series.csv", _series_file(" 5_0"), "smooth"),
+    "rate-arabic-indic-digits": ("series.csv", _series_file("\u0665\u0660"), "smooth"),
+    "series-month-arabic-indic-digits": (
+        "series.csv", "month,rate\n\u0662\u0660\u0660\u0661-01,1.0\n", "smooth"
+    ),
+    "series-month-trailing-newline": ("series.csv", 'month,rate\n"2001-01\n",1.0\n', "smooth"),
     "series-month-gap": ("series.csv", "month,rate\n2001-01,1.0\n2001-03,3.0\n", "smooth"),
     "series-one-column": ("series.csv", "month\n2001-01\n", "smooth"),
     "emotion-month-gap": (
@@ -103,6 +111,9 @@ MALFORMED = {
     "series-field-over-csv-limit": ("series.csv", _series_file("1" * 200000), "smooth"),
     "lexicon-score-not-a-number": (
         "lexicon.csv", "word,valence,arousal,dominance\nwar,2.08,7.49,x\n", "score"
+    ),
+    "lexicon-score-arabic-indic-digit": (
+        "lexicon.csv", "word,valence,arousal,dominance\nwar,2.08,7.49,\u0663\n", "score"
     ),
     # Bytes that are not UTF-8, in every kind of file a subcommand reads.
     "messages-not-utf8": (
@@ -196,27 +207,46 @@ class TestModuleEntry:
 
 
 class TestStartup:
-    def test_cli_import_and_ingest_load_no_scipy(self, tmp_path, messages_path):
-        # A structural check, not a timing threshold: scipy is loaded only by
-        # the step that computes p-values, so the other stages never pay for it.
+    def test_cli_import_and_non_model_stages_load_no_numpy_or_scipy(
+        self, tmp_path, messages_path, lexicon_path, attitude_path, pipeline_run
+    ):
+        # A structural check, not a timing threshold: numpy is loaded only
+        # where a model is fitted and scipy only where p-values are computed,
+        # so the other stages never pay for either. ``suite`` is the positive
+        # control: without it the check could pass with the detector broken.
         script = (
             "import sys\n"
             "import moodcast.cli\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "assert not scipy_modules(), scipy_modules()\n"
-            "code = moodcast.cli.main(['ingest', '--messages', sys.argv[1], '--out', sys.argv[2]])\n"
-            "assert code == 0, code\n"
-            "assert not scipy_modules(), scipy_modules()\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "assert not loaded(), ('import', loaded())\n"
+            "messages, lexicon, attitude, run, out = sys.argv[1:]\n"
+            "for argv in (\n"
+            "    ['ingest', '--messages', messages, '--out', out],\n"
+            "    ['score', '--lexicon', lexicon, '--buckets', out + '/buckets.json', '--out', out],\n"
+            "    ['smooth', '--series', out + '/emotion_series.csv',\n"
+            "     '--out', out + '/emotion_series_smoothed.csv'],\n"
+            "    ['smooth', '--series', attitude, '--out', out + '/attitude_smoothed.csv'],\n"
+            "    ['report', '--run', run, '--out', out + '/report.md'],\n"
+            "):\n"
+            "    assert moodcast.cli.main(argv) == 0, argv\n"
+            "    assert not loaded(), (argv[0], loaded())\n"
+            "assert moodcast.cli.main(['suite', '--attitude-series', out + '/attitude_smoothed.csv',\n"
+            "    '--emotion-series', out + '/emotion_series_smoothed.csv',\n"
+            "    '--out', out + '/models.json']) == 0\n"
+            "assert 'numpy' in sys.modules, 'suite fitted no model'\n"
         )
         src_dir = Path(moodcast.__file__).resolve().parents[1]
+        inputs = [messages_path, lexicon_path, attitude_path, pipeline_run[0], tmp_path]
         result = subprocess.run(
-            [sys.executable, "-c", script, str(messages_path), str(tmp_path)],
+            [sys.executable, "-c", script, *map(str, inputs)],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(src_dir)},
         )
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "buckets.json").exists()
+        for name in ("buckets.json", "emotion_series_smoothed.csv", "attitude_smoothed.csv",
+                     "report.md", "models.json"):
+            assert (tmp_path / name).exists(), name
 
 
 class TestExitCodes:
