@@ -34,18 +34,28 @@ class NumericSeries:
         return len(self.months)
 
 
+def check_smooth_window(window_len: int) -> None:
+    """Reject a smoothing window shorter than one month."""
+    if window_len < 1:
+        raise ValueError(f"window length must be >= 1, got {window_len}")
+
+
 def hamming_weights(window_len: int) -> list[float]:
     """Hamming window coefficients 0.54 - 0.46 cos(2 pi k / (L - 1)).
 
     A length-1 window degenerates to the identity weight.
     """
-    if window_len < 1:
-        raise ValueError(f"window length must be >= 1, got {window_len}")
+    return _leading_weights(window_len, window_len)
+
+
+def _leading_weights(window_len: int, count: int) -> list[float]:
+    """The first ``count`` coefficients of a length-``window_len`` window."""
+    check_smooth_window(window_len)
     if window_len == 1:
         return [1.0]
     return [
         0.54 - 0.46 * math.cos(2.0 * math.pi * k / (window_len - 1))
-        for k in range(window_len)
+        for k in range(count)
     ]
 
 
@@ -57,9 +67,10 @@ def hamming_smooth(series: NumericSeries, window_len: int = 4) -> NumericSeries:
     history the window is cut to the available months and the remaining
     weights are rescaled to sum to one. Outputs are clamped to the input's
     range, which rounding can leave by an ulp. Missing values are not allowed;
-    resolve gaps first (see ``linear_interpolate``).
+    resolve gaps first (see ``linear_interpolate``). Only the weights that
+    reach a month of the series are computed.
     """
-    weights = hamming_weights(window_len)
+    weights = _leading_weights(window_len, min(window_len, len(series)))
     if None in series.values:
         gap = series.months[series.values.index(None)]
         raise ValueError(
@@ -70,8 +81,7 @@ def hamming_smooth(series: NumericSeries, window_len: int = 4) -> NumericSeries:
     out: list[Optional[float]] = []
     for t in range(len(series)):
         span = min(window_len, t + 1)
-        used = weights[:span]
-        total = math.fsum(used)
+        total = math.fsum(weights[:span])
         acc = math.fsum(
             weights[k] * series.values[t - k]  # type: ignore[operator]
             for k in range(span)
@@ -220,6 +230,7 @@ def rolling_correlation(
 __all__ = [
     "NumericSeries",
     "CorrelationTrack",
+    "check_smooth_window",
     "hamming_weights",
     "hamming_smooth",
     "linear_interpolate",

@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -43,7 +45,7 @@ from .reports import (
     write_correlation_csv,
     write_series_csv,
 )
-from .tables import read_table
+from .tables import parse_number, read_table
 from .version import PACKAGE_VERSION
 
 logger = logging.getLogger(__name__)
@@ -59,9 +61,11 @@ def _wrote(paths: list[Path]) -> int:
 
 
 def _load_series_column(path: Path, column: Optional[str]) -> NumericSeries:
-    """Load one numeric column from an emotion table or a two-column series CSV."""
+    """Load a two-column series CSV, or the named column of an emotion table."""
     table = read_table(path)
     if table[0] != EMOTION_HEADER:
+        if column is not None:
+            raise ValueError(f"{path} is a two-column series; drop its column flag ({column!r})")
         return read_series_csv(path, table=table)
     choices = ", ".join(sorted(_EMOTION_COLUMNS))
     if column is None:
@@ -72,26 +76,26 @@ def _load_series_column(path: Path, column: Optional[str]) -> NumericSeries:
 
 
 def _load_forecast_inputs(args) -> tuple[NumericSeries, dict[str, NumericSeries]]:
-    target = read_series_csv(Path(args.attitude_series))
-    emotion = read_emotion_csv(Path(args.emotion_series))
+    target = read_series_csv(args.attitude_series)
+    emotion = read_emotion_csv(args.emotion_series)
     return target, component_series(emotion)
 
 
 def _cmd_ingest(args) -> int:
-    tally = parse_messages(Path(args.messages))
-    *_, paths = ingest_stage(tally, Path(args.out), min_messages=args.min_messages)
+    tally = parse_messages(args.messages)
+    *_, paths = ingest_stage(tally, args.out, min_messages=args.min_messages)
     return _wrote(paths)
 
 
 def _cmd_score(args) -> int:
-    lexicon = load_lexicon(Path(args.lexicon))
-    buckets = read_buckets_json(Path(args.buckets))
-    *_, paths = score_stage(buckets, lexicon, Path(args.out))
+    lexicon = load_lexicon(args.lexicon)
+    buckets = read_buckets_json(args.buckets)
+    *_, paths = score_stage(buckets, lexicon, args.out)
     return _wrote(paths)
 
 
 def _cmd_smooth(args) -> int:
-    path, out = Path(args.series), Path(args.out)
+    path, out = args.series, args.out
     table = read_table(path)
     if table[0] == EMOTION_HEADER:
         series = read_emotion_csv(path, table)
@@ -106,11 +110,11 @@ def _cmd_smooth(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    series_a = _load_series_column(Path(args.series_a), args.column_a)
-    series_b = _load_series_column(Path(args.series_b), args.column_b)
+    series_a = _load_series_column(args.series_a, args.column_a)
+    series_b = _load_series_column(args.series_b, args.column_b)
     track = rolling_correlation(series_a, series_b, args.corr_window, args.alpha)
-    write_correlation_csv(Path(args.out), track)
-    return _wrote([Path(args.out)])
+    write_correlation_csv(args.out, track)
+    return _wrote([args.out])
 
 
 def _cmd_forecast(args) -> int:
@@ -119,10 +123,9 @@ def _cmd_forecast(args) -> int:
 
 def _cmd_suite(args, model: Optional[str] = None) -> int:
     target, components = _load_forecast_inputs(args)
-    holdout = args.holdout or None
     _, paths = suite_stage(
-        target, components, Path(args.out), ar_order=args.p, exog_order=args.q,
-        holdout=holdout, model=model,
+        target, components, args.out, ar_order=args.p, exog_order=args.q,
+        holdout=args.holdout or None, model=model,
     )
     return _wrote(paths)
 
@@ -130,7 +133,7 @@ def _cmd_suite(args, model: Optional[str] = None) -> int:
 def _cmd_surrogate(args) -> int:
     target, components = _load_forecast_inputs(args)
     report, paths = surrogate_stage(
-        target, components, Path(args.out), model=args.model, ar_order=args.p,
+        target, components, args.out, model=args.model, ar_order=args.p,
         exog_order=args.q, n_surrogates=args.surrogates, seed=args.seed, include_maes=args.full,
     )
     _wrote(paths)
@@ -139,73 +142,74 @@ def _cmd_surrogate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    run_dir = Path(args.run)
-    if not run_dir.is_dir():
-        raise InputFormatError(f"{run_dir} is not a directory")
-    text = render_run_report(run_dir)
-    out = Path(args.out) if args.out else run_dir / "report.md"
-    out.write_text(text, encoding="utf-8")
+    if not args.run.is_dir():
+        raise InputFormatError(f"{args.run} is not a directory")
+    out = args.out or args.run / "report.md"
+    out.write_text(render_run_report(args.run), encoding="utf-8")
     return _wrote([out])
 
 
 def _cmd_run(args) -> int:
-    config = PipelineConfig.from_flags(vars(args))
+    config = PipelineConfig(**{f.name: getattr(args, f.name) for f in _CONFIG_FIELDS.values()})
     manifest = run_pipeline(config)
     n_artifacts = len(manifest["artifacts"]) + 1
-    print(f"wrote {n_artifacts} artifacts to {config.out_dir}")
+    print(f"wrote {n_artifacts} artifacts to {config.out}")
     surrogate = manifest["surrogate"]
     print(f"surrogate test: model {surrogate['model']}, p_hat = {surrogate['p_hat']}")
     return 0
 
 
-# Every option of every subcommand, declared once.
+def _number_flag(kind: type) -> partial:
+    """An argparse type that reads ``kind`` by the syntax of a table cell."""
+    parse = partial(parse_number, kind=kind)
+    parse.__name__ = kind.__name__  # argparse names the type in its error
+    return parse
+
+
+_INT, _FLOAT = _number_flag(int), _number_flag(float)
+
+# ``run``'s options: the fields of PipelineConfig, by flag name.
+_CONFIG_FIELDS = {f"--{f.name.replace('_', '-')}": f for f in fields(PipelineConfig)}
+
+# Path options: each is required and parsed as a Path.
+_PATHS = {
+    "--lexicon": "lexicon CSV file",
+    "--messages": "message JSONL file",
+    "--attitude": "attitude CSV file",
+    "--buckets": "buckets JSON from ingest",
+    "--series": "emotion-table or month,value CSV",
+    "--series-a": "first series CSV",
+    "--series-b": "second series CSV",
+    "--attitude-series": "month,rate CSV of the (smoothed) target series",
+    "--emotion-series": "emotion-table CSV of the (smoothed) component series",
+    "--run": "run output directory",
+    "--out": "output path (a directory for ingest, score and run)",
+}
+
+# Every option of every subcommand, declared once; an option that is a
+# PipelineConfig field takes its default from there.
 _OPTIONS = {
-    "--lexicon": dict(required=True, help="lexicon CSV file"),
-    "--messages": dict(required=True, help="message JSONL file"),
-    "--attitude": dict(required=True, help="attitude CSV file"),
-    "--buckets": dict(required=True, help="buckets JSON from ingest"),
-    "--series": dict(required=True, help="emotion-table or month,value CSV"),
-    "--series-a": dict(required=True, help="first series CSV"),
-    "--series-b": dict(required=True, help="second series CSV"),
+    **{flag: dict(type=Path, required=True, help=text) for flag, text in _PATHS.items()},
     "--column-a": dict(help="column name when --series-a is an emotion table"),
     "--column-b": dict(help="column name when --series-b is an emotion table"),
-    "--attitude-series": dict(
-        required=True, help="month,rate CSV of the (smoothed) target series"
-    ),
-    "--emotion-series": dict(
-        required=True, help="emotion-table CSV of the (smoothed) component series"
-    ),
-    "--run": dict(required=True, help="run output directory"),
-    "--out": dict(required=True, help="output path (a directory for ingest, score and run)"),
-    "--min-messages": dict(
-        type=int, default=3, help="minimum messages for a thread to count (default 3)"
-    ),
-    "--smooth-window": dict(type=int, default=4, help="smoothing window in months (default 4)"),
-    "--gap-policy": dict(
-        choices=GAP_POLICIES, default="fail", help="what to do with missing months (default fail)"
-    ),
-    "--corr-window": dict(
-        type=int, default=13, help="correlation window in months (default 13)"
-    ),
-    "--alpha": dict(type=float, default=0.05, help="significance level (default 0.05)"),
-    "--p": dict(type=int, default=1, help="autoregressive lag order (default 1)"),
-    "--q": dict(type=int, default=3, help="exogenous lag order (default 3)"),
+    "--min-messages": dict(type=_INT, help="minimum messages in a thread (default %(default)s)"),
+    "--smooth-window": dict(type=_INT, help="smoothing window in months (default %(default)s)"),
+    "--gap-policy": dict(choices=GAP_POLICIES, help="missing-month policy (default %(default)s)"),
+    "--corr-window": dict(type=_INT, help="correlation window in months (default %(default)s)"),
+    "--alpha": dict(type=_FLOAT, help="significance level (default %(default)s)"),
+    "--p": dict(type=_INT, help="autoregressive lag order (default %(default)s)"),
+    "--q": dict(type=_INT, help="exogenous lag order (default %(default)s)"),
     "--model": dict(required=True, choices=MODEL_NAMES, help="model to fit"),
     "--holdout": dict(
-        type=int,
-        default=0,
-        help="evaluate on the last N months instead of in-sample (default 0)",
+        type=_INT, default=0, help="evaluate on the last N months (default %(default)s: in-sample)"
     ),
-    "--surrogates": dict(type=int, default=1000, help="number of surrogates (default 1000)"),
-    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--surrogates": dict(type=_INT, help="number of surrogates (default %(default)s)"),
+    "--seed": dict(type=_INT, help="RNG seed (default %(default)s)"),
     "--full": dict(action="store_true", help="include every surrogate mae in the output"),
     "--surrogate-model": dict(
-        choices=EXOGENOUS_MODELS,
-        help="model for the surrogate test (default: lowest-mae exogenous model)",
+        choices=EXOGENOUS_MODELS, help="surrogate test model (default: lowest-mae exogenous model)"
     ),
-    "--surrogate-full": dict(
-        action="store_true", help="include every surrogate mae in surrogate.json"
-    ),
+    "--surrogate-full": dict(action="store_true", help="add all surrogate maes to surrogate.json"),
 }
 
 _FORECAST_IO = ("--attitude-series", "--emotion-series", "--p", "--q")
@@ -247,12 +251,7 @@ _COMMANDS = {
         "render a markdown summary of a completed run",
         ("--run", ("--out", dict(required=False, help="output path (default <run>/report.md)"))),
     ),
-    "run": (
-        "run the full pipeline",
-        ("--lexicon", "--messages", "--attitude", "--out", "--min-messages", "--smooth-window",
-         "--corr-window", "--alpha", "--p", "--q", "--surrogates", "--seed", "--gap-policy",
-         "--surrogate-model", "--surrogate-full"),
-    ),
+    "run": ("run the full pipeline", tuple(_CONFIG_FIELDS)),
 }
 
 
@@ -276,7 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=summary)
         for option in options:
             flag, overrides = option if isinstance(option, tuple) else (option, {})
-            command.add_argument(flag, **{**_OPTIONS[flag], **overrides})
+            settings = {**_OPTIONS[flag], **overrides}
+            field = _CONFIG_FIELDS.get(flag)
+            if field is not None and field.default is not MISSING:
+                settings["default"] = field.default
+            command.add_argument(flag, **settings)
         command.set_defaults(func=handlers[f"_cmd_{name}"])
     return parser
 

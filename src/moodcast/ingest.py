@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable, Union
 
 from .errors import InputFormatError
 from .lexicon import tokenize
@@ -84,8 +84,8 @@ def _parse_timestamp(raw: str) -> datetime:
     return moment.astimezone(timezone.utc)
 
 
-def parse_messages(source: Union[str, Path, IO[str]]) -> ThreadTally:
-    """Parse a message JSONL stream and fold it into threads in one pass.
+def parse_messages(path: Union[str, Path]) -> ThreadTally:
+    """Parse a message JSONL file and fold it into threads in one pass.
 
     Each non-blank line must be a JSON object with exactly the keys
     ``message_id, thread_id, group, timestamp, subject`` (all strings;
@@ -93,16 +93,13 @@ def parse_messages(source: Union[str, Path, IO[str]]) -> ThreadTally:
     duplicate message ids by name. Only the message ids and one entry per
     thread are kept, never a record per message.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                return _fold_message_lines(handle)
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(
-                f"messages line {_undecodable_line(source)}: {source} is not valid UTF-8 "
-                f"({exc.reason})"
-            ) from None
-    return _fold_message_lines(source)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return _fold_message_lines(handle)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"messages line {_undecodable_line(path)}: {path} is not valid UTF-8 ({exc.reason})"
+        ) from None
 
 
 def _undecodable_line(path: Union[str, Path]) -> int:

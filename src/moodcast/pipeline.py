@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import os
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Optional
@@ -26,8 +26,8 @@ from typing import Mapping, Optional
 from .analysis import (
     NumericSeries,
     check_correlation_args,
+    check_smooth_window,
     hamming_smooth,
-    hamming_weights,
     linear_interpolate,
     rolling_correlation,
 )
@@ -86,57 +86,30 @@ SERIES_ORDER = tuple(name.replace("-", "_") for name in COMPONENTS) + ("attitude
 FAILURE_MARKER = "run.failed"
 MANIFEST = "run_manifest.json"
 
-# PipelineConfig fields whose command-line flag has another name.
-_PATH_FLAGS = {
-    "lexicon_path": "lexicon",
-    "messages_path": "messages",
-    "attitude_path": "attitude",
-    "out_dir": "out",
-}
-_FLAG_NAMES = {**_PATH_FLAGS, "ar_order": "p", "exog_order": "q", "n_surrogates": "surrogates"}
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a full run needs; defaults are the reference setup."""
+    """Everything a full run needs; defaults are the reference setup.
 
-    lexicon_path: Path
-    messages_path: Path
-    attitude_path: Path
-    out_dir: Path
+    Each field is the ``moodcast run`` flag of its name, which the CLI and
+    the manifest's config echo take from here, in this order.
+    """
+
+    lexicon: Path
+    messages: Path
+    attitude: Path
+    out: Path
     min_messages: int = 3
     smooth_window: int = 4
     corr_window: int = 13
     alpha: float = 0.05
-    ar_order: int = 1
-    exog_order: int = 3
-    n_surrogates: int = 1000
+    p: int = 1
+    q: int = 3
+    surrogates: int = 1000
     seed: int = 0
     gap_policy: str = "fail"
     surrogate_model: Optional[str] = None
     surrogate_full: bool = False
-
-    def __post_init__(self) -> None:
-        if self.gap_policy not in GAP_POLICIES:
-            raise ValueError(
-                f"gap_policy must be one of {GAP_POLICIES}, got {self.gap_policy!r}"
-            )
-        if self.surrogate_model is not None and self.surrogate_model not in EXOGENOUS_MODELS:
-            raise ValueError(
-                f"surrogate_model must be an exogenous model name, got {self.surrogate_model!r}"
-            )
-
-    @classmethod
-    def from_flags(cls, flags: Mapping) -> "PipelineConfig":
-        """Configuration from parsed ``moodcast run`` flags, keyed by flag name."""
-        values = {f.name: flags[_FLAG_NAMES.get(f.name, f.name)] for f in fields(cls)}
-        return cls(**{**values, **{name: Path(values[name]) for name in _PATH_FLAGS}})
-
-    def flag_view(self) -> dict:
-        """Configuration under its command-line flag names, for the manifest."""
-        return {
-            _FLAG_NAMES.get(f.name, f.name): getattr(self, f.name) for f in fields(self)
-        } | {flag: str(getattr(self, name)) for name, flag in _PATH_FLAGS.items()}
 
 
 def ingest_stage(
@@ -282,12 +255,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     The manifest and failure marker of an earlier run are removed first,
     and the new manifest is written last, by rename, so it only ever
-    describes a finished run. The first stage checks every numeric option
-    with the checks of the stages that use it, before any input is read.
+    describes a finished run. The first stage checks every option, numeric
+    ones with the checks of the stages that use them, before any input is read.
     Any stage failure writes ``run.failed`` (stage name plus diagnostic)
     into the output directory and re-raises the underlying error.
     """
-    out = Path(config.out_dir)
+    out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / FAILURE_MARKER
     for stale in (marker, out / MANIFEST):
@@ -296,17 +269,25 @@ def run_pipeline(config: PipelineConfig) -> dict:
     stage = "config"
     try:
         check_min_messages(config.min_messages)
-        hamming_weights(config.smooth_window)
+        check_smooth_window(config.smooth_window)
+        if config.gap_policy not in GAP_POLICIES:
+            raise ValueError(
+                f"gap_policy must be one of {GAP_POLICIES}, got {config.gap_policy!r}"
+            )
         check_correlation_args(config.corr_window, config.alpha)
         for name in MODEL_NAMES:
-            ArmaSpec(config.ar_order, config.exog_order, MODEL_EXOGENOUS[name])
-        check_surrogate_args(config.n_surrogates, config.seed)
+            ArmaSpec(config.p, config.q, MODEL_EXOGENOUS[name])
+        check_surrogate_args(config.surrogates, config.seed)
+        if config.surrogate_model not in (None, *EXOGENOUS_MODELS):
+            raise ValueError(
+                f"surrogate_model must be an exogenous model name, got {config.surrogate_model!r}"
+            )
 
         stage = "load-inputs"
         logger.info("stage load-inputs")
-        lexicon = load_lexicon(config.lexicon_path)
-        tally = parse_messages(config.messages_path)
-        attitude = load_attitude_series(config.attitude_path)
+        lexicon = load_lexicon(config.lexicon)
+        tally = parse_messages(config.messages)
+        attitude = load_attitude_series(config.attitude)
 
         stage = "ingest"
         logger.info("stage ingest: %d messages", len(tally))
@@ -375,9 +356,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
             stage = "forecast"
             logger.info(
                 "stage forecast: %d models, lag orders %d/%d",
-                len(MODEL_NAMES), config.ar_order, config.exog_order,
+                len(MODEL_NAMES), config.p, config.q,
             )
-            lags = {"ar_order": config.ar_order, "exog_order": config.exog_order}
+            lags = {"ar_order": config.p, "exog_order": config.q}
             entries, paths = suite_stage(
                 smooth_attitude, smooth_components, out / "models.json", **lags
             )
@@ -388,10 +369,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 (e for e in entries if e.name in EXOGENOUS_MODELS),
                 key=lambda e: (e.report.mae, MODEL_NAMES.index(e.name)),
             ).name
-            logger.info("stage surrogate: model %s, %d surrogates", chosen, config.n_surrogates)
+            logger.info("stage surrogate: model %s, %d surrogates", chosen, config.surrogates)
             surrogate, paths = surrogate_stage(
                 smooth_attitude, smooth_components, out / "surrogate.json", model=chosen,
-                n_surrogates=config.n_surrogates, seed=config.seed,
+                n_surrogates=config.surrogates, seed=config.seed,
                 include_maes=config.surrogate_full, **lags,
             )
             artifacts += paths
@@ -400,14 +381,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
         manifest = {
             "version": PACKAGE_VERSION,
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "config": config.flag_view(),
+            "config": {
+                name: str(value) if isinstance(value, Path) else value
+                for name, value in vars(config).items()
+            },
             "inputs": {
                 name: {"path": str(path), "sha256": sha256_file(path)}
-                for name, path in (
-                    ("lexicon", config.lexicon_path),
-                    ("messages", config.messages_path),
-                    ("attitude", config.attitude_path),
-                )
+                for name in ("lexicon", "messages", "attitude")
+                for path in [getattr(config, name)]
             },
             "corpus": {
                 **corpus,

@@ -78,20 +78,24 @@ def month_cell(path: Union[str, Path], rownum: int, cell: str) -> str:
         raise InputFormatError(f"{path} row {rownum}: bad month {cell!r}") from None
 
 
+def parse_number(text: str, kind: type):
+    """``kind(text)`` for ASCII, ungrouped digits: the number syntax of cells and
+    flags. ``int`` and ``float`` alone also read other scripts' digits and ``_``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
+
+
 def number_cell(path: Union[str, Path], rownum: int, cell: str, kind: type = float):
     """One numeric cell; an empty float cell is a missing value.
 
-    Anything that does not parse as ``kind``, and any non-finite value,
-    is an input format error. Integer cells are counts in [0, 2**53].
-    Digits must be ASCII and ungrouped: ``float`` and ``int`` would also
-    read other scripts' digits and ``_`` separators.
+    Anything that ``parse_number`` rejects, and any non-finite value, is an
+    input format error. Integer cells are counts in [0, 2**53].
     """
     if kind is float and cell == "":
         return None
     try:
-        if not cell.isascii() or "_" in cell:
-            raise ValueError
-        value = kind(cell)
+        value = parse_number(cell, kind)
     except ValueError:
         raise InputFormatError(f"{path} row {rownum}: not a number: {cell!r}") from None
     if kind is int:

@@ -58,11 +58,11 @@ def pipeline_run(tmp_path_factory, lexicon_path, messages_path, attitude_path):
     """One completed full run (small surrogate count for speed)."""
     out = tmp_path_factory.mktemp("run")
     config = PipelineConfig(
-        lexicon_path=lexicon_path,
-        messages_path=messages_path,
-        attitude_path=attitude_path,
-        out_dir=out,
-        n_surrogates=50,
+        lexicon=lexicon_path,
+        messages=messages_path,
+        attitude=attitude_path,
+        out=out,
+        surrogates=50,
     )
     manifest = run_pipeline(config)
     return out, manifest

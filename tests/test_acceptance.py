@@ -266,10 +266,10 @@ def test_criterion_09_pipeline_determinism(
         out = tmp_path / label
         run_pipeline(
             PipelineConfig(
-                lexicon_path=lexicon_path,
-                messages_path=messages_path,
-                attitude_path=attitude_path,
-                out_dir=out,
+                lexicon=lexicon_path,
+                messages=messages_path,
+                attitude=attitude_path,
+                out=out,
             )
         )
         outputs.append(out)

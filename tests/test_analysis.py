@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,30 @@ class TestHammingSmooth:
     def test_empty_series_smooths_to_empty(self):
         empty = NumericSeries(months=MonthAxis(month_ord("2000-01"), 0), values=[])
         assert hamming_smooth(empty, 4).values == []
+
+    def test_long_window_computes_only_the_weights_it_reaches(self, attitude):
+        # A 66-month series reaches 66 of the 2,000,000 weights; building all
+        # of them took about 76 MB.
+        window = 2_000_000
+        tracemalloc.start()
+        try:
+            smoothed = hamming_smooth(attitude, window)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        values = attitude.values
+        assert len(values) == 66
+        weights = [
+            0.54 - 0.46 * math.cos(2.0 * math.pi * k / (window - 1)) for k in range(len(values))
+        ]
+        expected = [
+            math.fsum(weights[k] * values[t - k] for k in range(t + 1))
+            / math.fsum(weights[: t + 1])
+            for t in range(len(values))
+        ]
+        lo, hi = min(values), max(values)
+        assert smoothed.values == [min(max(v, lo), hi) for v in expected]
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30)

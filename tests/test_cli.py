@@ -1,16 +1,19 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import moodcast
 from moodcast import tables
-from moodcast.cli import main
+from moodcast.cli import build_parser, main
+from moodcast.pipeline import PipelineConfig, run_pipeline
 from moodcast.reports import EMOTION_HEADER
 from moodcast.version import PACKAGE_VERSION
 
@@ -148,6 +151,39 @@ class TestParserBasics:
                 "--out", "m.json",
             )
         assert excinfo.value.code == 2
+
+    # Run's required paths and the suite's, so that the number is the only fault.
+    _RUN = ["run", "--lexicon", "l.csv", "--messages", "m.jsonl", "--attitude", "a.csv",
+            "--out", "o"]
+    _SUITE = ["suite", "--attitude-series", "a.csv", "--emotion-series", "e.csv", "--out", "o"]
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [(_RUN, "--smooth-window", "\u0663"), (_RUN, "--seed", "1_0"),
+         (_RUN, "--alpha", "\u0660.\u0660\u0665"), (_RUN, "--corr-window", "1_3"),
+         (_RUN, "--p", "\u0662"), (_RUN, "--surrogates", "1_000"),
+         (_SUITE, "--holdout", "\u0663"), (_RUN, "--min-messages", "\u0663")],
+        ids=["smooth-window", "seed", "alpha", "corr-window", "p", "surrogates", "holdout",
+             "min-messages"],
+    )
+    def test_number_flags_read_ascii_digits_only(self, capsys, argv, flag, value):
+        # Flags follow the numeric-cell syntax of the CSV readers: no digits
+        # of other scripts, no ``_`` separators.
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv, flag, value)
+        assert excinfo.value.code == 2
+        kind = "float" if flag == "--alpha" else "int"
+        assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
+
+    def test_run_options_are_pipeline_config_fields(self):
+        names = [f.name for f in fields(PipelineConfig)]
+        args = build_parser().parse_args(self._RUN)
+        assert [name for name in vars(args) if name not in ("verbose", "command", "func")] == names
+        config = PipelineConfig(**{name: getattr(args, name) for name in names})
+        assert config == PipelineConfig(Path("l.csv"), Path("m.jsonl"), Path("a.csv"), Path("o"))
+        # A flag shared with another subcommand has the same default there.
+        suite = build_parser().parse_args(self._SUITE)
+        assert (suite.p, suite.q) == (config.p, config.q)
 
     def test_console_script_installed(self):
         # The console script pyproject.toml declares, run the way an
@@ -398,6 +434,35 @@ class TestExitCodes:
         # Options are checked before any input is read or artifact written.
         assert [p.name for p in out.iterdir()] == ["run.failed"]
         assert (out / "run.failed").read_text(encoding="utf-8").startswith("config: ")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("gap_policy", "spline", "gap_policy must be one of ('fail', 'linear-interpolate'), "
+          "got 'spline'"),
+         ("surrogate_model", "ar", "surrogate_model must be an exogenous model name, got 'ar'")],
+    )
+    def test_unknown_policy_or_model_fails_the_config_stage(
+        self, tmp_path, lexicon_path, messages_path, attitude_path, field, value, message
+    ):
+        # The command line offers only valid choices; a caller of run_pipeline
+        # meets the same check as every other option.
+        config = PipelineConfig(lexicon_path, messages_path, attitude_path, tmp_path,
+                                **{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_pipeline(config)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.failed"]
+        assert (tmp_path / "run.failed").read_text(encoding="utf-8") == f"config: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--column-a", "--column-b"])
+    def test_column_flag_on_two_column_series_is_3(self, tmp_path, capsys, attitude_path, flag):
+        code = run_cli(
+            "correlate", "--series-a", str(attitude_path), "--series-b", str(attitude_path),
+            flag, "valence_mean", "--out", str(tmp_path / "corr.csv"),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"error: {attitude_path} is a two-column series; drop its column flag" in err
+        assert not (tmp_path / "corr.csv").exists()
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -1,9 +1,11 @@
 import io
 import json
 import re
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,8 +179,16 @@ def _outcome(parse, text):
         return f"error: {exc}"
 
 
+def _parse(text):
+    """``parse_messages`` on ``text`` written to a file in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "messages.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        return parse_messages(path)
+
+
 def _fold(text):
-    return build_threads(parse_messages(io.StringIO(text)))
+    return build_threads(_parse(text))
 
 
 def _two_pass(text):
@@ -190,7 +200,7 @@ class TestAgainstTwoPassOracle:
     def test_same_threads_and_count(self, messages):
         text = _archive(messages)
         records = _oracle_parse(text)
-        tally = parse_messages(io.StringIO(text))
+        tally = _parse(text)
         assert len(tally) == len(records) == len(messages)
         assert build_threads(tally) == _oracle_threads(records)
 
@@ -207,12 +217,12 @@ class TestAgainstTwoPassOracle:
 class TestParseMessages:
     def test_three_lines_three_records(self):
         text = "\n".join(_line(f"m{i}") for i in range(3)) + "\n"
-        tally = parse_messages(io.StringIO(text))
+        tally = _parse(text)
         assert len(tally) == 3
         assert [(t.thread_id, t.message_count) for t in build_threads(tally)] == [("t1", 3)]
 
     def test_fields_reproduced(self):
-        tally = parse_messages(io.StringIO(_line("m0") + "\n"))
+        tally = _parse(_line("m0") + "\n")
         assert len(tally) == 1
         assert build_threads(tally) == [_thread("t1", "war talk", "2004-03", count=1)]
         # The thread keeps the instant 2004-03-05T10:00Z: a later message at
@@ -221,51 +231,51 @@ class TestParseMessages:
         earlier = _line("m1", timestamp="2004-03-05T10:59:59+01:00", subject="a second earlier")
         for second, subject in ((same, "war talk"), (earlier, "a second earlier")):
             text = _line("m0") + "\n" + second + "\n"
-            assert build_threads(parse_messages(io.StringIO(text))) == [
+            assert build_threads(_parse(text)) == [
                 _thread("t1", subject, "2004-03", count=2)
             ]
 
     def test_blank_lines_skipped(self):
         text = _line("m0") + "\n\n  \n" + _line("m1") + "\n"
-        assert len(parse_messages(io.StringIO(text))) == 2
+        assert len(_parse(text)) == 2
 
     def test_missing_key_names_line(self):
         obj = json.loads(_line("m0"))
         del obj["subject"]
         text = _line("m1") + "\n" + json.dumps(obj) + "\n"
         with pytest.raises(InputFormatError, match="line 2.*subject"):
-            parse_messages(io.StringIO(text))
+            _parse(text)
 
     def test_extra_key_rejected(self):
         obj = json.loads(_line("m0"))
         obj["sender"] = "someone"
         with pytest.raises(InputFormatError, match="unexpected.*sender"):
-            parse_messages(io.StringIO(json.dumps(obj) + "\n"))
+            _parse(json.dumps(obj) + "\n")
 
     def test_non_string_value_rejected(self):
         obj = json.loads(_line("m0"))
         obj["subject"] = 7
         with pytest.raises(InputFormatError, match="subject must be a string"):
-            parse_messages(io.StringIO(json.dumps(obj) + "\n"))
+            _parse(json.dumps(obj) + "\n")
 
     def test_invalid_json_names_line(self):
         with pytest.raises(InputFormatError, match="line 1"):
-            parse_messages(io.StringIO("{not json\n"))
+            _parse("{not json\n")
 
     def test_bad_timestamp_rejected(self):
         with pytest.raises(InputFormatError, match="timestamp"):
-            parse_messages(io.StringIO(_line("m0", timestamp="yesterday") + "\n"))
+            _parse(_line("m0", timestamp="yesterday") + "\n")
 
     @pytest.mark.parametrize("raw", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
     def test_timestamp_out_of_range_in_utc_rejected(self, raw):
         text = _line("m0") + "\n" + _line("m1", timestamp=raw) + "\n"
         with pytest.raises(InputFormatError, match=re.escape(f"line 2: bad timestamp '{raw}'")):
-            parse_messages(io.StringIO(text))
+            _parse(text)
 
     def test_deeply_nested_line_named(self):
         text = _line("m0") + "\n" + "[" * 100000 + "]" * 100000 + "\n"
         with pytest.raises(InputFormatError, match="line 2: invalid JSON"):
-            parse_messages(io.StringIO(text))
+            _parse(text)
 
     @pytest.mark.parametrize("bad_line", [1, 2, 300])
     def test_undecodable_line_named_with_the_file(self, tmp_path, bad_line):
@@ -282,11 +292,11 @@ class TestParseMessages:
     def test_duplicate_id_named(self):
         text = _line("m0") + "\n" + _line("m0") + "\n"
         with pytest.raises(InputFormatError, match="duplicate message_id: 'm0'"):
-            parse_messages(io.StringIO(text))
+            _parse(text)
 
     def test_offset_timestamp_converted_to_utc(self):
         text = _line("m0", timestamp="2004-03-31T22:30:00-05:00") + "\n"
-        threads = build_threads(parse_messages(io.StringIO(text)))
+        threads = build_threads(_parse(text))
         assert threads == [_thread("t1", "war talk", "2004-04", count=1)]  # April in UTC
 
 
@@ -320,7 +330,7 @@ class TestBuildThreads:
         assert threads[0].first_month == "2004-03"
 
     def test_empty_input(self):
-        tally = parse_messages(io.StringIO(""))
+        tally = _parse("")
         assert len(tally) == 0
         assert build_threads(tally) == []
 

@@ -125,11 +125,11 @@ def test_run_checks_each_outside_month_list_once(
         monkeypatch.setattr(module, "check_contiguous", counting)
     run_pipeline(
         PipelineConfig(
-            lexicon_path=lexicon_path,
-            messages_path=messages_path,
-            attitude_path=attitude_path,
-            out_dir=tmp_path,
-            n_surrogates=50,
+            lexicon=lexicon_path,
+            messages=messages_path,
+            attitude=attitude_path,
+            out=tmp_path,
+            surrogates=50,
         )
     )
     assert 1 <= len(calls) <= 2, calls

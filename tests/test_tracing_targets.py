@@ -10,6 +10,7 @@ import os
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,36 @@ def test_cli_import_loads_every_traced_module(tracing):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_hooks_read_what_the_hooked_functions_return(tracing, messages_path, lexicon):
+    # Each hook reads its function's arguments and result at the span
+    # boundary (``len()`` of the ingest results, the records' match counts),
+    # so a change of those results breaks the traced counts; checked here on
+    # the shipped corpus with the arguments the pipeline passes.
+    from moodcast.emotion import build_series
+    from moodcast.ingest import (
+        build_threads,
+        filter_threads,
+        monthly_subject_buckets,
+        parse_messages,
+    )
+
+    tally = parse_messages(messages_path)
+    threads = build_threads(tally)
+    kept = filter_threads(threads, 3)
+    buckets = monthly_subject_buckets(kept)
+    calls = {
+        "parse_messages": ((messages_path,), tally),
+        "build_threads": ((tally,), threads),
+        "filter_threads": ((threads, 3), kept),
+        "build_series": ((buckets, lexicon), build_series(buckets, lexicon)),
+    }
+    hooks = tracing["HOOKS"]
+    assert set(hooks) == set(calls)
+    counters = Counter()
+    for name, (args, result) in calls.items():
+        hooks[name](counters, args, {}, result)
+    assert counters["ingest.messages"] == 1690
+    assert counters["ingest.threads"] >= counters["ingest.threads_kept"] > 0
+    assert counters["emotion.tokens"] >= counters["emotion.matched"] > 0
