@@ -155,15 +155,22 @@ def score_stage(
     return emotion, paths
 
 
+def check_gap_policy(policy: str) -> None:
+    """Reject a gap policy that is not one of ``GAP_POLICIES``."""
+    if policy not in GAP_POLICIES:
+        raise ValueError(f"gap_policy must be one of {GAP_POLICIES}, got {policy!r}")
+
+
 def fill_gaps(
     components: Mapping[str, NumericSeries], policy: str
 ) -> tuple[dict[str, NumericSeries], dict[str, list[str]]]:
     """Apply the gap policy to named series that may lack some months.
 
     ``fail`` rejects the first series, in name order, with a missing month;
-    ``linear-interpolate`` fills every gap. Returns the gap-free series and
-    the filled months per series.
+    ``linear-interpolate`` fills every gap; any other policy is rejected,
+    gaps or not. Returns the gap-free series and the filled months per series.
     """
+    check_gap_policy(policy)
     filled = dict(components)
     interpolated: dict[str, list[str]] = {}
     for name in sorted(components):
@@ -270,10 +277,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     try:
         check_min_messages(config.min_messages)
         check_smooth_window(config.smooth_window)
-        if config.gap_policy not in GAP_POLICIES:
-            raise ValueError(
-                f"gap_policy must be one of {GAP_POLICIES}, got {config.gap_policy!r}"
-            )
+        check_gap_policy(config.gap_policy)
         check_correlation_args(config.corr_window, config.alpha)
         for name in MODEL_NAMES:
             ArmaSpec(config.p, config.q, MODEL_EXOGENOUS[name])
@@ -426,6 +430,7 @@ __all__ = [
     "PipelineConfig",
     "ingest_stage",
     "score_stage",
+    "check_gap_policy",
     "fill_gaps",
     "smooth_emotion",
     "suite_stage",

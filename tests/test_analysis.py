@@ -1,10 +1,12 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import stdtr
 
 from moodcast.analysis import (
     NumericSeries,
@@ -237,9 +239,11 @@ class TestFisherSignificance:
             fisher_significance(-0.6, 13)[0], abs=1e-15
         )
 
-    def test_matches_scipy_stats_t_sf_exactly(self):
-        # Oracle: the earlier implementation, 2 * stats.t.sf(|t|, n - 2).
-        # Tolerance 0.0: both evaluate the same cephes Student-t routine.
+    def test_matches_scipy_stats_t_sf(self):
+        # Oracle: the earlier implementation, 2 * stats.t.sf(|t|, n - 2). The
+        # stdlib tail may differ in its last bits; where p < 0.5 it must stay
+        # within 1e-12 relative (near p = 1, see the closed forms below).
+        # Below the smallest normal double both sides read as zero.
         from scipy import stats
 
         rs = [*np.linspace(-0.999, 0.999, 97), 1e-12, -1e-9, 0.9999999, -0.99999999999]
@@ -247,7 +251,56 @@ class TestFisherSignificance:
             t_stats = [r * math.sqrt(dof) / math.sqrt(1.0 - r * r) for r in rs]
             expected = 2.0 * stats.t.sf(np.abs(t_stats), dof)
             got = [fisher_significance(r, dof + 2)[0] for r in rs]
-            assert got == expected.tolist(), f"dof={dof}"
+            for r, p, want in zip(rs, got, expected.tolist()):
+                if want < 0.5:
+                    assert p == pytest.approx(want, rel=1e-12, abs=sys.float_info.min), (dof, r)
+
+    def test_matches_scipy_stats_t_sf_at_large_dof(self):
+        # Windows far longer than the reference 13 months: df 201..20,000.
+        # The r grid is dense where the tail switches to its symmetric form
+        # (|t| near sqrt(3)), the region where rounding is amplified most.
+        from scipy import stats
+
+        rs = np.concatenate([np.linspace(-0.999, 0.999, 97), np.linspace(-0.05, 0.05, 101)])
+        for dof in [*range(201, 20_001, 211), 20_000]:
+            t_stats = rs * math.sqrt(dof) / np.sqrt(1.0 - rs * rs)
+            expected = 2.0 * stats.t.sf(np.abs(t_stats), dof)
+            for r, want in zip(rs.tolist(), expected.tolist()):
+                if 0.0 < want < 0.5:
+                    p = fisher_significance(r, dof + 2)[0]
+                    assert p == pytest.approx(want, rel=1e-10, abs=0.0), (dof, r)
+
+    @pytest.mark.parametrize("t_stat", [1e-8, 1e-4, 0.3, -0.3])
+    def test_near_p_one_matches_closed_forms(self, t_stat):
+        # df 1 is Cauchy and df 2 has an algebraic tail. Near p = 1 the stdlib
+        # tail matches both to rounding; scipy's is off by 3e-9 at df 1, t = 1e-8.
+        closed = {
+            1: 1.0 - (2.0 / math.pi) * math.atan(abs(t_stat)),
+            2: 1.0 - abs(t_stat) / math.sqrt(2.0 + t_stat * t_stat),
+        }
+        for dof, want in closed.items():
+            r = t_stat / math.sqrt(dof + t_stat * t_stat)
+            p = fisher_significance(r, dof + 2)[0]
+            assert p == pytest.approx(want, rel=1e-15, abs=0.0), dof
+
+    @given(
+        st.floats(min_value=-0.999, max_value=0.999),
+        st.integers(min_value=3, max_value=200),
+        st.floats(min_value=1e-4, max_value=0.5),
+    )
+    @example(r=5.5e-163, n=11, alpha=0.5)  # t^2 / (df + t^2) underflows to 0
+    @settings(max_examples=300)
+    def test_significant_matches_the_scipy_decision(self, r, n, alpha):
+        # `significant` may flip only where the old p lies within 1e-12 * alpha
+        # of alpha; p stays in (0, 1] and ignores the sign of r. With |r| <= 0.999
+        # and n <= 200, p stays above 1e-270, far from underflow.
+        p, significant = fisher_significance(r, n, alpha)
+        assert 0.0 < p <= 1.0
+        assert fisher_significance(-r, n, alpha) == (p, significant)
+        t_stat = r * math.sqrt(n - 2) / math.sqrt(1.0 - r * r)
+        p_old = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
+        if abs(p_old - alpha) > 1e-12 * alpha:
+            assert significant == (p_old < alpha)
 
     def test_rejects_small_n_and_perfect_r(self):
         with pytest.raises(ValueError):

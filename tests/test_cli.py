@@ -13,7 +13,8 @@ import pytest
 import moodcast
 from moodcast import tables
 from moodcast.cli import build_parser, main
-from moodcast.pipeline import PipelineConfig, run_pipeline
+from moodcast.analysis import NumericSeries
+from moodcast.pipeline import GAP_POLICIES, PipelineConfig, fill_gaps, run_pipeline
 from moodcast.reports import EMOTION_HEADER
 from moodcast.version import PACKAGE_VERSION
 
@@ -243,19 +244,20 @@ class TestModuleEntry:
 
 
 class TestStartup:
-    def test_cli_import_and_non_model_stages_load_no_numpy_or_scipy(
+    def test_stages_without_a_model_load_no_numpy_or_scipy_and_run_no_scipy(
         self, tmp_path, messages_path, lexicon_path, attitude_path, pipeline_run
     ):
         # A structural check, not a timing threshold: numpy is loaded only
-        # where a model is fitted and scipy only where p-values are computed,
-        # so the other stages never pay for either. ``suite`` is the positive
-        # control: without it the check could pass with the detector broken.
+        # where a model is fitted and scipy never, so the other stages, the
+        # t-test of ``correlate`` included, pay for neither. ``suite`` is the
+        # positive control: without it the check could pass with the detector
+        # broken. ``run`` fits models, so it may load numpy but not scipy.
         script = (
             "import sys\n"
             "import moodcast.cli\n"
-            "def loaded():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
-            "assert not loaded(), ('import', loaded())\n"
+            "def loaded(*names):\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in names)\n"
+            "assert not loaded('numpy', 'scipy'), ('import', loaded('numpy', 'scipy'))\n"
             "messages, lexicon, attitude, run, out = sys.argv[1:]\n"
             "for argv in (\n"
             "    ['ingest', '--messages', messages, '--out', out],\n"
@@ -263,14 +265,20 @@ class TestStartup:
             "    ['smooth', '--series', out + '/emotion_series.csv',\n"
             "     '--out', out + '/emotion_series_smoothed.csv'],\n"
             "    ['smooth', '--series', attitude, '--out', out + '/attitude_smoothed.csv'],\n"
+            "    ['correlate', '--series-a', out + '/emotion_series_smoothed.csv',\n"
+            "     '--column-a', 'valence_mean', '--series-b', out + '/attitude_smoothed.csv',\n"
+            "     '--out', out + '/correlation.csv'],\n"
             "    ['report', '--run', run, '--out', out + '/report.md'],\n"
             "):\n"
             "    assert moodcast.cli.main(argv) == 0, argv\n"
-            "    assert not loaded(), (argv[0], loaded())\n"
+            "    assert not loaded('numpy', 'scipy'), (argv[0], loaded('numpy', 'scipy'))\n"
             "assert moodcast.cli.main(['suite', '--attitude-series', out + '/attitude_smoothed.csv',\n"
             "    '--emotion-series', out + '/emotion_series_smoothed.csv',\n"
             "    '--out', out + '/models.json']) == 0\n"
             "assert 'numpy' in sys.modules, 'suite fitted no model'\n"
+            "assert moodcast.cli.main(['run', '--lexicon', lexicon, '--messages', messages,\n"
+            "    '--attitude', attitude, '--surrogates', '20', '--out', out + '/run']) == 0\n"
+            "assert not loaded('scipy'), ('run', loaded('scipy'))\n"
         )
         src_dir = Path(moodcast.__file__).resolve().parents[1]
         inputs = [messages_path, lexicon_path, attitude_path, pipeline_run[0], tmp_path]
@@ -281,8 +289,16 @@ class TestStartup:
         )
         assert result.returncode == 0, result.stderr
         for name in ("buckets.json", "emotion_series_smoothed.csv", "attitude_smoothed.csv",
-                     "report.md", "models.json"):
+                     "correlation.csv", "report.md", "models.json", "run/run_manifest.json"):
             assert (tmp_path / name).exists(), name
+
+
+class TestFillGaps:
+    @pytest.mark.parametrize("values", [[1.0, None, 3.0], [1.0, 2.0, 3.0]])
+    def test_unknown_policy_is_rejected(self, values):
+        series = NumericSeries(["2001-01", "2001-02", "2001-03"], values)
+        with pytest.raises(ValueError, match=re.escape(f"one of {GAP_POLICIES}, got 'spline'")):
+            fill_gaps({"x": series}, "spline")
 
 
 class TestExitCodes:
