@@ -337,6 +337,8 @@ def _read_json(path: Union[str, Path]) -> dict:
             raise InputFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # an integer literal past the interpreter's digit limit
+            raise InputFormatError(f"{path}: invalid JSON ({exc})") from None
         except RecursionError:
             raise InputFormatError(f"{path}: invalid JSON (nested too deeply)") from None
     if not isinstance(payload, dict):

@@ -44,6 +44,17 @@ def _message_file(timestamp):
 
 _DEEPLY_NESTED = "[" * 100000 + "]" * 100000
 
+# An integer literal past the interpreter's 4,300-digit conversion limit:
+# json raises a plain ValueError for it, not a JSONDecodeError. Python
+# before 3.10.7, or one run with PYTHONINTMAXSTRDIGITS=0, has no limit and
+# decodes it (as does one with a higher limit), so the cases that use it are skipped there.
+_LONG_INTEGER = "1" * 4301
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_NO_DIGIT_LIMIT = not 0 < _DIGIT_LIMIT < len(_LONG_INTEGER)
+needs_digit_limit = pytest.mark.skipif(
+    _NO_DIGIT_LIMIT, reason="this interpreter converts integers of any length"
+)
+
 
 # Malformed input -> (file, its text, subcommand that reads it). The file
 # path is relative to a run directory, which report cases copy from a
@@ -52,6 +63,13 @@ MALFORMED = {
     "buckets-not-a-list": ("buckets.json", '{"buckets": 5}', "score"),
     "buckets-deeply-nested": ("buckets.json", _DEEPLY_NESTED, "score"),
     "messages-deeply-nested": ("messages.jsonl", _DEEPLY_NESTED + "\n", "ingest"),
+    "messages-integer-over-digit-limit": (
+        "messages.jsonl", _message_file("2004-03-05").replace('"m0"', _LONG_INTEGER), "ingest"
+    ),
+    "buckets-integer-over-digit-limit": ("buckets.json", _bucket_file(_LONG_INTEGER), "score"),
+    "manifest-integer-over-digit-limit": (
+        "run_manifest.json", '{"version": %s}' % _LONG_INTEGER, "report"
+    ),
     "timestamp-before-year-1-in-utc": (
         "messages.jsonl", _message_file("0001-01-01T00:30:00+01:00"), "ingest"
     ),
@@ -376,6 +394,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_is_2(self, case, tmp_path, capsys, lexicon_path, pipeline_run):
+        if case.endswith("integer-over-digit-limit") and _NO_DIGIT_LIMIT:
+            pytest.skip("this interpreter converts integers of any length")
         rel, text, command = MALFORMED[case]
         run_dir = tmp_path / "run"
         if command == "report":
@@ -407,6 +427,29 @@ class TestExitCodes:
             assert str(path) in err and "not valid UTF-8" in err
         if case.startswith("rate-150"):
             assert f"{path} row 3: rate 150.0 outside [0, 100]" in err
+
+    @needs_digit_limit
+    def test_integer_over_digit_limit_is_invalid_json(
+        self, tmp_path, capsys, lexicon_path, attitude_path
+    ):
+        messages = tmp_path / "messages.jsonl"
+        messages.write_text(
+            _message_file("2004-03-05") + _message_file("2004-03-05").replace('"m0"', _LONG_INTEGER),
+            encoding="utf-8",
+        )
+        out = tmp_path / "run"
+        code = run_cli("run", "--lexicon", str(lexicon_path), "--messages", str(messages),
+                       "--attitude", str(attitude_path), "--out", str(out), "--surrogates", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: messages line 2: invalid JSON (Exceeds the limit ({_DIGIT_LIMIT} digits)" in err
+        assert not (out / "run_manifest.json").exists()
+        buckets = tmp_path / "buckets.json"
+        buckets.write_text(_bucket_file(_LONG_INTEGER), encoding="utf-8")
+        code = run_cli("score", "--lexicon", str(lexicon_path), "--buckets", str(buckets),
+                       "--out", str(tmp_path / "scored"))
+        assert code == 2
+        assert f"error: {buckets}: invalid JSON (Exceeds the limit" in capsys.readouterr().err
 
     def test_failed_rerun_removes_the_old_manifest(
         self, tmp_path, lexicon_path, messages_path, attitude_path

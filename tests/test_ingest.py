@@ -6,14 +6,19 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from moodcast import ingest
 from moodcast.errors import InputFormatError
 from moodcast.ingest import (
     MESSAGE_KEYS,
     ThreadSummary,
+    _fold_messages,
+    _line_rows,
+    _parse_timestamp,
     build_threads,
     filter_threads,
     monthly_subject_buckets,
@@ -212,6 +217,212 @@ class TestAgainstTwoPassOracle:
         lines[index] = data.draw(st.sampled_from(_CORRUPTIONS))(obj)
         text = "\n".join(lines) + "\n"
         assert _outcome(_fold, text) == _outcome(_two_pass, text)
+
+
+def _tally_outcome(tally):
+    return list(tally.threads.items()), len(tally)
+
+
+def _outcomes_of_both_sources(raw: bytes, chunk_bytes: int):
+    """``parse_messages`` and the per-line fold alone, on one file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "messages.jsonl"
+        path.write_bytes(raw)
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+            chunked = _outcome(lambda p: _tally_outcome(parse_messages(p)), path)
+
+        def per_line(p):
+            with open(p, "r", encoding="utf-8") as handle:
+                return _tally_outcome(_fold_messages(_line_rows(handle)))
+
+        return chunked, _outcome(per_line, path)
+
+
+_M = [_line(f"m{i}", f"t{i % 2}") for i in range(4)]
+
+# Lines that are blank to str.strip(); only the first four are JSON blanks.
+_BLANKS = ["", "  ", "\t", " \t ", "\x0c", "\x85", "\u2028", "\x1c"]
+
+# Lines that fail on their own or that try to shift the rows of a chunk:
+# broken JSON, stray brackets, split and joined objects, non-objects.
+_FRAGMENTS = [
+    "{not json", '{"message_id": "m', "]", "[", "],[", "],0,[", "0],[0", "{}]", "[{}",
+    '{"a":[[1', '2]]}', "[]", "[[]]", "{}", "null", "0", '"x"', "[" * 3000 + "]" * 3000,
+    _M[0] + "," + _M[1], _M[0] + "],[" + _M[1], _M[0] + " x", "\ufeff" + _M[0],
+    _M[0][:40], _M[0][40:], '{"message_id": ' + "1" * 4301 + "}",
+]
+
+_message_lines = st.builds(
+    lambda i, thread, clock, zone, subject: _line(f"m{i}", thread, clock + zone, subject),
+    st.integers(0, 60),  # ids repeat now and then: a duplicate message_id
+    st.sampled_from(["t0", "t1", "t2"]),
+    st.sampled_from(_CLOCKS),
+    st.sampled_from(_ZONES + [" ", "+25:00"]),  # and, rarely, a bad timestamp
+    st.sampled_from(_SUBJECTS),
+)
+_wrong_messages = st.sampled_from(
+    [json.dumps({k: v for k, v in json.loads(_M[0]).items() if k != "group"}),
+     json.dumps(json.loads(_M[0]) | {"sender": "x"}),
+     json.dumps(json.loads(_M[0]) | {"subject": 7}),
+     json.dumps(json.loads(_M[0]) | {"thread_id": ["t1"]}),
+     _line("m99", timestamp="yesterday"), _line("m98", timestamp="0001-01-01T00:30:00+01:00")]
+)
+_file_lines = st.lists(
+    st.one_of(
+        _message_lines, _message_lines, _message_lines,
+        st.sampled_from(_BLANKS), st.sampled_from(_FRAGMENTS), _wrong_messages,
+    ),
+    max_size=12,
+)
+
+# One object split between two of its members; the joined third line
+# keeps the line and value counts equal.
+_SPLIT = _M[0].index('"timestamp"')
+_SPLIT_OBJECT = [_M[0][:_SPLIT], _M[0][_SPLIT:], _M[1] + "," + _M[2]]
+
+
+class TestChunkedDecoding:
+    """``parse_messages`` decodes chunks of lines; the per-line read is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=_file_lines,
+        ending=st.sampled_from(["\n", "\r\n", "\r"]),
+        last_newline=st.booleans(),
+        chunk_bytes=st.sampled_from([1, 200, 16 * 1024]),
+    )
+    # Stripped lines joined with "," pass every per-line shape check here:
+    # line 1's subject string would swallow line 2 and a comma.
+    @example(
+        lines=[_M[0][:-2] + 'x}', '{y"}', _M[1] + "," + _M[2]],
+        ending="\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
+    @example(lines=_SPLIT_OBJECT, ending="\n", last_newline=True, chunk_bytes=16 * 1024)
+    @example(lines=[_M[0] + "],[" + _M[1]], ending="\n", last_newline=True, chunk_bytes=16 * 1024)
+    @example(lines=[_M[0] + "," + _M[1]], ending="\n", last_newline=True, chunk_bytes=16 * 1024)
+    @example(
+        lines=['{"a":[[1', "2]]}", _M[0] + "],[" + _M[1]],
+        ending="\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
+    @example(lines=["\ufeff" + _M[0], _M[1]], ending="\n", last_newline=True, chunk_bytes=16 * 1024)
+    @example(lines=[_M[0], "", _M[1]], ending="\r\n", last_newline=True, chunk_bytes=16 * 1024)
+    @example(lines=[_M[0], " ", _M[1]], ending="\r", last_newline=True, chunk_bytes=16 * 1024)
+    @example(lines=[_M[0], _M[1]], ending="\n", last_newline=False, chunk_bytes=16 * 1024)
+    def test_same_tally_or_error_as_the_per_line_read(self, lines, ending, last_newline, chunk_bytes):
+        text = ending.join(lines) + (ending if last_newline else "")
+        chunked, per_line = _outcomes_of_both_sources(text.encode("utf-8"), chunk_bytes)
+        assert chunked == per_line
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_valid_file_is_read_in_chunks_only(self, tmp_path, ending):
+        path = tmp_path / "messages.jsonl"
+        lines = [_line(f"m{i}", f"t{i % 7}") for i in range(400)]
+        path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
+        with mock.patch.object(ingest, "_line_rows", side_effect=AssertionError("re-read")):
+            tally = parse_messages(path)
+        assert len(tally) == 400
+        assert _tally_outcome(tally) == _outcomes_of_both_sources(path.read_bytes(), 16 * 1024)[1]
+
+
+class TestChunkBoundaries:
+    """Errors past the first chunk keep their exact line, or their id."""
+
+    LINES = 1000
+
+    @pytest.fixture
+    def lines(self):
+        lines = [_line(f"m{i}", f"t{i % 9}") for i in range(self.LINES)]
+        assert len("\n".join(lines)) > 3 * ingest._CHUNK_BYTES + 3 * len(lines[0])
+        return lines
+
+    def parse(self, tmp_path, lines):
+        path = tmp_path / "messages.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return parse_messages(path)
+
+    @pytest.mark.parametrize(
+        "lineno, text, message",
+        [(700, "{not json", "messages line 700: invalid JSON (Expecting property name"),
+         (701, _line("x", timestamp="yesterday"), "messages line 701: bad timestamp 'yesterday'"),
+         (999, "[]", "messages line 999: expected a JSON object")],
+    )
+    def test_first_error_in_a_later_chunk_names_its_line(self, tmp_path, lines, lineno, text, message):
+        lines[lineno - 1] = text
+        lines[lineno] = "{also bad"  # a later bad line is not the one named
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            self.parse(tmp_path, lines)
+
+    def test_bad_line_before_an_undecodable_later_block_is_named(self, tmp_path, lines):
+        # A chunk decodes text past the first bad line; the bytes that do not
+        # decode lie beyond the text layer's first 8 KiB block.
+        lines[1] = "{not json"
+        path = tmp_path / "messages.jsonl"
+        raw = ("\n".join(lines) + "\n").encode("utf-8")
+        path.write_bytes(raw[:12000] + b"\xff" + raw[12000:])
+        with pytest.raises(InputFormatError, match=re.escape("messages line 2: invalid JSON")):
+            parse_messages(path)
+
+    def test_duplicate_id_across_chunks_is_caught(self, tmp_path, lines):
+        lines[-1] = _line("m5", "t3")  # the copy of line 6, several chunks later
+        with pytest.raises(InputFormatError, match=re.escape("duplicate message_id: 'm5'")):
+            self.parse(tmp_path, lines)
+
+    def test_every_line_counted_once(self, tmp_path, lines):
+        tally = self.parse(tmp_path, lines)
+        assert len(tally) == self.LINES
+        assert sum(count for _, _, count in tally.threads.values()) == self.LINES
+
+
+def _reference_parse_timestamp(raw):
+    """``_parse_timestamp`` before its ``fromisoformat`` fast path."""
+    text = raw.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    moment = datetime.fromisoformat(text)
+    if moment.tzinfo is timezone.utc:
+        return moment
+    if moment.tzinfo is None:
+        return moment.replace(tzinfo=timezone.utc)
+    return moment.astimezone(timezone.utc)
+
+
+def _timestamp_outcome(parse, raw):
+    try:
+        moment = parse(raw)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+    return moment, moment.tzinfo
+
+
+_iso_timestamps = st.builds(
+    lambda pad, day, sep, clock, fraction, zone, tail: (
+        f"{pad}{day.isoformat()}{sep}{clock}{fraction}{zone}{tail}"
+    ),
+    st.sampled_from(["", " ", "\t", "\n"]),
+    st.one_of(st.dates(), st.sampled_from([datetime(1, 1, 1).date(), datetime(9999, 12, 31).date()])),
+    st.sampled_from(["T", " ", "t"]),
+    st.sampled_from(["00:00", "00:30:00", "12:34:56", "23:59:59", "23:30", "24:00:00"]),
+    st.sampled_from(["", ".5", ".123", ".123456", ".1234567", ",5"]),
+    st.sampled_from(["", "Z", "z", "ZZ", "+00:00", "-00:00", "+0000", "+01:00", "-01:00", "+05:30",
+                     "-11:59", "+23:59", "+24:00", "+00:00Z", "+01:00:30.5"]),
+    st.sampled_from(["", " ", "\n", "\u3000"]),
+)
+
+
+class TestParseTimestamp:
+    @settings(max_examples=300)
+    @given(st.one_of(_iso_timestamps, st.text(max_size=30)))
+    @example("0001-01-01T00:30:00+01:00")
+    @example("0001-01-01T00:30:00-01:00")
+    @example("9999-12-31T23:30:00-01:00")
+    @example("9999-12-31T23:30:00+01:00")
+    @example(" 2004-03-05T10:00:00z ")
+    def test_matches_the_reference(self, raw):
+        got = _timestamp_outcome(_parse_timestamp, raw)
+        expected = _timestamp_outcome(_reference_parse_timestamp, raw)
+        assert got == expected
+        if isinstance(expected, tuple):
+            assert got[1] is expected[1]
 
 
 class TestParseMessages:
