@@ -61,7 +61,7 @@ def _leading_weights(window_len: int, count: int) -> list[float]:
     ]
 
 
-def hamming_smooth(series: NumericSeries, window_len: int = 4) -> NumericSeries:
+def hamming_smooth(series: NumericSeries, window_len: int) -> NumericSeries:
     """Causal Hamming smoothing, truncated and renormalized at the start.
 
     Output month t averages input months t, t-1, ... t-(L-1) with Hamming
@@ -120,7 +120,7 @@ def linear_interpolate(series: NumericSeries) -> NumericSeries:
     return NumericSeries(months=series.months, values=values)
 
 
-def fisher_significance(r: float, n: int, alpha: float = 0.05) -> tuple[float, bool]:
+def fisher_significance(r: float, n: int, alpha: float) -> tuple[float, bool]:
     """Two-sided p-value for a Pearson r under the null of zero correlation.
 
     Uses the exact relation t = r sqrt(n-2) / sqrt(1-r^2) with n-2 degrees
@@ -248,10 +248,7 @@ class CorrelationTrack:
 
 
 def rolling_correlation(
-    x: NumericSeries,
-    y: NumericSeries,
-    window: int = 13,
-    alpha: float = 0.05,
+    x: NumericSeries, y: NumericSeries, window: int, alpha: float
 ) -> CorrelationTrack:
     """Centered rolling Pearson correlation with truncated edge windows.
 

@@ -24,6 +24,9 @@ STATS = ("mean", "std")
 # The six component series of an emotion series, named ``<stat>-<dimension>``.
 COMPONENTS = tuple(f"{stat}-{dim}" for stat in STATS for dim in DIMENSIONS)
 
+# How many words ``top_lexicon_words`` ranks.
+TOP_WORDS = 20
+
 
 @dataclass(frozen=True)
 class MonthEmotion:
@@ -38,7 +41,7 @@ class MonthEmotion:
     mean: dict[str, Optional[float]]
     std: dict[str, Optional[float]]
     match_count: int
-    thread_count: int = 0
+    thread_count: int
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ def score_month(bucket: MonthlyBucket, lexicon: Lexicon) -> MonthEmotion:
     """
     matched: list[tuple[int, dict[str, float]]] = []
     for token, count in bucket.token_counts.items():
-        entry = lexicon.lookup(token)
+        entry = lexicon.get(token)
         if entry is not None:
             scores = {dim: entry.score(dim) for dim in DIMENSIONS}
             matched.append((count, scores))
@@ -145,28 +148,18 @@ class WeightedWord:
     display_weight: float
 
 
-def top_lexicon_words(
-    buckets: list[MonthlyBucket],
-    lexicon: Lexicon,
-    period: Optional[tuple[str, str]] = None,
-    k: int = 20,
-) -> list[WeightedWord]:
-    """Rank the most frequent lexicon-matched words over a month period.
+def top_lexicon_words(buckets: list[MonthlyBucket], lexicon: Lexicon) -> list[WeightedWord]:
+    """Rank the ``TOP_WORDS`` most frequent lexicon-matched words of the buckets.
 
-    ``period`` is an inclusive (first, last) month pair; None covers all
-    buckets. Ties break alphabetically. ``display_weight`` is the square
-    root of the count, for size-proportional rendering downstream.
+    Ties break alphabetically. ``display_weight`` is the square root of the
+    count, for size-proportional rendering downstream.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     totals: dict[str, int] = {}
     for bucket in buckets:
-        if period is not None and not period[0] <= bucket.month <= period[1]:
-            continue
         for token, count in bucket.token_counts.items():
             if token in lexicon:
                 totals[token] = totals.get(token, 0) + count
-    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:k]
+    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:TOP_WORDS]
     return [
         WeightedWord(word=w, occurrences=c, display_weight=math.sqrt(c))
         for w, c in ranked

@@ -219,8 +219,8 @@ def evaluate(
 def evaluate_holdout(
     spec: ArmaSpec,
     target: NumericSeries,
-    exogenous: Optional[Mapping[str, NumericSeries]] = None,
-    holdout: int = 12,
+    exogenous: Mapping[str, NumericSeries],
+    holdout: int,
 ) -> tuple[ArmaModel, EvaluationReport]:
     """Fit on all but the last ``holdout`` months, evaluate on those months.
 
@@ -238,7 +238,6 @@ def evaluate_holdout(
             f"holdout of {holdout} leaves only {split} training months; "
             f"need at least {spec.max_lag + 2}"
         )
-    exogenous = exogenous or {}
 
     def prefix(series: NumericSeries) -> NumericSeries:
         return NumericSeries(months=series.months[:split], values=series.values[:split])
@@ -262,8 +261,8 @@ class SuiteEntry:
 def model_suite(
     target: NumericSeries,
     components: Mapping[str, NumericSeries],
-    ar_order: int = 1,
-    exog_order: int = 3,
+    ar_order: int,
+    exog_order: int,
     holdout: Optional[int] = None,
 ) -> list[SuiteEntry]:
     """Fit and evaluate the ten standard models in their fixed order.
@@ -329,8 +328,8 @@ def surrogate_test(
     spec: ArmaSpec,
     target: NumericSeries,
     exogenous: Mapping[str, NumericSeries],
-    n_surrogates: int = 1000,
-    seed: int = 0,
+    n_surrogates: int,
+    seed: int,
 ) -> SurrogateReport:
     """Permutation significance test for the exogenous contribution.
 

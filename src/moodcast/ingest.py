@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
@@ -70,8 +70,8 @@ class MonthlyBucket:
     """Token counts over canonical subjects of threads starting in a month."""
 
     month: str
-    token_counts: dict[str, int] = field(default_factory=dict)
-    thread_count: int = 0
+    token_counts: dict[str, int]
+    thread_count: int
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -255,7 +255,7 @@ def check_min_messages(min_messages: int) -> None:
         raise ValueError(f"min_messages must be >= 1, got {min_messages}")
 
 
-def filter_threads(threads: list[ThreadSummary], min_messages: int = 3) -> list[ThreadSummary]:
+def filter_threads(threads: list[ThreadSummary], min_messages: int) -> list[ThreadSummary]:
     """Keep threads with at least ``min_messages`` messages, order preserved."""
     check_min_messages(min_messages)
     return [t for t in threads if t.message_count >= min_messages]

@@ -2,7 +2,7 @@
 
 The lexicon maps single lowercase words to mean ratings on three 9-point
 emotion scales (valence, arousal, dominance), in the style of published
-affective-norms word lists. It is immutable after loading and safe to share
+affective-norms word lists. It is a read-only mapping, safe to share
 across threads.
 """
 
@@ -11,10 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
 from .errors import InputFormatError
-from .tables import number_cell, read_table
+from .tables import number_cell, quote_cell, read_table
 
 SCALE_MIN = 1.0
 SCALE_MAX = 9.0
@@ -41,34 +42,8 @@ class LexiconEntry:
         return getattr(self, dimension)
 
 
-class Lexicon:
-    """Immutable word -> :class:`LexiconEntry` map."""
-
-    def __init__(self, entries: dict[str, LexiconEntry]):
-        self._entries = dict(entries)
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[LexiconEntry]) -> "Lexicon":
-        by_word: dict[str, LexiconEntry] = {}
-        for entry in entries:
-            if entry.word in by_word:
-                raise InputFormatError(f"duplicate lexicon word: {entry.word!r}")
-            by_word[entry.word] = entry
-        return cls(by_word)
-
-    @property
-    def entries(self) -> dict[str, LexiconEntry]:
-        return dict(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._entries
-
-    def lookup(self, token: str) -> Optional[LexiconEntry]:
-        """Entry for ``token`` or None; absence is a normal outcome."""
-        return self._entries.get(token)
+# A loaded lexicon: word -> entry, read-only.
+Lexicon = Mapping[str, LexiconEntry]
 
 
 def tokenize(text: str) -> list[str]:
@@ -108,13 +83,14 @@ def load_lexicon(path: Union[str, Path]) -> Lexicon:
         for name, cell, value in zip(LEXICON_HEADER[1:], row[1:], scores):
             if value is None or not SCALE_MIN <= value <= SCALE_MAX:
                 raise InputFormatError(
-                    f"{path} row {rownum}: {name} {cell!r} outside [{SCALE_MIN:g}, {SCALE_MAX:g}]"
+                    f"{path} row {rownum}: {name} {quote_cell(cell)} outside "
+                    f"[{SCALE_MIN:g}, {SCALE_MAX:g}]"
                 )
         entries[word] = LexiconEntry(word, *scores)
 
     if not entries:
         raise InputFormatError(f"{path}: no data rows")
-    return Lexicon(entries)
+    return MappingProxyType(entries)
 
 
 __all__ = [

@@ -143,9 +143,12 @@ def score_stage(
     Returns the raw emotion series, then the paths written.
     """
     emotion = build_series(buckets, lexicon)
+    by_year: dict[str, list[MonthlyBucket]] = {}
+    for bucket in buckets:
+        by_year.setdefault(bucket.month[:4], []).append(bucket)
     per_year = {}
-    for year in sorted({m[:4] for m in emotion.months}):
-        words = top_lexicon_words(buckets, lexicon, period=(f"{year}-01", f"{year}-12"))
+    for year, year_buckets in by_year.items():
+        words = top_lexicon_words(year_buckets, lexicon)
         if words:
             per_year[year] = words
     out.mkdir(parents=True, exist_ok=True)

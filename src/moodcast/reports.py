@@ -34,6 +34,7 @@ from .months import check_month
 from .tables import (
     MAX_COUNT,
     Table,
+    check_next_month,
     format_number,
     monthly_rows,
     number_cell,
@@ -104,14 +105,9 @@ def write_series_csv(path: Union[str, Path], series: NumericSeries, value_name: 
     )
 
 
-def read_series_csv(
-    path: Union[str, Path], value_name: Optional[str] = None, table: Optional[Table] = None
-) -> NumericSeries:
-    """Read a two-column monthly series; the value header may be checked.
-
-    ``table`` is ``read_table(path)``, if the caller has read it.
-    """
-    return _read_series(path, value_name, table)[0]
+def read_series_csv(path: Union[str, Path], table: Optional[Table] = None) -> NumericSeries:
+    """Read a two-column monthly series; ``table`` is ``read_table(path)`` if read."""
+    return _read_series(path, None, table)[0]
 
 
 def load_attitude_series(path: Union[str, Path]) -> NumericSeries:
@@ -228,26 +224,33 @@ def _count(value) -> int:
 
 
 def read_buckets_json(path: Union[str, Path]) -> list[MonthlyBucket]:
-    """Read monthly token buckets back; every count is a non-negative integer."""
+    """Read monthly token buckets back; every count is a non-negative integer.
+
+    As in a table, the months must be contiguous and increasing, and there
+    must be at least one.
+    """
     items = _read_json(path).get("buckets")
     if not isinstance(items, list):
         raise InputFormatError(f"{path}: expected an object with a buckets list")
-    buckets = []
-    for item in items:
+    buckets: list[MonthlyBucket] = []
+    for number, item in enumerate(items, start=1):
         try:
-            buckets.append(
-                MonthlyBucket(
-                    month=check_month(item["month"]),
-                    token_counts={str(k): _count(v) for k, v in item["token_counts"].items()},
-                    thread_count=_count(item["thread_count"]),
-                )
+            bucket = MonthlyBucket(
+                month=check_month(item["month"]),
+                token_counts={str(k): _count(v) for k, v in item["token_counts"].items()},
+                thread_count=_count(item["thread_count"]),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{path}: malformed bucket entry ({exc})") from None
+        if buckets:
+            check_next_month(path, f"bucket {number}", buckets[-1].month, bucket.month)
+        buckets.append(bucket)
+    if not buckets:
+        raise InputFormatError(f"{path}: no buckets")
     return buckets
 
 
-def suite_entry_payload(entry: SuiteEntry, evaluation_mode: str = "in-sample") -> dict:
+def suite_entry_payload(entry: SuiteEntry, evaluation_mode: str) -> dict:
     """JSON-ready description of one fitted and evaluated model."""
     report = entry.report
     return {
@@ -275,7 +278,7 @@ def suite_entry_payload(entry: SuiteEntry, evaluation_mode: str = "in-sample") -
 def write_models_json(
     path: Union[str, Path],
     entries: list[SuiteEntry],
-    evaluation_mode: str = "in-sample",
+    evaluation_mode: str,
 ) -> None:
     """Write the model comparison suite in its fixed order."""
     _write_json(path, {"models": [suite_entry_payload(e, evaluation_mode) for e in entries]})
@@ -288,7 +291,7 @@ def write_surrogate_json(
     ar_order: int,
     exog_order: int,
     exogenous: list[str],
-    include_maes: bool = False,
+    include_maes: bool,
 ) -> None:
     """Write the permutation-test outcome with summary quantiles."""
     ordered = sorted(report.surrogate_maes)

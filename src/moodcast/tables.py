@@ -71,11 +71,16 @@ def format_number(value: Optional[float]) -> str:
     return repr(float(value))
 
 
+def quote_cell(cell: str) -> str:
+    """A cell as an error message quotes it: its first 40 characters and, if cut, its length."""
+    return repr(cell) if len(cell) <= 40 else f"{cell[:40]!r}... ({len(cell)} characters)"
+
+
 def month_cell(path: Union[str, Path], rownum: int, cell: str) -> str:
     try:
         return check_month(cell)
     except ValueError:
-        raise InputFormatError(f"{path} row {rownum}: bad month {cell!r}") from None
+        raise InputFormatError(f"{path} row {rownum}: bad month {quote_cell(cell)}") from None
 
 
 def parse_number(text: str, kind: type):
@@ -97,13 +102,28 @@ def number_cell(path: Union[str, Path], rownum: int, cell: str, kind: type = flo
     try:
         value = parse_number(cell, kind)
     except ValueError:
-        raise InputFormatError(f"{path} row {rownum}: not a number: {cell!r}") from None
+        # ``int`` refuses more than 4,300 digits; a run of digits that long is a count too large.
+        if not (kind is int and cell.isascii() and cell.isdigit()):
+            quoted = quote_cell(cell)
+            raise InputFormatError(f"{path} row {rownum}: not a number: {quoted}") from None
+        value = math.inf
     if kind is int:
         if not 0 <= value <= MAX_COUNT:
-            raise InputFormatError(f"{path} row {rownum}: count not in [0, 2**53]: {cell!r}")
+            raise InputFormatError(
+                f"{path} row {rownum}: count not in [0, 2**53]: {quote_cell(cell)}"
+            )
     elif not math.isfinite(value):
-        raise InputFormatError(f"{path} row {rownum}: not a finite number: {cell!r}")
+        raise InputFormatError(f"{path} row {rownum}: not a finite number: {quote_cell(cell)}")
     return value
+
+
+def check_next_month(path: Union[str, Path], where: str, previous: str, month: str) -> None:
+    """Require ``month``, read at ``where`` in ``path``, to be the month after ``previous``."""
+    if month_ord(month) != month_ord(previous) + 1:
+        raise InputFormatError(
+            f"{path} {where}: expected month {ord_month(month_ord(previous) + 1)}, got {month} "
+            "(months must be contiguous)"
+        )
 
 
 def monthly_rows(
@@ -117,12 +137,8 @@ def monthly_rows(
     checked: list[tuple[int, str, list[str]]] = []
     for rownum, row in rows:
         month = month_cell(path, rownum, row[0])
-        if checked and month_ord(month) != month_ord(checked[-1][1]) + 1:
-            expected = ord_month(month_ord(checked[-1][1]) + 1)
-            raise InputFormatError(
-                f"{path} row {rownum}: expected month {expected}, got {month} "
-                "(months must be contiguous)"
-            )
+        if checked:
+            check_next_month(path, f"row {rownum}", checked[-1][1], month)
         checked.append((rownum, month, row))
     if not checked:
         raise InputFormatError(f"{path}: no data rows")

@@ -1,6 +1,8 @@
-"""Shared fixtures: the shipped synthetic corpus and one completed run."""
+"""Shared fixtures: the shipped synthetic corpus, the reference setup and one completed run."""
 
+from dataclasses import MISSING, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +32,14 @@ def messages_path() -> Path:
 @pytest.fixture(scope="session")
 def attitude_path() -> Path:
     return DATA_DIR / "approval.csv"
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """The reference setup: each run setting's ``PipelineConfig`` default, by field name."""
+    return SimpleNamespace(
+        **{f.name: f.default for f in fields(PipelineConfig) if f.default is not MISSING}
+    )
 
 
 @pytest.fixture(scope="session")

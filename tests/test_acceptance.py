@@ -56,7 +56,7 @@ def ns(values, first="2000-01"):
 def test_criterion_01_scoring_oracle(lexicon, verdict):
     """Frequency-weighted scoring equals expanded-token brute force."""
     start = time.perf_counter()
-    words = sorted(lexicon.entries)
+    words = sorted(lexicon)
     worst = 0.0
     for i in range(1000):
         rng = np.random.default_rng([1, i])
@@ -70,7 +70,7 @@ def test_criterion_01_scoring_oracle(lexicon, verdict):
         for dim in DIMENSIONS:
             expanded = []
             for word, count in token_counts.items():
-                entry = lexicon.lookup(word)
+                entry = lexicon.get(word)
                 if entry is not None:
                     expanded.extend([entry.score(dim)] * count)
             mean = math.fsum(expanded) / len(expanded)
@@ -112,7 +112,7 @@ def _t_tail_by_quadrature(t_stat, dof):
     return tail
 
 
-def test_criterion_03_significance_oracle(verdict):
+def test_criterion_03_significance_oracle(verdict, reference):
     """p-values match numerical integration of the t density to 1e-6."""
     start = time.perf_counter()
     worst = 0.0
@@ -120,7 +120,7 @@ def test_criterion_03_significance_oracle(verdict):
         for sign in (1.0, -1.0):
             r = sign * tenths / 10.0
             for n in range(7, 67):
-                p, _ = fisher_significance(r, n)
+                p, _ = fisher_significance(r, n, reference.alpha)
                 t_stat = r * math.sqrt(n - 2) / math.sqrt(1.0 - r * r)
                 oracle = 2.0 * _t_tail_by_quadrature(t_stat, n - 2)
                 worst = max(worst, abs(p - oracle))
@@ -288,7 +288,7 @@ def test_criterion_09_pipeline_determinism(
     verdict(9, "pipeline-determinism", ok, f"differing artifacts: {differing}")
 
 
-def test_criterion_10_suite_shape(verdict):
+def test_criterion_10_suite_shape(verdict, reference):
     """Exactly the ten named models, fixed order, coherent error curves."""
     rng = np.random.default_rng([10, 0])
     components = {}
@@ -304,7 +304,7 @@ def test_criterion_10_suite_shape(verdict):
         drive = 0.6 * mean_a[t - 1] + (0.4 * std_a[t - 2] if t >= 2 else 0.0)
         x[t] = 0.8 * x[t - 1] + drive + rng.normal(0, 0.05)
 
-    entries = model_suite(ns(x), components)
+    entries = model_suite(ns(x), components, reference.p, reference.q)
     problems = []
     if [e.name for e in entries] != list(MODEL_NAMES):
         problems.append(f"model order {[e.name for e in entries]}")

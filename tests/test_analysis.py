@@ -81,14 +81,14 @@ def unclamped_smooth(values, window_len):
 
 
 class TestHammingSmooth:
-    def test_constant_preserved(self):
-        smoothed = hamming_smooth(ns([3.7] * 20))
+    def test_constant_preserved(self, reference):
+        smoothed = hamming_smooth(ns([3.7] * 20), reference.smooth_window)
         assert smoothed.values == pytest.approx([3.7] * 20, abs=1e-12)
 
-    def test_impulse_response_is_normalized_weights(self):
+    def test_impulse_response_is_normalized_weights(self, reference):
         values = [0.0] * 20
         values[10] = 1.0
-        smoothed = hamming_smooth(ns(values))
+        smoothed = hamming_smooth(ns(values), reference.smooth_window)
         weights = hamming_weights(4)
         total = sum(weights)
         expected = [0.0] * 20
@@ -96,8 +96,8 @@ class TestHammingSmooth:
             expected[10 + k] = weights[k] / total
         assert smoothed.values == pytest.approx(expected, abs=1e-12)
 
-    def test_startup_truncates_and_renormalizes(self):
-        smoothed = hamming_smooth(ns([1.0, 2.0, 3.0, 4.0, 5.0]))
+    def test_startup_truncates_and_renormalizes(self, reference):
+        smoothed = hamming_smooth(ns([1.0, 2.0, 3.0, 4.0, 5.0]), reference.smooth_window)
         w = hamming_weights(4)
         assert smoothed.values[0] == pytest.approx(1.0)
         assert smoothed.values[1] == pytest.approx(
@@ -110,21 +110,21 @@ class TestHammingSmooth:
             (w[0] * 4.0 + w[1] * 3.0 + w[2] * 2.0 + w[3] * 1.0) / sum(w)
         )
 
-    def test_length_one_series_unchanged(self):
-        assert hamming_smooth(ns([42.0])).values == [42.0]
+    def test_length_one_series_unchanged(self, reference):
+        assert hamming_smooth(ns([42.0]), reference.smooth_window).values == [42.0]
 
-    def test_output_axis_equals_input_axis(self):
+    def test_output_axis_equals_input_axis(self, reference):
         series = ns([1.0, 2.0, 3.0])
-        assert hamming_smooth(series).months == series.months
+        assert hamming_smooth(series, reference.smooth_window).months == series.months
 
-    def test_rejects_missing_values(self):
+    def test_rejects_missing_values(self, reference):
         with pytest.raises(ValueError, match="2000-02"):
-            hamming_smooth(ns([1.0, None, 3.0]))
+            hamming_smooth(ns([1.0, None, 3.0]), reference.smooth_window)
 
-    def test_bounded_by_window_extremes(self):
+    def test_bounded_by_window_extremes(self, reference):
         rng = np.random.default_rng(3)
         values = list(rng.normal(0, 1, 50))
-        smoothed = hamming_smooth(ns(values))
+        smoothed = hamming_smooth(ns(values), reference.smooth_window)
         for t, out in enumerate(smoothed.values):
             window = values[max(0, t - 3) : t + 1]
             assert min(window) - 1e-12 <= out <= max(window) + 1e-12
@@ -175,16 +175,15 @@ class TestHammingSmooth:
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30)
-    def test_linearity(self, seed):
+    def test_linearity(self, reference, seed):
         rng = np.random.default_rng(seed)
         x = list(rng.normal(0, 5, 30))
         y = list(rng.normal(0, 5, 30))
         a, b = rng.normal(0, 3, 2)
-        combined = hamming_smooth(ns([a * u + b * v for u, v in zip(x, y)]))
-        separate = [
-            a * u + b * v
-            for u, v in zip(hamming_smooth(ns(x)).values, hamming_smooth(ns(y)).values)
-        ]
+        window = reference.smooth_window
+        combined = hamming_smooth(ns([a * u + b * v for u, v in zip(x, y)]), window)
+        smooth_x, smooth_y = hamming_smooth(ns(x), window), hamming_smooth(ns(y), window)
+        separate = [a * u + b * v for u, v in zip(smooth_x.values, smooth_y.values)]
         assert combined.values == pytest.approx(separate, abs=1e-10)
 
 
@@ -207,39 +206,39 @@ class TestLinearInterpolate:
 
 
 class TestFisherSignificance:
-    def test_r_zero_gives_p_one(self):
-        p, significant = fisher_significance(0.0, 13)
+    def test_r_zero_gives_p_one(self, reference):
+        p, significant = fisher_significance(0.0, 13, reference.alpha)
         assert p == pytest.approx(1.0, abs=1e-12)
         assert not significant
 
-    def test_reference_value_r075_n13(self):
-        p, significant = fisher_significance(0.75, 13)
+    def test_reference_value_r075_n13(self, reference):
+        p, significant = fisher_significance(0.75, 13, reference.alpha)
         t_stat = 0.75 * math.sqrt(11) / math.sqrt(1 - 0.75**2)
         assert t_stat == pytest.approx(3.7607, abs=1e-4)
         assert p == pytest.approx(t_tail_by_quadrature(t_stat, 11), abs=1e-9)
         assert p == pytest.approx(0.00315, abs=5e-5)
         assert significant
 
-    def test_small_window_not_significant(self):
-        p, significant = fisher_significance(0.30, 7)
+    def test_small_window_not_significant(self, reference):
+        p, significant = fisher_significance(0.30, 7, reference.alpha)
         assert p == pytest.approx(t_tail_by_quadrature(0.30 * math.sqrt(5) / math.sqrt(0.91), 5), abs=1e-9)
         assert p > 0.4
         assert not significant
 
-    def test_monotone_in_abs_r(self):
-        ps = [fisher_significance(r, 13)[0] for r in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    def test_monotone_in_abs_r(self, reference):
+        ps = [fisher_significance(r, 13, reference.alpha)[0] for r in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert ps == sorted(ps, reverse=True)
 
-    def test_monotone_in_n(self):
-        ps = [fisher_significance(0.5, n)[0] for n in (7, 13, 30, 66)]
+    def test_monotone_in_n(self, reference):
+        ps = [fisher_significance(0.5, n, reference.alpha)[0] for n in (7, 13, 30, 66)]
         assert ps == sorted(ps, reverse=True)
 
-    def test_symmetric_in_sign(self):
-        assert fisher_significance(0.6, 13)[0] == pytest.approx(
-            fisher_significance(-0.6, 13)[0], abs=1e-15
+    def test_symmetric_in_sign(self, reference):
+        assert fisher_significance(0.6, 13, reference.alpha)[0] == pytest.approx(
+            fisher_significance(-0.6, 13, reference.alpha)[0], abs=1e-15
         )
 
-    def test_matches_scipy_stats_t_sf(self):
+    def test_matches_scipy_stats_t_sf(self, reference):
         # Oracle: the earlier implementation, 2 * stats.t.sf(|t|, n - 2). The
         # stdlib tail may differ in its last bits; where p < 0.5 it must stay
         # within 1e-12 relative (near p = 1, see the closed forms below).
@@ -250,12 +249,12 @@ class TestFisherSignificance:
         for dof in range(1, 201):
             t_stats = [r * math.sqrt(dof) / math.sqrt(1.0 - r * r) for r in rs]
             expected = 2.0 * stats.t.sf(np.abs(t_stats), dof)
-            got = [fisher_significance(r, dof + 2)[0] for r in rs]
+            got = [fisher_significance(r, dof + 2, reference.alpha)[0] for r in rs]
             for r, p, want in zip(rs, got, expected.tolist()):
                 if want < 0.5:
                     assert p == pytest.approx(want, rel=1e-12, abs=sys.float_info.min), (dof, r)
 
-    def test_matches_scipy_stats_t_sf_at_large_dof(self):
+    def test_matches_scipy_stats_t_sf_at_large_dof(self, reference):
         # Windows far longer than the reference 13 months: df 201..20,000.
         # The r grid is dense where the tail switches to its symmetric form
         # (|t| near sqrt(3)), the region where rounding is amplified most.
@@ -267,11 +266,11 @@ class TestFisherSignificance:
             expected = 2.0 * stats.t.sf(np.abs(t_stats), dof)
             for r, want in zip(rs.tolist(), expected.tolist()):
                 if 0.0 < want < 0.5:
-                    p = fisher_significance(r, dof + 2)[0]
+                    p = fisher_significance(r, dof + 2, reference.alpha)[0]
                     assert p == pytest.approx(want, rel=1e-10, abs=0.0), (dof, r)
 
     @pytest.mark.parametrize("t_stat", [1e-8, 1e-4, 0.3, -0.3])
-    def test_near_p_one_matches_closed_forms(self, t_stat):
+    def test_near_p_one_matches_closed_forms(self, reference, t_stat):
         # df 1 is Cauchy and df 2 has an algebraic tail. Near p = 1 the stdlib
         # tail matches both to rounding; scipy's is off by 3e-9 at df 1, t = 1e-8.
         closed = {
@@ -280,7 +279,7 @@ class TestFisherSignificance:
         }
         for dof, want in closed.items():
             r = t_stat / math.sqrt(dof + t_stat * t_stat)
-            p = fisher_significance(r, dof + 2)[0]
+            p = fisher_significance(r, dof + 2, reference.alpha)[0]
             assert p == pytest.approx(want, rel=1e-15, abs=0.0), dof
 
     @given(
@@ -302,43 +301,43 @@ class TestFisherSignificance:
         if abs(p_old - alpha) > 1e-12 * alpha:
             assert significant == (p_old < alpha)
 
-    def test_rejects_small_n_and_perfect_r(self):
+    def test_rejects_small_n_and_perfect_r(self, reference):
         with pytest.raises(ValueError):
-            fisher_significance(0.5, 2)
+            fisher_significance(0.5, 2, reference.alpha)
         with pytest.raises(ValueError):
-            fisher_significance(1.0, 13)
+            fisher_significance(1.0, 13, reference.alpha)
 
 
 class TestRollingCorrelation:
-    def test_self_correlation_is_one(self):
+    def test_self_correlation_is_one(self, reference):
         rng = np.random.default_rng(0)
         x = ns(list(rng.normal(0, 1, 66)))
-        track = rolling_correlation(x, x)
+        track = rolling_correlation(x, x, reference.corr_window, reference.alpha)
         assert all(r == pytest.approx(1.0) for r in track.r)
         assert all(track.significant)
 
-    def test_edge_window_sequence_66_by_13(self):
+    def test_edge_window_sequence_66_by_13(self, reference):
         rng = np.random.default_rng(1)
         x = ns(list(rng.normal(0, 1, 66)))
         y = ns(list(rng.normal(0, 1, 66)))
-        track = rolling_correlation(x, y, window=13)
+        track = rolling_correlation(x, y, window=13, alpha=reference.alpha)
         expected = list(range(7, 13)) + [13] * 54 + list(range(12, 6, -1))
         assert track.n_window == expected
 
-    def test_edge_window_law_formula(self):
+    def test_edge_window_law_formula(self, reference):
         rng = np.random.default_rng(2)
         total, window = 66, 13
         x = ns(list(rng.normal(0, 1, total)))
         y = ns(list(rng.normal(0, 1, total)))
-        track = rolling_correlation(x, y, window=window)
+        track = rolling_correlation(x, y, window=window, alpha=reference.alpha)
         h = (window - 1) // 2
         for t in range(total):
             assert track.n_window[t] == min(window, h + 1 + min(t, total - 1 - t))
 
-    def test_hand_computed_center_value(self):
+    def test_hand_computed_center_value(self, reference):
         x_vals = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         y_vals = [2.0, 1.0, 4.0, 3.0, 6.0, 5.0, 8.0]
-        track = rolling_correlation(ns(x_vals), ns(y_vals), window=7)
+        track = rolling_correlation(ns(x_vals), ns(y_vals), window=7, alpha=reference.alpha)
         mx = sum(x_vals) / 7
         my = sum(y_vals) / 7
         sxy = sum((a - mx) * (b - my) for a, b in zip(x_vals, y_vals))
@@ -357,12 +356,12 @@ class TestRollingCorrelation:
             else:
                 assert significant == (p < 0.05)
 
-    def test_window_with_missing_value_yields_missing_r(self):
+    def test_window_with_missing_value_yields_missing_r(self, reference):
         values = list(range(20))
         values[9] = None
         x = ns([float(v) if v is not None else None for v in values])
         y = ns([float(i) * 2 + 1 for i in range(20)])
-        track = rolling_correlation(x, y, window=5)
+        track = rolling_correlation(x, y, window=5, alpha=reference.alpha)
         for t in range(20):
             touches_gap = abs(t - 9) <= 2
             if touches_gap:
@@ -372,19 +371,21 @@ class TestRollingCorrelation:
             else:
                 assert track.r[t] is not None
 
-    def test_constant_window_yields_missing_r(self):
+    def test_constant_window_yields_missing_r(self, reference):
         x = ns([5.0] * 15)
         y = ns([float(i) for i in range(15)])
-        track = rolling_correlation(x, y, window=5)
+        track = rolling_correlation(x, y, window=5, alpha=reference.alpha)
         assert all(r is None for r in track.r)
         assert not any(track.significant)
 
-    def test_sign_flip_negates_r(self):
+    def test_sign_flip_negates_r(self, reference):
         rng = np.random.default_rng(5)
         x_vals = list(rng.normal(0, 1, 30))
         y_vals = list(rng.normal(0, 1, 30))
-        plus = rolling_correlation(ns(x_vals), ns(y_vals), window=7)
-        minus = rolling_correlation(ns(x_vals), ns([-v for v in y_vals]), window=7)
+        plus = rolling_correlation(ns(x_vals), ns(y_vals), window=7, alpha=reference.alpha)
+        minus = rolling_correlation(
+            ns(x_vals), ns([-v for v in y_vals]), window=7, alpha=reference.alpha
+        )
         for a, b in zip(plus.r, minus.r):
             assert a == pytest.approx(-b, abs=1e-12)
 
@@ -393,30 +394,31 @@ class TestRollingCorrelation:
         st.floats(min_value=-100.0, max_value=100.0),
     )
     @settings(max_examples=25)
-    def test_significance_invariant_under_positive_affine(self, scale, shift):
+    def test_significance_invariant_under_positive_affine(self, reference, scale, shift):
         rng = np.random.default_rng(6)
         x_vals = list(rng.normal(0, 1, 30))
         y_vals = list(rng.normal(0, 1, 30))
-        base = rolling_correlation(ns(x_vals), ns(y_vals), window=7)
+        base = rolling_correlation(ns(x_vals), ns(y_vals), window=7, alpha=reference.alpha)
         mapped = rolling_correlation(
-            ns(x_vals), ns([scale * v + shift for v in y_vals]), window=7
+            ns(x_vals), ns([scale * v + shift for v in y_vals]), window=7,
+            alpha=reference.alpha,
         )
         assert base.significant == mapped.significant
         for a, b in zip(base.r, mapped.r):
             assert a == pytest.approx(b, abs=1e-9)
 
-    def test_rejects_mismatched_axes(self):
+    def test_rejects_mismatched_axes(self, reference):
         x = ns([1.0, 2.0, 3.0])
         y = ns([1.0, 2.0, 3.0], first="2001-01")
         with pytest.raises(ValueError):
-            rolling_correlation(x, y)
+            rolling_correlation(x, y, reference.corr_window, reference.alpha)
 
-    def test_rejects_even_or_small_window(self):
+    def test_rejects_even_or_small_window(self, reference):
         x = ns([1.0] * 10)
         with pytest.raises(ValueError):
-            rolling_correlation(x, x, window=12)
+            rolling_correlation(x, x, window=12, alpha=reference.alpha)
         with pytest.raises(ValueError):
-            rolling_correlation(x, x, window=1)
+            rolling_correlation(x, x, window=1, alpha=reference.alpha)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
     def test_rejects_alpha_outside_open_unit_interval(self, alpha):

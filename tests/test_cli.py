@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -5,13 +6,13 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 import moodcast
-from moodcast import tables
+from moodcast import analysis, emotion, forecast, ingest, reports, tables
 from moodcast.cli import build_parser, main
 from moodcast.analysis import NumericSeries
 from moodcast.pipeline import GAP_POLICIES, PipelineConfig, fill_gaps, run_pipeline
@@ -26,6 +27,11 @@ def run_cli(*argv):
 def _bucket_file(token_counts):
     entry = f'{{"month": "2001-01", "thread_count": 1, "token_counts": {token_counts}}}'
     return f'{{"buckets": [{entry}]}}'
+
+
+def _buckets_on(*months):
+    entries = [{"month": month, "thread_count": 1, "token_counts": {"war": 1}} for month in months]
+    return json.dumps({"buckets": entries})
 
 
 def _series_file(cell):
@@ -77,6 +83,10 @@ MALFORMED = {
         "messages.jsonl", _message_file("9999-12-31T23:30:00-01:00"), "ingest"
     ),
     "token-counts-a-list": ("buckets.json", _bucket_file('["war"]'), "score"),
+    # A buckets file follows the tables' month rule.
+    "buckets-month-gap": ("buckets.json", _buckets_on("2001-01", "2001-03"), "score"),
+    "buckets-month-repeated": ("buckets.json", _buckets_on("2001-01", "2001-01"), "score"),
+    "buckets-empty": ("buckets.json", _buckets_on(), "score"),
     "count-overflows-int": ("buckets.json", _bucket_file('{"war": 1e400}'), "score"),
     "count-fractional": ("buckets.json", _bucket_file('{"war": 2.7}'), "score"),
     "count-negative": ("buckets.json", _bucket_file('{"war": -1}'), "score"),
@@ -203,6 +213,37 @@ class TestParserBasics:
         # A flag shared with another subcommand has the same default there.
         suite = build_parser().parse_args(self._SUITE)
         assert (suite.p, suite.q) == (config.p, config.q)
+
+    def test_library_functions_take_each_run_setting(self):
+        # A run setting has one default, PipelineConfig's: every library
+        # function that uses one takes it as a required argument.
+        required = {
+            analysis.hamming_smooth: ["window_len"],
+            analysis.rolling_correlation: ["window", "alpha"],
+            analysis.fisher_significance: ["alpha"],
+            ingest.filter_threads: ["min_messages"],
+            forecast.model_suite: ["ar_order", "exog_order"],
+            forecast.surrogate_test: ["n_surrogates", "seed"],
+            forecast.evaluate_holdout: ["holdout"],
+            reports.suite_entry_payload: ["evaluation_mode"],
+            reports.write_models_json: ["evaluation_mode"],
+            reports.write_surrogate_json: ["include_maes"],
+        }
+        for function, names in required.items():
+            parameters = inspect.signature(function).parameters
+            for name in names:
+                assert parameters[name].default is inspect.Parameter.empty, (function, name)
+        for record, names in (
+            (ingest.MonthlyBucket, ["token_counts", "thread_count"]),
+            (emotion.MonthEmotion, ["thread_count"]),
+        ):
+            by_name = {f.name: f for f in fields(record)}
+            for name in names:
+                assert by_name[name].default is by_name[name].default_factory is MISSING, name
+        assert list(inspect.signature(emotion.top_lexicon_words).parameters) == [
+            "buckets", "lexicon"
+        ]
+        assert "value_name" not in inspect.signature(reports.read_series_csv).parameters
 
     def test_console_script_installed(self):
         # The console script pyproject.toml declares, run the way an
@@ -427,6 +468,22 @@ class TestExitCodes:
             assert str(path) in err and "not valid UTF-8" in err
         if case.startswith("rate-150"):
             assert f"{path} row 3: rate 150.0 outside [0, 100]" in err
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [("series.csv", _series_file("1" * 5000), "row 3: not a finite number"),
+         ("emotion.csv", _emotion_file("2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3," + "1" * 5000),
+          "row 2: count not in [0, 2**53]")],
+        ids=["rate", "thread-count"],
+    )
+    def test_long_number_cell_is_quoted_in_part(self, tmp_path, capsys, name, text, where):
+        # 5,000 digits: a float cell reads them as infinity, and a count cell
+        # holds more digits than int() converts, which makes it out of range too.
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("smooth", "--series", str(path), "--out", str(tmp_path / "out.csv")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path} {where}: {'1' * 40!r}... (5000 characters)\n"
 
     @needs_digit_limit
     def test_integer_over_digit_limit_is_invalid_json(

@@ -1,4 +1,5 @@
 import math
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,13 +13,12 @@ from moodcast.emotion import (
     top_lexicon_words,
 )
 from moodcast.ingest import MonthlyBucket
-from moodcast.lexicon import Lexicon, LexiconEntry
+from moodcast.lexicon import LexiconEntry
+from moodcast.pipeline import score_stage
 
 
 def _lex(*entries):
-    return Lexicon.from_entries(
-        [LexiconEntry(word, v, a, d) for word, v, a, d in entries]
-    )
+    return MappingProxyType({word: LexiconEntry(word, v, a, d) for word, v, a, d in entries})
 
 
 TWO_WORD_LEX = _lex(("a", 2.0, 3.0, 4.0), ("b", 8.0, 5.0, 6.0))
@@ -88,7 +88,7 @@ class TestScoreMonth:
         )
         result = score_month(_bucket(**counts), lex)
         for dim in DIMENSIONS:
-            scores = [lex.lookup(w).score(dim) for w in counts]
+            scores = [lex[w].score(dim) for w in counts]
             assert min(scores) <= result.mean[dim] <= max(scores)
             assert result.std[dim] >= 0.0
 
@@ -150,7 +150,7 @@ class TestComponentSeries:
 class TestTopWords:
     def test_display_weight_is_sqrt(self):
         buckets = [_bucket(a=100)]
-        (word,) = top_lexicon_words(buckets, TWO_WORD_LEX, k=5)
+        (word,) = top_lexicon_words(buckets, TWO_WORD_LEX)
         assert word.word == "a"
         assert word.occurrences == 100
         assert word.display_weight == pytest.approx(10.0)
@@ -158,7 +158,7 @@ class TestTopWords:
     def test_tie_broken_alphabetically(self):
         lex = _lex(("pike", 5, 5, 5), ("ash", 5, 5, 5))
         buckets = [_bucket(pike=5, ash=5)]
-        words = top_lexicon_words(buckets, lex, k=2)
+        words = top_lexicon_words(buckets, lex)
         assert [w.word for w in words] == ["ash", "pike"]
 
     def test_top_k_of_25_words(self):
@@ -166,26 +166,20 @@ class TestTopWords:
         lex = _lex(*entries)
         counts = {f"w{i:02d}": i + 1 for i in range(25)}
         buckets = [_bucket(**counts)]
-        words = top_lexicon_words(buckets, lex, k=20)
+        words = top_lexicon_words(buckets, lex)
         assert len(words) == 20
         assert words[0].word == "w24" and words[0].occurrences == 25
         assert all(words[i].occurrences >= words[i + 1].occurrences for i in range(19))
         # the five lowest-count words are exactly the ones dropped
         assert {w.word for w in words} == {f"w{i:02d}" for i in range(5, 25)}
 
-    def test_period_filters_months(self):
-        buckets = [
-            _bucket(month="2004-01", a=10),
-            _bucket(month="2004-02", b=10),
-        ]
-        words = top_lexicon_words(buckets, TWO_WORD_LEX, period=("2004-02", "2004-02"))
-        assert [w.word for w in words] == ["b"]
+    def test_each_year_ranks_its_own_buckets(self, tmp_path):
+        buckets = [_bucket(month="2004-12", a=10), _bucket(month="2005-01", b=10)]
+        score_stage(buckets, TWO_WORD_LEX, tmp_path)
+        rows = (tmp_path / "top_words.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[:3] for row in rows[1:]] == [["2004", "1", "a"], ["2005", "1", "b"]]
 
     def test_non_lexicon_words_never_ranked(self):
         buckets = [_bucket(a=1, junk=500)]
         words = top_lexicon_words(buckets, TWO_WORD_LEX)
         assert [w.word for w in words] == ["a"]
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            top_lexicon_words([], TWO_WORD_LEX, k=0)

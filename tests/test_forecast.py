@@ -398,7 +398,7 @@ class TestEvaluateHoldout:
     def test_holdout_months_are_the_tail(self):
         rng = np.random.default_rng(37)
         target = ns(rng.normal(50, 5, 66))
-        model, report = evaluate_holdout(ArmaSpec(1, 0), target, holdout=12)
+        model, report = evaluate_holdout(ArmaSpec(1, 0), target, {}, holdout=12)
         assert report.months == target.months[-12:]
         assert len(model.training_months) == 66 - 12 - 1
 
@@ -406,53 +406,53 @@ class TestEvaluateHoldout:
         rng = np.random.default_rng(41)
         values = list(rng.normal(50, 5, 66))
         target = ns(values)
-        model, _ = evaluate_holdout(ArmaSpec(1, 0), target, holdout=12)
+        model, _ = evaluate_holdout(ArmaSpec(1, 0), target, {}, holdout=12)
         prefix_model = fit_arma(ArmaSpec(1, 0), ns(values[:-12]))
         assert model.ar_coeffs == prefix_model.ar_coeffs
 
     def test_rejects_oversized_holdout(self):
         target = ns(np.arange(10))
         with pytest.raises(ValueError, match="holdout"):
-            evaluate_holdout(ArmaSpec(1, 0), target, holdout=9)
+            evaluate_holdout(ArmaSpec(1, 0), target, {}, holdout=9)
 
 
 class TestModelSuite:
-    def test_ten_models_fixed_order(self):
+    def test_ten_models_fixed_order(self, reference):
         rng = np.random.default_rng(43)
         target = ns(rng.normal(50, 5, 66))
-        entries = model_suite(target, make_components(43))
+        entries = model_suite(target, make_components(43), reference.p, reference.q)
         assert [e.name for e in entries] == list(MODEL_NAMES)
         assert len(entries) == 10
 
-    def test_shared_evaluation_months(self):
+    def test_shared_evaluation_months(self, reference):
         rng = np.random.default_rng(47)
         target = ns(rng.normal(50, 5, 66))
-        entries = model_suite(target, make_components(47))
+        entries = model_suite(target, make_components(47), reference.p, reference.q)
         first = entries[0].report.months
         assert all(e.report.months == first for e in entries)
 
-    def test_exogenous_wiring_matches_names(self):
+    def test_exogenous_wiring_matches_names(self, reference):
         rng = np.random.default_rng(53)
         target = ns(rng.normal(50, 5, 66))
-        entries = model_suite(target, make_components(53))
+        entries = model_suite(target, make_components(53), reference.p, reference.q)
         for entry in entries:
             assert entry.model.spec.exogenous_names == MODEL_EXOGENOUS[entry.name]
 
-    def test_driven_target_makes_both_arousal_win(self):
+    def test_driven_target_makes_both_arousal_win(self, reference):
         target, components = _arousal_driven_fixture(0)
-        entries = model_suite(target, components)
+        entries = model_suite(target, components, reference.p, reference.q)
         best = min(entries, key=lambda e: e.report.mae)
         assert best.name == "both-arousal"
 
-    def test_nested_sse_dominance_within_suite(self):
+    def test_nested_sse_dominance_within_suite(self, reference):
         rng = np.random.default_rng(59)
         target = ns(rng.normal(50, 5, 66))
-        entries = model_suite(target, make_components(59))
+        entries = model_suite(target, make_components(59), reference.p, reference.q)
         ar_sse = next(e for e in entries if e.name == "ar").model.sse
         for entry in entries:
             assert entry.model.sse <= ar_sse + 1e-9
 
-    def test_constant_components_still_ten_entries(self):
+    def test_constant_components_still_ten_entries(self, reference):
         # constant series make every exogenous design rank-deficient; the
         # suite still completes with min-norm fits and nested SSE dominance
         rng = np.random.default_rng(61)
@@ -460,19 +460,19 @@ class TestModelSuite:
         components = {name: ns([5.0] * 66) for name in make_components(0)}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            entries = model_suite(target, components)
+            entries = model_suite(target, components, reference.p, reference.q)
         assert [e.name for e in entries] == list(MODEL_NAMES)
         ar_sse = next(e for e in entries if e.name == "ar").model.sse
         for entry in entries:
             assert entry.model.sse <= ar_sse + 1e-9
 
-    def test_rejects_missing_component(self):
+    def test_rejects_missing_component(self, reference):
         rng = np.random.default_rng(67)
         target = ns(rng.normal(50, 5, 66))
         components = make_components(67)
         del components["std-dominance"]
         with pytest.raises(ValueError, match="std-dominance"):
-            model_suite(target, components)
+            model_suite(target, components, reference.p, reference.q)
 
 
 def _arousal_driven_fixture(seed):
@@ -563,13 +563,17 @@ class TestSurrogateTest:
             rows_surrogate_test(spec, target, exogenous, 5, seed)
         )
 
-    def test_rejects_no_exogenous_and_bad_count(self):
+    def test_rejects_no_exogenous_and_bad_count(self, reference):
         target = ns(np.arange(20))
         with pytest.raises(ValueError):
-            surrogate_test(ArmaSpec(1, 0), target, {}, n_surrogates=10)
+            surrogate_test(ArmaSpec(1, 0), target, {}, n_surrogates=10, seed=reference.seed)
         with pytest.raises(ValueError):
             surrogate_test(
-                ArmaSpec(1, 1, ("y",)), target, {"y": ns(np.arange(20))}, n_surrogates=0
+                ArmaSpec(1, 1, ("y",)), target, {"y": ns(np.arange(20))}, n_surrogates=0,
+                seed=reference.seed,
             )
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            surrogate_test(ArmaSpec(1, 1, ("y",)), target, {"y": ns(np.arange(20))}, seed=-1)
+            surrogate_test(
+                ArmaSpec(1, 1, ("y",)), target, {"y": ns(np.arange(20))},
+                n_surrogates=reference.surrogates, seed=-1,
+            )

@@ -1,9 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from moodcast.errors import InputFormatError
 from moodcast.lexicon import (
-    Lexicon,
     LexiconEntry,
     load_lexicon,
     tokenize,
@@ -33,16 +34,23 @@ def test_load_lexicon_basic(load_text):
     assert len(lex) == 3
     assert "war" in lex
     assert "calm" in lex  # words are lowercased on load
-    entry = lex.lookup("war")
+    entry = lex.get("war")
     assert entry.valence == 2.08
     assert entry.arousal == 7.49
     assert entry.dominance == 6.38
 
 
+def test_loaded_lexicon_is_read_only(load_text):
+    lex = load_text(GOOD_CSV)
+    with pytest.raises(TypeError):
+        lex["peace"] = LexiconEntry("peace", 8.1, 3.2, 6.5)
+    assert "peace" not in lex
+
+
 def test_load_lexicon_from_fixture(lexicon):
     assert len(lexicon) == 30
-    assert lexicon.lookup("love").valence == 8.72
-    assert lexicon.lookup("absent") is None
+    assert lexicon.get("love").valence == 8.72
+    assert lexicon.get("absent") is None
 
 
 def test_entry_score_by_dimension():
@@ -61,6 +69,12 @@ def test_rejects_score_out_of_range(load_text):
     bad = "word,valence,arousal,dominance\nwar,0.5,7.49,6.38\n"
     with pytest.raises(InputFormatError, match="row 2.*valence"):
         load_text(bad)
+
+
+def test_long_score_out_of_range_is_quoted_in_part(load_text):
+    cell = "10." + "0" * 5000
+    with pytest.raises(InputFormatError, match=re.escape(f"{cell[:40]!r}... (5003 characters)")):
+        load_text(f"word,valence,arousal,dominance\nwar,{cell},7.49,6.38\n")
 
 
 def test_rejects_non_numeric_score(load_text):
@@ -90,12 +104,6 @@ def test_rejects_no_data_rows(load_text):
 def test_rejects_short_row(load_text):
     with pytest.raises(InputFormatError, match="row 2"):
         load_text("word,valence,arousal,dominance\nwar,2.08\n")
-
-
-def test_from_entries_rejects_duplicates():
-    entry = LexiconEntry("war", 2.0, 7.0, 6.0)
-    with pytest.raises(InputFormatError):
-        Lexicon.from_entries([entry, entry])
 
 
 def test_tokenize_lowercases_and_splits():

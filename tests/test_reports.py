@@ -102,6 +102,7 @@ class TestEmotionCsv:
                 mean={"valence": v, "arousal": v, "dominance": v},
                 std={"valence": v, "arousal": v, "dominance": v},
                 match_count=1,
+                thread_count=0,
             )
             for m, v in zip(months, AWKWARD)
         ]
@@ -150,7 +151,7 @@ class TestSeriesCsv:
         )
         path = tmp_path / "series.csv"
         write_series_csv(path, series, "value")
-        assert read_series_csv(path, "value") == series
+        assert read_series_csv(path) == series
 
     def test_missing_value_round_trip(self, tmp_path):
         series = NumericSeries(
@@ -173,11 +174,12 @@ class TestSeriesCsv:
             read_series_csv(path)
 
     def test_value_name_check(self, tmp_path):
+        # The attitude loader requires the ``rate`` column.
         series = NumericSeries(months=months_from("2003-05", 2), values=[1.0, 2.0])
         path = tmp_path / "series.csv"
-        write_series_csv(path, series, "rate")
+        write_series_csv(path, series, "approval")
         with pytest.raises(InputFormatError, match="expected value column"):
-            read_series_csv(path, "approval")
+            load_attitude_series(path)
 
     def test_unix_newlines(self, tmp_path):
         series = NumericSeries(months=months_from("2003-05", 2), values=[1.0, 2.0])
@@ -335,6 +337,20 @@ class TestBucketsJson:
         with pytest.raises(InputFormatError, match="integer in"):
             read_buckets_json(path)
 
+    @pytest.mark.parametrize(
+        "months, message",
+        [(["2001-01", "2001-03"], " bucket 2: expected month 2001-02, got 2001-03"),
+         (["2001-01", "2001-02", "2001-02"], " bucket 3: expected month 2001-03, got 2001-02"),
+         (["2001-02", "2001-01"], " bucket 2: expected month 2001-03, got 2001-01"),
+         ([], ": no buckets")],
+    )
+    def test_months_follow_the_table_rule(self, tmp_path, months, message):
+        path = tmp_path / "buckets.json"
+        entries = [{"month": m, "thread_count": 0, "token_counts": {}} for m in months]
+        path.write_text(json.dumps({"buckets": entries}), encoding="utf-8")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(f'{path}{message}')}"):
+            read_buckets_json(path)
+
 
 # Reader -> (header, a good row, row 3 with one bad cell).
 BAD_THIRD_ROW = {
@@ -382,7 +398,7 @@ class TestRoundTrips:
         series = NumericSeries(months=axis, values=values)
         path = tmp_path / "series.csv"
         write_series_csv(path, series, name)
-        assert read_series_csv(path, name) == series
+        assert read_series_csv(path) == series
 
     @_ROUND_TRIPS
     @given(axis=_AXES, data=st.data())
@@ -413,18 +429,12 @@ class TestRoundTrips:
         assert read_correlation_csv(path) == track
 
     @_ROUND_TRIPS
-    @given(
-        st.lists(
-            st.builds(
-                MonthlyBucket,
-                month=st.integers(0, 10000 * 12 - 1).map(ord_month),
-                token_counts=st.dictionaries(st.text(), _COUNTS, max_size=4),
-                thread_count=_COUNTS,
-            ),
-            max_size=4,
-        )
-    )
-    def test_buckets_json(self, tmp_path, buckets):
+    @given(axis=st.builds(MonthAxis, st.integers(0, 10000 * 12 - 4), st.integers(1, 4)),
+           data=st.data())
+    def test_buckets_json(self, tmp_path, axis, data):
+        # A buckets file holds at least one bucket, on contiguous months.
+        tokens = st.dictionaries(st.text(), _COUNTS, max_size=4)
+        buckets = [MonthlyBucket(month, data.draw(tokens), data.draw(_COUNTS)) for month in axis]
         path = tmp_path / "buckets.json"
         write_buckets_json(path, buckets)
         assert read_buckets_json(path) == buckets
@@ -447,7 +457,7 @@ def suite_entry(seed=0):
 class TestModelPayload:
     def test_payload_keys_and_identities(self):
         entry = suite_entry()
-        payload = suite_entry_payload(entry)
+        payload = suite_entry_payload(entry, "in-sample")
         assert list(payload) == [
             "name",
             "ar_order",
@@ -497,7 +507,7 @@ class TestSurrogateJson:
         path = tmp_path / "surrogate.json"
         write_surrogate_json(
             path, self.make_report(), "both-arousal", 1, 3,
-            ["mean-arousal", "std-arousal"],
+            ["mean-arousal", "std-arousal"], include_maes=False,
         )
         payload = json.loads(path.read_text(encoding="utf-8"))
         quantiles = payload["surrogate_mae_quantiles"]
@@ -517,7 +527,9 @@ class TestSurrogateJson:
     def test_refuses_non_finite_values(self, tmp_path):
         report = dataclasses.replace(self.make_report(), empirical_mae=float("nan"))
         with pytest.raises(ValueError, match="not JSON compliant"):
-            write_surrogate_json(tmp_path / "surrogate.json", report, "both-arousal", 1, 3, [])
+            write_surrogate_json(
+                tmp_path / "surrogate.json", report, "both-arousal", 1, 3, [], include_maes=False
+            )
 
     def test_full_list_behind_flag(self, tmp_path):
         report = self.make_report()
