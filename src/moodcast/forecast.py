@@ -42,7 +42,7 @@ class ArmaSpec:
 
     ar_order: int
     exog_order: int
-    exogenous_names: tuple[str, ...] = ()
+    exogenous_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.ar_order < 0 or self.exog_order < 0:
@@ -111,7 +111,7 @@ def assemble_regression(
     for name in spec.exogenous_names:
         ev = arrays[name]
         columns.extend(ev[start - i : total - i] for i in range(1, spec.exog_order + 1))
-    # column_stack needs a column; ``ArmaSpec(0, q)`` (``run --p 0``'s "ar" model) has none.
+    # column_stack needs a column; ``ArmaSpec(0, q, ())`` (``run --p 0``'s "ar" model) has none.
     return RegressionSystem(
         regressors=np.column_stack(columns) if columns else np.empty((total - start, 0)),
         response=tv[start:],
@@ -141,7 +141,7 @@ class ArmaModel:
 def fit_arma(
     spec: ArmaSpec,
     target: NumericSeries,
-    exogenous: Optional[Mapping[str, NumericSeries]] = None,
+    exogenous: Mapping[str, NumericSeries],
 ) -> ArmaModel:
     """Fit the lagged regression by ordinary least squares.
 
@@ -150,7 +150,7 @@ def fit_arma(
     """
     import numpy as np
 
-    system = assemble_regression(spec, target, exogenous or {})
+    system = assemble_regression(spec, target, exogenous)
     n_rows, n_cols = system.regressors.shape
     if n_rows < n_cols:
         raise ValueError(
@@ -206,13 +206,13 @@ def _report(months: MonthAxis, predictions: np.ndarray, actuals: np.ndarray) -> 
 def evaluate(
     model: ArmaModel,
     target: NumericSeries,
-    exogenous: Optional[Mapping[str, NumericSeries]] = None,
+    exogenous: Mapping[str, NumericSeries],
 ) -> EvaluationReport:
     """One-step predictions, signed errors, and the running-mean error curve.
 
     The final point of the cumulative curve equals the mean absolute error.
     """
-    system = assemble_regression(model.spec, target, exogenous or {})
+    system = assemble_regression(model.spec, target, exogenous)
     return _report(system.months, system.regressors @ model.coefficient_vector(), system.response)
 
 

@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO, Union
@@ -21,16 +22,31 @@ from typing import Iterable, Iterator, NamedTuple, TextIO, Union
 from .errors import InputFormatError
 from .lexicon import tokenize
 from .months import MonthAxis, month_ord
+from .tables import quote_cell
 
 MESSAGE_KEYS = ("message_id", "thread_id", "group", "timestamp", "subject")
 _KEY_SET = frozenset(MESSAGE_KEYS)
 _message_fields = itemgetter(*MESSAGE_KEYS)
 
+# A message's five strings, in ``MESSAGE_KEYS`` order.
+_Message = tuple[str, str, str, str, str]
+
+# A canonical message line: what ``json.dumps`` writes for a message with its
+# keys in ``MESSAGE_KEYS`` order, when no value holds '"', '\\' or U+0000-U+001F.
+# Such a value needs no escape, so by RFC 8259 section 7 each group is exactly
+# the string that ``json.loads`` decodes from the line. A match starts at a
+# line start and holds one newline, its last character.
+_CANONICAL_VALUE = r'"([^"\\\x00-\x1f]*)"'
+_CANONICAL_LINE = re.compile(
+    r"^\{" + ", ".join(f'"{key}": {_CANONICAL_VALUE}' for key in MESSAGE_KEYS) + r"\}\n",
+    re.MULTILINE,
+)
+
 # Repeated leading reply markers: "re:" in any case, optional whitespace.
 _REPLY_RE = re.compile(r"\s*re\s*:", re.IGNORECASE)
 
-# ``readlines`` size hint for the whole lines that ``parse_messages`` decodes
-# per ``json.loads`` call; 16 KiB read faster than 64 KiB and 256 KiB.
+# ``readlines`` size hint for the whole lines that ``parse_messages`` reads
+# per chunk; 16 KiB read faster than 64 KiB and 256 KiB.
 _CHUNK_BYTES = 16 * 1024
 
 
@@ -99,13 +115,13 @@ def parse_messages(path: Union[str, Path]) -> ThreadTally:
     duplicate message ids by name. Only the message ids and one entry per
     thread are kept, never a record per message.
 
-    The file is decoded a chunk of lines at a time. If that read fails in
+    The file is read a chunk of lines at a time. If that read fails in
     any way, the file is read again line by line, which names the first
     bad line.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return _fold_messages(_chunk_rows(handle))
+            return _fold_messages(chain.from_iterable(_chunk_rows(handle)))
     except (InputFormatError, UnicodeDecodeError):
         pass
     try:
@@ -128,8 +144,8 @@ def _undecodable_line(path: Union[str, Path]) -> int:
     raise AssertionError(f"{path} decodes as UTF-8")
 
 
-def _line_rows(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
-    """``(line number, decoded value)`` for each non-blank line, one by one."""
+def _line_rows(lines: Iterable[str]) -> Iterator[tuple[int, _Message]]:
+    """``(line number, message)`` for each non-blank line, one by one."""
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -141,15 +157,23 @@ def _line_rows(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
             raise InputFormatError(f"messages line {lineno}: invalid JSON ({exc})") from None
         except RecursionError:
             raise InputFormatError(f"messages line {lineno}: invalid JSON (nested too deeply)") from None
-        yield lineno, obj
+        yield lineno, _message(lineno, obj)
 
 
-def _chunk_rows(handle: TextIO) -> Iterator[tuple[int, object]]:
-    """What ``_line_rows`` yields, decoding a chunk of lines per call.
+def _chunk_rows(handle: TextIO) -> Iterator[Iterable[tuple[int, _Message]]]:
+    """What ``_line_rows`` yields, one chunk of lines per batch.
 
-    A chunk of lines, each with its own newline, decodes as the rows of
-    ``[[line 1],[line 2],...]``. Strict JSON puts no raw newline inside a
-    string, so no string crosses a line; and once ``_fold_messages`` has
+    A chunk whose lines are all canonical (see ``_CANONICAL_LINE``) is read
+    with one ``findall``. It is taken only if it holds no backslash and its
+    first line matches, and then only if it has as many matches as lines.
+    Each match is then a whole line: it starts at a line start and ends at
+    that line's newline, and no two share a line, so every line is a match
+    and the matches tile the chunk. A last line without a newline matches
+    nothing, so its chunk falls short of the count.
+
+    Any other chunk decodes as the rows of ``[[line 1],[line 2],...]``,
+    each line keeping its own newline. Strict JSON puts no raw newline
+    inside a string, so no string crosses a line; and once ``_message`` has
     accepted every element as a flat object of strings, the only brackets
     left are the ones added here, so row ``i`` is exactly line ``i``. A
     JSON-blank line is an empty row. A chunk that does not decode, that
@@ -160,38 +184,54 @@ def _chunk_rows(handle: TextIO) -> Iterator[tuple[int, object]]:
     """
     lineno = 0
     while chunk := handle.readlines(_CHUNK_BYTES):
+        text = "".join(chunk)
+        if "\\" not in text and _CANONICAL_LINE.match(text):
+            messages = _CANONICAL_LINE.findall(text)
+            if len(messages) == len(chunk):
+                yield zip(range(lineno + 1, lineno + len(chunk) + 1), messages)
+                lineno += len(chunk)
+                continue
         try:
             rows = json.loads("[[" + "],[".join(chunk) + "]]")
         except (ValueError, RecursionError):
             raise InputFormatError("a chunk of messages lines does not decode") from None
         if len(rows) != len(chunk):
             raise InputFormatError("a chunk of messages lines decodes to another number of rows")
+        batch = []
         for row in rows:
             lineno += 1
             if type(row) is not list or len(row) > 1:
                 raise InputFormatError("a chunk row holds more than one value")
             if row:
-                yield lineno, row[0]
+                batch.append((lineno, _message(lineno, row[0])))
+        yield batch
 
 
-def _fold_messages(rows: Iterable[tuple[int, object]]) -> ThreadTally:
-    """Check each decoded line as a message and fold it into its thread."""
+def _message(lineno: int, obj: object) -> _Message:
+    """The five strings of a decoded line, which must be a message."""
+    # Fast path for a well-formed message; the detailed check runs only on failure.
+    if type(obj) is dict and obj.keys() == _KEY_SET:
+        fields = _message_fields(obj)
+        message_id, thread_id, group, raw, subject = fields
+        if (type(message_id) is str and type(thread_id) is str and type(group) is str
+                and type(raw) is str and type(subject) is str):
+            return fields
+    raise InputFormatError(f"messages line {lineno}: {_message_problem(obj)}")
+
+
+def _fold_messages(rows: Iterable[tuple[int, _Message]]) -> ThreadTally:
+    """Fold each message into its thread."""
     threads: dict[str, list] = {}
     seen_ids: set[str] = set()
-    for lineno, obj in rows:
-        # Fast path for a well-formed message; the detailed check runs only on failure.
-        if type(obj) is not dict or obj.keys() != _KEY_SET:
-            raise InputFormatError(f"messages line {lineno}: {_message_problem(obj)}")
-        message_id, thread_id, group, raw, subject = _message_fields(obj)
-        if not (type(message_id) is str and type(thread_id) is str and type(group) is str
-                and type(raw) is str and type(subject) is str):
-            raise InputFormatError(f"messages line {lineno}: {_message_problem(obj)}")
+    for lineno, (message_id, thread_id, _, raw, subject) in rows:
         try:
             timestamp = _parse_timestamp(raw)
         except (ValueError, OverflowError):
-            raise InputFormatError(f"messages line {lineno}: bad timestamp {raw!r}") from None
+            raise InputFormatError(
+                f"messages line {lineno}: bad timestamp {quote_cell(raw)}"
+            ) from None
         if message_id in seen_ids:
-            raise InputFormatError(f"duplicate message_id: {message_id!r}")
+            raise InputFormatError(f"duplicate message_id: {quote_cell(message_id)}")
         seen_ids.add(message_id)
         entry = threads.get(thread_id)
         if entry is None:
@@ -274,19 +314,18 @@ def monthly_subject_buckets(threads: list[ThreadSummary]) -> list[MonthlyBucket]
     ordinals = [month_ord(m) for m in dict.fromkeys(t.first_month for t in threads)]
     first = min(ordinals)
     months = MonthAxis(first, max(ordinals) - first + 1)
-    counters: dict[str, Counter[str]] = {m: Counter() for m in months}
-    thread_counts: dict[str, int] = {m: 0 for m in months}
+    subjects: dict[str, list[str]] = {m: [] for m in months}
     for thread in threads:
-        month = thread.first_month
-        counters[month].update(tokenize(thread.subject))
-        thread_counts[month] += 1
+        subjects[thread.first_month].append(thread.subject)
+    # One tokenize call per month: no token spans a newline, and lowercasing
+    # treats one as a string end (it is neither cased nor case-ignorable).
     return [
         MonthlyBucket(
             month=m,
-            token_counts=dict(counters[m]),
-            thread_count=thread_counts[m],
+            token_counts=dict(Counter(tokenize("\n".join(month_subjects)))),
+            thread_count=len(month_subjects),
         )
-        for m in months
+        for m, month_subjects in subjects.items()
     ]
 
 

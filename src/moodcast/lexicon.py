@@ -69,16 +69,16 @@ def load_lexicon(path: Union[str, Path]) -> Lexicon:
     if tuple(cell.strip() for cell in header) != LEXICON_HEADER:
         raise InputFormatError(
             f"{path}: lexicon header must be {','.join(LEXICON_HEADER)!r}, "
-            f"got {','.join(header)!r}"
+            f"got {quote_cell(','.join(header))}"
         )
 
     entries: dict[str, LexiconEntry] = {}
     for rownum, row in rows:
         word = row[0].strip().lower()
         if not word or any(ch.isspace() for ch in word):
-            raise InputFormatError(f"{path} row {rownum}: invalid word {row[0]!r}")
+            raise InputFormatError(f"{path} row {rownum}: invalid word {quote_cell(row[0])}")
         if word in entries:
-            raise InputFormatError(f"{path} row {rownum}: duplicate word {word!r}")
+            raise InputFormatError(f"{path} row {rownum}: duplicate word {quote_cell(word)}")
         scores = [number_cell(path, rownum, cell) for cell in row[1:]]
         for name, cell, value in zip(LEXICON_HEADER[1:], row[1:], scores):
             if value is None or not SCALE_MIN <= value <= SCALE_MAX:

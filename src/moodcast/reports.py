@@ -38,6 +38,7 @@ from .tables import (
     format_number,
     monthly_rows,
     number_cell,
+    quote_cell,
     read_table,
     write_table,
 )
@@ -131,7 +132,8 @@ def _read_series(
         raise InputFormatError(f"{path}: expected a month,value header")
     if value_name is not None and header[1].strip() != value_name:
         raise InputFormatError(
-            f"{path}: expected value column {value_name!r} in the header, got {header[1]!r}"
+            f"{path}: expected value column {value_name!r} in the header, "
+            f"got {quote_cell(header[1])}"
         )
     rate = header[1].strip() == ATTITUDE_HEADER[1]
     axis, checked = monthly_rows(path, rows)

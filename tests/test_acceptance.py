@@ -170,7 +170,7 @@ def test_criterion_05_ar1_recovery(verdict):
         x = [1.0]
         for _ in range(199):
             x.append(0.95 * x[-1] + rng.normal(0, 0.01))
-        model = fit_arma(ArmaSpec(1, 0), ns(x))
+        model = fit_arma(ArmaSpec(1, 0, ()), ns(x), {})
         if abs(model.ar_coeffs[0] - 0.95) <= 0.02:
             hits += 1
     elapsed = time.perf_counter() - start
@@ -197,9 +197,9 @@ def test_criterion_06_exogenous_improvement(verdict):
     for seed in range(20):
         target, exog = _lagged_drive_fixture([6, seed])
         spec = ArmaSpec(1, 3, ("y",))
-        benchmark = ArmaSpec(1, 3)
+        benchmark = ArmaSpec(1, 3, ())
         full = evaluate(fit_arma(spec, target, exog), target, exog)
-        bench = evaluate(fit_arma(benchmark, target), target)
+        bench = evaluate(fit_arma(benchmark, target, {}), target, {})
         months_agree = months_agree and full.months == bench.months
         worst_ratio = max(worst_ratio, full.mae / bench.mae)
     elapsed = time.perf_counter() - start
@@ -221,7 +221,7 @@ def test_criterion_07_nested_sse_dominance(verdict):
         target = ns(rng.normal(50, 5, length))
         exog = {"y": ns(rng.normal(0, 1, length))}
         full = fit_arma(ArmaSpec(1, 3, ("y",)), target, exog)
-        bench = fit_arma(ArmaSpec(1, 3), target)
+        bench = fit_arma(ArmaSpec(1, 3, ()), target, {})
         worst_excess = max(worst_excess, full.sse - bench.sse)
     ok = worst_excess <= 1e-9
     verdict(7, "nested-sse-dominance", ok, f"worst SSE excess {worst_excess}")

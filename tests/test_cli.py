@@ -485,6 +485,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: {path} {where}: {'1' * 40!r}... (5000 characters)\n"
 
+    _LEXICON_HEADER = "word,valence,arousal,dominance\n"
+    _LONG_ID = _message_file("2004-03-05").replace('"m0"', '"' + "m" * 5000 + '"')
+
+    @pytest.mark.parametrize(
+        "name, text, command, where, cell",
+        [("lexicon.csv", _LEXICON_HEADER + "a " * 2500 + ",2,7,6\n", "score",
+          "row 2: invalid word ", "a " * 20),
+         ("lexicon.csv", _LEXICON_HEADER + ("w" * 5000 + ",2,7,6\n") * 2, "score",
+          "row 3: duplicate word ", "w" * 40),
+         ("lexicon.csv", "word,valence,arousal," + "d" * 4979 + "\nwar,2,7,6\n", "score",
+          "lexicon header must be 'word,valence,arousal,dominance', got ",
+          "word,valence,arousal," + "d" * 19),
+         ("approval.csv", "month," + "r" * 5000 + "\n2001-01,50\n", "run",
+          "expected value column 'rate' in the header, got ", "r" * 40),
+         ("messages.jsonl", _message_file("t" * 5000), "ingest",
+          "messages line 1: bad timestamp ", "t" * 40),
+         ("messages.jsonl", _LONG_ID * 2, "ingest", "duplicate message_id: ", "m" * 40)],
+        ids=["invalid-word", "duplicate-word", "lexicon-header", "value-header", "timestamp",
+             "message-id"],
+    )
+    def test_long_cell_is_quoted_in_part(
+        self, tmp_path, capsys, lexicon_path, messages_path, attitude_path, pipeline_run,
+        name, text, command, where, cell,
+    ):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        argv = {
+            "score": ["--lexicon", str(path), "--buckets", str(pipeline_run[0] / "buckets.json")],
+            "run": ["--lexicon", str(lexicon_path), "--messages", str(messages_path),
+                    "--attitude", str(path), "--surrogates", "2"],
+            "ingest": ["--messages", str(path)],
+        }[command]
+        assert run_cli(command, *argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"{where}{cell!r}... (5000 characters)\n")
+        assert len(err.replace(str(path), "").encode("utf-8")) < 200
+
     @needs_digit_limit
     def test_integer_over_digit_limit_is_invalid_json(
         self, tmp_path, capsys, lexicon_path, attitude_path

@@ -130,13 +130,13 @@ class TestArmaSpec:
         assert spec.max_lag == 3
 
     def test_benchmark_spec_keeps_exog_order_for_alignment(self):
-        assert ArmaSpec(1, 3).max_lag == 3
+        assert ArmaSpec(1, 3, ()).max_lag == 3
 
     def test_rejects_degenerate_orders(self):
         with pytest.raises(ValueError):
-            ArmaSpec(0, 0)
+            ArmaSpec(0, 0, ())
         with pytest.raises(ValueError):
-            ArmaSpec(-1, 3)
+            ArmaSpec(-1, 3, ())
         with pytest.raises(ValueError):
             ArmaSpec(1, 0, ("a",))
 
@@ -153,7 +153,7 @@ class TestAssembleRegression:
 
     def test_benchmark_has_single_lag_column(self):
         target = ns(np.arange(10))
-        system = assemble_regression(ArmaSpec(1, 0), target, {})
+        system = assemble_regression(ArmaSpec(1, 0, ()), target, {})
         assert system.regressors.shape == (9, 1)
 
     def test_hand_written_matrix(self):
@@ -220,14 +220,14 @@ class TestFitArma:
         x = [1.0]
         for _ in range(199):
             x.append(0.95 * x[-1] + rng.normal(0, 0.01))
-        model = fit_arma(ArmaSpec(1, 0), ns(x))
+        model = fit_arma(ArmaSpec(1, 0, ()), ns(x), {})
         assert model.ar_coeffs[0] == pytest.approx(0.95, abs=0.02)
         assert model.exog_coeffs == []
 
     def test_matches_closed_form_ols_slope(self):
         rng = np.random.default_rng(7)
         x = list(rng.normal(0, 1, 50))
-        model = fit_arma(ArmaSpec(1, 0), ns(x))
+        model = fit_arma(ArmaSpec(1, 0, ()), ns(x), {})
         prev = np.array(x[:-1])
         cur = np.array(x[1:])
         assert model.ar_coeffs[0] == pytest.approx(
@@ -285,7 +285,7 @@ class TestPredictOneStep:
     def test_near_unit_ar_coefficient(self):
         # one-term product with a fitted coefficient of 0.989
         target = ns([60.0, 60.0, 60.0, 60.0, 60.0])
-        model = fit_arma(ArmaSpec(1, 0), target)
+        model = fit_arma(ArmaSpec(1, 0, ()), target, {})
         manual = model.ar_coeffs[0] * 60.0
         assert predict_one_step(model, target, {}, target.months[-1]) == pytest.approx(manual)
 
@@ -294,7 +294,7 @@ class TestPredictOneStep:
 
         # a near-unit coefficient of 0.989 applied to a level of 60.0
         target = ns([58.0, 59.0, 61.0, 60.0, 55.0])
-        model = replace(fit_arma(ArmaSpec(1, 0), target), ar_coeffs=[0.989])
+        model = replace(fit_arma(ArmaSpec(1, 0, ()), target, {}), ar_coeffs=[0.989])
         predicted = predict_one_step(model, target, {}, target.months[-1])
         assert predicted == pytest.approx(59.34, abs=1e-12)
 
@@ -328,7 +328,7 @@ class TestPredictOneStep:
         from dataclasses import replace
 
         target = ns([1.0, 2.0, 3.0, 4.0, 5.0])
-        model = replace(fit_arma(ArmaSpec(1, 0), target), ar_coeffs=[0.0])
+        model = replace(fit_arma(ArmaSpec(1, 0, ()), target, {}), ar_coeffs=[0.0])
         assert predict_one_step(model, target, {}, target.months[-1]) == 0.0
 
     def test_rejects_insufficient_history(self):
@@ -361,8 +361,8 @@ class TestEvaluate:
         for _ in range(30):
             x.append(0.9 * x[-1])
         target = ns(x)
-        model = fit_arma(ArmaSpec(1, 0), target)
-        report = evaluate(model, target)
+        model = fit_arma(ArmaSpec(1, 0, ()), target, {})
+        report = evaluate(model, target, {})
         assert report.mae == pytest.approx(0.0, abs=1e-12)
         assert report.cumulative_mean_abs_error == pytest.approx([0.0] * len(report.months), abs=1e-12)
 
@@ -377,8 +377,8 @@ class TestEvaluate:
     def test_cumulative_identity_every_point(self):
         rng = np.random.default_rng(29)
         target = ns(rng.normal(50, 5, 40))
-        model = fit_arma(ArmaSpec(1, 0), target)
-        report = evaluate(model, target)
+        model = fit_arma(ArmaSpec(1, 0, ()), target, {})
+        report = evaluate(model, target, {})
         for k in range(len(report.errors)):
             expected = sum(abs(e) for e in report.errors[: k + 1]) / (k + 1)
             assert report.cumulative_mean_abs_error[k] == pytest.approx(expected, abs=1e-12)
@@ -386,8 +386,8 @@ class TestEvaluate:
     def test_predictions_match_actuals_minus_errors(self):
         rng = np.random.default_rng(31)
         target = ns(rng.normal(0, 1, 30))
-        model = fit_arma(ArmaSpec(1, 0), target)
-        report = evaluate(model, target)
+        model = fit_arma(ArmaSpec(1, 0, ()), target, {})
+        report = evaluate(model, target, {})
         for prediction, actual, error in zip(
             report.predictions, report.actuals, report.errors
         ):
@@ -398,7 +398,7 @@ class TestEvaluateHoldout:
     def test_holdout_months_are_the_tail(self):
         rng = np.random.default_rng(37)
         target = ns(rng.normal(50, 5, 66))
-        model, report = evaluate_holdout(ArmaSpec(1, 0), target, {}, holdout=12)
+        model, report = evaluate_holdout(ArmaSpec(1, 0, ()), target, {}, holdout=12)
         assert report.months == target.months[-12:]
         assert len(model.training_months) == 66 - 12 - 1
 
@@ -406,14 +406,14 @@ class TestEvaluateHoldout:
         rng = np.random.default_rng(41)
         values = list(rng.normal(50, 5, 66))
         target = ns(values)
-        model, _ = evaluate_holdout(ArmaSpec(1, 0), target, {}, holdout=12)
-        prefix_model = fit_arma(ArmaSpec(1, 0), ns(values[:-12]))
+        model, _ = evaluate_holdout(ArmaSpec(1, 0, ()), target, {}, holdout=12)
+        prefix_model = fit_arma(ArmaSpec(1, 0, ()), ns(values[:-12]), {})
         assert model.ar_coeffs == prefix_model.ar_coeffs
 
     def test_rejects_oversized_holdout(self):
         target = ns(np.arange(10))
         with pytest.raises(ValueError, match="holdout"):
-            evaluate_holdout(ArmaSpec(1, 0), target, {}, holdout=9)
+            evaluate_holdout(ArmaSpec(1, 0, ()), target, {}, holdout=9)
 
 
 class TestModelSuite:
@@ -566,7 +566,7 @@ class TestSurrogateTest:
     def test_rejects_no_exogenous_and_bad_count(self, reference):
         target = ns(np.arange(20))
         with pytest.raises(ValueError):
-            surrogate_test(ArmaSpec(1, 0), target, {}, n_surrogates=10, seed=reference.seed)
+            surrogate_test(ArmaSpec(1, 0, ()), target, {}, n_surrogates=10, seed=reference.seed)
         with pytest.raises(ValueError):
             surrogate_test(
                 ArmaSpec(1, 1, ("y",)), target, {"y": ns(np.arange(20))}, n_surrogates=0,

@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import io
 import json
+import pkgutil
 import re
 import tempfile
 from collections import Counter
@@ -8,9 +11,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import moodcast
 from moodcast import ingest
 from moodcast.errors import InputFormatError
 from moodcast.ingest import (
@@ -25,7 +30,10 @@ from moodcast.ingest import (
     parse_messages,
     strip_reply_markers,
 )
+from moodcast.lexicon import tokenize
 from moodcast.reports import load_attitude_series, read_series_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _line(message_id, thread_id="t1", timestamp="2004-03-05T10:00:00Z", subject="war talk"):
@@ -267,9 +275,32 @@ _wrong_messages = st.sampled_from(
      json.dumps(json.loads(_M[0]) | {"thread_id": ["t1"]}),
      _line("m99", timestamp="yesterday"), _line("m98", timestamp="0001-01-01T00:30:00+01:00")]
 )
+# Lines at the edge of the canonical layout that ``json.dumps`` writes: raw
+# characters that need no escape (still canonical), then escapes, raw control
+# characters and other layouts, which only ``json.loads`` reads.
+_NEAR_CANONICAL = [
+    lambda obj: json.dumps(obj | {"subject": "line\u2028separator"}, ensure_ascii=False),
+    lambda obj: json.dumps(obj | {"subject": "del\x7f"}, ensure_ascii=False),
+    lambda obj: json.dumps(obj | {"group": "caf\u00e9"}, ensure_ascii=False),
+    lambda obj: json.dumps(obj | {"subject": 'a "quoted" word'}),
+    lambda obj: json.dumps(obj | {"subject": "back\\slash"}),
+    lambda obj: json.dumps(obj | {"subject": "caf\u00e9"}),  # written as caf\u00e9
+    lambda obj: json.dumps(obj | {"subject": "@"}).replace("@", "\x01"),
+    lambda obj: json.dumps(obj | {"subject": "@"}).replace("@", "\t"),
+    lambda obj: json.dumps(dict(reversed(obj.items()))),
+    lambda obj: json.dumps(obj, separators=(",", ":")),
+    lambda obj: " " + json.dumps(obj),
+    lambda obj: json.dumps(obj) + " ",
+    lambda obj: "x" + json.dumps(obj),
+    lambda obj: json.dumps(obj) + json.dumps(obj | {"message_id": "m99"}),
+]
+_near_canonical_lines = st.builds(
+    lambda line, variant: variant(json.loads(line)),
+    _message_lines, st.sampled_from(_NEAR_CANONICAL),
+)
 _file_lines = st.lists(
     st.one_of(
-        _message_lines, _message_lines, _message_lines,
+        _message_lines, _message_lines, _message_lines, _near_canonical_lines,
         st.sampled_from(_BLANKS), st.sampled_from(_FRAGMENTS), _wrong_messages,
     ),
     max_size=12,
@@ -308,10 +339,30 @@ class TestChunkedDecoding:
     @example(lines=[_M[0], "", _M[1]], ending="\r\n", last_newline=True, chunk_bytes=16 * 1024)
     @example(lines=[_M[0], " ", _M[1]], ending="\r", last_newline=True, chunk_bytes=16 * 1024)
     @example(lines=[_M[0], _M[1]], ending="\n", last_newline=False, chunk_bytes=16 * 1024)
+    # A first line that is canonical lets the chunk past the gate; a later
+    # one that is not sends it to json.loads.
+    @example(lines=[_M[0], "x" + _M[1]], ending="\n", last_newline=True, chunk_bytes=16 * 1024)
+    @example(
+        lines=[_M[0], _M[1].replace("war talk", "war\x01talk")],
+        ending="\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
+    @example(
+        lines=[_M[0], json.dumps(json.loads(_M[1]), separators=(",", ":"))],
+        ending="\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
     def test_same_tally_or_error_as_the_per_line_read(self, lines, ending, last_newline, chunk_bytes):
         text = ending.join(lines) + (ending if last_newline else "")
         chunked, per_line = _outcomes_of_both_sources(text.encode("utf-8"), chunk_bytes)
         assert chunked == per_line
+
+    def test_canonical_file_is_read_without_json_loads(self, tmp_path):
+        path = tmp_path / "messages.jsonl"
+        # Raw non-ASCII letters need no escape, so these lines stay canonical.
+        lines = [_line(f"m{i}", f"t{i % 7}").replace("war", "w\u00e4r") for i in range(400)]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with mock.patch.object(ingest.json, "loads", side_effect=AssertionError("json.loads")):
+            tally = parse_messages(path)
+        assert _tally_outcome(tally) == _outcomes_of_both_sources(path.read_bytes(), 16 * 1024)[1]
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_valid_file_is_read_in_chunks_only(self, tmp_path, ending):
@@ -322,6 +373,46 @@ class TestChunkedDecoding:
             tally = parse_messages(path)
         assert len(tally) == 400
         assert _tally_outcome(tally) == _outcomes_of_both_sources(path.read_bytes(), 16 * 1024)[1]
+
+
+def test_shipped_and_generated_archives_are_canonical(tmp_path):
+    # The archives the canonical pattern is for: the shipped corpus and the
+    # fixture generator's output, which the benchmark's archives copy.
+    script = ROOT / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
+    fixtures.N_MONTHS = 30
+    fixtures.write_messages(tmp_path / "messages.jsonl", np.random.default_rng(5))
+    for path in (ROOT / "tests" / "data" / "messages.jsonl", tmp_path / "messages.jsonl"):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines and all(ingest._CANONICAL_LINE.fullmatch(line) for line in lines), path
+
+
+def _regex_opcodes(node):
+    if isinstance(node, re._parser.SubPattern):
+        node = node.data
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _regex_opcodes(item)
+    elif isinstance(node, re._constants._NamedIntConstant):
+        yield node
+
+
+def test_patterns_use_no_syntax_newer_than_python_3_10():
+    # pyproject.toml allows Python 3.10, whose re module rejects possessive
+    # repeats and atomic groups at compile time, that is, at import.
+    newer = {re._constants.POSSESSIVE_REPEAT, re._constants.ATOMIC_GROUP}
+    patterns = [
+        (f"{info.name}.{name}", value)
+        for info in pkgutil.iter_modules(moodcast.__path__, "moodcast.")
+        for name, value in vars(importlib.import_module(info.name)).items()
+        if isinstance(value, re.Pattern)
+    ]
+    assert "moodcast.ingest._CANONICAL_LINE" in dict(patterns)
+    for name, pattern in patterns:
+        tree = re._parser.parse(pattern.pattern, pattern.flags)
+        assert not newer & set(_regex_opcodes(tree)), name
 
 
 class TestChunkBoundaries:
@@ -642,6 +733,29 @@ class TestMonthlyBuckets:
 
     def test_empty_input(self):
         assert monthly_subject_buckets([]) == []
+
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["2004-01", "2004-02", "2004-04"]),
+                  st.text(alphabet="aBΣσς'İ\u0307. \n", max_size=6)),
+        max_size=12,
+    ))
+    # A capital sigma is final before a string end or a newline, not before a
+    # letter; an apostrophe or a combining mark between them is skipped.
+    @example([("2004-01", "AΣ"), ("2004-01", "a"), ("2004-01", "aΣ'"), ("2004-01", "\u0307b")])
+    @example([("2004-01", "don'"), ("2004-01", "t İ"), ("2004-01", "İ'"), ("2004-01", "Σ")])
+    def test_one_tokenize_call_per_month_counts_as_one_per_thread(self, drawn):
+        threads = [_thread(f"t{i}", subject, month) for i, (month, subject) in enumerate(drawn)]
+        expected = {}  # month -> (token counts in first-seen order, thread count)
+        for thread in threads:
+            counts, n = expected.get(thread.first_month, (Counter(), 0))
+            counts.update(tokenize(thread.subject))
+            expected[thread.first_month] = (counts, n + 1)
+        for bucket in monthly_subject_buckets(threads):
+            counts, n = expected.pop(bucket.month, (Counter(), 0))
+            assert list(bucket.token_counts.items()) == list(counts.items())
+            assert bucket.thread_count == n
+        assert not expected
 
     def test_thread_count_sums_to_thread_total(self, corpus_buckets, corpus_tally):
         kept = filter_threads(build_threads(corpus_tally), 3)
