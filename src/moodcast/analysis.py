@@ -13,24 +13,24 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from typing import Optional
 
 from .months import MonthAxis, check_contiguous
+from .records import Record
 
 
-@dataclass(frozen=True)
-class NumericSeries:
+class NumericSeries(Record):
     """A monthly numeric series on a checked ``MonthAxis``; None marks a missing month."""
 
-    months: MonthAxis
-    values: list[Optional[float]]
+    __slots__ = ("months", "values")
 
-    def __post_init__(self) -> None:
-        if len(self.months) != len(self.values):
+    def __init__(self, months: Sequence[str], values: list[Optional[float]]) -> None:
+        if len(months) != len(values):
             raise ValueError("months and values must have equal length")
-        if not isinstance(self.months, MonthAxis):
-            object.__setattr__(self, "months", check_contiguous(self.months, "numeric series"))
+        if not isinstance(months, MonthAxis):
+            months = check_contiguous(months, "numeric series")
+        super().__init__(months, values)
 
     def __len__(self) -> int:
         return len(self.months)
@@ -232,19 +232,16 @@ def check_correlation_args(window: int, alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-@dataclass(frozen=True)
-class CorrelationTrack:
+class CorrelationTrack(Record):
     """Rolling-correlation results, one entry per month of the input axis."""
 
-    months: MonthAxis
-    r: list[Optional[float]]
-    n_window: list[int]
-    p_value: list[Optional[float]]
-    significant: list[bool]
+    __slots__ = ("months", "r", "n_window", "p_value", "significant")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.months, MonthAxis):
-            object.__setattr__(self, "months", check_contiguous(self.months, "correlation track"))
+    def __init__(self, months: Sequence[str], r: list[Optional[float]], n_window: list[int],
+                 p_value: list[Optional[float]], significant: list[bool]) -> None:
+        if not isinstance(months, MonthAxis):
+            months = check_contiguous(months, "correlation track")
+        super().__init__(months, r, n_window, p_value, significant)
 
 
 def rolling_correlation(

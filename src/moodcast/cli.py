@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -150,7 +149,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = PipelineConfig(**{f.name: getattr(args, f.name) for f in _CONFIG_FIELDS.values()})
+    config = PipelineConfig(**{name: getattr(args, name) for name in _CONFIG_FIELDS.values()})
     manifest = run_pipeline(config)
     n_artifacts = len(manifest["artifacts"]) + 1
     print(f"wrote {n_artifacts} artifacts to {config.out}")
@@ -168,8 +167,8 @@ def _number_flag(kind: type) -> partial:
 
 _INT, _FLOAT = _number_flag(int), _number_flag(float)
 
-# ``run``'s options: the fields of PipelineConfig, by flag name.
-_CONFIG_FIELDS = {f"--{f.name.replace('_', '-')}": f for f in fields(PipelineConfig)}
+# ``run``'s options: the field names of PipelineConfig, by flag name.
+_CONFIG_FIELDS = {f"--{name.replace('_', '-')}": name for name in PipelineConfig._fields}
 
 # Path options: each is required and parsed as a Path.
 _PATHS = {
@@ -277,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
             flag, overrides = option if isinstance(option, tuple) else (option, {})
             settings = {**_OPTIONS[flag], **overrides}
             field = _CONFIG_FIELDS.get(flag)
-            if field is not None and field.default is not MISSING:
-                settings["default"] = field.default
+            if field in PipelineConfig._field_defaults:
+                settings["default"] = PipelineConfig._field_defaults[field]
             command.add_argument(flag, **settings)
         command.set_defaults(func=handlers[f"_cmd_{name}"])
     return parser

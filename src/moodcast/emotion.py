@@ -8,12 +8,13 @@ month's subjects counts five times in that month's population statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 from .ingest import MonthlyBucket
 from .lexicon import Lexicon
 from .months import MonthAxis, check_contiguous
+from .records import Record
 
 if TYPE_CHECKING:
     from .analysis import NumericSeries
@@ -28,8 +29,7 @@ COMPONENTS = tuple(f"{stat}-{dim}" for stat in STATS for dim in DIMENSIONS)
 TOP_WORDS = 20
 
 
-@dataclass(frozen=True)
-class MonthEmotion:
+class MonthEmotion(NamedTuple):
     """Emotion statistics for one month.
 
     ``mean`` and ``std`` map dimension name to the frequency-weighted
@@ -44,18 +44,17 @@ class MonthEmotion:
     thread_count: int
 
 
-@dataclass(frozen=True)
-class EmotionSeries:
+class EmotionSeries(Record):
     """Month-indexed emotion records on a contiguous axis, checked as in ``NumericSeries``."""
 
-    months: MonthAxis
-    records: list[MonthEmotion]
+    __slots__ = ("months", "records")
 
-    def __post_init__(self) -> None:
-        if len(self.months) != len(self.records):
+    def __init__(self, months: Sequence[str], records: list[MonthEmotion]) -> None:
+        if len(months) != len(records):
             raise ValueError("months and records must have equal length")
-        if not isinstance(self.months, MonthAxis):
-            object.__setattr__(self, "months", check_contiguous(self.months, "emotion series"))
+        if not isinstance(months, MonthAxis):
+            months = check_contiguous(months, "emotion series")
+        super().__init__(months, records)
 
 
 def score_month(bucket: MonthlyBucket, lexicon: Lexicon) -> MonthEmotion:
@@ -139,8 +138,7 @@ def assemble_from_components(
     return EmotionSeries(months=months, records=records)
 
 
-@dataclass(frozen=True)
-class WeightedWord:
+class WeightedWord(NamedTuple):
     """A ranked word with its count and square-root display weight."""
 
     word: str

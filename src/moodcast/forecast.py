@@ -13,12 +13,12 @@ the subcommands that fit no model start without it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 from .analysis import NumericSeries
 from .emotion import COMPONENTS, DIMENSIONS
 from .months import MonthAxis
+from .records import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,21 +36,19 @@ MODEL_NAMES = tuple(MODEL_EXOGENOUS)
 EXOGENOUS_MODELS = tuple(name for name in MODEL_NAMES if MODEL_EXOGENOUS[name])
 
 
-@dataclass(frozen=True)
-class ArmaSpec:
+class ArmaSpec(Record):
     """Model shape: autoregressive order, exogenous lag order, series names."""
 
-    ar_order: int
-    exog_order: int
-    exogenous_names: tuple[str, ...]
+    __slots__ = ("ar_order", "exog_order", "exogenous_names")
 
-    def __post_init__(self) -> None:
-        if self.ar_order < 0 or self.exog_order < 0:
+    def __init__(self, ar_order: int, exog_order: int, exogenous_names: tuple[str, ...]) -> None:
+        if ar_order < 0 or exog_order < 0:
             raise ValueError("lag orders must be non-negative")
-        if self.ar_order == 0 and self.exog_order == 0:
+        if ar_order == 0 and exog_order == 0:
             raise ValueError("model needs at least one lag term")
-        if self.exogenous_names and self.exog_order == 0:
+        if exogenous_names and exog_order == 0:
             raise ValueError("exogenous series given but exog_order is 0")
+        super().__init__(ar_order, exog_order, exogenous_names)
 
     @property
     def n_exogenous(self) -> int:
@@ -64,8 +62,7 @@ class ArmaSpec:
         return max(self.ar_order, self.exog_order)
 
 
-@dataclass(frozen=True)
-class RegressionSystem:
+class RegressionSystem(NamedTuple):
     """A lagged design matrix and its response, rows labelled by month."""
 
     regressors: np.ndarray
@@ -119,8 +116,7 @@ def assemble_regression(
     )
 
 
-@dataclass(frozen=True)
-class ArmaModel:
+class ArmaModel(NamedTuple):
     """A fitted lagged-regression model."""
 
     spec: ArmaSpec
@@ -175,8 +171,7 @@ def fit_arma(
     )
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """In-sample one-step evaluation over the rows the model can predict."""
 
     months: MonthAxis
@@ -249,8 +244,7 @@ def evaluate_holdout(
     return model, _report(system.months[held_out:], predictions, system.response[held_out:])
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(NamedTuple):
     """One fitted and evaluated model of the comparison suite."""
 
     name: str
@@ -305,8 +299,7 @@ def permute_series(series: NumericSeries, rng: np.random.Generator) -> NumericSe
     return NumericSeries(months=series.months, values=shuffled.tolist())
 
 
-@dataclass(frozen=True)
-class SurrogateReport:
+class SurrogateReport(NamedTuple):
     """Permutation-test outcome for one model's exogenous information."""
 
     n_surrogates: int

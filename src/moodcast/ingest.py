@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 from operator import itemgetter
@@ -22,6 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO, Union
 from .errors import InputFormatError
 from .lexicon import tokenize
 from .months import MonthAxis, month_ord
+from .records import Record
 from .tables import quote_cell
 
 MESSAGE_KEYS = ("message_id", "thread_id", "group", "timestamp", "subject")
@@ -50,8 +50,7 @@ _REPLY_RE = re.compile(r"\s*re\s*:", re.IGNORECASE)
 _CHUNK_BYTES = 16 * 1024
 
 
-@dataclass(frozen=True)
-class ThreadTally:
+class ThreadTally(Record):
     """What ``parse_messages`` returns: a message archive folded per thread.
 
     Read it through ``len()``, the message count, and ``build_threads``.
@@ -61,8 +60,10 @@ class ThreadTally:
     earliest message.
     """
 
-    threads: dict[str, list]
-    message_count: int
+    __slots__ = ("threads", "message_count")
+
+    def __init__(self, threads: dict[str, list], message_count: int) -> None:
+        super().__init__(threads, message_count)
 
     def __len__(self) -> int:
         return self.message_count
@@ -81,8 +82,7 @@ class ThreadSummary(NamedTuple):
     first_month: str
 
 
-@dataclass(frozen=True)
-class MonthlyBucket:
+class MonthlyBucket(NamedTuple):
     """Token counts over canonical subjects of threads starting in a month."""
 
     month: str

@@ -9,10 +9,9 @@ across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import InputFormatError
 from .tables import number_cell, quote_cell, read_table
@@ -28,8 +27,7 @@ LEXICON_HEADER = ("word", "valence", "arousal", "dominance")
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)*")
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     """One word's mean score on each of the three 9-point scales."""
 
     word: str

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+
+from .records import Record
 
 # ASCII digits only, and the whole string: ``\d`` would match other
 # scripts' digits and ``$`` a trailing newline.
@@ -36,22 +37,19 @@ def ord_month(ordinal: int) -> str:
     return f"{year:04d}-{mon + 1:02d}"
 
 
-@dataclass(frozen=True)
-class MonthAxis(Sequence[str]):
+class MonthAxis(Record, Sequence[str]):
     """``length`` consecutive months from the ordinal ``start`` (see :func:`month_ord`).
 
     A sequence of ``YYYY-MM`` strings whose equality, slices, ``len`` and
     ``index`` are arithmetic on the two numbers.
     """
 
-    start: int
-    length: int
+    __slots__ = ("start", "length")
 
-    def __post_init__(self) -> None:
-        if self.length < 0 or self.start < 0 or self.start + self.length > 10000 * 12:
-            raise ValueError(f"month axis out of range: start {self.start}, length {self.length}")
-        if not self.length:
-            object.__setattr__(self, "start", 0)  # every empty axis is the same axis
+    def __init__(self, start: int, length: int) -> None:
+        if length < 0 or start < 0 or start + length > 10000 * 12:
+            raise ValueError(f"month axis out of range: start {start}, length {length}")
+        super().__init__(start if length else 0, length)  # every empty axis is the same axis
 
     def __len__(self) -> int:
         return self.length

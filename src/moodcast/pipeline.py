@@ -18,10 +18,9 @@ from __future__ import annotations
 import logging
 import os
 import warnings
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .analysis import (
     NumericSeries,
@@ -87,8 +86,7 @@ FAILURE_MARKER = "run.failed"
 MANIFEST = "run_manifest.json"
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """Everything a full run needs; defaults are the reference setup.
 
     Each field is the ``moodcast run`` flag of its name, which the CLI and
@@ -390,7 +388,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "config": {
                 name: str(value) if isinstance(value, Path) else value
-                for name, value in vars(config).items()
+                for name, value in config._asdict().items()
             },
             "inputs": {
                 name: {"path": str(path), "sha256": sha256_file(path)}

@@ -13,8 +13,8 @@ series is an attitude series: every read of one checks each rate is in [0, 100].
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -30,6 +30,7 @@ from .emotion import (
 from .errors import InputFormatError
 from .forecast import SuiteEntry, SurrogateReport
 from .ingest import MonthlyBucket
+from .lexicon import SCALE_MAX, SCALE_MIN
 from .months import check_month
 from .tables import (
     MAX_COUNT,
@@ -61,6 +62,8 @@ ATTITUDE_HEADER = ("month", "rate")
 
 def sha256_file(path: Union[str, Path]) -> str:
     """Hex SHA-256 digest of a file's bytes."""
+    import hashlib  # here, not at module level: only ``run`` hashes
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
@@ -90,6 +93,13 @@ def read_emotion_csv(path: Union[str, Path], table: Optional[Table] = None) -> E
     records: list[MonthEmotion] = []
     for rownum, month, row in checked:
         stats = [number_cell(path, rownum, cell) for cell in row[1:7]]
+        for column, cell, value in zip(EMOTION_HEADER[1:7], row[1:7], stats):
+            # A mean is on the lexicon's scale; a spread is not negative.
+            low, high = (SCALE_MIN, SCALE_MAX) if column.endswith("_mean") else (0.0, math.inf)
+            if value is not None and not low <= value <= high:
+                raise InputFormatError(
+                    f"{path} row {rownum}: {column} {quote_cell(cell)} outside [{low:g}, {high:g}]"
+                )
         mean = dict(zip(DIMENSIONS, stats[0::2]))
         std = dict(zip(DIMENSIONS, stats[1::2]))
         counts = [number_cell(path, rownum, cell, int) for cell in row[7:9]]

@@ -1,6 +1,5 @@
 """Shared fixtures: the shipped synthetic corpus, the reference setup and one completed run."""
 
-from dataclasses import MISSING, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -37,9 +36,7 @@ def attitude_path() -> Path:
 @pytest.fixture(scope="session")
 def reference():
     """The reference setup: each run setting's ``PipelineConfig`` default, by field name."""
-    return SimpleNamespace(
-        **{f.name: f.default for f in fields(PipelineConfig) if f.default is not MISSING}
-    )
+    return SimpleNamespace(**PipelineConfig._field_defaults)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -205,7 +204,7 @@ class TestParserBasics:
         assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
 
     def test_run_options_are_pipeline_config_fields(self):
-        names = [f.name for f in fields(PipelineConfig)]
+        names = list(PipelineConfig._fields)
         args = build_parser().parse_args(self._RUN)
         assert [name for name in vars(args) if name not in ("verbose", "command", "func")] == names
         config = PipelineConfig(**{name: getattr(args, name) for name in names})
@@ -237,9 +236,8 @@ class TestParserBasics:
             (ingest.MonthlyBucket, ["token_counts", "thread_count"]),
             (emotion.MonthEmotion, ["thread_count"]),
         ):
-            by_name = {f.name: f for f in fields(record)}
             for name in names:
-                assert by_name[name].default is by_name[name].default_factory is MISSING, name
+                assert name in record._fields and name not in record._field_defaults, name
         assert list(inspect.signature(emotion.top_lexicon_words).parameters) == [
             "buckets", "lexicon"
         ]
@@ -311,12 +309,21 @@ class TestStartup:
         # t-test of ``correlate`` included, pay for neither. ``suite`` is the
         # positive control: without it the check could pass with the detector
         # broken. ``run`` fits models, so it may load numpy but not scipy.
+        # The same stages load none of ``dataclasses``, ``inspect`` (which
+        # numpy loads) and ``hashlib``, unless the bare interpreter already
+        # has them; ``run`` hashes, so it must load ``hashlib``.
+        bare = subprocess.run(
+            [sys.executable, "-c", "import sys; print(*sys.modules)"],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        unused = [name for name in ("dataclasses", "inspect", "hashlib") if name not in bare]
         script = (
             "import sys\n"
             "import moodcast.cli\n"
             "def loaded(*names):\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] in names)\n"
-            "assert not loaded('numpy', 'scipy'), ('import', loaded('numpy', 'scipy'))\n"
+            f"unused = ('numpy', 'scipy', *{unused!r})\n"
+            "assert not loaded(*unused), ('import', loaded(*unused))\n"
             "messages, lexicon, attitude, run, out = sys.argv[1:]\n"
             "for argv in (\n"
             "    ['ingest', '--messages', messages, '--out', out],\n"
@@ -330,7 +337,7 @@ class TestStartup:
             "    ['report', '--run', run, '--out', out + '/report.md'],\n"
             "):\n"
             "    assert moodcast.cli.main(argv) == 0, argv\n"
-            "    assert not loaded('numpy', 'scipy'), (argv[0], loaded('numpy', 'scipy'))\n"
+            "    assert not loaded(*unused), (argv[0], loaded(*unused))\n"
             "assert moodcast.cli.main(['suite', '--attitude-series', out + '/attitude_smoothed.csv',\n"
             "    '--emotion-series', out + '/emotion_series_smoothed.csv',\n"
             "    '--out', out + '/models.json']) == 0\n"
@@ -338,6 +345,7 @@ class TestStartup:
             "assert moodcast.cli.main(['run', '--lexicon', lexicon, '--messages', messages,\n"
             "    '--attitude', attitude, '--surrogates', '20', '--out', out + '/run']) == 0\n"
             "assert not loaded('scipy'), ('run', loaded('scipy'))\n"
+            "assert 'hashlib' in sys.modules, 'run hashed nothing'\n"
         )
         src_dir = Path(moodcast.__file__).resolve().parents[1]
         inputs = [messages_path, lexicon_path, attitude_path, pipeline_run[0], tmp_path]
@@ -616,6 +624,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {attitude_path} is a two-column series; drop its column flag" in err
         assert not (tmp_path / "corr.csv").exists()
+
+    @pytest.mark.parametrize("command", ["smooth", "correlate", "suite"])
+    @pytest.mark.parametrize(
+        "column, cell, bounds",
+        [("valence_std", "-1.0", "[0, inf]"), ("valence_mean", "-3.0", "[1, 9]")],
+        ids=["negative-std", "mean-off-scale"],
+    )
+    def test_emotion_statistic_off_its_scale_is_2(
+        self, tmp_path, capsys, pipeline_run, command, column, cell, bounds
+    ):
+        # A scored table with one statistic of row 2 off its scale, through each reader.
+        header, first, *rows = (
+            (pipeline_run[0] / "emotion_series_smoothed.csv").read_text(encoding="utf-8")
+        ).splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = cell
+        path = tmp_path / "emotion.csv"
+        path.write_text("\n".join([header, ",".join(cells), *rows]) + "\n", encoding="utf-8")
+        attitude = str(pipeline_run[0] / "attitude_smoothed.csv")
+        argv = {
+            "smooth": ["--series", str(path)],
+            "correlate": ["--series-a", str(path), "--column-a", column, "--series-b", attitude],
+            "suite": ["--attitude-series", attitude, "--emotion-series", str(path)],
+        }[command]
+        assert run_cli(command, *argv, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {path} row 2: {column} '{cell}' outside {bounds}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "rows, message",

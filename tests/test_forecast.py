@@ -290,11 +290,9 @@ class TestPredictOneStep:
         assert predict_one_step(model, target, {}, target.months[-1]) == pytest.approx(manual)
 
     def test_documented_reference_product(self):
-        from dataclasses import replace
-
         # a near-unit coefficient of 0.989 applied to a level of 60.0
         target = ns([58.0, 59.0, 61.0, 60.0, 55.0])
-        model = replace(fit_arma(ArmaSpec(1, 0, ()), target, {}), ar_coeffs=[0.989])
+        model = fit_arma(ArmaSpec(1, 0, ()), target, {})._replace(ar_coeffs=[0.989])
         predicted = predict_one_step(model, target, {}, target.months[-1])
         assert predicted == pytest.approx(59.34, abs=1e-12)
 
@@ -308,14 +306,11 @@ class TestPredictOneStep:
         assert predict_one_step(model, target, exog, month) == pytest.approx(expected)
 
     def test_linear_in_coefficients(self):
-        from dataclasses import replace
-
         target = ns([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         exog = {"y": ns([2.0, 1.0, 2.0, 1.0, 2.0, 1.0])}
         spec = ArmaSpec(1, 1, ("y",))
         base = fit_arma(spec, target, exog)
-        doubled = replace(
-            base,
+        doubled = base._replace(
             ar_coeffs=[2 * c for c in base.ar_coeffs],
             exog_coeffs=[[2 * c for c in row] for row in base.exog_coeffs],
         )
@@ -325,10 +320,8 @@ class TestPredictOneStep:
         )
 
     def test_zero_coefficients_predict_zero(self):
-        from dataclasses import replace
-
         target = ns([1.0, 2.0, 3.0, 4.0, 5.0])
-        model = replace(fit_arma(ArmaSpec(1, 0, ()), target, {}), ar_coeffs=[0.0])
+        model = fit_arma(ArmaSpec(1, 0, ()), target, {})._replace(ar_coeffs=[0.0])
         assert predict_one_step(model, target, {}, target.months[-1]) == 0.0
 
     def test_rejects_insufficient_history(self):

@@ -1,0 +1,139 @@
+"""The record contract: field names and order, immutability, equality, hashing,
+copies and the constructor checks of every record class the package defines."""
+
+import copy
+import pickle
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from moodcast.analysis import CorrelationTrack, NumericSeries
+from moodcast.emotion import EmotionSeries, MonthEmotion, WeightedWord
+from moodcast.forecast import (
+    ArmaModel,
+    ArmaSpec,
+    EvaluationReport,
+    RegressionSystem,
+    SuiteEntry,
+    SurrogateReport,
+)
+from moodcast.ingest import MonthlyBucket, ThreadTally
+from moodcast.lexicon import LexiconEntry
+from moodcast.months import MonthAxis
+from moodcast.pipeline import PipelineConfig
+
+AXIS = MonthAxis(24000, 3)
+# Arrays compare element-wise, so both copies of a regression system share them.
+ARRAYS = np.ones((3, 2)), np.ones(3)
+
+
+def _emotion():
+    return MonthEmotion("2000-01", {"valence": 5.0}, {"valence": 1.0}, 3, 2)
+
+
+def _model():
+    return ArmaModel(ArmaSpec(1, 1, ("x",)), [0.5], [[0.25]], AXIS[1:], 0.5)
+
+
+def _report():
+    return EvaluationReport(AXIS[1:], [1.0, 2.0], [1.5, 2.0], [0.5, 0.0], [0.5, 0.25], 0.25)
+
+
+# Record class -> (its fields in order, a function that builds one anew).
+RECORDS = {
+    MonthAxis: (("start", "length"), lambda: MonthAxis(24000, 3)),
+    NumericSeries: (("months", "values"), lambda: NumericSeries(AXIS, [1.0, None, 3.0])),
+    CorrelationTrack: (
+        ("months", "r", "n_window", "p_value", "significant"),
+        lambda: CorrelationTrack(AXIS, [None, 0.5, 1.0], [2, 3, 2], [None, 0.5, 0.0],
+                                 [False, False, True]),
+    ),
+    MonthEmotion: (("month", "mean", "std", "match_count", "thread_count"), _emotion),
+    EmotionSeries: (("months", "records"), lambda: EmotionSeries(AXIS[:1], [_emotion()])),
+    WeightedWord: (("word", "occurrences", "display_weight"),
+                   lambda: WeightedWord("war", 4, 2.0)),
+    LexiconEntry: (("word", "valence", "arousal", "dominance"),
+                   lambda: LexiconEntry("war", 2.08, 7.49, 4.0)),
+    ThreadTally: (("threads", "message_count"),
+                  lambda: ThreadTally({"t": ["2000-01-01T00:00:00+00:00", "war", 2]}, 2)),
+    MonthlyBucket: (("month", "token_counts", "thread_count"),
+                    lambda: MonthlyBucket("2000-01", {"war": 2}, 1)),
+    ArmaSpec: (("ar_order", "exog_order", "exogenous_names"), lambda: ArmaSpec(1, 3, ("x",))),
+    RegressionSystem: (("regressors", "response", "months"),
+                       lambda: RegressionSystem(*ARRAYS, AXIS)),
+    ArmaModel: (("spec", "ar_coeffs", "exog_coeffs", "training_months", "sse"), _model),
+    EvaluationReport: (
+        ("months", "predictions", "actuals", "errors", "cumulative_mean_abs_error", "mae"),
+        _report,
+    ),
+    SuiteEntry: (("name", "model", "report"), lambda: SuiteEntry("x", _model(), _report())),
+    SurrogateReport: (("n_surrogates", "empirical_mae", "surrogate_maes", "p_hat", "seed"),
+                      lambda: SurrogateReport(2, 0.5, [0.25, 0.75], 0.5, 0)),
+    PipelineConfig: (
+        ("lexicon", "messages", "attitude", "out", "min_messages", "smooth_window",
+         "corr_window", "alpha", "p", "q", "surrogates", "seed", "gap_policy",
+         "surrogate_model", "surrogate_full"),
+        lambda: PipelineConfig(Path("l.csv"), Path("m.jsonl"), Path("a.csv"), Path("o")),
+    ),
+}
+
+# The records whose every field is hashable; the others hold a list, dict or array.
+HASHABLE = {MonthAxis, WeightedWord, LexiconEntry, ArmaSpec, PipelineConfig}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    fields, build = RECORDS[cls]
+    first, second = build(), build()
+    assert type(first) is cls
+    assert tuple(getattr(cls, "_fields", None) or cls.__slots__) == fields
+    # Equal fields give equal records, and equal hashes where the fields are hashable.
+    assert first == second and not first != second
+    # A named tuple also equals the plain tuple of its fields; a checked record does not.
+    values = tuple(getattr(first, name) for name in fields)
+    assert (first == values) is hasattr(cls, "_fields")
+    if cls in HASHABLE:
+        assert hash(first) == hash(second)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(first)
+    # Read-only: no field can be set or deleted, and no attribute added.
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(first, name, getattr(second, name))
+        with pytest.raises(AttributeError):
+            delattr(first, name)
+    with pytest.raises(AttributeError):
+        first.extra = 1
+    assert first == second
+    # A copy is an equal record of the same class.
+    for twin in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+        assert type(twin) is cls and (cls is RegressionSystem or twin == first)
+    assert repr(first).startswith(f"{cls.__name__}({fields[0]}=")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MonthAxis(-1, 3), "month axis out of range: start -1, length 3"),
+        (lambda: MonthAxis(0, -1), "month axis out of range: start 0, length -1"),
+        (lambda: MonthAxis(10000 * 12 - 1, 2), "month axis out of range: start 119999, length 2"),
+        (lambda: NumericSeries(AXIS, [1.0]), "months and values must have equal length"),
+        (lambda: EmotionSeries(AXIS, [_emotion()]), "months and records must have equal length"),
+        (lambda: NumericSeries(["2000-01", "2000-03"], [1.0, 2.0]),
+         "numeric series: month axis not contiguous near 2000-03 (expected 2000-02)"),
+        (lambda: EmotionSeries(["2000-02", "2000-01"], [_emotion(), _emotion()]),
+         "emotion series: month axis not contiguous near 2000-01 (expected 2000-03)"),
+        (lambda: CorrelationTrack([], [], [], [], []), "correlation track: month axis is empty"),
+        (lambda: ArmaSpec(-1, 1, ()), "lag orders must be non-negative"),
+        (lambda: ArmaSpec(1, -1, ()), "lag orders must be non-negative"),
+        (lambda: ArmaSpec(0, 0, ()), "model needs at least one lag term"),
+        (lambda: ArmaSpec(1, 0, ("x",)), "exogenous series given but exog_order is 0"),
+    ],
+)
+def test_checked_records_reject_bad_fields(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+

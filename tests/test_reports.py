@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import re
@@ -12,7 +11,7 @@ from moodcast.emotion import DIMENSIONS, EmotionSeries, MonthEmotion, WeightedWo
 from moodcast.errors import InputFormatError
 from moodcast.forecast import ArmaSpec, SuiteEntry, SurrogateReport, evaluate, fit_arma
 from moodcast.ingest import MonthlyBucket
-from moodcast.lexicon import load_lexicon
+from moodcast.lexicon import SCALE_MAX, SCALE_MIN, load_lexicon
 from moodcast.months import MonthAxis, month_ord, ord_month
 from moodcast.reports import (
     CORRELATION_HEADER,
@@ -54,7 +53,7 @@ def month_record(month, base, match_count=5, thread_count=0):
 class TestEmotionCsv:
     def test_round_trip(self, tmp_path):
         months = months_from("2000-11", 4)
-        records = [month_record(m, i + 0.125, thread_count=i) for i, m in enumerate(months)]
+        records = [month_record(m, i + 1.125, thread_count=i) for i, m in enumerate(months)]
         records[2] = MonthEmotion(
             month=months[2],
             mean={d: None for d in ("valence", "arousal", "dominance")},
@@ -95,23 +94,42 @@ class TestEmotionCsv:
         assert lines[1] == "2000-01,1.5,0.0,,,,,2,2"
 
     def test_float_repr_fidelity(self, tmp_path):
+        # A mean lies on the lexicon's [1, 9] scale; a spread is any non-negative float.
+        on_scale = [1.1 + 2.2, 4.0 / 3.0, 1.0 + 1e-15, 9.0 - 2e-15, 2.08]
         months = months_from("2001-01", len(AWKWARD))
         records = [
             MonthEmotion(
                 month=m,
-                mean={"valence": v, "arousal": v, "dominance": v},
+                mean={"valence": u, "arousal": u, "dominance": u},
                 std={"valence": v, "arousal": v, "dominance": v},
                 match_count=1,
                 thread_count=0,
             )
-            for m, v in zip(months, AWKWARD)
+            for m, u, v in zip(months, on_scale, AWKWARD)
         ]
         path = tmp_path / "emotion.csv"
         write_emotion_csv(path, EmotionSeries(months=months, records=records))
         loaded = read_emotion_csv(path)
-        for record, v in zip(loaded.records, AWKWARD):
-            assert record.mean["valence"] == v
+        for record, u, v in zip(loaded.records, on_scale, AWKWARD):
+            assert record.mean["valence"] == u
             assert record.std["dominance"] == v
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [("0.999,0.0,5,1,5,1", "valence_mean '0.999' outside [1, 9]"),
+         ("5,1,9.001,1,5,1", "arousal_mean '9.001' outside [1, 9]"),
+         ("5,1,5,1,5,-1e-300", "dominance_std '-1e-300' outside [0, inf]"),
+         ("1,0.0,9,-0.0,5,1e300", None)],
+        ids=["mean-below", "mean-above", "std-negative", "bounds"],
+    )
+    def test_statistics_stay_on_their_scales(self, tmp_path, cells, message):
+        path = tmp_path / "emotion.csv"
+        path.write_text(f"{','.join(EMOTION_HEADER)}\n2000-01,{cells},3,1\n", encoding="utf-8")
+        if message is None:
+            assert read_emotion_csv(path).records[0].mean["valence"] == 1.0
+        else:
+            with pytest.raises(InputFormatError, match=re.escape(f"{path} row 2: {message}")):
+                read_emotion_csv(path)
 
     def test_rejects_wrong_header_and_bad_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -403,9 +421,15 @@ class TestRoundTrips:
     @_ROUND_TRIPS
     @given(axis=_AXES, data=st.data())
     def test_emotion_csv(self, tmp_path, axis, data):
-        stats = st.fixed_dictionaries({dim: st.none() | _FLOATS for dim in DIMENSIONS})
+        # A mean lies on the lexicon's [1, 9] scale; a spread is not negative.
+        means = st.fixed_dictionaries(
+            {dim: st.none() | st.floats(SCALE_MIN, SCALE_MAX) for dim in DIMENSIONS}
+        )
+        spreads = st.fixed_dictionaries(
+            {dim: st.none() | st.floats(0.0, allow_infinity=False) for dim in DIMENSIONS}
+        )
         records = [
-            MonthEmotion(month, data.draw(stats), data.draw(stats), data.draw(_COUNTS),
+            MonthEmotion(month, data.draw(means), data.draw(spreads), data.draw(_COUNTS),
                          data.draw(_COUNTS))
             for month in axis
         ]
@@ -525,7 +549,7 @@ class TestSurrogateJson:
         assert "surrogate_maes" not in payload
 
     def test_refuses_non_finite_values(self, tmp_path):
-        report = dataclasses.replace(self.make_report(), empirical_mae=float("nan"))
+        report = self.make_report()._replace(empirical_mae=float("nan"))
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_surrogate_json(
                 tmp_path / "surrogate.json", report, "both-arousal", 1, 3, [], include_maes=False
