@@ -16,9 +16,9 @@ from datetime import datetime, timezone
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
-from .errors import InputFormatError
+from .errors import InputFormatError, json_problem
 from .lexicon import tokenize
 from .months import MonthAxis, month_ord
 from .records import Record
@@ -28,8 +28,9 @@ MESSAGE_KEYS = ("message_id", "thread_id", "group", "timestamp", "subject")
 _KEY_SET = frozenset(MESSAGE_KEYS)
 _message_fields = itemgetter(*MESSAGE_KEYS)
 
-# A message's five strings, in ``MESSAGE_KEYS`` order.
+# A message's five strings, in ``MESSAGE_KEYS`` order, and messages by line number.
 _Message = tuple[str, str, str, str, str]
+_Rows = Iterable[tuple[int, _Message]]
 
 # A canonical message line: what ``json.dumps`` writes for a message with its
 # keys in ``MESSAGE_KEYS`` order, when no value holds '"', '\\' or U+0000-U+001F.
@@ -41,6 +42,10 @@ _CANONICAL_LINE = re.compile(
     r"^\{" + ", ".join(f'"{key}": {_CANONICAL_VALUE}' for key in MESSAGE_KEYS) + r"\}\n",
     re.MULTILINE,
 )
+
+# A byte that is not UTF-8, as the "surrogateescape" error handler decodes it;
+# ``findall`` and ``json.loads`` would both take it for a character.
+_UNDECODABLE = re.compile(r"[\udc80-\udcff]")
 
 # Repeated leading reply markers: "re:" in any case, optional whitespace.
 _REPLY_RE = re.compile(r"\s*re\s*:", re.IGNORECASE)
@@ -115,61 +120,58 @@ def parse_messages(path: Union[str, Path]) -> ThreadTally:
     duplicate message ids by name. Only the message ids and one entry per
     thread are kept, never a record per message.
 
-    The file is read a chunk of lines at a time. If that read fails in
-    any way, the file is read again line by line, which names the first
-    bad line.
+    The file is opened once and read a chunk of lines at a time. The first
+    bad line is named, whatever its fault: a chunk that fails is read again
+    line by line, from memory, before the fold reaches its first line.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return _fold_messages(chain.from_iterable(_chunk_rows(handle)))
-    except (InputFormatError, UnicodeDecodeError):
-        pass
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return _fold_messages(_line_rows(handle))
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(
-            f"messages line {_undecodable_line(path)}: {path} is not valid UTF-8 ({exc.reason})"
-        ) from None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        return _fold_messages(chain.from_iterable(_chunk_rows(handle, path)))
 
 
-def _undecodable_line(path: Union[str, Path]) -> int:
-    """Number of the first line of a file that is not valid UTF-8."""
-    with open(path, "rb") as handle:
-        for lineno, line in enumerate(handle, start=1):
+def _line_rows(lines: Iterable[str], first_lineno: int, path: Union[str, Path]) -> _Rows:
+    """``(line number, message)`` for each non-blank line from ``first_lineno`` on, one by one."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if _UNDECODABLE.search(line):
             try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    raise AssertionError(f"{path} decodes as UTF-8")
-
-
-def _line_rows(lines: Iterable[str]) -> Iterator[tuple[int, _Message]]:
-    """``(line number, message)`` for each non-blank line, one by one."""
-    for lineno, line in enumerate(lines, start=1):
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputFormatError(
+                    f"messages line {lineno}: {path} is not valid UTF-8 ({exc.reason})"
+                ) from None
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"messages line {lineno}: invalid JSON ({exc.msg})") from None
-        except ValueError as exc:  # an integer literal past the interpreter's digit limit
-            raise InputFormatError(f"messages line {lineno}: invalid JSON ({exc})") from None
-        except RecursionError:
-            raise InputFormatError(f"messages line {lineno}: invalid JSON (nested too deeply)") from None
+        except (ValueError, RecursionError) as exc:
+            raise InputFormatError(f"messages line {lineno}: {json_problem(exc)}") from None
         yield lineno, _message(lineno, obj)
 
 
-def _chunk_rows(handle: TextIO) -> Iterator[Iterable[tuple[int, _Message]]]:
+def _chunk_rows(handle: TextIO, path: Union[str, Path]) -> Iterator[_Rows]:
     """What ``_line_rows`` yields, one chunk of lines per batch.
 
-    A chunk whose lines are all canonical (see ``_CANONICAL_LINE``) is read
-    with one ``findall``. It is taken only if it holds no backslash and its
-    first line matches, and then only if it has as many matches as lines.
-    Each match is then a whole line: it starts at a line start and ends at
-    that line's newline, and no two share a line, so every line is a match
-    and the matches tile the chunk. A last line without a newline matches
-    nothing, so its chunk falls short of the count.
+    A chunk that ``_decoded_rows`` does not read whole is read by
+    ``_line_rows``, lazily, so a fold error in an earlier line of it is
+    still met first.
+    """
+    lineno = 1  # of the chunk's first line
+    while chunk := handle.readlines(_CHUNK_BYTES):
+        rows = _decoded_rows(chunk, lineno)
+        yield _line_rows(chunk, lineno, path) if rows is None else rows
+        lineno += len(chunk)
+
+
+def _decoded_rows(chunk: list[str], lineno: int) -> Optional[_Rows]:
+    """The messages of a chunk whose first line is ``lineno``, or None if not all are.
+
+    A chunk that holds a byte that is not UTF-8 gives None before it is
+    read. A chunk whose lines are all canonical (see ``_CANONICAL_LINE``) is
+    read with one ``findall``. It is taken only if it holds no backslash and
+    its first line matches, and then only if it has as many matches as
+    lines. Each match is then a whole line: it starts at a line start and
+    ends at that line's newline, and no two share a line, so every line is
+    a match and the matches tile the chunk. A last line without a newline
+    matches nothing, so its chunk falls short of the count.
 
     Any other chunk decodes as the rows of ``[[line 1],[line 2],...]``,
     each line keeping its own newline. Strict JSON puts no raw newline
@@ -178,33 +180,28 @@ def _chunk_rows(handle: TextIO) -> Iterator[Iterable[tuple[int, _Message]]]:
     left are the ones added here, so row ``i`` is exactly line ``i``. A
     JSON-blank line is an empty row. A chunk that does not decode, that
     decodes to more or fewer rows than it has lines, or that holds a row
-    other than a list of at most one value raises ``InputFormatError``
-    without naming a line; the caller then reads the file with
-    ``_line_rows``.
+    other than a list of at most one message gives None.
     """
-    lineno = 0
-    while chunk := handle.readlines(_CHUNK_BYTES):
-        text = "".join(chunk)
-        if "\\" not in text and _CANONICAL_LINE.match(text):
-            messages = _CANONICAL_LINE.findall(text)
-            if len(messages) == len(chunk):
-                yield zip(range(lineno + 1, lineno + len(chunk) + 1), messages)
-                lineno += len(chunk)
-                continue
-        try:
-            rows = json.loads("[[" + "],[".join(chunk) + "]]")
-        except (ValueError, RecursionError):
-            raise InputFormatError("a chunk of messages lines does not decode") from None
+    text = "".join(chunk)
+    if not text.isascii() and _UNDECODABLE.search(text):
+        return None
+    if "\\" not in text and _CANONICAL_LINE.match(text):
+        messages = _CANONICAL_LINE.findall(text)
+        if len(messages) == len(chunk):
+            return zip(range(lineno, lineno + len(chunk)), messages)
+    try:
+        rows = json.loads("[[" + "],[".join(chunk) + "]]")
         if len(rows) != len(chunk):
-            raise InputFormatError("a chunk of messages lines decodes to another number of rows")
+            return None
         batch = []
-        for row in rows:
-            lineno += 1
+        for lineno, row in enumerate(rows, start=lineno):
             if type(row) is not list or len(row) > 1:
-                raise InputFormatError("a chunk row holds more than one value")
+                return None
             if row:
                 batch.append((lineno, _message(lineno, row[0])))
-        yield batch
+    except (ValueError, RecursionError):  # InputFormatError too
+        return None
+    return batch
 
 
 def _message(lineno: int, obj: object) -> _Message:
@@ -219,7 +216,7 @@ def _message(lineno: int, obj: object) -> _Message:
     raise InputFormatError(f"messages line {lineno}: {_message_problem(obj)}")
 
 
-def _fold_messages(rows: Iterable[tuple[int, _Message]]) -> ThreadTally:
+def _fold_messages(rows: _Rows) -> ThreadTally:
     """Fold each message into its thread."""
     threads: dict[str, list] = {}
     seen_ids: set[str] = set()

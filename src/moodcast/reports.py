@@ -14,7 +14,6 @@ series is an attitude series: every read of one checks each rate is in [0, 100].
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -27,7 +26,7 @@ from .emotion import (
     WeightedWord,
     component_series,
 )
-from .errors import InputFormatError
+from .errors import InputFormatError, json_problem
 from .forecast import SuiteEntry, SurrogateReport
 from .ingest import MonthlyBucket
 from .lexicon import SCALE_MAX, SCALE_MIN
@@ -50,6 +49,8 @@ EMOTION_HEADER = (
     "match_count",
     "thread_count",
 )
+# The largest population std of scores on [SCALE_MIN, SCALE_MAX] (Popoviciu's inequality).
+_STD_MAX = (SCALE_MAX - SCALE_MIN) / 2
 
 CORRELATION_HEADER = ("month", "r", "n_window", "p_value", "significant")
 
@@ -94,8 +95,8 @@ def read_emotion_csv(path: Union[str, Path], table: Optional[Table] = None) -> E
     for rownum, month, row in checked:
         stats = [number_cell(path, rownum, cell) for cell in row[1:7]]
         for column, cell, value in zip(EMOTION_HEADER[1:7], row[1:7], stats):
-            # A mean is on the lexicon's scale; a spread is not negative.
-            low, high = (SCALE_MIN, SCALE_MAX) if column.endswith("_mean") else (0.0, math.inf)
+            # A mean is on the lexicon's scale; a spread is at most half its width.
+            low, high = (SCALE_MIN, SCALE_MAX) if column.endswith("_mean") else (0.0, _STD_MAX)
             if value is not None and not low <= value <= high:
                 raise InputFormatError(
                     f"{path} row {rownum}: {column} {quote_cell(cell)} outside [{low:g}, {high:g}]"
@@ -103,6 +104,16 @@ def read_emotion_csv(path: Union[str, Path], table: Optional[Table] = None) -> E
         mean = dict(zip(DIMENSIONS, stats[0::2]))
         std = dict(zip(DIMENSIONS, stats[1::2]))
         counts = [number_cell(path, rownum, cell, int) for cell in row[7:9]]
+        # A scored month has all six statistics; one with no match has none.
+        if 0 < stats.count(None) < 6:
+            empty = EMOTION_HEADER[1 + stats.index(None)]
+            raise InputFormatError(
+                f"{path} row {rownum}: {empty} is empty but other statistics are not"
+            )
+        if None in stats and counts[0] > 0:
+            raise InputFormatError(
+                f"{path} row {rownum}: match_count {counts[0]} with no statistics"
+            )
         records.append(MonthEmotion(month, mean, std, *counts))
     return EmotionSeries(months=axis, records=records)
 
@@ -350,12 +361,8 @@ def _read_json(path: Union[str, Path]) -> dict:
             payload = json.load(handle)
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: invalid JSON ({exc.msg})") from None
-        except ValueError as exc:  # an integer literal past the interpreter's digit limit
-            raise InputFormatError(f"{path}: invalid JSON ({exc})") from None
-        except RecursionError:
-            raise InputFormatError(f"{path}: invalid JSON (nested too deeply)") from None
+        except (ValueError, RecursionError) as exc:
+            raise InputFormatError(f"{path}: {json_problem(exc)}") from None
     if not isinstance(payload, dict):
         raise InputFormatError(f"{path}: expected a JSON object")
     return payload

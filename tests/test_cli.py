@@ -123,6 +123,13 @@ MALFORMED = {
     "series-month-trailing-newline": ("series.csv", 'month,rate\n"2001-01\n",1.0\n', "smooth"),
     "series-month-gap": ("series.csv", "month,rate\n2001-01,1.0\n2001-03,3.0\n", "smooth"),
     "series-one-column": ("series.csv", "month\n2001-01\n", "smooth"),
+    # A scored month has all six statistics, and one with no match has none.
+    "emotion-statistics-partly-empty": (
+        "emotion.csv", _emotion_file("2001-01,5.0,,5.0,1.0,5.0,1.0,3,1"), "smooth"
+    ),
+    "emotion-matches-without-statistics": (
+        "emotion.csv", _emotion_file("2001-01,,,,,,,3,1"), "smooth"
+    ),
     "emotion-month-gap": (
         "emotion.csv",
         _emotion_file("2001-01,5.0,1.0,5.0,1.0,5.0,1.0,3,1", "2001-03,5.0,1.0,5.0,1.0,5.0,1.0,3,1"),
@@ -628,8 +635,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["smooth", "correlate", "suite"])
     @pytest.mark.parametrize(
         "column, cell, bounds",
-        [("valence_std", "-1.0", "[0, inf]"), ("valence_mean", "-3.0", "[1, 9]")],
-        ids=["negative-std", "mean-off-scale"],
+        [("valence_std", "-1.0", "[0, 4]"), ("valence_mean", "-3.0", "[1, 9]"),
+         ("valence_std", "7.5", "[0, 4]")],
+        ids=["negative-std", "mean-off-scale", "std-above-half-the-scale"],
     )
     def test_emotion_statistic_off_its_scale_is_2(
         self, tmp_path, capsys, pipeline_run, command, column, cell, bounds

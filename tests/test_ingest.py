@@ -231,6 +231,23 @@ def _tally_outcome(tally):
     return list(tally.threads.items()), len(tally)
 
 
+def _decoded_lines(raw: bytes, path):
+    """The lines of ``raw`` as universal newlines split them, each decoded on its own.
+
+    A line that is not UTF-8 raises when it is reached, so a bad line
+    before it is named first.
+    """
+    for lineno, line in enumerate(re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", raw), start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                f"messages line {lineno}: {path} is not valid UTF-8 ({exc.reason})"
+            ) from None
+        body = text.rstrip("\r\n")
+        yield body + "\n" if body != text else body
+
+
 def _outcomes_of_both_sources(raw: bytes, chunk_bytes: int):
     """``parse_messages`` and the per-line fold alone, on one file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -240,8 +257,7 @@ def _outcomes_of_both_sources(raw: bytes, chunk_bytes: int):
             chunked = _outcome(lambda p: _tally_outcome(parse_messages(p)), path)
 
         def per_line(p):
-            with open(p, "r", encoding="utf-8") as handle:
-                return _tally_outcome(_fold_messages(_line_rows(handle)))
+            return _tally_outcome(_fold_messages(_line_rows(_decoded_lines(raw, p), 1, p)))
 
         return chunked, _outcome(per_line, path)
 
@@ -298,10 +314,25 @@ _near_canonical_lines = st.builds(
     lambda line, variant: variant(json.loads(line)),
     _message_lines, st.sampled_from(_NEAR_CANONICAL),
 )
+# Bytes that are not UTF-8, written as the "surrogateescape" handler decodes
+# them: a Latin-1 byte, a lone continuation byte, a cut three-byte sequence
+# and an encoded surrogate. Put into a message's subject, into a blank line
+# and into broken JSON.
+_BAD_BYTES = ["\udcff", "\udce4", "\udc80", "\udce2\udc82", "\udced\udca0\udc80"]
+_undecodable_lines = st.builds(
+    lambda line, bad, where: {
+        "subject": line.replace('"subject": "', '"subject": "' + bad, 1),
+        "blank": " " + bad,
+        "json": "{not json" + bad,
+        "end": line + bad,
+    }[where],
+    _message_lines, st.sampled_from(_BAD_BYTES), st.sampled_from(["subject", "blank", "json", "end"]),
+)
 _file_lines = st.lists(
     st.one_of(
         _message_lines, _message_lines, _message_lines, _near_canonical_lines,
         st.sampled_from(_BLANKS), st.sampled_from(_FRAGMENTS), _wrong_messages,
+        _undecodable_lines,
     ),
     max_size=12,
 )
@@ -350,9 +381,21 @@ class TestChunkedDecoding:
         lines=[_M[0], json.dumps(json.loads(_M[1]), separators=(",", ":"))],
         ending="\n", last_newline=True, chunk_bytes=16 * 1024,
     )
+    # A bad JSON line names itself before a later byte that is not UTF-8,
+    # in the same chunk, and that byte before a later bad line.
+    @example(
+        lines=[_M[0], "{not json", _M[1], _M[2].replace("war", "w\udcffr")],
+        ending="\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
+    @example(
+        lines=[_M[0], _M[1].replace("war", "w\udce4r"), "[]"],
+        ending="\r\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
+    @example(lines=[_M[0], _M[1] + "\udce2\udc82"], ending="\n", last_newline=False, chunk_bytes=1)
     def test_same_tally_or_error_as_the_per_line_read(self, lines, ending, last_newline, chunk_bytes):
         text = ending.join(lines) + (ending if last_newline else "")
-        chunked, per_line = _outcomes_of_both_sources(text.encode("utf-8"), chunk_bytes)
+        raw = text.encode("utf-8", "surrogateescape")
+        chunked, per_line = _outcomes_of_both_sources(raw, chunk_bytes)
         assert chunked == per_line
 
     def test_canonical_file_is_read_without_json_loads(self, tmp_path):
@@ -452,6 +495,28 @@ class TestChunkBoundaries:
         path.write_bytes(raw[:12000] + b"\xff" + raw[12000:])
         with pytest.raises(InputFormatError, match=re.escape("messages line 2: invalid JSON")):
             parse_messages(path)
+
+    @pytest.mark.parametrize(
+        "last, message, line_reads",
+        [(b"{not json", "messages line 1000: invalid JSON", 1),
+         (_line("x").encode().replace(b"war", b"w\xffr"),
+          "messages line 1000: {path} is not valid UTF-8 (invalid start byte)", 1),
+         (_line("m5").encode(), "duplicate message_id: 'm5'", 0)],
+        ids=["bad-json", "not-utf8", "duplicate-id"],
+    )
+    def test_fault_on_the_last_line_reads_the_file_once(self, tmp_path, lines, last, message,
+                                                        line_reads):
+        # Only the chunk that holds the fault is read line by line, from memory.
+        path = tmp_path / "messages.jsonl"
+        path.write_bytes("".join(line + "\n" for line in lines[:-1]).encode() + last + b"\n")
+        with mock.patch.object(ingest, "open", wraps=open, create=True) as opened, \
+                mock.patch.object(ingest, "_line_rows", wraps=ingest._line_rows) as line_rows:
+            with pytest.raises(InputFormatError, match=re.escape(message.format(path=path))):
+                parse_messages(path)
+        assert opened.call_count == 1
+        assert line_rows.call_count == line_reads
+        for (chunk, first_lineno, _), _ in line_rows.call_args_list:
+            assert 1 < first_lineno and first_lineno + len(chunk) - 1 == self.LINES
 
     def test_duplicate_id_across_chunks_is_caught(self, tmp_path, lines):
         lines[-1] = _line("m5", "t3")  # the copy of line 6, several chunks later
@@ -588,6 +653,35 @@ class TestParseMessages:
         path = tmp_path / "messages.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
         message = f"messages line {bad_line}: {path} is not valid UTF-8"
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            parse_messages(path)
+
+    def test_first_bad_line_named_whatever_its_fault(self, tmp_path):
+        # Both faults lie in the text layer's first 8 KiB decoding block.
+        lines = [_line(f"m{i}").encode() for i in range(5)]
+        lines[1] = b"{not json"
+        lines[3] = lines[3].replace(b"war", b"w\xffr")
+        path = tmp_path / "messages.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(InputFormatError, match=re.escape("messages line 2: invalid JSON")):
+            parse_messages(path)
+
+    @pytest.mark.parametrize("first_subject", ["war", 'a "quoted" word'],
+                             ids=["findall", "json-loads"])
+    def test_undecodable_byte_in_an_otherwise_readable_chunk(self, tmp_path, first_subject):
+        # Raw non-ASCII lines that the chunk's path reads as messages, and
+        # the same with the byte 0xff in line 3; a quoted word needs an
+        # escape, which sends the chunk to json.loads.
+        lines = [_line(f"m{i}", subject=first_subject if i == 0 else "war") for i in range(5)]
+        lines = [line.replace("war", "w\u00e4r").encode() for line in lines]
+        path = tmp_path / "messages.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with mock.patch.object(ingest.json, "loads", wraps=json.loads) as loads:
+            assert len(parse_messages(path)) == 5
+        assert loads.called == (first_subject != "war")
+        lines[2] = lines[2].replace("\u00e4".encode(), b"\xff")
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        message = f"messages line 3: {path} is not valid UTF-8 (invalid start byte)"
         with pytest.raises(InputFormatError, match=re.escape(message)):
             parse_messages(path)
 

@@ -43,8 +43,8 @@ def months_from(first, count):
 
 
 def month_record(month, base, match_count=5, thread_count=0):
-    mean = {"valence": base, "arousal": base + 0.5, "dominance": None}
-    std = {"valence": 0.0, "arousal": base / 7.0, "dominance": None}
+    mean = {"valence": base, "arousal": base + 0.5, "dominance": base + 1.0}
+    std = {"valence": 0.0, "arousal": base / 7.0, "dominance": base / 3.0}
     return MonthEmotion(
         month=month, mean=mean, std=std, match_count=match_count, thread_count=thread_count
     )
@@ -94,9 +94,10 @@ class TestEmotionCsv:
         assert lines[1] == "2000-01,1.5,0.0,,,,,2,2"
 
     def test_float_repr_fidelity(self, tmp_path):
-        # A mean lies on the lexicon's [1, 9] scale; a spread is any non-negative float.
+        # A mean lies on the lexicon's [1, 9] scale; a spread on [0, 4].
         on_scale = [1.1 + 2.2, 4.0 / 3.0, 1.0 + 1e-15, 9.0 - 2e-15, 2.08]
-        months = months_from("2001-01", len(AWKWARD))
+        spreads = [0.1 + 0.2, 1.0 / 3.0, 1e-17, 4.0 - 4e-16, 2.08]
+        months = months_from("2001-01", len(spreads))
         records = [
             MonthEmotion(
                 month=m,
@@ -105,12 +106,12 @@ class TestEmotionCsv:
                 match_count=1,
                 thread_count=0,
             )
-            for m, u, v in zip(months, on_scale, AWKWARD)
+            for m, u, v in zip(months, on_scale, spreads)
         ]
         path = tmp_path / "emotion.csv"
         write_emotion_csv(path, EmotionSeries(months=months, records=records))
         loaded = read_emotion_csv(path)
-        for record, u, v in zip(loaded.records, on_scale, AWKWARD):
+        for record, u, v in zip(loaded.records, on_scale, spreads):
             assert record.mean["valence"] == u
             assert record.std["dominance"] == v
 
@@ -118,15 +119,37 @@ class TestEmotionCsv:
         "cells, message",
         [("0.999,0.0,5,1,5,1", "valence_mean '0.999' outside [1, 9]"),
          ("5,1,9.001,1,5,1", "arousal_mean '9.001' outside [1, 9]"),
-         ("5,1,5,1,5,-1e-300", "dominance_std '-1e-300' outside [0, inf]"),
-         ("1,0.0,9,-0.0,5,1e300", None)],
-        ids=["mean-below", "mean-above", "std-negative", "bounds"],
+         ("5,1,5,1,5,-1e-300", "dominance_std '-1e-300' outside [0, 4]"),
+         ("1,0.0,9,-0.0,5,4.0", None),
+         ("5,4.5,5,1,5,1", "valence_std '4.5' outside [0, 4]"),
+         ("5,1,5,7.5,5,1", "arousal_std '7.5' outside [0, 4]"),
+         ("5,1,5,1,5,1e300", "dominance_std '1e300' outside [0, 4]")],
+        ids=["mean-below", "mean-above", "std-negative", "bounds", "std-4.5", "std-7.5",
+             "std-1e300"],
     )
     def test_statistics_stay_on_their_scales(self, tmp_path, cells, message):
         path = tmp_path / "emotion.csv"
         path.write_text(f"{','.join(EMOTION_HEADER)}\n2000-01,{cells},3,1\n", encoding="utf-8")
         if message is None:
             assert read_emotion_csv(path).records[0].mean["valence"] == 1.0
+        else:
+            with pytest.raises(InputFormatError, match=re.escape(f"{path} row 2: {message}")):
+                read_emotion_csv(path)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [("5,1,5,,5,1,3", "arousal_std is empty but other statistics are not"),
+         (",,,,,1,0", "valence_mean is empty but other statistics are not"),
+         (",,,,,,3", "match_count 3 with no statistics"),
+         (",,,,,,0", None),
+         ("5.5,1,5,1,5,1,0", None)],  # what linear interpolation writes for a month
+        ids=["one-empty", "five-empty", "matches-without-statistics", "no-match", "interpolated"],
+    )
+    def test_statistics_all_present_or_all_empty(self, tmp_path, cells, message):
+        path = tmp_path / "emotion.csv"
+        path.write_text(f"{','.join(EMOTION_HEADER)}\n2000-01,{cells},1\n", encoding="utf-8")
+        if message is None:
+            assert read_emotion_csv(path).records[0].match_count == int(cells[-1])
         else:
             with pytest.raises(InputFormatError, match=re.escape(f"{path} row 2: {message}")):
                 read_emotion_csv(path)
@@ -421,16 +444,16 @@ class TestRoundTrips:
     @_ROUND_TRIPS
     @given(axis=_AXES, data=st.data())
     def test_emotion_csv(self, tmp_path, axis, data):
-        # A mean lies on the lexicon's [1, 9] scale; a spread is not negative.
-        means = st.fixed_dictionaries(
-            {dim: st.none() | st.floats(SCALE_MIN, SCALE_MAX) for dim in DIMENSIONS}
-        )
-        spreads = st.fixed_dictionaries(
-            {dim: st.none() | st.floats(0.0, allow_infinity=False) for dim in DIMENSIONS}
-        )
+        # A mean lies on the lexicon's [1, 9] scale and a spread on [0, 4]; a
+        # month has all six statistics, or none and no match.
+        means = st.fixed_dictionaries({dim: st.floats(SCALE_MIN, SCALE_MAX) for dim in DIMENSIONS})
+        spreads = st.fixed_dictionaries({dim: st.floats(0.0, 4.0) for dim in DIMENSIONS})
+        unscored = {dim: None for dim in DIMENSIONS}
         records = [
             MonthEmotion(month, data.draw(means), data.draw(spreads), data.draw(_COUNTS),
                          data.draw(_COUNTS))
+            if data.draw(st.booleans())
+            else MonthEmotion(month, dict(unscored), dict(unscored), 0, data.draw(_COUNTS))
             for month in axis
         ]
         series = EmotionSeries(months=axis, records=records)
