@@ -292,15 +292,3 @@ def rolling_correlation(
     return CorrelationTrack(
         months=x.months, r=r_out, n_window=n_out, p_value=p_out, significant=sig_out
     )
-
-
-__all__ = [
-    "NumericSeries",
-    "CorrelationTrack",
-    "check_smooth_window",
-    "hamming_weights",
-    "hamming_smooth",
-    "linear_interpolate",
-    "fisher_significance",
-    "rolling_correlation",
-]

@@ -18,6 +18,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
+from . import __version__
 from .analysis import NumericSeries, hamming_smooth, rolling_correlation
 from .emotion import COMPONENTS, component_series
 from .errors import InputFormatError
@@ -45,7 +46,6 @@ from .reports import (
     write_series_csv,
 )
 from .tables import parse_number, read_table
-from .version import PACKAGE_VERSION
 
 logger = logging.getLogger(__name__)
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {PACKAGE_VERSION}"
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="log stage progress to stderr"
@@ -311,8 +311,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 def entrypoint() -> None:
     sys.exit(main())
 
-
-__all__ = ["build_parser", "main", "entrypoint"]
 
 if __name__ == "__main__":
     entrypoint()

@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
+from .analysis import NumericSeries
 from .ingest import MonthlyBucket
 from .lexicon import Lexicon
 from .months import MonthAxis, check_contiguous
 from .records import Record
-
-if TYPE_CHECKING:
-    from .analysis import NumericSeries
 
 DIMENSIONS = ("valence", "arousal", "dominance")
 STATS = ("mean", "std")
@@ -101,14 +99,12 @@ def build_series(buckets: list[MonthlyBucket], lexicon: Lexicon) -> EmotionSerie
     return EmotionSeries(months=months, records=[score_month(b, lexicon) for b in buckets])
 
 
-def component_series(series: EmotionSeries) -> dict[str, "NumericSeries"]:
+def component_series(series: EmotionSeries) -> dict[str, NumericSeries]:
     """Split an emotion series into its six numeric components.
 
     Keys are the ``COMPONENTS`` names in their order; unmatched months
     carry None values.
     """
-    from .analysis import NumericSeries
-
     out: dict[str, NumericSeries] = {}
     for name in COMPONENTS:
         stat, dim = name.split("-")
@@ -118,7 +114,7 @@ def component_series(series: EmotionSeries) -> dict[str, "NumericSeries"]:
 
 
 def assemble_from_components(
-    components: "Mapping[str, NumericSeries]",
+    components: Mapping[str, NumericSeries],
     template: EmotionSeries,
 ) -> EmotionSeries:
     """Rebuild an emotion series from named component values.
@@ -162,18 +158,3 @@ def top_lexicon_words(buckets: list[MonthlyBucket], lexicon: Lexicon) -> list[We
         WeightedWord(word=w, occurrences=c, display_weight=math.sqrt(c))
         for w, c in ranked
     ]
-
-
-__all__ = [
-    "DIMENSIONS",
-    "STATS",
-    "COMPONENTS",
-    "MonthEmotion",
-    "EmotionSeries",
-    "WeightedWord",
-    "score_month",
-    "build_series",
-    "component_series",
-    "assemble_from_components",
-    "top_lexicon_words",
-]

@@ -122,7 +122,6 @@ class ArmaModel(NamedTuple):
     spec: ArmaSpec
     ar_coeffs: list[float]
     exog_coeffs: list[list[float]]
-    training_months: MonthAxis
     sse: float
 
     def coefficient_vector(self) -> np.ndarray:
@@ -166,7 +165,6 @@ def fit_arma(
         spec=spec,
         ar_coeffs=solution[: spec.ar_order].tolist(),
         exog_coeffs=solution[spec.ar_order :].reshape(spec.n_exogenous, spec.exog_order).tolist(),
-        training_months=system.months,
         sse=sse,
     )
 
@@ -175,8 +173,6 @@ class EvaluationReport(NamedTuple):
     """In-sample one-step evaluation over the rows the model can predict."""
 
     months: MonthAxis
-    predictions: list[float]
-    actuals: list[float]
     errors: list[float]
     cumulative_mean_abs_error: list[float]
     mae: float
@@ -190,8 +186,6 @@ def _report(months: MonthAxis, predictions: np.ndarray, actuals: np.ndarray) -> 
     cumulative = np.cumsum(np.abs(errors)) / np.arange(1, len(errors) + 1)
     return EvaluationReport(
         months=months,
-        predictions=predictions.tolist(),
-        actuals=actuals.tolist(),
         errors=errors.tolist(),
         cumulative_mean_abs_error=cumulative.tolist(),
         mae=float(cumulative[-1]),
@@ -355,23 +349,3 @@ def surrogate_test(
         p_hat=at_or_below / n_surrogates,
         seed=seed,
     )
-
-
-__all__ = [
-    "MODEL_NAMES",
-    "MODEL_EXOGENOUS",
-    "EXOGENOUS_MODELS",
-    "ArmaSpec",
-    "RegressionSystem",
-    "ArmaModel",
-    "EvaluationReport",
-    "SuiteEntry",
-    "SurrogateReport",
-    "assemble_regression",
-    "fit_arma",
-    "evaluate",
-    "evaluate_holdout",
-    "model_suite",
-    "permute_series",
-    "surrogate_test",
-]

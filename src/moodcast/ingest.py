@@ -324,15 +324,3 @@ def monthly_subject_buckets(threads: list[ThreadSummary]) -> list[MonthlyBucket]
         )
         for m, month_subjects in subjects.items()
     ]
-
-
-__all__ = [
-    "MESSAGE_KEYS",
-    "ThreadSummary",
-    "MonthlyBucket",
-    "parse_messages",
-    "strip_reply_markers",
-    "build_threads",
-    "filter_threads",
-    "monthly_subject_buckets",
-]

@@ -89,14 +89,3 @@ def load_lexicon(path: Union[str, Path]) -> Lexicon:
     if not entries:
         raise InputFormatError(f"{path}: no data rows")
     return MappingProxyType(entries)
-
-
-__all__ = [
-    "SCALE_MIN",
-    "SCALE_MAX",
-    "LEXICON_HEADER",
-    "LexiconEntry",
-    "Lexicon",
-    "tokenize",
-    "load_lexicon",
-]

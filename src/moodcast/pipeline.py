@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
+from . import __version__
 from .analysis import (
     NumericSeries,
     check_correlation_args,
@@ -73,7 +74,6 @@ from .reports import (
     write_surrogate_json,
     write_top_words_csv,
 )
-from .version import PACKAGE_VERSION
 
 logger = logging.getLogger(__name__)
 
@@ -384,7 +384,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
         stage = "manifest"
         manifest = {
-            "version": PACKAGE_VERSION,
+            "version": __version__,
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "config": {
                 name: str(value) if isinstance(value, Path) else value
@@ -421,20 +421,3 @@ def run_pipeline(config: PipelineConfig) -> dict:
     except Exception as exc:
         marker.write_text(f"{stage}: {exc}\n", encoding="utf-8")
         raise
-
-
-__all__ = [
-    "GAP_POLICIES",
-    "SERIES_ORDER",
-    "FAILURE_MARKER",
-    "MANIFEST",
-    "PipelineConfig",
-    "ingest_stage",
-    "score_stage",
-    "check_gap_policy",
-    "fill_gaps",
-    "smooth_emotion",
-    "suite_stage",
-    "surrogate_stage",
-    "run_pipeline",
-]

@@ -14,6 +14,7 @@ series is an attitude series: every read of one checks each rate is in [0, 100].
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Optional, Union
 
@@ -51,6 +52,12 @@ EMOTION_HEADER = (
 )
 # The largest population std of scores on [SCALE_MIN, SCALE_MAX] (Popoviciu's inequality).
 _STD_MAX = (SCALE_MAX - SCALE_MIN) / 2
+# A mean is on the lexicon's scale; a spread is at most half its width.
+_EMOTION_BOUNDS = {
+    f"{dim}_{stat}": (SCALE_MIN, SCALE_MAX) if stat == "mean" else (0.0, _STD_MAX)
+    for dim in DIMENSIONS
+    for stat in STATS
+}
 
 CORRELATION_HEADER = ("month", "r", "n_window", "p_value", "significant")
 
@@ -93,14 +100,10 @@ def read_emotion_csv(path: Union[str, Path], table: Optional[Table] = None) -> E
     axis, checked = monthly_rows(path, rows)
     records: list[MonthEmotion] = []
     for rownum, month, row in checked:
-        stats = [number_cell(path, rownum, cell) for cell in row[1:7]]
-        for column, cell, value in zip(EMOTION_HEADER[1:7], row[1:7], stats):
-            # A mean is on the lexicon's scale; a spread is at most half its width.
-            low, high = (SCALE_MIN, SCALE_MAX) if column.endswith("_mean") else (0.0, _STD_MAX)
-            if value is not None and not low <= value <= high:
-                raise InputFormatError(
-                    f"{path} row {rownum}: {column} {quote_cell(cell)} outside [{low:g}, {high:g}]"
-                )
+        stats = [
+            _bounded_cell(path, rownum, column, cell, *_EMOTION_BOUNDS[column])
+            for column, cell in zip(EMOTION_HEADER[1:7], row[1:7])
+        ]
         mean = dict(zip(DIMENSIONS, stats[0::2]))
         std = dict(zip(DIMENSIONS, stats[1::2]))
         counts = [number_cell(path, rownum, cell, int) for cell in row[7:9]]
@@ -116,6 +119,18 @@ def read_emotion_csv(path: Union[str, Path], table: Optional[Table] = None) -> E
             )
         records.append(MonthEmotion(month, mean, std, *counts))
     return EmotionSeries(months=axis, records=records)
+
+
+def _bounded_cell(
+    path: Union[str, Path], rownum: int, column: str, cell: str, low: float, high: float
+) -> Optional[float]:
+    """A float cell that is empty or in [low, high]; an error names the row and column."""
+    value = number_cell(path, rownum, cell)
+    if value is not None and not low <= value <= high:
+        raise InputFormatError(
+            f"{path} row {rownum}: {column} {quote_cell(cell)} outside [{low:g}, {high:g}]"
+        )
+    return value
 
 
 def write_series_csv(path: Union[str, Path], series: NumericSeries, value_name: str) -> None:
@@ -182,7 +197,7 @@ def write_correlation_csv(path: Union[str, Path], track: CorrelationTrack) -> No
 
 
 def read_correlation_csv(path: Union[str, Path]) -> CorrelationTrack:
-    """Read a correlation track back."""
+    """Read a correlation track back; every ``r`` is in [-1, 1] and every ``p_value`` in [0, 1]."""
     header, rows = read_table(path)
     if header != CORRELATION_HEADER:
         raise InputFormatError(
@@ -194,9 +209,9 @@ def read_correlation_csv(path: Union[str, Path]) -> CorrelationTrack:
     p_value: list[Optional[float]] = []
     significant: list[bool] = []
     for rownum, _, row in checked:
-        r.append(number_cell(path, rownum, row[1]))
+        r.append(_bounded_cell(path, rownum, "r", row[1], -1.0, 1.0))
         n_window.append(number_cell(path, rownum, row[2], int))
-        p_value.append(number_cell(path, rownum, row[3]))
+        p_value.append(_bounded_cell(path, rownum, "p_value", row[3], 0.0, 1.0))
         if row[4] not in ("true", "false"):
             raise InputFormatError(f"{path} row {rownum}: significant must be true or false")
         significant.append(row[4] == "true")
@@ -355,10 +370,33 @@ def _write_json(path: Union[str, Path], payload: dict) -> None:
         handle.write("\n")
 
 
-def _read_json(path: Union[str, Path]) -> dict:
+def _float_range(parse):
+    """A ``json.load`` number hook: ``parse`` the text, and reject what no finite float holds."""
+
+    def hook(text: str):
+        value = parse(text)
+        # False for NaN too; an int past the float range fails here, not at a later float().
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"not a finite 64-bit float: {quote_cell(text)}")
+        return value
+
+    return hook
+
+
+# ``json.load`` number hooks for a run file, whose numbers the report renders
+# as floats: NaN and the infinities reach ``parse_constant``, 1e999 reads as
+# an infinite float, and an integer must fit a float too.
+_RUN_FILE_NUMBERS = {
+    "parse_int": _float_range(int),
+    "parse_float": _float_range(float),
+    "parse_constant": _float_range(float),
+}
+
+
+def _read_json(path: Union[str, Path], **number_hooks) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            payload = json.load(handle, **number_hooks)
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None
         except (ValueError, RecursionError) as exc:
@@ -366,6 +404,13 @@ def _read_json(path: Union[str, Path]) -> dict:
     if not isinstance(payload, dict):
         raise InputFormatError(f"{path}: expected a JSON object")
     return payload
+
+
+def _string_list(path: Path, value, field: str) -> list[str]:
+    """``value`` if it is a list of strings; an error names the file and ``field``."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise InputFormatError(f"{path}: {field} must be a list of strings")
+    return value
 
 
 def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -400,9 +445,10 @@ def _section(title: str, headers: list[str], rows: list[list[str]]) -> list[str]
 
 
 def _render_run_report(run_dir: Path) -> str:
-    manifest = _read_json(run_dir / "run_manifest.json")
-    models = _read_json(run_dir / "models.json")["models"]
-    surrogate = _read_json(run_dir / "surrogate.json")
+    manifest_path, models_path = run_dir / "run_manifest.json", run_dir / "models.json"
+    manifest = _read_json(manifest_path, **_RUN_FILE_NUMBERS)
+    models = _read_json(models_path, **_RUN_FILE_NUMBERS)["models"]
+    surrogate = _read_json(run_dir / "surrogate.json", **_RUN_FILE_NUMBERS)
 
     lines = [
         "# Run report",
@@ -434,7 +480,8 @@ def _render_run_report(run_dir: Path) -> str:
         lines += _section("Smoothed emotion series", ["series", "min", "max", "mean"], rows)
 
     rows = [
-        [e["name"], ", ".join(e["exogenous"]) or "-", f"{e['mae']:.4f}", f"{e['sse']:.4f}"]
+        [e["name"], ", ".join(_string_list(models_path, e["exogenous"], "exogenous")) or "-",
+         f"{e['mae']:.4f}", f"{e['sse']:.4f}"]
         for e in models
     ]
     lines += _section("Forecast models", ["model", "exogenous series", "mae", "sse"], rows)
@@ -475,32 +522,8 @@ def _render_run_report(run_dir: Path) -> str:
             "Correlations (smoothed series)", ["pair", "significant months", "mean r"], rows
         )
 
-    if manifest.get("warnings"):
-        lines += ["## Warnings", "", *(f"- {message}" for message in manifest["warnings"]), ""]
+    messages = _string_list(manifest_path, manifest.get("warnings", []), "warnings")
+    if messages:
+        lines += ["## Warnings", "", *(f"- {message}" for message in messages), ""]
 
     return "\n".join(lines)
-
-
-__all__ = [
-    "EMOTION_HEADER",
-    "CORRELATION_HEADER",
-    "COUNTS_HEADER",
-    "TOP_WORDS_HEADER",
-    "ATTITUDE_HEADER",
-    "sha256_file",
-    "write_emotion_csv",
-    "read_emotion_csv",
-    "write_series_csv",
-    "read_series_csv",
-    "load_attitude_series",
-    "write_correlation_csv",
-    "read_correlation_csv",
-    "write_counts_csv",
-    "write_top_words_csv",
-    "write_buckets_json",
-    "read_buckets_json",
-    "suite_entry_payload",
-    "write_models_json",
-    "write_surrogate_json",
-    "render_run_report",
-]

@@ -312,8 +312,6 @@ def test_criterion_10_suite_shape(verdict, reference):
         report = entry.report
         lengths = {
             len(report.months),
-            len(report.predictions),
-            len(report.actuals),
             len(report.errors),
             len(report.cumulative_mean_abs_error),
         }

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -16,7 +17,6 @@ from moodcast.cli import build_parser, main
 from moodcast.analysis import NumericSeries
 from moodcast.pipeline import GAP_POLICIES, PipelineConfig, fill_gaps, run_pipeline
 from moodcast.reports import EMOTION_HEADER
-from moodcast.version import PACKAGE_VERSION
 
 
 def run_cli(*argv):
@@ -47,6 +47,11 @@ def _message_file(timestamp):
     return json.dumps(message) + "\n"
 
 
+def _run_file(pattern, replacement):
+    """A finished run's file, edited: its first match of ``pattern`` replaced."""
+    return lambda text: re.sub(pattern, replacement, text, count=1)
+
+
 _DEEPLY_NESTED = "[" * 100000 + "]" * 100000
 
 # An integer literal past the interpreter's 4,300-digit conversion limit:
@@ -63,7 +68,7 @@ needs_digit_limit = pytest.mark.skipif(
 
 # Malformed input -> (file, its text, subcommand that reads it). The file
 # path is relative to a run directory, which report cases copy from a
-# finished run.
+# finished run; a callable text edits the finished run's own file.
 MALFORMED = {
     "buckets-not-a-list": ("buckets.json", '{"buckets": 5}', "score"),
     "buckets-deeply-nested": ("buckets.json", _DEEPLY_NESTED, "score"),
@@ -96,6 +101,23 @@ MALFORMED = {
         "score",
     ),
     "empty-manifest": ("run_manifest.json", "{}", "report"),
+    # A run file's numbers are finite floats, and its lists of names are lists of strings.
+    "models-mae-nan": ("models.json", _run_file(r'"mae": [^,]+', '"mae": NaN'), "report"),
+    "models-mae-overflows-float": (
+        "models.json", _run_file(r'"mae": [^,]+', '"mae": 1' + "0" * 400), "report"
+    ),
+    "surrogate-p-hat-infinity": (
+        "surrogate.json", _run_file(r'"p_hat": [^,]+', '"p_hat": Infinity'), "report"
+    ),
+    "surrogate-mae-overflows-float": (
+        "surrogate.json", _run_file(r'"empirical_mae": [^,]+', '"empirical_mae": 1e999'), "report"
+    ),
+    "manifest-warnings-a-string": (
+        "run_manifest.json", _run_file(r'"warnings": \[\]', '"warnings": "abc"'), "report"
+    ),
+    "models-exogenous-a-string": (
+        "models.json", _run_file(r'"exogenous": \[\]', '"exogenous": "xyz"'), "report"
+    ),
     "rate-not-a-number": ("series.csv", _series_file("oops"), "smooth"),
     "rate-nan": ("series.csv", _series_file("nan"), "smooth"),
     "rate-inf": ("series.csv", _series_file("inf"), "correlate"),
@@ -169,7 +191,7 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--version")
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out.strip() == f"moodcast {PACKAGE_VERSION}"
+        assert capsys.readouterr().out.strip() == f"moodcast {moodcast.__version__}"
 
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -259,7 +281,7 @@ class TestParserBasics:
             tomllib = pytest.importorskip("tomli")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-        assert project["version"] == PACKAGE_VERSION
+        assert project["version"] == moodcast.__version__
         target = project["scripts"]["moodcast"]
         wrapper = (
             "import sys; from importlib.metadata import EntryPoint; "
@@ -272,7 +294,20 @@ class TestParserBasics:
             env={**os.environ, "PYTHONPATH": str(src_dir)},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == f"moodcast {PACKAGE_VERSION}"
+        assert result.stdout.strip() == f"moodcast {moodcast.__version__}"
+
+    def test_sources_parse_as_python_3_10(self):
+        # pyproject.toml allows Python 3.10, so no file may use newer syntax
+        # (``except*``, PEP 695 type parameters), which a newer interpreter
+        # would import without complaint.
+        root = Path(__file__).resolve().parents[1]
+        files = [p for d in ("src", "tests", "tools") for p in sorted((root / d).rglob("*.py"))]
+        assert root / "src" / "moodcast" / "cli.py" in files
+        for path in files:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        for newer in ("try:\n    pass\nexcept* ValueError:\n    pass\n", "type Pair = tuple\n"):
+            with pytest.raises(SyntaxError):
+                ast.parse(newer, feature_version=(3, 10))
 
     @pytest.mark.skipif(
         shutil.which("moodcast") is None,
@@ -283,7 +318,7 @@ class TestParserBasics:
             ["moodcast", "--version"], capture_output=True, text=True
         )
         assert result.returncode == 0
-        assert result.stdout.strip() == f"moodcast {PACKAGE_VERSION}"
+        assert result.stdout.strip() == f"moodcast {moodcast.__version__}"
 
 
 class TestModuleEntry:
@@ -365,6 +400,25 @@ class TestStartup:
         for name in ("buckets.json", "emotion_series_smoothed.csv", "attitude_smoothed.csv",
                      "correlation.csv", "report.md", "models.json", "run/run_manifest.json"):
             assert (tmp_path / name).exists(), name
+
+    def test_ingest_import_loads_only_the_modules_it_uses(self):
+        # The package root imports no submodule, so importing one module
+        # loads the root and what that module imports, directly or not.
+        script = (
+            "import sys\n"
+            "import moodcast.ingest\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'moodcast'))\n"
+        )
+        src_dir = Path(moodcast.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src_dir)},
+        )
+        assert result.stdout.split() == [
+            "moodcast", "moodcast.errors", "moodcast.ingest", "moodcast.lexicon",
+            "moodcast.months", "moodcast.records", "moodcast.tables",
+        ]
 
 
 class TestFillGaps:
@@ -458,6 +512,10 @@ class TestExitCodes:
             shutil.copytree(pipeline_run[0], run_dir)
         path = run_dir / rel
         path.parent.mkdir(parents=True, exist_ok=True)
+        if callable(text):
+            original = path.read_text(encoding="utf-8")
+            text = text(original)
+            assert text != original, "the edit matched nothing"
         path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         buckets = pipeline_run[0] / "buckets.json"
         forecast_io = ["--attitude-series", str(path),
@@ -481,6 +539,8 @@ class TestExitCodes:
         assert err.startswith("error: ") and where in err
         if case.endswith("-not-utf8"):
             assert str(path) in err and "not valid UTF-8" in err
+        if callable(MALFORMED[case][1]):
+            assert str(path) in err
         if case.startswith("rate-150"):
             assert f"{path} row 3: rate 150.0 outside [0, 100]" in err
 

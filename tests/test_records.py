@@ -34,11 +34,11 @@ def _emotion():
 
 
 def _model():
-    return ArmaModel(ArmaSpec(1, 1, ("x",)), [0.5], [[0.25]], AXIS[1:], 0.5)
+    return ArmaModel(ArmaSpec(1, 1, ("x",)), [0.5], [[0.25]], 0.5)
 
 
 def _report():
-    return EvaluationReport(AXIS[1:], [1.0, 2.0], [1.5, 2.0], [0.5, 0.0], [0.5, 0.25], 0.25)
+    return EvaluationReport(AXIS[1:], [0.5, 0.0], [0.5, 0.25], 0.25)
 
 
 # Record class -> (its fields in order, a function that builds one anew).
@@ -63,9 +63,9 @@ RECORDS = {
     ArmaSpec: (("ar_order", "exog_order", "exogenous_names"), lambda: ArmaSpec(1, 3, ("x",))),
     RegressionSystem: (("regressors", "response", "months"),
                        lambda: RegressionSystem(*ARRAYS, AXIS)),
-    ArmaModel: (("spec", "ar_coeffs", "exog_coeffs", "training_months", "sse"), _model),
+    ArmaModel: (("spec", "ar_coeffs", "exog_coeffs", "sse"), _model),
     EvaluationReport: (
-        ("months", "predictions", "actuals", "errors", "cumulative_mean_abs_error", "mae"),
+        ("months", "errors", "cumulative_mean_abs_error", "mae"),
         _report,
     ),
     SuiteEntry: (("name", "model", "report"), lambda: SuiteEntry("x", _model(), _report())),

@@ -275,6 +275,27 @@ class TestCorrelationCsv:
             read_correlation_csv(path)
 
     @pytest.mark.parametrize(
+        "cells, message",
+        [("5.0,13,0.04", "r '5.0' outside [-1, 1]"),
+         ("-1.0000000000000002,13,0.04", "r '-1.0000000000000002' outside [-1, 1]"),
+         ("0.5,13,-2.0", "p_value '-2.0' outside [0, 1]"),
+         ("0.5,13,1.5", "p_value '1.5' outside [0, 1]"),
+         ("-1.0,13,1.0", None),
+         ("1.0,13,0.0", None),
+         (",13,", None)],
+        ids=["r-5", "r-below", "p-negative", "p-above", "bounds-low", "bounds-high", "missing"],
+    )
+    def test_r_and_p_value_stay_in_their_ranges(self, tmp_path, cells, message):
+        path = tmp_path / "corr.csv"
+        path.write_text(f"{','.join(CORRELATION_HEADER)}\n2001-01,{cells},false\n",
+                        encoding="utf-8")
+        if message is None:
+            assert len(read_correlation_csv(path).r) == 1
+        else:
+            with pytest.raises(InputFormatError, match=re.escape(f"{path} row 2: {message}")):
+                read_correlation_csv(path)
+
+    @pytest.mark.parametrize(
         "rows, message",
         [
             (["2001-01", "2001-03"], "row 3: expected month 2001-02, got 2001-03"),
@@ -468,8 +489,8 @@ class TestRoundTrips:
             return data.draw(st.lists(strategy, min_size=len(axis), max_size=len(axis)))
 
         track = CorrelationTrack(
-            months=axis, r=column(st.none() | _FLOATS), n_window=column(_COUNTS),
-            p_value=column(st.none() | _FLOATS), significant=column(st.booleans()),
+            months=axis, r=column(st.none() | st.floats(-1.0, 1.0)), n_window=column(_COUNTS),
+            p_value=column(st.none() | st.floats(0.0, 1.0)), significant=column(st.booleans()),
         )
         path = tmp_path / "corr.csv"
         write_correlation_csv(path, track)
