@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import __version__
 from .analysis import NumericSeries, hamming_smooth, rolling_correlation
-from .emotion import COMPONENTS, component_series
+from .emotion import EmotionSeries
 from .errors import InputFormatError
 from .forecast import EXOGENOUS_MODELS, MODEL_NAMES
 from .ingest import parse_messages
@@ -37,6 +37,7 @@ from .pipeline import (
     surrogate_stage,
 )
 from .reports import (
+    EMOTION_COLUMNS,
     EMOTION_HEADER,
     read_buckets_json,
     read_emotion_csv,
@@ -48,9 +49,6 @@ from .reports import (
 from .tables import parse_number, read_table
 
 logger = logging.getLogger(__name__)
-
-# Emotion table column name (``valence_mean``) -> component name (``mean-valence``).
-_EMOTION_COLUMNS = {"_".join(reversed(name.split("-"))): name for name in COMPONENTS}
 
 
 def _wrote(paths: list[Path]) -> int:
@@ -66,18 +64,17 @@ def _load_series_column(path: Path, column: Optional[str]) -> NumericSeries:
         if column is not None:
             raise ValueError(f"{path} is a two-column series; drop its column flag ({column!r})")
         return read_series_csv(path, table=table)
-    choices = ", ".join(sorted(_EMOTION_COLUMNS))
+    choices = ", ".join(sorted(EMOTION_COLUMNS))
     if column is None:
         raise ValueError(f"{path} is an emotion table; pick a column from {choices}")
-    if column not in _EMOTION_COLUMNS:
+    if column not in EMOTION_COLUMNS:
         raise ValueError(f"unknown emotion column {column!r}; choose from {choices}")
-    return component_series(read_emotion_csv(path, table))[_EMOTION_COLUMNS[column]]
+    return read_emotion_csv(path, table).components[EMOTION_COLUMNS[column]]
 
 
 def _load_forecast_inputs(args) -> tuple[NumericSeries, dict[str, NumericSeries]]:
     target = read_series_csv(args.attitude_series)
-    emotion = read_emotion_csv(args.emotion_series)
-    return target, component_series(emotion)
+    return target, read_emotion_csv(args.emotion_series).components
 
 
 def _cmd_ingest(args) -> int:
@@ -98,8 +95,8 @@ def _cmd_smooth(args) -> int:
     table = read_table(path)
     if table[0] == EMOTION_HEADER:
         series = read_emotion_csv(path, table)
-        components, _ = fill_gaps(component_series(series), args.gap_policy)
-        smooth_emotion(components, series, out, window=args.smooth_window)
+        components, _ = fill_gaps(series.components, args.gap_policy)
+        smooth_emotion(EmotionSeries(components, series.records), out, window=args.smooth_window)
     else:
         series = read_series_csv(path, table=table)
         name = table[0][1]
@@ -293,10 +290,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (InputFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

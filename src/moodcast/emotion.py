@@ -8,8 +8,7 @@ month's subjects counts five times in that month's population statistics.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .analysis import NumericSeries
 from .ingest import MonthlyBucket
@@ -42,17 +41,32 @@ class MonthEmotion(NamedTuple):
     thread_count: int
 
 
+class MonthCounts(NamedTuple):
+    """One month's lexicon-matched token count and the number of its threads."""
+
+    match_count: int
+    thread_count: int
+
+
 class EmotionSeries(Record):
-    """Month-indexed emotion records on a contiguous axis, checked as in ``NumericSeries``."""
+    """An emotion table: the six ``COMPONENTS`` series, in that order, on one
+    month axis (None where no token matched), and one ``MonthCounts`` per month."""
 
-    __slots__ = ("months", "records")
+    __slots__ = ("components", "records")
 
-    def __init__(self, months: Sequence[str], records: list[MonthEmotion]) -> None:
-        if len(months) != len(records):
+    def __init__(self, components: dict[str, NumericSeries], records: list[MonthCounts]) -> None:
+        if tuple(components) != COMPONENTS:
+            raise ValueError(f"emotion components must be {', '.join(COMPONENTS)}, in that order")
+        months = components[COMPONENTS[0]].months
+        if any(series.months != months for series in components.values()):
+            raise ValueError("emotion components must share one month axis")
+        if len(records) != len(months):
             raise ValueError("months and records must have equal length")
-        if not isinstance(months, MonthAxis):
-            months = check_contiguous(months, "emotion series")
-        super().__init__(months, records)
+        super().__init__(components, records)
+
+    @property
+    def months(self) -> MonthAxis:
+        return self.components[COMPONENTS[0]].months
 
 
 def score_month(bucket: MonthlyBucket, lexicon: Lexicon) -> MonthEmotion:
@@ -96,42 +110,13 @@ def build_series(buckets: list[MonthlyBucket], lexicon: Lexicon) -> EmotionSerie
     if not buckets:
         raise ValueError("cannot build an emotion series from zero monthly buckets")
     months = check_contiguous([b.month for b in buckets], what="monthly buckets")
-    return EmotionSeries(months=months, records=[score_month(b, lexicon) for b in buckets])
-
-
-def component_series(series: EmotionSeries) -> dict[str, NumericSeries]:
-    """Split an emotion series into its six numeric components.
-
-    Keys are the ``COMPONENTS`` names in their order; unmatched months
-    carry None values.
-    """
-    out: dict[str, NumericSeries] = {}
-    for name in COMPONENTS:
-        stat, dim = name.split("-")
-        values = [getattr(rec, stat)[dim] for rec in series.records]
-        out[name] = NumericSeries(months=series.months, values=values)
-    return out
-
-
-def assemble_from_components(
-    components: Mapping[str, NumericSeries],
-    template: EmotionSeries,
-) -> EmotionSeries:
-    """Rebuild an emotion series from named component values.
-
-    ``components`` holds the six ``COMPONENTS`` series on one month axis;
-    ``template`` supplies the match and thread counts per month (its axis
-    must cover the components' axis). Used to carry counts through
-    smoothing and interpolation.
-    """
-    months = components[COMPONENTS[0]].months
-    offset = template.months.index(months[0])
-    records = []
-    for i, (month, counted) in enumerate(zip(months, template.records[offset:])):
-        mean = {dim: components[f"mean-{dim}"].values[i] for dim in DIMENSIONS}
-        std = {dim: components[f"std-{dim}"].values[i] for dim in DIMENSIONS}
-        records.append(MonthEmotion(month, mean, std, counted.match_count, counted.thread_count))
-    return EmotionSeries(months=months, records=records)
+    scored = [score_month(b, lexicon) for b in buckets]
+    components = {
+        f"{stat}-{dim}": NumericSeries(months, [getattr(m, stat)[dim] for m in scored])
+        for stat in STATS
+        for dim in DIMENSIONS
+    }
+    return EmotionSeries(components, [MonthCounts(m.match_count, m.thread_count) for m in scored])
 
 
 class WeightedWord(NamedTuple):

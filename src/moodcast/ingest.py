@@ -47,8 +47,8 @@ _CANONICAL_LINE = re.compile(
 # ``findall`` and ``json.loads`` would both take it for a character.
 _UNDECODABLE = re.compile(r"[\udc80-\udcff]")
 
-# Repeated leading reply markers: "re:" in any case, optional whitespace.
-_REPLY_RE = re.compile(r"\s*re\s*:", re.IGNORECASE)
+# Leading reply markers ("re:" in any case, optional whitespace) and the space after them.
+_REPLY_RE = re.compile(r"(?:\s*re\s*:)*\s*", re.IGNORECASE)
 
 # ``readlines`` size hint for the whole lines that ``parse_messages`` reads
 # per chunk; 16 KiB read faster than 64 KiB and 256 KiB.
@@ -259,13 +259,7 @@ def _message_problem(obj) -> str:
 
 def strip_reply_markers(subject: str) -> str:
     """Drop repeated leading "re:" markers (any case) and leading space."""
-    text = subject
-    while True:
-        match = _REPLY_RE.match(text)
-        if match is None:
-            break
-        text = text[match.end():]
-    return text.lstrip()
+    return subject[_REPLY_RE.match(subject).end():]
 
 
 def build_threads(tally: ThreadTally) -> list[ThreadSummary]:

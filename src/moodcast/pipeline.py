@@ -31,14 +31,7 @@ from .analysis import (
     linear_interpolate,
     rolling_correlation,
 )
-from .emotion import (
-    COMPONENTS,
-    EmotionSeries,
-    assemble_from_components,
-    build_series,
-    component_series,
-    top_lexicon_words,
-)
+from .emotion import COMPONENTS, EmotionSeries, build_series, top_lexicon_words
 from .forecast import (
     EXOGENOUS_MODELS,
     MODEL_EXOGENOUS,
@@ -191,18 +184,13 @@ def fill_gaps(
 
 
 def smooth_emotion(
-    components: Mapping[str, NumericSeries],
-    template: EmotionSeries,
-    path: Path,
-    *,
-    window: int,
-) -> tuple[dict[str, NumericSeries], list[Path]]:
-    """Smooth the six gap-free components into an emotion table at ``path``.
-
-    ``template`` supplies the per-month match and thread counts for the table.
-    """
-    smoothed = {name: hamming_smooth(series, window) for name, series in components.items()}
-    write_emotion_csv(path, assemble_from_components(smoothed, template))
+    series: EmotionSeries, path: Path, *, window: int
+) -> tuple[EmotionSeries, list[Path]]:
+    """Smooth the six gap-free components into an emotion table at ``path``;
+    each month keeps its match and thread counts."""
+    components = {name: hamming_smooth(c, window) for name, c in series.components.items()}
+    smoothed = EmotionSeries(components, series.records)
+    write_emotion_csv(path, smoothed)
     return smoothed, [path]
 
 
@@ -313,9 +301,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 f"attitude months {attitude.months[0]}..{attitude.months[-1]} do not overlap"
             )
         logger.info("stage align: common range %s..%s", first, last)
+        span = slice(raw_emotion.months.index(first), raw_emotion.months.index(last) + 1)
         components = {
-            name: _slice_numeric(series, first, last)
-            for name, series in component_series(raw_emotion).items()
+            name: NumericSeries(series.months[span], series.values[span])
+            for name, series in raw_emotion.components.items()
         }
         attitude = _slice_numeric(attitude, first, last)
 
@@ -323,16 +312,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
         components, interpolated = fill_gaps(components, config.gap_policy)
         if interpolated:
             logger.info("stage gaps: interpolated %d series", len(interpolated))
+        emotion = EmotionSeries(components, raw_emotion.records[span])
         aligned = [out / "emotion_series_aligned.csv", out / "attitude_aligned.csv"]
-        write_emotion_csv(aligned[0], assemble_from_components(components, raw_emotion))
+        write_emotion_csv(aligned[0], emotion)
         write_series_csv(aligned[1], attitude, "rate")
         artifacts += aligned
 
         stage = "smooth"
         logger.info("stage smooth: window %d", config.smooth_window)
-        smooth_components, paths = smooth_emotion(
-            components, raw_emotion, out / "emotion_series_smoothed.csv",
-            window=config.smooth_window,
+        smoothed, paths = smooth_emotion(
+            emotion, out / "emotion_series_smoothed.csv", window=config.smooth_window
         )
         smooth_attitude = hamming_smooth(attitude, config.smooth_window)
         write_series_csv(out / "attitude_smoothed.csv", smooth_attitude, "rate")
@@ -340,11 +329,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
         stage = "correlate"
         logger.info("stage correlate: window %d, alpha %s", config.corr_window, config.alpha)
-        for label, emotion, target in (
-            ("raw", components, attitude),
-            ("smoothed", smooth_components, smooth_attitude),
+        for label, table, target in (
+            ("raw", emotion, attitude),
+            ("smoothed", smoothed, smooth_attitude),
         ):
-            pool = dict(zip(SERIES_ORDER, [*(emotion[name] for name in COMPONENTS), target]))
+            pool = dict(zip(SERIES_ORDER, [*table.components.values(), target]))
             pair_dir = out / "correlations" / label
             pair_dir.mkdir(parents=True, exist_ok=True)
             for i, name_a in enumerate(SERIES_ORDER):
@@ -365,7 +354,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             )
             lags = {"ar_order": config.p, "exog_order": config.q}
             entries, paths = suite_stage(
-                smooth_attitude, smooth_components, out / "models.json", **lags
+                smooth_attitude, smoothed.components, out / "models.json", **lags
             )
             artifacts += paths
 
@@ -376,7 +365,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             ).name
             logger.info("stage surrogate: model %s, %d surrogates", chosen, config.surrogates)
             surrogate, paths = surrogate_stage(
-                smooth_attitude, smooth_components, out / "surrogate.json", model=chosen,
+                smooth_attitude, smoothed.components, out / "surrogate.json", model=chosen,
                 n_surrogates=config.surrogates, seed=config.seed,
                 include_maes=config.surrogate_full, **lags,
             )

@@ -19,14 +19,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .analysis import CorrelationTrack, NumericSeries
-from .emotion import (
-    DIMENSIONS,
-    STATS,
-    EmotionSeries,
-    MonthEmotion,
-    WeightedWord,
-    component_series,
-)
+from .emotion import COMPONENTS, DIMENSIONS, STATS, EmotionSeries, MonthCounts, WeightedWord
 from .errors import InputFormatError, json_problem
 from .forecast import SuiteEntry, SurrogateReport
 from .ingest import MonthlyBucket
@@ -44,19 +37,15 @@ from .tables import (
     write_table,
 )
 
-EMOTION_HEADER = (
-    "month",
-    *(f"{dim}_{stat}" for dim in DIMENSIONS for stat in STATS),
-    "match_count",
-    "thread_count",
-)
+# Emotion table column (``valence_mean``) -> the component it holds, in header order.
+EMOTION_COLUMNS = {f"{dim}_{stat}": f"{stat}-{dim}" for dim in DIMENSIONS for stat in STATS}
+EMOTION_HEADER = ("month", *EMOTION_COLUMNS, "match_count", "thread_count")
 # The largest population std of scores on [SCALE_MIN, SCALE_MAX] (Popoviciu's inequality).
 _STD_MAX = (SCALE_MAX - SCALE_MIN) / 2
 # A mean is on the lexicon's scale; a spread is at most half its width.
 _EMOTION_BOUNDS = {
-    f"{dim}_{stat}": (SCALE_MIN, SCALE_MAX) if stat == "mean" else (0.0, _STD_MAX)
-    for dim in DIMENSIONS
-    for stat in STATS
+    column: (SCALE_MIN, SCALE_MAX) if column.endswith("_mean") else (0.0, _STD_MAX)
+    for column in EMOTION_COLUMNS
 }
 
 CORRELATION_HEADER = ("month", "r", "n_window", "p_value", "significant")
@@ -81,14 +70,10 @@ def sha256_file(path: Union[str, Path]) -> str:
 
 def write_emotion_csv(path: Union[str, Path], series: EmotionSeries) -> None:
     """Write the monthly emotion table, one row per month."""
+    columns = [series.components[name].values for name in EMOTION_COLUMNS.values()]
     write_table(path, EMOTION_HEADER, (
-        [
-            record.month,
-            *(format_number(stat[dim]) for dim in DIMENSIONS for stat in (record.mean, record.std)),
-            str(record.match_count),
-            str(record.thread_count),
-        ]
-        for record in series.records
+        [month, *map(format_number, stats), str(counts.match_count), str(counts.thread_count)]
+        for month, *stats, counts in zip(series.months, *columns, series.records)
     ))
 
 
@@ -98,27 +83,28 @@ def read_emotion_csv(path: Union[str, Path], table: Optional[Table] = None) -> E
     if header != EMOTION_HEADER:
         raise InputFormatError(f"{path}: emotion header must be {','.join(EMOTION_HEADER)!r}")
     axis, checked = monthly_rows(path, rows)
-    records: list[MonthEmotion] = []
-    for rownum, month, row in checked:
+    stat_rows: list[list[Optional[float]]] = []
+    records: list[MonthCounts] = []
+    for rownum, _, row in checked:
         stats = [
             _bounded_cell(path, rownum, column, cell, *_EMOTION_BOUNDS[column])
-            for column, cell in zip(EMOTION_HEADER[1:7], row[1:7])
+            for column, cell in zip(EMOTION_COLUMNS, row[1:7])
         ]
-        mean = dict(zip(DIMENSIONS, stats[0::2]))
-        std = dict(zip(DIMENSIONS, stats[1::2]))
-        counts = [number_cell(path, rownum, cell, int) for cell in row[7:9]]
+        counts = MonthCounts(*(number_cell(path, rownum, cell, int) for cell in row[7:9]))
         # A scored month has all six statistics; one with no match has none.
         if 0 < stats.count(None) < 6:
             empty = EMOTION_HEADER[1 + stats.index(None)]
             raise InputFormatError(
                 f"{path} row {rownum}: {empty} is empty but other statistics are not"
             )
-        if None in stats and counts[0] > 0:
+        if None in stats and counts.match_count > 0:
             raise InputFormatError(
-                f"{path} row {rownum}: match_count {counts[0]} with no statistics"
+                f"{path} row {rownum}: match_count {counts.match_count} with no statistics"
             )
-        records.append(MonthEmotion(month, mean, std, *counts))
-    return EmotionSeries(months=axis, records=records)
+        stat_rows.append(stats)
+        records.append(counts)
+    columns = dict(zip(EMOTION_COLUMNS.values(), map(list, zip(*stat_rows))))
+    return EmotionSeries({name: NumericSeries(axis, columns[name]) for name in COMPONENTS}, records)
 
 
 def _bounded_cell(
@@ -406,11 +392,42 @@ def _read_json(path: Union[str, Path], **number_hooks) -> dict:
     return payload
 
 
-def _string_list(path: Path, value, field: str) -> list[str]:
-    """``value`` if it is a list of strings; an error names the file and ``field``."""
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise InputFormatError(f"{path}: {field} must be a list of strings")
-    return value
+# The kinds of value that ``report`` renders: a test and its wording. A
+# boolean is neither a count nor a number; a seed may exceed 2**53.
+_KINDS = {
+    "count": (lambda v: type(v) is int and 0 <= v <= MAX_COUNT, "an integer in [0, 2**53]"),
+    "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "number": (lambda v: type(v) in (int, float), "a number"),
+    "probability": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+    "string": (lambda v: type(v) is str, "a string"),
+    "strings": (lambda v: type(v) is list and all(type(s) is str for s in v), "a list of strings"),
+}
+
+# Each run file's rendered fields, as dotted key paths, and their kinds.
+_MANIFEST_FIELDS = {
+    **dict.fromkeys(("version", "created_utc", "corpus.first_month", "corpus.last_month",
+                     "aligned_months.first", "aligned_months.last"), "string"),
+    **dict.fromkeys(("corpus.messages", "corpus.threads", "corpus.threads_kept"), "count"),
+    "warnings": "strings",
+}
+_MODEL_FIELDS = {"name": "string", "exogenous": "strings", "mae": "number", "sse": "number"}
+_SURROGATE_FIELDS = {
+    "model": "string", "n_surrogates": "count", "seed": "seed", "p_hat": "probability",
+    **dict.fromkeys(("empirical_mae", "surrogate_mae_quantiles.min",
+                     "surrogate_mae_quantiles.p50", "surrogate_mae_quantiles.max"), "number"),
+}
+
+
+def _check_fields(path: Path, payload: dict, fields: dict[str, str], prefix: str = "") -> None:
+    """Require each of ``fields`` in ``payload`` to hold its kind of value;
+    an error names the file and the field."""
+    for field, kind in fields.items():
+        value = payload
+        for key in field.split("."):
+            value = value[key]
+        test, wording = _KINDS[kind]
+        if not test(value):
+            raise InputFormatError(f"{path}: {prefix}{field} must be {wording}")
 
 
 def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -446,9 +463,15 @@ def _section(title: str, headers: list[str], rows: list[list[str]]) -> list[str]
 
 def _render_run_report(run_dir: Path) -> str:
     manifest_path, models_path = run_dir / "run_manifest.json", run_dir / "models.json"
+    surrogate_path = run_dir / "surrogate.json"
     manifest = _read_json(manifest_path, **_RUN_FILE_NUMBERS)
+    manifest.setdefault("warnings", [])
+    _check_fields(manifest_path, manifest, _MANIFEST_FIELDS)
     models = _read_json(models_path, **_RUN_FILE_NUMBERS)["models"]
-    surrogate = _read_json(run_dir / "surrogate.json", **_RUN_FILE_NUMBERS)
+    for number, entry in enumerate(models):
+        _check_fields(models_path, entry, _MODEL_FIELDS, f"models[{number}].")
+    surrogate = _read_json(surrogate_path, **_RUN_FILE_NUMBERS)
+    _check_fields(surrogate_path, surrogate, _SURROGATE_FIELDS)
 
     lines = [
         "# Run report",
@@ -468,9 +491,8 @@ def _render_run_report(run_dir: Path) -> str:
 
     emotion_path = run_dir / "emotion_series_smoothed.csv"
     if emotion_path.exists():
-        series = read_emotion_csv(emotion_path)
         rows = []
-        for name, component in component_series(series).items():
+        for name, component in read_emotion_csv(emotion_path).components.items():
             values = [v for v in component.values if v is not None]
             if not values:
                 rows.append([name, "-", "-", "-"])
@@ -480,8 +502,7 @@ def _render_run_report(run_dir: Path) -> str:
         lines += _section("Smoothed emotion series", ["series", "min", "max", "mean"], rows)
 
     rows = [
-        [e["name"], ", ".join(_string_list(models_path, e["exogenous"], "exogenous")) or "-",
-         f"{e['mae']:.4f}", f"{e['sse']:.4f}"]
+        [e["name"], ", ".join(e["exogenous"]) or "-", f"{e['mae']:.4f}", f"{e['sse']:.4f}"]
         for e in models
     ]
     lines += _section("Forecast models", ["model", "exogenous series", "mae", "sse"], rows)
@@ -522,8 +543,7 @@ def _render_run_report(run_dir: Path) -> str:
             "Correlations (smoothed series)", ["pair", "significant months", "mean r"], rows
         )
 
-    messages = _string_list(manifest_path, manifest.get("warnings", []), "warnings")
-    if messages:
-        lines += ["## Warnings", "", *(f"- {message}" for message in messages), ""]
+    if manifest["warnings"]:
+        lines += ["## Warnings", "", *(f"- {message}" for message in manifest["warnings"]), ""]
 
     return "\n".join(lines)

@@ -118,6 +118,25 @@ MALFORMED = {
     "models-exogenous-a-string": (
         "models.json", _run_file(r'"exogenous": \[\]', '"exogenous": "xyz"'), "report"
     ),
+    # Every value that the report renders has its kind: a count, a seed, a number, a string.
+    "surrogate-n-surrogates-a-string": (
+        "surrogate.json", _run_file(r'"n_surrogates": \d+', '"n_surrogates": "many"'), "report"
+    ),
+    "surrogate-seed-a-list": (
+        "surrogate.json", _run_file(r'"seed": \d+', '"seed": [1, 2]'), "report"
+    ),
+    "surrogate-p-hat-boolean": (
+        "surrogate.json", _run_file(r'"p_hat": [^,]+', '"p_hat": true'), "report"
+    ),
+    "surrogate-quantile-min-boolean": (
+        "surrogate.json", _run_file(r'"min": [^,]+', '"min": false'), "report"
+    ),
+    "manifest-corpus-messages-an-object": (
+        "run_manifest.json", _run_file(r'"messages": \d+', '"messages": {"count": 1690}'), "report"
+    ),
+    "manifest-version-null": (
+        "run_manifest.json", _run_file(r'"version": "[^"]*"', '"version": null'), "report"
+    ),
     "rate-not-a-number": ("series.csv", _series_file("oops"), "smooth"),
     "rate-nan": ("series.csv", _series_file("nan"), "smooth"),
     "rate-inf": ("series.csv", _series_file("inf"), "correlate"),

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moodcast.emotion import (
+    COMPONENTS,
     DIMENSIONS,
-    assemble_from_components,
+    MonthCounts,
     build_series,
-    component_series,
     score_month,
     top_lexicon_words,
 )
@@ -113,8 +113,8 @@ class TestBuildSeries:
             for m in ("2004-01", "2004-02")
         ]
         series = build_series(buckets, TWO_WORD_LEX)
-        for record in series.records:
-            assert all(record.mean[d] is None for d in DIMENSIONS)
+        for component in series.components.values():
+            assert component.values == [None, None]
 
     def test_rejects_empty_bucket_list(self):
         with pytest.raises(ValueError):
@@ -129,22 +129,27 @@ class TestBuildSeries:
 class TestComponentSeries:
     def test_six_components_on_same_axis(self, corpus_buckets, lexicon):
         series = build_series(corpus_buckets, lexicon)
-        components = component_series(series)
-        assert sorted(components) == [
+        components = series.components
+        assert list(components) == list(COMPONENTS) == [
+            "mean-valence",
             "mean-arousal",
             "mean-dominance",
-            "mean-valence",
+            "std-valence",
             "std-arousal",
             "std-dominance",
-            "std-valence",
         ]
         for component in components.values():
             assert component.months == series.months
 
-    def test_round_trip_through_assemble(self, corpus_buckets, lexicon):
+    def test_components_and_counts_are_the_scored_months(self, corpus_buckets, lexicon):
         series = build_series(corpus_buckets, lexicon)
-        rebuilt = assemble_from_components(component_series(series), series)
-        assert rebuilt == series
+        for i, bucket in enumerate(corpus_buckets):
+            scored = score_month(bucket, lexicon)
+            assert series.months[i] == scored.month
+            for dim in DIMENSIONS:
+                assert series.components[f"mean-{dim}"].values[i] == scored.mean[dim]
+                assert series.components[f"std-{dim}"].values[i] == scored.std[dim]
+            assert series.records[i] == MonthCounts(scored.match_count, scored.thread_count)
 
 
 class TestTopWords:

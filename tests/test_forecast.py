@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moodcast.analysis import NumericSeries
-from moodcast.emotion import component_series
 from moodcast.forecast import (
     MODEL_EXOGENOUS,
     MODEL_NAMES,
@@ -539,7 +538,7 @@ class TestSurrogateTest:
     def test_shipped_corpus_maes_equal_the_row_built_oracle(self, pipeline_run):
         out, _ = pipeline_run
         target = read_series_csv(out / "attitude_smoothed.csv")
-        components = component_series(read_emotion_csv(out / "emotion_series_smoothed.csv"))
+        components = read_emotion_csv(out / "emotion_series_smoothed.csv").components
         spec = ArmaSpec(1, 3, MODEL_EXOGENOUS["both-arousal"])
         exogenous = {name: components[name] for name in spec.exogenous_names}
         report = surrogate_test(spec, target, exogenous, n_surrogates=200, seed=0)

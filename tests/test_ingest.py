@@ -711,6 +711,22 @@ class TestStripReplyMarkers:
     def test_stripping(self, raw, expected):
         assert strip_reply_markers(raw) == expected
 
+    @staticmethod
+    def _loop(subject):
+        # The former definition: strip one "re:" marker at a time, then leading space.
+        marker = re.compile(r"\s*re\s*:", re.IGNORECASE)
+        while (match := marker.match(subject)) is not None:
+            subject = subject[match.end():]
+        return subject.lstrip()
+
+    # Pieces of a subject: markers in any case, separators, Unicode spaces and any text.
+    _PIECES = st.sampled_from(["re", "RE", "rE", ":", " ", "\t", "\u3000", "\x85", "x"])
+
+    @settings(max_examples=300)
+    @given(st.lists(_PIECES | st.text(max_size=3), max_size=12).map("".join))
+    def test_one_pattern_strips_as_the_loop_did(self, subject):
+        assert strip_reply_markers(subject) == self._loop(subject)
+
 
 class TestBuildThreads:
     def test_reply_chain_collapses_to_one_summary(self):

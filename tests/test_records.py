@@ -2,15 +2,19 @@
 copies and the constructor checks of every record class the package defines."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moodcast
 from moodcast.analysis import CorrelationTrack, NumericSeries
-from moodcast.emotion import EmotionSeries, MonthEmotion, WeightedWord
+from moodcast.emotion import COMPONENTS, EmotionSeries, MonthCounts, MonthEmotion, WeightedWord
 from moodcast.forecast import (
     ArmaModel,
     ArmaSpec,
@@ -19,10 +23,11 @@ from moodcast.forecast import (
     SuiteEntry,
     SurrogateReport,
 )
-from moodcast.ingest import MonthlyBucket, ThreadTally
+from moodcast.ingest import MonthlyBucket, ThreadSummary, ThreadTally
 from moodcast.lexicon import LexiconEntry
 from moodcast.months import MonthAxis
 from moodcast.pipeline import PipelineConfig
+from moodcast.records import Record
 
 AXIS = MonthAxis(24000, 3)
 # Arrays compare element-wise, so both copies of a regression system share them.
@@ -31,6 +36,10 @@ ARRAYS = np.ones((3, 2)), np.ones(3)
 
 def _emotion():
     return MonthEmotion("2000-01", {"valence": 5.0}, {"valence": 1.0}, 3, 2)
+
+
+def _components(order=COMPONENTS):
+    return {name: NumericSeries(AXIS, [5.0] * 3) for name in order}
 
 
 def _model():
@@ -51,13 +60,17 @@ RECORDS = {
                                  [False, False, True]),
     ),
     MonthEmotion: (("month", "mean", "std", "match_count", "thread_count"), _emotion),
-    EmotionSeries: (("months", "records"), lambda: EmotionSeries(AXIS[:1], [_emotion()])),
+    MonthCounts: (("match_count", "thread_count"), lambda: MonthCounts(3, 2)),
+    EmotionSeries: (("components", "records"),
+                    lambda: EmotionSeries(_components(), [MonthCounts(3, 2)] * 3)),
     WeightedWord: (("word", "occurrences", "display_weight"),
                    lambda: WeightedWord("war", 4, 2.0)),
     LexiconEntry: (("word", "valence", "arousal", "dominance"),
                    lambda: LexiconEntry("war", 2.08, 7.49, 4.0)),
     ThreadTally: (("threads", "message_count"),
                   lambda: ThreadTally({"t": ["2000-01-01T00:00:00+00:00", "war", 2]}, 2)),
+    ThreadSummary: (("thread_id", "subject", "message_count", "first_month"),
+                    lambda: ThreadSummary("t", "war", 3, "2000-01")),
     MonthlyBucket: (("month", "token_counts", "thread_count"),
                     lambda: MonthlyBucket("2000-01", {"war": 2}, 1)),
     ArmaSpec: (("ar_order", "exog_order", "exogenous_names"), lambda: ArmaSpec(1, 3, ("x",))),
@@ -80,7 +93,20 @@ RECORDS = {
 }
 
 # The records whose every field is hashable; the others hold a list, dict or array.
-HASHABLE = {MonthAxis, WeightedWord, LexiconEntry, ArmaSpec, PipelineConfig}
+HASHABLE = {
+    MonthAxis, MonthCounts, WeightedWord, LexiconEntry, ThreadSummary, ArmaSpec, PipelineConfig
+}
+
+
+def test_records_lists_every_record_class():
+    defined = set()
+    for info in pkgutil.iter_modules(moodcast.__path__, "moodcast."):
+        module = importlib.import_module(info.name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            named_tuple = issubclass(cls, tuple) and hasattr(cls, "_fields")
+            if cls.__module__ == info.name and (named_tuple or issubclass(cls, Record)):
+                defined.add(cls)
+    assert defined - {Record} == set(RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -121,11 +147,18 @@ def test_record_contract(cls):
         (lambda: MonthAxis(0, -1), "month axis out of range: start 0, length -1"),
         (lambda: MonthAxis(10000 * 12 - 1, 2), "month axis out of range: start 119999, length 2"),
         (lambda: NumericSeries(AXIS, [1.0]), "months and values must have equal length"),
-        (lambda: EmotionSeries(AXIS, [_emotion()]), "months and records must have equal length"),
+        (lambda: EmotionSeries(_components(), [MonthCounts(3, 2)]),
+         "months and records must have equal length"),
         (lambda: NumericSeries(["2000-01", "2000-03"], [1.0, 2.0]),
          "numeric series: month axis not contiguous near 2000-03 (expected 2000-02)"),
-        (lambda: EmotionSeries(["2000-02", "2000-01"], [_emotion(), _emotion()]),
-         "emotion series: month axis not contiguous near 2000-01 (expected 2000-03)"),
+        (lambda: EmotionSeries(_components(order=sorted(COMPONENTS)), [MonthCounts(3, 2)] * 3),
+         "emotion components must be mean-valence, mean-arousal, mean-dominance, "
+         "std-valence, std-arousal, std-dominance, in that order"),
+        (lambda: EmotionSeries(
+            {**_components(), "std-dominance": NumericSeries(AXIS[1:], [1.0] * 2)},
+            [MonthCounts(3, 2)] * 3,
+        ),
+         "emotion components must share one month axis"),
         (lambda: CorrelationTrack([], [], [], [], []), "correlation track: month axis is empty"),
         (lambda: ArmaSpec(-1, 1, ()), "lag orders must be non-negative"),
         (lambda: ArmaSpec(1, -1, ()), "lag orders must be non-negative"),

@@ -1,18 +1,26 @@
 import hashlib
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from moodcast.analysis import CorrelationTrack, NumericSeries
-from moodcast.emotion import DIMENSIONS, EmotionSeries, MonthEmotion, WeightedWord
+from moodcast.emotion import (
+    DIMENSIONS,
+    STATS,
+    EmotionSeries,
+    MonthCounts,
+    MonthEmotion,
+    WeightedWord,
+)
 from moodcast.errors import InputFormatError
 from moodcast.forecast import ArmaSpec, SuiteEntry, SurrogateReport, evaluate, fit_arma
 from moodcast.ingest import MonthlyBucket
 from moodcast.lexicon import SCALE_MAX, SCALE_MIN, load_lexicon
-from moodcast.months import MonthAxis, month_ord, ord_month
+from moodcast.months import MonthAxis, check_contiguous, month_ord, ord_month
 from moodcast.reports import (
     CORRELATION_HEADER,
     EMOTION_HEADER,
@@ -50,6 +58,29 @@ def month_record(month, base, match_count=5, thread_count=0):
     )
 
 
+def emotion_series(rows):
+    """The emotion series of per-month ``MonthEmotion`` rows."""
+    axis = check_contiguous([row.month for row in rows])
+    components = {
+        f"{stat}-{dim}": NumericSeries(axis, [getattr(row, stat)[dim] for row in rows])
+        for stat in STATS
+        for dim in DIMENSIONS
+    }
+    counts = [MonthCounts(row.match_count, row.thread_count) for row in rows]
+    return EmotionSeries(components, counts)
+
+
+def emotion_rows(series):
+    """The per-month ``MonthEmotion`` rows of an emotion series."""
+    def stats(stat, i):
+        return {dim: series.components[f"{stat}-{dim}"].values[i] for dim in DIMENSIONS}
+
+    return [
+        MonthEmotion(month, stats("mean", i), stats("std", i), *counts)
+        for i, (month, counts) in enumerate(zip(series.months, series.records))
+    ]
+
+
 class TestEmotionCsv:
     def test_round_trip(self, tmp_path):
         months = months_from("2000-11", 4)
@@ -61,32 +92,29 @@ class TestEmotionCsv:
             match_count=0,
             thread_count=2,
         )
-        series = EmotionSeries(months=months, records=records)
+        series = emotion_series(records)
         counts = {m: i for i, m in enumerate(months)}
         path = tmp_path / "emotion.csv"
         write_emotion_csv(path, series)
         loaded = read_emotion_csv(path)
         assert list(loaded.months) == months
-        assert {r.month: r.thread_count for r in loaded.records} == counts
-        for original, copy in zip(records, loaded.records):
+        assert {r.month: r.thread_count for r in emotion_rows(loaded)} == counts
+        for original, copy in zip(records, emotion_rows(loaded)):
             assert copy.mean == original.mean
             assert copy.std == original.std
             assert copy.match_count == original.match_count
 
     def test_missing_values_become_empty_fields(self, tmp_path):
         months = months_from("2000-01", 1)
-        series = EmotionSeries(
-            months=months,
-            records=[
-                MonthEmotion(
-                    month=months[0],
-                    mean={"valence": 1.5, "arousal": None, "dominance": None},
-                    std={"valence": 0.0, "arousal": None, "dominance": None},
-                    match_count=2,
-                    thread_count=2,
-                )
-            ],
-        )
+        series = emotion_series([
+            MonthEmotion(
+                month=months[0],
+                mean={"valence": 1.5, "arousal": None, "dominance": None},
+                std={"valence": 0.0, "arousal": None, "dominance": None},
+                match_count=2,
+                thread_count=2,
+            )
+        ])
         path = tmp_path / "emotion.csv"
         write_emotion_csv(path, series)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -109,9 +137,9 @@ class TestEmotionCsv:
             for m, u, v in zip(months, on_scale, spreads)
         ]
         path = tmp_path / "emotion.csv"
-        write_emotion_csv(path, EmotionSeries(months=months, records=records))
+        write_emotion_csv(path, emotion_series(records))
         loaded = read_emotion_csv(path)
-        for record, u, v in zip(loaded.records, on_scale, spreads):
+        for record, u, v in zip(emotion_rows(loaded), on_scale, spreads):
             assert record.mean["valence"] == u
             assert record.std["dominance"] == v
 
@@ -131,7 +159,7 @@ class TestEmotionCsv:
         path = tmp_path / "emotion.csv"
         path.write_text(f"{','.join(EMOTION_HEADER)}\n2000-01,{cells},3,1\n", encoding="utf-8")
         if message is None:
-            assert read_emotion_csv(path).records[0].mean["valence"] == 1.0
+            assert read_emotion_csv(path).components["mean-valence"].values == [1.0]
         else:
             with pytest.raises(InputFormatError, match=re.escape(f"{path} row 2: {message}")):
                 read_emotion_csv(path)
@@ -477,7 +505,7 @@ class TestRoundTrips:
             else MonthEmotion(month, dict(unscored), dict(unscored), 0, data.draw(_COUNTS))
             for month in axis
         ]
-        series = EmotionSeries(months=axis, records=records)
+        series = emotion_series(records)
         path = tmp_path / "emotion.csv"
         write_emotion_csv(path, series)
         assert read_emotion_csv(path) == series
@@ -634,3 +662,38 @@ class TestRunReport:
         # 21 pair tracks summarized
         assert text.count(" vs ") == 21
         assert "figure" not in text.lower()
+
+    @pytest.mark.parametrize(
+        "name, keys, value, message",
+        [("surrogate.json", ["n_surrogates"], 2.0, "n_surrogates must be an integer in [0, 2**53]"),
+         ("surrogate.json", ["n_surrogates"], True,
+          "n_surrogates must be an integer in [0, 2**53]"),
+         ("surrogate.json", ["seed"], -1, "seed must be a non-negative integer"),
+         ("surrogate.json", ["seed"], 2**64, None),
+         ("surrogate.json", ["p_hat"], 1.5, "p_hat must be a number in [0, 1]"),
+         ("surrogate.json", ["surrogate_mae_quantiles", "max"], "1",
+          "surrogate_mae_quantiles.max must be a number"),
+         ("models.json", ["models", 3, "sse"], None, "models[3].sse must be a number"),
+         ("models.json", ["models", 0, "name"], 7, "models[0].name must be a string"),
+         ("run_manifest.json", ["corpus", "threads_kept"], -1,
+          "corpus.threads_kept must be an integer in [0, 2**53]"),
+         ("run_manifest.json", ["aligned_months", "first"], 200001,
+          "aligned_months.first must be a string"),
+         ("run_manifest.json", ["warnings"], ["ok", 1], "warnings must be a list of strings")],
+    )
+    def test_rendered_fields_have_their_kinds(self, tmp_path, pipeline_run, name, keys, value,
+                                              message):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_run[0], run)
+        payload = json.loads((run / name).read_text(encoding="utf-8"))
+        holder = payload
+        for key in keys[:-1]:
+            holder = holder[key]
+        holder[keys[-1]] = value
+        (run / name).write_text(json.dumps(payload), encoding="utf-8")
+        if message is None:
+            assert f"| seed | {value} |" in render_run_report(run)
+        else:
+            expected = f"^{re.escape(f'{run / name}: {message}')}$"
+            with pytest.raises(InputFormatError, match=expected):
+                render_run_report(run)
