@@ -35,6 +35,14 @@ class NumericSeries(Record):
     def __len__(self) -> int:
         return len(self.months)
 
+    def __getitem__(self, span: slice) -> NumericSeries:
+        """The months of ``span`` and their values; a series is sliced, never indexed."""
+        if not isinstance(span, slice):
+            raise TypeError(f"a numeric series takes a slice, not {type(span).__name__}")
+        return NumericSeries(self.months[span], self.values[span])
+
+    __iter__ = None  # iterate ``months`` or ``values`` instead
+
 
 def check_smooth_window(window_len: int) -> None:
     """Reject a smoothing window shorter than one month."""
@@ -42,16 +50,9 @@ def check_smooth_window(window_len: int) -> None:
         raise ValueError(f"window length must be >= 1, got {window_len}")
 
 
-def hamming_weights(window_len: int) -> list[float]:
-    """Hamming window coefficients 0.54 - 0.46 cos(2 pi k / (L - 1)).
-
-    A length-1 window degenerates to the identity weight.
-    """
-    return _leading_weights(window_len, window_len)
-
-
-def _leading_weights(window_len: int, count: int) -> list[float]:
-    """The first ``count`` coefficients of a length-``window_len`` window."""
+def hamming_weights(window_len: int, count: int) -> list[float]:
+    """The first ``count`` coefficients 0.54 - 0.46 cos(2 pi k / (L - 1)) of a
+    length-L Hamming window; a length-1 window degenerates to the identity weight."""
     check_smooth_window(window_len)
     if window_len == 1:
         return [1.0]
@@ -72,7 +73,7 @@ def hamming_smooth(series: NumericSeries, window_len: int) -> NumericSeries:
     resolve gaps first (see ``linear_interpolate``). Only the weights that
     reach a month of the series are computed.
     """
-    weights = _leading_weights(window_len, min(window_len, len(series)))
+    weights = hamming_weights(window_len, min(window_len, len(series)))
     if None in series.values:
         gap = series.months[series.values.index(None)]
         raise ValueError(
@@ -109,8 +110,6 @@ def linear_interpolate(series: NumericSeries) -> NumericSeries:
     for i in range(last + 1, len(values)):
         values[i] = values[last]
     for lo, hi in zip(present, present[1:]):
-        if hi - lo == 1:
-            continue
         a = values[lo]
         b = values[hi]
         assert a is not None and b is not None
@@ -270,25 +269,18 @@ def rolling_correlation(
         xs = x.values[lo : hi + 1]
         ys = y.values[lo : hi + 1]
         n = hi - lo + 1
-        n_out.append(n)
-        gap = any(v is None for v in xs) or any(v is None for v in ys)
-        r = None if gap else _pearson(xs, ys)  # type: ignore[arg-type]
+        r = None if None in xs or None in ys else _pearson(xs, ys)  # type: ignore[arg-type]
         if r is None:
-            r_out.append(None)
-            p_out.append(None)
-            sig_out.append(False)
-            continue
-        if n == 2:
-            # Two non-constant points always correlate perfectly.
-            r = 1.0 if r > 0 else -1.0
+            p, significant = None, False
+        elif n == 2 or abs(r) == 1.0:
+            # Two non-constant points always correlate perfectly; a perfect r has p = 0.
+            r, p, significant = (1.0 if r > 0 else -1.0), 0.0, True
+        else:
+            p, significant = fisher_significance(r, n, alpha)
         r_out.append(r)
-        if abs(r) == 1.0:
-            p_out.append(0.0)
-            sig_out.append(True)
-            continue
-        p, sig = fisher_significance(r, n, alpha)
+        n_out.append(n)
         p_out.append(p)
-        sig_out.append(sig)
+        sig_out.append(significant)
     return CorrelationTrack(
         months=x.months, r=r_out, n_window=n_out, p_value=p_out, significant=sig_out
     )

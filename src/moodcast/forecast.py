@@ -227,11 +227,7 @@ def evaluate_holdout(
             f"holdout of {holdout} leaves only {split} training months; "
             f"need at least {spec.max_lag + 2}"
         )
-
-    def prefix(series: NumericSeries) -> NumericSeries:
-        return NumericSeries(months=series.months[:split], values=series.values[:split])
-
-    model = fit_arma(spec, prefix(target), {n: prefix(s) for n, s in exogenous.items()})
+    model = fit_arma(spec, target[:split], {n: s[:split] for n, s in exogenous.items()})
     system = assemble_regression(spec, target, exogenous)
     held_out = split - spec.max_lag  # first row that predicts month ``split``
     predictions = system.regressors[held_out:] @ model.coefficient_vector()

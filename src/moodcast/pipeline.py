@@ -241,11 +241,6 @@ def surrogate_stage(
     return report, [path]
 
 
-def _slice_numeric(series: NumericSeries, first: str, last: str) -> NumericSeries:
-    lo, hi = series.months.index(first), series.months.index(last)
-    return NumericSeries(months=series.months[lo : hi + 1], values=series.values[lo : hi + 1])
-
-
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and return the manifest dictionary.
 
@@ -302,11 +297,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
             )
         logger.info("stage align: common range %s..%s", first, last)
         span = slice(raw_emotion.months.index(first), raw_emotion.months.index(last) + 1)
-        components = {
-            name: NumericSeries(series.months[span], series.values[span])
-            for name, series in raw_emotion.components.items()
-        }
-        attitude = _slice_numeric(attitude, first, last)
+        components = {name: series[span] for name, series in raw_emotion.components.items()}
+        attitude = attitude[attitude.months.index(first) : attitude.months.index(last) + 1]
 
         stage = "gaps"
         components, interpolated = fill_gaps(components, config.gap_policy)

@@ -3,7 +3,8 @@
 Every writer is deterministic: fixed column and key order, Unix newlines,
 floats serialized with ``repr`` round-trip fidelity, dictionary keys sorted
 where insertion order is not meaningful. Missing values become empty CSV
-fields and JSON nulls, and a non-finite float is never written. Tables
+fields and JSON nulls. A non-finite float is never written: the writer
+raises ``ValueError`` and leaves no file at its target. Tables
 are read and written in the one CSV dialect of ``moodcast.tables``. Every
 reader rejects malformed and non-finite numbers with an
 ``InputFormatError`` naming the file and row, and the series readers
@@ -14,6 +15,7 @@ series is an attitude series: every read of one checks each rate is in [0, 100].
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Union
@@ -130,7 +132,7 @@ def write_series_csv(path: Union[str, Path], series: NumericSeries, value_name: 
 
 def read_series_csv(path: Union[str, Path], table: Optional[Table] = None) -> NumericSeries:
     """Read a two-column monthly series; ``table`` is ``read_table(path)`` if read."""
-    return _read_series(path, None, table)[0]
+    return _read_series(path, None, table)
 
 
 def load_attitude_series(path: Union[str, Path]) -> NumericSeries:
@@ -138,17 +140,14 @@ def load_attitude_series(path: Union[str, Path]) -> NumericSeries:
 
     ``run`` fills no gap in the attitude series; ``smooth`` fills gaps by its gap policy.
     """
-    series, rownums = _read_series(path, ATTITUDE_HEADER[1])
-    for rownum, value in zip(rownums, series.values):
-        if value is None:
-            raise InputFormatError(f"{path} row {rownum}: rate is missing")
-    return series
+    return _read_series(path, ATTITUDE_HEADER[1])
 
 
 def _read_series(
     path: Union[str, Path], value_name: Optional[str], table: Optional[Table] = None
-) -> tuple[NumericSeries, list[int]]:
-    """A two-column series, and the row number of each of its months."""
+) -> NumericSeries:
+    """A two-column series. Given a ``value_name``, the header must name that
+    value column and every row must hold a value."""
     header, rows = read_table(path) if table is None else table
     if len(header) != 2 or header[0].strip() != "month":
         raise InputFormatError(f"{path}: expected a month,value header")
@@ -162,10 +161,12 @@ def _read_series(
     values: list[Optional[float]] = []
     for rownum, _, row in checked:
         value = number_cell(path, rownum, row[1])
+        if value is None and value_name is not None:
+            raise InputFormatError(f"{path} row {rownum}: {value_name} is missing")
         if rate and value is not None and not 0.0 <= value <= 100.0:
             raise InputFormatError(f"{path} row {rownum}: rate {value!r} outside [0, 100]")
         values.append(value)
-    return NumericSeries(months=axis, values=values), [rownum for rownum, _, _ in checked]
+    return NumericSeries(months=axis, values=values)
 
 
 def write_correlation_csv(path: Union[str, Path], track: CorrelationTrack) -> None:
@@ -350,10 +351,16 @@ def write_surrogate_json(
 
 
 def _write_json(path: Union[str, Path], payload: dict) -> None:
-    # NaN and infinity are not JSON; refuse them rather than write them.
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, allow_nan=False)
-        handle.write("\n")
+    # NaN and infinity are not JSON; refuse them rather than write them, and
+    # remove the partial file. The text streams to the file, never whole in memory.
+    handle = open(path, "w", encoding="utf-8")
+    try:
+        with handle:
+            json.dump(payload, handle, indent=2, allow_nan=False)
+            handle.write("\n")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _float_range(parse):
@@ -430,21 +437,14 @@ def _check_fields(path: Path, payload: dict, fields: dict[str, str], prefix: str
             raise InputFormatError(f"{path}: {prefix}{field} must be {wording}")
 
 
-def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(headers) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in headers) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
-
-
 def render_run_report(run_dir: Union[str, Path]) -> str:
     """Summarize a completed run directory as a markdown document.
 
     Reads the manifest, the model and surrogate reports, the smoothed
     emotion series, and the smoothed correlation tracks; renders tables
-    only, no figures. A file that lacks a field the report needs, or holds
-    one of the wrong type, is an input format error.
+    only, no figures. A finished run has every one of them, so a missing
+    file or track directory is an ``OSError``. A file that lacks a field the
+    report needs, or holds one of the wrong type, is an input format error.
     """
     run_dir = Path(run_dir)
     try:
@@ -458,7 +458,9 @@ def render_run_report(run_dir: Union[str, Path]) -> str:
 
 
 def _section(title: str, headers: list[str], rows: list[list[str]]) -> list[str]:
-    return [f"## {title}", "", *_md_table(headers, rows), ""]
+    """A markdown section: its heading and a table of ``rows`` under ``headers``."""
+    table = [headers, ["---"] * len(headers), *rows]
+    return [f"## {title}", "", *("| " + " | ".join(row) + " |" for row in table), ""]
 
 
 def _render_run_report(run_dir: Path) -> str:
@@ -489,17 +491,16 @@ def _render_run_report(run_dir: Path) -> str:
         ["aligned months", f"{aligned['first']} to {aligned['last']}"],
     ])
 
-    emotion_path = run_dir / "emotion_series_smoothed.csv"
-    if emotion_path.exists():
-        rows = []
-        for name, component in read_emotion_csv(emotion_path).components.items():
-            values = [v for v in component.values if v is not None]
-            if not values:
-                rows.append([name, "-", "-", "-"])
-                continue
-            mean = sum(values) / len(values)
-            rows.append([name, f"{min(values):.4f}", f"{max(values):.4f}", f"{mean:.4f}"])
-        lines += _section("Smoothed emotion series", ["series", "min", "max", "mean"], rows)
+    smoothed = read_emotion_csv(run_dir / "emotion_series_smoothed.csv")
+    rows = []
+    for name, component in smoothed.components.items():
+        values = [v for v in component.values if v is not None]
+        if not values:
+            rows.append([name, "-", "-", "-"])
+            continue
+        mean = sum(values) / len(values)
+        rows.append([name, f"{min(values):.4f}", f"{max(values):.4f}", f"{mean:.4f}"])
+    lines += _section("Smoothed emotion series", ["series", "min", "max", "mean"], rows)
 
     rows = [
         [e["name"], ", ".join(e["exogenous"]) or "-", f"{e['mae']:.4f}", f"{e['sse']:.4f}"]
@@ -530,18 +531,18 @@ def _render_run_report(run_dir: Path) -> str:
         ["surrogate mae max", f"{quantiles['max']:.4f}"],
     ])
 
-    corr_dir = run_dir / "correlations" / "smoothed"
-    if corr_dir.is_dir():
-        rows = []
-        for path in sorted(corr_dir.glob("*.csv")):
-            track = read_correlation_csv(path)
-            hits = sum(1 for flag in track.significant if flag)
-            present = [r for r in track.r if r is not None]
-            mean_r = f"{sum(present) / len(present):.3f}" if present else "-"
-            rows.append([path.stem.replace("__", " vs "), f"{hits}/{len(track.months)}", mean_r])
-        lines += _section(
-            "Correlations (smoothed series)", ["pair", "significant months", "mean r"], rows
-        )
+    rows = []
+    # Unlike ``glob``, ``iterdir`` raises on a missing directory, as a read does on a missing file.
+    tracks = (run_dir / "correlations" / "smoothed").iterdir()
+    for path in sorted(entry for entry in tracks if entry.suffix == ".csv"):
+        track = read_correlation_csv(path)
+        hits = sum(1 for flag in track.significant if flag)
+        present = [r for r in track.r if r is not None]
+        mean_r = f"{sum(present) / len(present):.3f}" if present else "-"
+        rows.append([path.stem.replace("__", " vs "), f"{hits}/{len(track.months)}", mean_r])
+    lines += _section(
+        "Correlations (smoothed series)", ["pair", "significant months", "mean r"], rows
+    )
 
     if manifest["warnings"]:
         lines += ["## Warnings", "", *(f"- {message}" for message in manifest["warnings"]), ""]

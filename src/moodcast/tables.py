@@ -57,7 +57,9 @@ def read_table(path: Union[str, Path]) -> Table:
 def write_table(
     path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence[str]]
 ) -> None:
-    """Write a header and rows of formatted cells."""
+    """Write a header and rows of formatted cells, every row formatted before
+    the file opens: a cell that fails to format leaves no file."""
+    rows = list(rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -65,10 +67,14 @@ def write_table(
 
 
 def format_number(value: Optional[float]) -> str:
-    """Shortest exact decimal form of a float; empty string for missing."""
+    """Shortest exact decimal form of a float; empty string for missing.
+    A non-finite float is a ``ValueError``: no reader accepts one."""
     if value is None:
         return ""
-    return repr(float(value))
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot write a non-finite number: {value!r}")
+    return repr(value)
 
 
 def quote_cell(cell: str) -> str:

@@ -49,29 +49,46 @@ class TestNumericSeries:
     def test_len(self):
         assert len(ns([1.0, 2.0, 3.0])) == 3
 
+    def test_slice_takes_months_and_values(self):
+        series = ns([1.0, None, 3.0, 4.0])
+        assert series[1:3] == ns([None, 3.0], first="2000-02")
+        assert series[:2].months == MonthAxis(month_ord("2000-01"), 2)
+        assert series[-1:].values == [4.0]
+
+    def test_slice_rejects_a_step(self):
+        with pytest.raises(ValueError, match="step 1"):
+            ns([1.0, 2.0, 3.0])[::2]
+
+    def test_index_and_iteration_raise_type_error(self):
+        series = ns([1.0, 2.0])
+        with pytest.raises(TypeError, match="takes a slice"):
+            series[0]
+        with pytest.raises(TypeError):
+            iter(series)
+
 
 class TestHammingWeights:
     def test_four_point_values(self):
-        weights = hamming_weights(4)
+        weights = hamming_weights(4, 4)
         assert weights == pytest.approx([0.08, 0.77, 0.77, 0.08], abs=1e-15)
         assert sum(weights) == pytest.approx(1.7, abs=1e-12)
 
     def test_length_one_degenerates(self):
-        assert hamming_weights(1) == [1.0]
+        assert hamming_weights(1, 1) == [1.0]
 
     def test_symmetry(self):
         for length in (2, 4, 5, 9):
-            weights = hamming_weights(length)
+            weights = hamming_weights(length, length)
             assert weights == pytest.approx(list(reversed(weights)), abs=1e-15)
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
-            hamming_weights(0)
+            hamming_weights(0, 0)
 
 
 def unclamped_smooth(values, window_len):
     """The smoothing formula without the clamp to the input's range: the oracle."""
-    weights = hamming_weights(window_len)
+    weights = hamming_weights(window_len, window_len)
     out = []
     for t in range(len(values)):
         span = min(window_len, t + 1)
@@ -89,7 +106,7 @@ class TestHammingSmooth:
         values = [0.0] * 20
         values[10] = 1.0
         smoothed = hamming_smooth(ns(values), reference.smooth_window)
-        weights = hamming_weights(4)
+        weights = hamming_weights(4, 4)
         total = sum(weights)
         expected = [0.0] * 20
         for k in range(4):
@@ -98,7 +115,7 @@ class TestHammingSmooth:
 
     def test_startup_truncates_and_renormalizes(self, reference):
         smoothed = hamming_smooth(ns([1.0, 2.0, 3.0, 4.0, 5.0]), reference.smooth_window)
-        w = hamming_weights(4)
+        w = hamming_weights(4, 4)
         assert smoothed.values[0] == pytest.approx(1.0)
         assert smoothed.values[1] == pytest.approx(
             (w[0] * 2.0 + w[1] * 1.0) / (w[0] + w[1])

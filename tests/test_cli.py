@@ -1044,6 +1044,25 @@ class TestReportCommand:
     def test_missing_run_dir_is_2(self, tmp_path):
         assert run_cli("report", "--run", str(tmp_path / "absent")) == 2
 
+    @pytest.mark.parametrize("artifact", [
+        "run_manifest.json", "models.json", "surrogate.json", "emotion_series_smoothed.csv",
+        "correlations/smoothed",
+    ])
+    def test_run_missing_an_artifact_is_2_naming_it(self, tmp_path, capsys, pipeline_run,
+                                                    artifact):
+        # A finished run has every artifact that a section renders, so the
+        # report renders every section or none.
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_run[0], run)
+        missing = run / artifact
+        if missing.is_dir():
+            shutil.rmtree(missing)
+        else:
+            missing.unlink()
+        assert run_cli("report", "--run", str(run), "--out", str(tmp_path / "report.md")) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "report.md").exists()
+
 
 class TestRunCommand:
     def test_small_run_prints_summary(

@@ -1,0 +1,89 @@
+"""A bounded, seeded mutation fuzz of the command line's exit-code contract.
+
+Each case makes ``MUTATIONS_PER_CASE`` single mutations, one at a time, of
+one input file of a finished run (or of the shipped lexicon), and runs the
+command that reads it through ``moodcast.cli.main`` after each. A
+reader exits 0 or 2 (``score`` and ``report``), or also 3 (the commands
+that check an analysis precondition); nothing exits 4 or raises out of
+``main``. The seeds are fixed, so a failure names a mutation that
+reproduces it.
+"""
+
+import random
+import re
+import shutil
+
+import pytest
+
+from moodcast.cli import main
+
+# Cells that read as no finite number, or as one out of every range.
+_NUMBERS = [b"nan", b"inf", b"NaN", b"Infinity", b"1e999", b"9" * 30, b"1" + b"0" * 29]
+# Bytes that split or break a line, a field or a string: a form feed, NEL,
+# U+2028, a lone quote, a comma and a byte that is not UTF-8.
+_INSERTS = [b"\x0c", "\x85".encode(), "\u2028".encode(), b'"', b",", b"\xff"]
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _mutate(data: bytes, rng: random.Random) -> tuple[bytes, str]:
+    """One random mutation of ``data``, and what it did."""
+    lines = data.split(b"\n")
+    kind = rng.choice(["cut", "swap", "number", "insert"])
+    if kind == "cut":
+        i = rng.randrange(len(lines))
+        return b"\n".join(lines[:i] + lines[i + 1 :]), f"cut line {i + 1}"
+    if kind == "swap":
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+        return b"\n".join(lines), f"swapped lines {i + 1} and {j + 1}"
+    numbers = list(_NUMBER.finditer(data))
+    if kind == "number" and numbers:
+        match, number = rng.choice(numbers), rng.choice(_NUMBERS)
+        mutated = data[: match.start()] + number + data[match.end() :]
+        return mutated, f"number at byte {match.start()} became {number!r}"
+    at, insert = rng.randrange(len(data) + 1), rng.choice(_INSERTS)
+    return data[:at] + insert + data[at:], f"inserted {insert!r} at byte {at}"
+
+
+# Case -> (file of the run directory, or the lexicon, that is mutated;
+# the command that reads it; the exit codes it may return).
+CASES = {
+    "smooth-emotion-table": ("emotion_series_smoothed.csv", "smooth", {0, 2, 3}),
+    "suite-emotion-table": ("emotion_series_smoothed.csv", "suite", {0, 2, 3}),
+    "correlate-rate-series": ("attitude_aligned.csv", "correlate", {0, 2, 3}),
+    "score-buckets": ("buckets.json", "score", {0, 2}),
+    "score-lexicon": ("lexicon.csv", "score", {0, 2}),
+    "report-models": ("models.json", "report", {0, 2}),
+    "report-surrogate": ("surrogate.json", "report", {0, 2}),
+    "report-manifest": ("run_manifest.json", "report", {0, 2}),
+    "report-track": ("correlations/smoothed/mean_valence__attitude.csv", "report", {0, 2}),
+}
+MUTATIONS_PER_CASE = 20
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_mutated_input_keeps_the_exit_code_contract(case, tmp_path, capsys, pipeline_run,
+                                                    lexicon_path):
+    name, command, allowed = CASES[case]
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_run[0], run)
+    shutil.copy(lexicon_path, run / "lexicon.csv")
+    target = run / name
+    original = target.read_bytes()
+    out = tmp_path / "out"
+    argv = {
+        "smooth": ["--series", str(target), "--out", str(out)],
+        "suite": ["--attitude-series", str(run / "attitude_smoothed.csv"),
+                  "--emotion-series", str(target), "--out", str(out)],
+        "correlate": ["--series-a", str(run / "attitude_smoothed.csv"), "--series-b", str(target),
+                      "--out", str(out)],
+        "score": ["--lexicon", str(run / "lexicon.csv"), "--buckets", str(run / "buckets.json"),
+                  "--out", str(out)],
+        "report": ["--run", str(run), "--out", str(out)],
+    }[command]
+    rng = random.Random(case)
+    for _ in range(MUTATIONS_PER_CASE):
+        mutated, what = _mutate(original, rng)
+        target.write_bytes(mutated)
+        code = main([command, *argv])
+        assert code in allowed, f"{case}: {what}: exit {code}\n{capsys.readouterr().err}"

@@ -927,6 +927,11 @@ class TestLoadAttitude:
         with pytest.raises(InputFormatError, match=message):
             load_text(f"month,rate\n2004-01,0\n2004-02,{cell}\n2004-03,100\n")
 
+    def test_first_bad_row_named_whatever_its_fault(self, load_text):
+        # A missing rate is found in the same pass as a rate out of range.
+        with pytest.raises(InputFormatError, match="row 3: rate is missing"):
+            load_text("month,rate\n2004-01,50\n2004-02,\n2004-03,150\n")
+
     def test_series_reader_keeps_an_empty_rate_as_a_gap(self, tmp_path):
         # Only run requires every rate; any other read of a month,rate file
         # keeps an empty rate as a gap, and still checks the range.

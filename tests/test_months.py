@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,8 +111,8 @@ def test_run_checks_each_outside_month_list_once(
 ):
     # A structural check that counts calls and times nothing: a series built
     # from another series' axis is never re-checked, so a whole run checks
-    # only the month lists that come from outside (the buckets and, at most,
-    # the attitude file), not one per series construction.
+    # only the month list that comes from outside, the buckets', not one per
+    # series construction. The attitude file's axis comes from its rows.
     import moodcast.analysis
     import moodcast.emotion
     from moodcast.pipeline import PipelineConfig, run_pipeline
@@ -132,4 +134,5 @@ def test_run_checks_each_outside_month_list_once(
             surrogates=50,
         )
     )
-    assert 1 <= len(calls) <= 2, calls
+    buckets = json.loads((tmp_path / "buckets.json").read_text(encoding="utf-8"))["buckets"]
+    assert calls == [len(buckets)]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import shutil
 
@@ -23,6 +24,7 @@ from moodcast.lexicon import SCALE_MAX, SCALE_MIN, load_lexicon
 from moodcast.months import MonthAxis, check_contiguous, month_ord, ord_month
 from moodcast.reports import (
     CORRELATION_HEADER,
+    _write_json,
     EMOTION_HEADER,
     load_attitude_series,
     read_buckets_json,
@@ -635,6 +637,39 @@ class TestSurrogateJson:
         )
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["surrogate_maes"] == report.surrogate_maes
+
+
+def _writes(value):
+    """Each writer with a float field, and a call that writes ``value`` in one of its cells."""
+    months = months_from("2000-01", 3)
+    return {
+        "emotion": lambda path: write_emotion_csv(path, emotion_series(
+            [month_record(m, base) for m, base in zip(months, [1.0, value, 2.0])]
+        )),
+        "series": lambda path: write_series_csv(path, NumericSeries(months, [1.0, value, 2.0]),
+                                                "rate"),
+        "correlation": lambda path: write_correlation_csv(path, CorrelationTrack(
+            months, r=[0.5, 0.5, 0.5], n_window=[2, 3, 2], p_value=[0.0, value, 0.0],
+            significant=[True, False, True],
+        )),
+        "top-words": lambda path: write_top_words_csv(
+            path, {"2000": [WeightedWord("war", 9, 3.0), WeightedWord("peace", 4, value)]}
+        ),
+        # Long enough that the encoder has flushed a partial file when it meets the value.
+        "json": lambda path: _write_json(path, {"a": list(range(3000)), "b": value}),
+    }
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("writer", sorted(_writes(0.0)))
+def test_writer_refuses_a_non_finite_number_and_leaves_no_file(tmp_path, writer, value):
+    path = tmp_path / "out"
+    _writes(0.5)[writer](path)
+    assert path.stat().st_size > 0
+    path.unlink()
+    with pytest.raises(ValueError):
+        _writes(value)[writer](path)
+    assert not path.exists()
 
 
 class TestSha256:
