@@ -12,7 +12,6 @@ error, 4 internal error.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from functools import partial
 from pathlib import Path
@@ -47,8 +46,6 @@ from .reports import (
     write_series_csv,
 )
 from .tables import parse_number, read_table
-
-logger = logging.getLogger(__name__)
 
 
 def _wrote(paths: list[Path]) -> int:
@@ -147,9 +144,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_run(args) -> int:
     config = PipelineConfig(**{name: getattr(args, name) for name in _CONFIG_FIELDS.values()})
-    manifest = run_pipeline(config)
-    n_artifacts = len(manifest["artifacts"]) + 1
-    print(f"wrote {n_artifacts} artifacts to {config.out}")
+    manifest = run_pipeline(config, sys.stderr if args.verbose else None)
+    print(f"wrote {len(manifest['artifacts']) + 1} artifacts to {config.out}")
     surrogate = manifest["surrogate"]
     print(f"surrogate test: model {surrogate['model']}, p_hat = {surrogate['p_hat']}")
     return 0
@@ -263,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     parser.add_argument(
-        "-v", "--verbose", action="store_true", help="log stage progress to stderr"
+        "-v", "--verbose", action="store_true", help="write run's stage lines to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     handlers = globals()
@@ -283,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     try:
         return args.func(args)
     except (InputFormatError, OSError, UnicodeDecodeError) as exc:
@@ -296,8 +287,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - defensive catch-all
-        logger.exception("internal error")
+    except Exception as exc:
+        import traceback  # loaded only on a fault
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

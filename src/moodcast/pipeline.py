@@ -7,20 +7,21 @@ subcommands read their inputs back from files and call these functions;
 ``run_pipeline`` calls them in order, with the align step between score
 and gap policy and the rolling correlations after smoothing, so a staged
 run and a full run write the same bytes. The full run ends with a manifest
-of configuration, input digests and artifact digests. The only timestamp lives
-in the manifest, so reruns with identical inputs and configuration
-reproduce every other artifact byte for byte. A failed stage leaves a
-``run.failed`` marker naming the stage.
+of configuration, input and artifact digests and stage times. The timestamp
+and the times live only in the manifest, so reruns with identical inputs and
+configuration reproduce every other artifact byte for byte. A failed stage
+leaves a ``run.failed`` marker naming the stage.
 """
 
 from __future__ import annotations
 
-import logging
 import os
+import time
 import warnings
 from datetime import datetime, timezone
+from itertools import combinations, groupby
 from pathlib import Path
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, TextIO
 
 from . import __version__
 from .analysis import (
@@ -67,8 +68,6 @@ from .reports import (
     write_surrogate_json,
     write_top_words_csv,
 )
-
-logger = logging.getLogger(__name__)
 
 GAP_POLICIES = ("fail", "linear-interpolate")
 
@@ -133,13 +132,10 @@ def score_stage(
 
     Returns the raw emotion series, then the paths written.
     """
-    emotion = build_series(buckets, lexicon)
-    by_year: dict[str, list[MonthlyBucket]] = {}
-    for bucket in buckets:
-        by_year.setdefault(bucket.month[:4], []).append(bucket)
+    emotion = build_series(buckets, lexicon)  # checks that the months run in order
     per_year = {}
-    for year, year_buckets in by_year.items():
-        words = top_lexicon_words(year_buckets, lexicon)
+    for year, year_buckets in groupby(buckets, key=lambda bucket: bucket.month[:4]):
+        words = top_lexicon_words(list(year_buckets), lexicon)
         if words:
             per_year[year] = words
     out.mkdir(parents=True, exist_ok=True)
@@ -241,15 +237,37 @@ def surrogate_stage(
     return report, [path]
 
 
-def run_pipeline(config: PipelineConfig) -> dict:
+class _StageRecorder:
+    """The running stage's name and the wall seconds of each stage it closed.
+    Given a ``progress`` stream, it writes one ``stage <name>[: detail]`` line per stage."""
+
+    def __init__(self, progress: Optional[TextIO]) -> None:
+        self.progress, self.name, self.timings = progress, "config", {}
+        self.started = time.perf_counter()
+
+    def __call__(self, name: str, detail: str = "", *, quiet: bool = False) -> None:
+        """Close the running stage's time and start ``name``, writing its line unless ``quiet``."""
+        now = time.perf_counter()
+        self.timings[self.name] = round(now - self.started, 6)
+        self.name, self.started = name, now
+        if not quiet:
+            self.note(detail)
+
+    def note(self, detail: str) -> None:
+        """Write the running stage's line, with ``detail`` after a colon if it has one."""
+        if self.progress is not None:
+            print(f"stage {self.name}" + (detail and f": {detail}"), file=self.progress, flush=True)
+
+
+def run_pipeline(config: PipelineConfig, progress: Optional[TextIO] = None) -> dict:
     """Run every stage and return the manifest dictionary.
 
     The manifest and failure marker of an earlier run are removed first,
     and the new manifest is written last, by rename, so it only ever
     describes a finished run. The first stage checks every option, numeric
     ones with the checks of the stages that use them, before any input is read.
-    Any stage failure writes ``run.failed`` (stage name plus diagnostic)
-    into the output directory and re-raises the underlying error.
+    A stage failure writes ``run.failed`` (stage name plus diagnostic) and
+    re-raises; given a ``progress`` stream, each stage writes its line there.
     """
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,7 +275,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     for stale in (marker, out / MANIFEST):
         stale.unlink(missing_ok=True)
     artifacts: list[Path] = []
-    stage = "config"
+    stage = _StageRecorder(progress)
     try:
         check_min_messages(config.min_messages)
         check_smooth_window(config.smooth_window)
@@ -271,47 +289,42 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 f"surrogate_model must be an exogenous model name, got {config.surrogate_model!r}"
             )
 
-        stage = "load-inputs"
-        logger.info("stage load-inputs")
+        stage("load-inputs")
         lexicon = load_lexicon(config.lexicon)
         tally = parse_messages(config.messages)
         attitude = load_attitude_series(config.attitude)
 
-        stage = "ingest"
-        logger.info("stage ingest: %d messages", len(tally))
+        stage("ingest", f"{len(tally)} messages")
         buckets, corpus, paths = ingest_stage(tally, out, min_messages=config.min_messages)
         artifacts += paths
 
-        stage = "score"
-        logger.info("stage score: %d monthly buckets", len(buckets))
+        stage("score", f"{len(buckets)} monthly buckets")
         raw_emotion, paths = score_stage(buckets, lexicon, out)
         artifacts += paths
 
-        stage = "align"
         first = max(raw_emotion.months[0], attitude.months[0], key=month_ord)
         last = min(raw_emotion.months[-1], attitude.months[-1], key=month_ord)
+        stage("align", f"common range {first}..{last}")
         if month_ord(first) > month_ord(last):
             raise ValueError(
                 f"corpus months {raw_emotion.months[0]}..{raw_emotion.months[-1]} and "
                 f"attitude months {attitude.months[0]}..{attitude.months[-1]} do not overlap"
             )
-        logger.info("stage align: common range %s..%s", first, last)
         span = slice(raw_emotion.months.index(first), raw_emotion.months.index(last) + 1)
         components = {name: series[span] for name, series in raw_emotion.components.items()}
         attitude = attitude[attitude.months.index(first) : attitude.months.index(last) + 1]
 
-        stage = "gaps"
+        stage("gaps", quiet=True)
         components, interpolated = fill_gaps(components, config.gap_policy)
         if interpolated:
-            logger.info("stage gaps: interpolated %d series", len(interpolated))
+            stage.note(f"interpolated {len(interpolated)} series")
         emotion = EmotionSeries(components, raw_emotion.records[span])
         aligned = [out / "emotion_series_aligned.csv", out / "attitude_aligned.csv"]
         write_emotion_csv(aligned[0], emotion)
         write_series_csv(aligned[1], attitude, "rate")
         artifacts += aligned
 
-        stage = "smooth"
-        logger.info("stage smooth: window %d", config.smooth_window)
+        stage("smooth", f"window {config.smooth_window}")
         smoothed, paths = smooth_emotion(
             emotion, out / "emotion_series_smoothed.csv", window=config.smooth_window
         )
@@ -319,8 +332,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         write_series_csv(out / "attitude_smoothed.csv", smooth_attitude, "rate")
         artifacts += [*paths, out / "attitude_smoothed.csv"]
 
-        stage = "correlate"
-        logger.info("stage correlate: window %d, alpha %s", config.corr_window, config.alpha)
+        stage("correlate", f"window {config.corr_window}, alpha {config.alpha}")
         for label, table, target in (
             ("raw", emotion, attitude),
             ("smoothed", smoothed, smooth_attitude),
@@ -328,34 +340,28 @@ def run_pipeline(config: PipelineConfig) -> dict:
             pool = dict(zip(SERIES_ORDER, [*table.components.values(), target]))
             pair_dir = out / "correlations" / label
             pair_dir.mkdir(parents=True, exist_ok=True)
-            for i, name_a in enumerate(SERIES_ORDER):
-                for name_b in SERIES_ORDER[i + 1 :]:
-                    track = rolling_correlation(
-                        pool[name_a], pool[name_b], config.corr_window, config.alpha
-                    )
-                    path = pair_dir / f"{name_a}__{name_b}.csv"
-                    write_correlation_csv(path, track)
-                    artifacts.append(path)
+            for name_a, name_b in combinations(SERIES_ORDER, 2):
+                track = rolling_correlation(
+                    pool[name_a], pool[name_b], config.corr_window, config.alpha
+                )
+                path = pair_dir / f"{name_a}__{name_b}.csv"
+                write_correlation_csv(path, track)
+                artifacts.append(path)
 
         with warnings.catch_warnings(record=True) as fit_warnings:
             warnings.simplefilter("always")
-            stage = "forecast"
-            logger.info(
-                "stage forecast: %d models, lag orders %d/%d",
-                len(MODEL_NAMES), config.p, config.q,
-            )
+            stage("forecast", f"{len(MODEL_NAMES)} models, lag orders {config.p}/{config.q}")
             lags = {"ar_order": config.p, "exog_order": config.q}
             entries, paths = suite_stage(
                 smooth_attitude, smoothed.components, out / "models.json", **lags
             )
             artifacts += paths
 
-            stage = "surrogate"
             chosen = config.surrogate_model or min(
                 (e for e in entries if e.name in EXOGENOUS_MODELS),
                 key=lambda e: (e.report.mae, MODEL_NAMES.index(e.name)),
             ).name
-            logger.info("stage surrogate: model %s, %d surrogates", chosen, config.surrogates)
+            stage("surrogate", f"model {chosen}, {config.surrogates} surrogates")
             surrogate, paths = surrogate_stage(
                 smooth_attitude, smoothed.components, out / "surrogate.json", model=chosen,
                 n_surrogates=config.surrogates, seed=config.seed,
@@ -363,7 +369,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             )
             artifacts += paths
 
-        stage = "manifest"
+        stage("manifest", quiet=True)
         manifest = {
             "version": __version__,
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -389,6 +395,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 "empirical_mae": surrogate.empirical_mae,
             },
             "warnings": [str(w.message) for w in fit_warnings],
+            "timings": stage.timings,
             "artifacts": {
                 str(path.relative_to(out)): sha256_file(path)
                 for path in sorted(artifacts)
@@ -397,8 +404,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
         pending = out / (MANIFEST + ".tmp")
         _write_json(pending, manifest)
         os.replace(pending, out / MANIFEST)
-        logger.info("run complete: %d artifacts in %s", len(artifacts) + 1, out)
+        if progress is not None:
+            print(f"run complete: {len(artifacts) + 1} artifacts in {out}", file=progress)
         return manifest
     except Exception as exc:
-        marker.write_text(f"{stage}: {exc}\n", encoding="utf-8")
+        marker.write_text(f"{stage.name}: {exc}\n", encoding="utf-8")
         raise

@@ -1,11 +1,14 @@
 import ast
 import inspect
 import json
+import math
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -372,12 +375,15 @@ class TestStartup:
         # broken. ``run`` fits models, so it may load numpy but not scipy.
         # The same stages load none of ``dataclasses``, ``inspect`` (which
         # numpy loads) and ``hashlib``, unless the bare interpreter already
-        # has them; ``run`` hashes, so it must load ``hashlib``.
+        # has them; ``run`` hashes, so it must load ``hashlib``. No command,
+        # ``suite`` and ``run`` included, loads ``logging`` or ``traceback``.
         bare = subprocess.run(
             [sys.executable, "-c", "import sys; print(*sys.modules)"],
             capture_output=True, text=True, check=True,
         ).stdout.split()
+        never = [name for name in ("logging", "traceback") if name not in bare]
         unused = [name for name in ("dataclasses", "inspect", "hashlib") if name not in bare]
+        unused += never
         script = (
             "import sys\n"
             "import moodcast.cli\n"
@@ -403,9 +409,10 @@ class TestStartup:
             "    '--emotion-series', out + '/emotion_series_smoothed.csv',\n"
             "    '--out', out + '/models.json']) == 0\n"
             "assert 'numpy' in sys.modules, 'suite fitted no model'\n"
+            f"assert not loaded(*{never!r}), ('suite', loaded(*{never!r}))\n"
             "assert moodcast.cli.main(['run', '--lexicon', lexicon, '--messages', messages,\n"
             "    '--attitude', attitude, '--surrogates', '20', '--out', out + '/run']) == 0\n"
-            "assert not loaded('scipy'), ('run', loaded('scipy'))\n"
+            f"assert not loaded('scipy', *{never!r}), ('run', loaded('scipy', *{never!r}))\n"
             "assert 'hashlib' in sys.modules, 'run hashed nothing'\n"
         )
         src_dir = Path(moodcast.__file__).resolve().parents[1]
@@ -1064,6 +1071,11 @@ class TestReportCommand:
         assert not (tmp_path / "report.md").exists()
 
 
+def _run_argv(lexicon, messages, attitude, out, surrogates="2"):
+    return ["run", "--lexicon", str(lexicon), "--messages", str(messages),
+            "--attitude", str(attitude), "--surrogates", surrogates, "--out", str(out)]
+
+
 class TestRunCommand:
     def test_small_run_prints_summary(
         self, tmp_path, lexicon_path, messages_path, attitude_path, capsys
@@ -1083,3 +1095,113 @@ class TestRunCommand:
         assert "p_hat = " in stdout
         assert (out / "run_manifest.json").exists()
         assert not (out / "run.failed").exists()
+
+    def test_verbose_writes_stage_lines_for_its_own_call_only(
+        self, tmp_path, capsys, lexicon_path, messages_path, attitude_path
+    ):
+        # -v belongs to one call, not to the process: of three runs in one
+        # process, only the middle one writes stage lines.
+        out = tmp_path / "run"
+        argv = _run_argv(lexicon_path, messages_path, attitude_path, out)
+        errs = []
+        for verbose in ([], ["-v"], []):
+            assert main([*verbose, *argv]) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[2] == ""
+        assert errs[1].splitlines() == [
+            "stage load-inputs",
+            "stage ingest: 1690 messages",
+            "stage score: 66 monthly buckets",
+            "stage align: common range 2000-01..2005-06",
+            "stage smooth: window 4",
+            "stage correlate: window 13, alpha 0.05",
+            "stage forecast: 10 models, lag orders 1/3",
+            "stage surrogate: model both-arousal, 2 surrogates",
+            f"run complete: 53 artifacts in {out}",
+        ]
+
+    def test_verbose_names_the_interpolated_series(
+        self, tmp_path, capsys, lexicon_path, messages_path, attitude_path
+    ):
+        lines = messages_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        gapped = tmp_path / "messages.jsonl"
+        gapped.write_text("".join(line for line in lines if '"2002-10' not in line),
+                          encoding="utf-8")
+        argv = _run_argv(lexicon_path, gapped, attitude_path, tmp_path / "run")
+        assert main(["-v", *argv, "--gap-policy", "linear-interpolate"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[3:6] == ["stage align: common range 2000-01..2005-06",
+                            "stage gaps: interpolated 6 series", "stage smooth: window 4"]
+
+    def test_manifest_times_each_stage_before_the_manifest(self, pipeline_run):
+        out, manifest = pipeline_run
+        timings = manifest["timings"]
+        assert list(timings) == ["config", "load-inputs", "ingest", "score", "align", "gaps",
+                                 "smooth", "correlate", "forecast", "surrogate"]
+        assert all(isinstance(t, float) and math.isfinite(t) and t >= 0 for t in timings.values())
+        saved = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        assert saved["timings"] == timings
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+class TestInternalError:
+    def test_run_fault_is_4_with_a_traceback_and_names_its_stage(
+        self, tmp_path, capsys, monkeypatch, lexicon_path, messages_path, attitude_path
+    ):
+        monkeypatch.setattr("moodcast.pipeline.surrogate_stage", _boom)
+        out = tmp_path / "run"
+        assert main(_run_argv(lexicon_path, messages_path, attitude_path, out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: boom\ninternal error: boom\n")
+        assert (out / "run.failed").read_text(encoding="utf-8") == "surrogate: boom\n"
+        assert not (out / "run_manifest.json").exists()
+
+    def test_subcommand_fault_is_4_with_a_traceback(
+        self, tmp_path, capsys, monkeypatch, messages_path
+    ):
+        monkeypatch.setattr("moodcast.cli.ingest_stage", _boom)
+        assert run_cli("ingest", "--messages", str(messages_path), "--out", str(tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: boom\ninternal error: boom\n")
+
+
+class TestKilledRun:
+    KILLS = 6
+
+    def test_a_killed_run_leaves_no_manifest_or_a_true_one(
+        self, tmp_path, lexicon_path, messages_path, attitude_path
+    ):
+        # SIGKILL ``run`` at seeded delays spread over one measured run, one
+        # process at a time; the last kill is a rerun into the measured run's
+        # finished directory. Each kill must leave no manifest, or one whose
+        # every listed file still has its digest.
+        env = {**os.environ, "PYTHONPATH": str(Path(moodcast.__file__).resolve().parents[1])}
+
+        def start(out):
+            argv = _run_argv(lexicon_path, messages_path, attitude_path, out, surrogates="20")
+            return subprocess.Popen([sys.executable, "-m", "moodcast", *argv], env=env,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+        finished = tmp_path / "finished"
+        began = time.perf_counter()
+        assert start(finished).wait() == 0
+        measured = time.perf_counter() - began
+        rng = random.Random(11)
+        codes = []
+        for i in range(self.KILLS):
+            out = finished if i == self.KILLS - 1 else tmp_path / f"killed-{i}"
+            run = start(out)
+            time.sleep(measured * (i + rng.random()) / self.KILLS)
+            run.kill()
+            codes.append(run.wait())
+            manifest = out / "run_manifest.json"
+            if manifest.exists():
+                listed = json.loads(manifest.read_text(encoding="utf-8"))["artifacts"]
+                for rel, digest in listed.items():
+                    assert reports.sha256_file(out / rel) == digest, (i, rel)
+        assert any(code != 0 for code in codes), codes

@@ -5,8 +5,10 @@ one input file of a finished run (or of the shipped lexicon), and runs the
 command that reads it through ``moodcast.cli.main`` after each. A
 reader exits 0 or 2 (``score`` and ``report``), or also 3 (the commands
 that check an analysis precondition); nothing exits 4 or raises out of
-``main``. The seeds are fixed, so a failure names a mutation that
-reproduces it.
+``main``. ``run`` is fuzzed through the two small inputs it loads, the
+lexicon and the attitude series: it exits 0, 2 or 3, and a failed run
+leaves a ``run.failed`` naming one of its stages and no manifest. The
+seeds are fixed, so a failure names a mutation that reproduces it.
 """
 
 import random
@@ -87,3 +89,35 @@ def test_mutated_input_keeps_the_exit_code_contract(case, tmp_path, capsys, pipe
         target.write_bytes(mutated)
         code = main([command, *argv])
         assert code in allowed, f"{case}: {what}: exit {code}\n{capsys.readouterr().err}"
+
+
+# Case -> the shipped input of ``run`` that is mutated. A run costs more
+# than one reader, so these cases make fewer mutations.
+RUN_CASES = {"run-lexicon": "lexicon.csv", "run-attitude": "approval.csv"}
+RUN_MUTATIONS_PER_CASE = 10
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_mutated_run_input_fails_one_named_stage(case, tmp_path, capsys, pipeline_run,
+                                                 lexicon_path, messages_path, attitude_path):
+    stages = [*pipeline_run[1]["timings"], "manifest"]
+    for path in (lexicon_path, attitude_path):
+        shutil.copy(path, tmp_path / path.name)
+    target = tmp_path / RUN_CASES[case]
+    original = target.read_bytes()
+    out = tmp_path / "out"
+    argv = ["run", "--lexicon", str(tmp_path / lexicon_path.name), "--messages", str(messages_path),
+            "--attitude", str(tmp_path / attitude_path.name), "--surrogates", "2", "--out", str(out)]
+    rng = random.Random(case)
+    for _ in range(RUN_MUTATIONS_PER_CASE):
+        mutated, what = _mutate(original, rng)
+        target.write_bytes(mutated)
+        code = main(argv)
+        failure = f"{case}: {what}: exit {code}\n{capsys.readouterr().err}"
+        assert code in {0, 2, 3}, failure
+        assert (out / "run_manifest.json").exists() == (code == 0), failure
+        assert (out / "run.failed").exists() == (code != 0), failure
+        if code:
+            marker = (out / "run.failed").read_text(encoding="utf-8")
+            assert marker.split(": ", 1)[0] in stages, failure
+            assert code == 3 or marker.startswith("load-inputs: "), failure
