@@ -26,21 +26,6 @@ COMPONENTS = tuple(f"{stat}-{dim}" for stat in STATS for dim in DIMENSIONS)
 TOP_WORDS = 20
 
 
-class MonthEmotion(NamedTuple):
-    """Emotion statistics for one month.
-
-    ``mean`` and ``std`` map dimension name to the frequency-weighted
-    population statistic, or to None when no token matched the lexicon.
-    ``thread_count`` is the number of threads the month's tokens came from.
-    """
-
-    month: str
-    mean: dict[str, Optional[float]]
-    std: dict[str, Optional[float]]
-    match_count: int
-    thread_count: int
-
-
 class MonthCounts(NamedTuple):
     """One month's lexicon-matched token count and the number of its threads."""
 
@@ -69,40 +54,35 @@ class EmotionSeries(Record):
         return self.components[COMPONENTS[0]].months
 
 
-def score_month(bucket: MonthlyBucket, lexicon: Lexicon) -> MonthEmotion:
+def score_month(
+    bucket: MonthlyBucket, lexicon: Lexicon
+) -> tuple[tuple[Optional[float], ...], MonthCounts]:
     """Score one month's token counts against the lexicon.
 
-    Returns frequency-weighted population mean and std per dimension over
-    the matched tokens. A month with no matches gets None statistics.
+    Returns the month's row of the emotion table: the six ``COMPONENTS``
+    values, the frequency-weighted population mean and std of each dimension
+    over the matched tokens, and the month's ``MonthCounts``. A month with no
+    matches gets six None values.
     """
-    matched: list[tuple[int, dict[str, float]]] = []
-    for token, count in bucket.token_counts.items():
-        entry = lexicon.get(token)
-        if entry is not None:
-            scores = {dim: entry.score(dim) for dim in DIMENSIONS}
-            matched.append((count, scores))
-    match_count = sum(count for count, _ in matched)
-    if match_count == 0:
-        missing: dict[str, Optional[float]] = {dim: None for dim in DIMENSIONS}
-        return MonthEmotion(bucket.month, dict(missing), dict(missing), 0, bucket.thread_count)
-    mean: dict[str, Optional[float]] = {}
-    std: dict[str, Optional[float]] = {}
+    looked_up = ((count, lexicon.get(token)) for token, count in bucket.token_counts.items())
+    matched = [(count, entry) for count, entry in looked_up if entry is not None]
+    weights = [count for count, _ in matched]
+    counts = MonthCounts(sum(weights), bucket.thread_count)
+    if counts.match_count == 0:
+        return (None,) * len(COMPONENTS), counts
+    means, stds = [], []
     for dim in DIMENSIONS:
-        values = {scores[dim] for _, scores in matched}
-        if len(values) == 1:
+        scores = [getattr(entry, dim) for _, entry in matched]
+        if len(set(scores)) == 1:
             # All matched tokens share one score: the statistics are exact.
-            only = values.pop()
-            mean[dim] = only
-            std[dim] = 0.0
+            means.append(scores[0])
+            stds.append(0.0)
             continue
-        total = math.fsum(count * scores[dim] for count, scores in matched)
-        mu = total / match_count
-        var = math.fsum(count * (scores[dim] - mu) ** 2 for count, scores in matched) / match_count
-        lo = min(scores[dim] for _, scores in matched)
-        hi = max(scores[dim] for _, scores in matched)
-        mean[dim] = min(max(mu, lo), hi)
-        std[dim] = math.sqrt(max(var, 0.0))
-    return MonthEmotion(bucket.month, mean, std, match_count, bucket.thread_count)
+        mu = math.fsum(w * x for w, x in zip(weights, scores)) / counts.match_count
+        var = math.fsum(w * (x - mu) ** 2 for w, x in zip(weights, scores)) / counts.match_count
+        means.append(min(max(mu, min(scores)), max(scores)))
+        stds.append(math.sqrt(max(var, 0.0)))
+    return (*means, *stds), counts
 
 
 def build_series(buckets: list[MonthlyBucket], lexicon: Lexicon) -> EmotionSeries:
@@ -110,13 +90,9 @@ def build_series(buckets: list[MonthlyBucket], lexicon: Lexicon) -> EmotionSerie
     if not buckets:
         raise ValueError("cannot build an emotion series from zero monthly buckets")
     months = check_contiguous([b.month for b in buckets], what="monthly buckets")
-    scored = [score_month(b, lexicon) for b in buckets]
-    components = {
-        f"{stat}-{dim}": NumericSeries(months, [getattr(m, stat)[dim] for m in scored])
-        for stat in STATS
-        for dim in DIMENSIONS
-    }
-    return EmotionSeries(components, [MonthCounts(m.match_count, m.thread_count) for m in scored])
+    rows, records = zip(*[score_month(b, lexicon) for b in buckets])
+    columns = {name: NumericSeries(months, list(v)) for name, v in zip(COMPONENTS, zip(*rows))}
+    return EmotionSeries(columns, list(records))
 
 
 class WeightedWord(NamedTuple):

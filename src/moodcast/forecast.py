@@ -170,7 +170,7 @@ def fit_arma(
 
 
 class EvaluationReport(NamedTuple):
-    """In-sample one-step evaluation over the rows the model can predict."""
+    """One-step evaluation of the rows evaluated: in-sample, or the held-out months."""
 
     months: MonthAxis
     errors: list[float]
@@ -178,31 +178,31 @@ class EvaluationReport(NamedTuple):
     mae: float
 
 
-def _report(months: MonthAxis, predictions: np.ndarray, actuals: np.ndarray) -> EvaluationReport:
-    """Signed errors and the running-mean absolute error curve of predictions."""
-    import numpy as np
-
-    errors = actuals - predictions
-    cumulative = np.cumsum(np.abs(errors)) / np.arange(1, len(errors) + 1)
-    return EvaluationReport(
-        months=months,
-        errors=errors.tolist(),
-        cumulative_mean_abs_error=cumulative.tolist(),
-        mae=float(cumulative[-1]),
-    )
-
-
 def evaluate(
     model: ArmaModel,
     target: NumericSeries,
     exogenous: Mapping[str, NumericSeries],
+    first_row: int = 0,
 ) -> EvaluationReport:
-    """One-step predictions, signed errors, and the running-mean error curve.
+    """One-step predictions, signed errors, and the running-mean error curve
+    from regression row ``first_row`` on.
 
     The final point of the cumulative curve equals the mean absolute error.
     """
+    import numpy as np
+
     system = assemble_regression(model.spec, target, exogenous)
-    return _report(system.months, system.regressors @ model.coefficient_vector(), system.response)
+    # Predict every row, then keep the tail: a row's prediction does not
+    # depend on ``first_row`` (a one-row product can differ in the last bit).
+    predictions = system.regressors @ model.coefficient_vector()
+    errors = (system.response - predictions)[first_row:]
+    cumulative = np.cumsum(np.abs(errors)) / np.arange(1, len(errors) + 1)
+    return EvaluationReport(
+        months=system.months[first_row:],
+        errors=errors.tolist(),
+        cumulative_mean_abs_error=cumulative.tolist(),
+        mae=float(cumulative[-1]),
+    )
 
 
 def evaluate_holdout(
@@ -228,10 +228,8 @@ def evaluate_holdout(
             f"need at least {spec.max_lag + 2}"
         )
     model = fit_arma(spec, target[:split], {n: s[:split] for n, s in exogenous.items()})
-    system = assemble_regression(spec, target, exogenous)
-    held_out = split - spec.max_lag  # first row that predicts month ``split``
-    predictions = system.regressors[held_out:] @ model.coefficient_vector()
-    return model, _report(system.months[held_out:], predictions, system.response[held_out:])
+    # Regression row ``split - max_lag`` is the first to predict month ``split``.
+    return model, evaluate(model, target, exogenous, split - spec.max_lag)
 
 
 class SuiteEntry(NamedTuple):

@@ -35,10 +35,6 @@ class LexiconEntry(NamedTuple):
     arousal: float
     dominance: float
 
-    def score(self, dimension: str) -> float:
-        """Score in one of ``valence``, ``arousal``, ``dominance``."""
-        return getattr(self, dimension)
-
 
 # A loaded lexicon: word -> entry, read-only.
 Lexicon = Mapping[str, LexiconEntry]
@@ -57,8 +53,9 @@ def tokenize(text: str) -> list[str]:
 def load_lexicon(path: Union[str, Path]) -> Lexicon:
     """Load a lexicon from CSV with header ``word,valence,arousal,dominance``.
 
-    Words are normalized to lowercase. Rejects duplicate words, scores
-    outside [1, 9], malformed rows and files with no data rows.
+    Words are normalized to lowercase and must each be one ``tokenize``
+    token. Rejects other words, duplicate words, scores outside [1, 9],
+    malformed rows and files with no data rows.
 
     Raises:
         InputFormatError: on any format violation, naming the file and row.
@@ -73,7 +70,7 @@ def load_lexicon(path: Union[str, Path]) -> Lexicon:
     entries: dict[str, LexiconEntry] = {}
     for rownum, row in rows:
         word = row[0].strip().lower()
-        if not word or any(ch.isspace() for ch in word):
+        if tokenize(word) != [word]:  # a word no subject token could equal
             raise InputFormatError(f"{path} row {rownum}: invalid word {quote_cell(row[0])}")
         if word in entries:
             raise InputFormatError(f"{path} row {rownum}: duplicate word {quote_cell(word)}")

@@ -19,7 +19,7 @@ from moodcast.analysis import (
     hamming_smooth,
     rolling_correlation,
 )
-from moodcast.emotion import DIMENSIONS, score_month
+from moodcast.emotion import COMPONENTS, DIMENSIONS, score_month
 from moodcast.forecast import (
     MODEL_NAMES,
     ArmaSpec,
@@ -66,18 +66,19 @@ def test_criterion_01_scoring_oracle(lexicon, verdict):
         if rng.random() < 0.3:
             token_counts["unscorable"] = int(rng.integers(1, 51))
         bucket = MonthlyBucket(month="2000-01", token_counts=token_counts, thread_count=1)
-        result = score_month(bucket, lexicon)
+        row, _ = score_month(bucket, lexicon)
+        stats = dict(zip(COMPONENTS, row))
         for dim in DIMENSIONS:
             expanded = []
             for word, count in token_counts.items():
                 entry = lexicon.get(word)
                 if entry is not None:
-                    expanded.extend([entry.score(dim)] * count)
+                    expanded.extend([getattr(entry, dim)] * count)
             mean = math.fsum(expanded) / len(expanded)
             std = math.sqrt(
                 math.fsum((v - mean) ** 2 for v in expanded) / len(expanded)
             )
-            for got, want in ((result.mean[dim], mean), (result.std[dim], std)):
+            for got, want in ((stats[f"mean-{dim}"], mean), (stats[f"std-{dim}"], std)):
                 scale = max(abs(want), 1.0)
                 worst = max(worst, abs(got - want) / scale)
     elapsed = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import inspect
 import json
 import math
@@ -8,11 +9,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import moodcast
 from moodcast import analysis, emotion, forecast, ingest, reports, tables
@@ -24,6 +28,44 @@ from moodcast.reports import EMOTION_HEADER
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def readme_chain(inputs, stage, options):
+    """The README's stage-by-stage commands, each given those of ``options`` (flag -> value)
+    that it takes."""
+    lexicon, messages, attitude = inputs
+
+    def flags(*names):
+        return [item for name in names if name in options for item in (name, str(options[name]))]
+
+    emotion, smoothed = stage / "emotion_series_smoothed.csv", stage / "attitude_smoothed.csv"
+    forecast_io = ["--attitude-series", str(smoothed), "--emotion-series", str(emotion),
+                   *flags("--p", "--q")]
+    smooth = flags("--smooth-window", "--gap-policy")
+    return [
+        ["ingest", "--messages", str(messages), *flags("--min-messages"), "--out", str(stage)],
+        ["score", "--lexicon", str(lexicon), "--buckets", str(stage / "buckets.json"),
+         "--out", str(stage)],
+        ["smooth", "--series", str(stage / "emotion_series.csv"), *smooth, "--out", str(emotion)],
+        ["smooth", "--series", str(attitude), *smooth, "--out", str(smoothed)],
+        ["correlate", "--series-a", str(emotion), "--column-a", "valence_mean",
+         "--series-b", str(smoothed), *flags("--corr-window", "--alpha"),
+         "--out", str(stage / "mean_valence__attitude.csv")],
+        ["suite", *forecast_io, "--out", str(stage / "models.json")],
+        ["surrogate", *forecast_io, "--model", "both-arousal", *flags("--surrogates", "--seed"),
+         "--out", str(stage / "surrogate.json")],
+    ]
+
+
+def assert_staged_files_are_runs(stage, full):
+    """The chain's nine files equal ``run``'s artifacts of the same names, byte for byte."""
+    staged = sorted(p.name for p in stage.iterdir())
+    assert len(staged) == 9
+    for name in staged:
+        expected = full / name
+        if name == "mean_valence__attitude.csv":
+            expected = full / "correlations" / "smoothed" / name
+        assert (stage / name).read_bytes() == expected.read_bytes(), name
 
 
 def _bucket_file(token_counts):
@@ -285,7 +327,7 @@ class TestParserBasics:
                 assert parameters[name].default is inspect.Parameter.empty, (function, name)
         for record, names in (
             (ingest.MonthlyBucket, ["token_counts", "thread_count"]),
-            (emotion.MonthEmotion, ["thread_count"]),
+            (emotion.MonthCounts, ["match_count", "thread_count"]),
         ):
             for name in names:
                 assert name in record._fields and name not in record._field_defaults, name
@@ -814,34 +856,91 @@ class TestComposition:
     ):
         # Every stage reads the previous stage's own outputs, as in the README.
         stage, full = tmp_path / "stage", tmp_path / "full"
-        emotion, attitude = stage / "emotion_series_smoothed.csv", stage / "attitude_smoothed.csv"
-        track = stage / "mean_valence__attitude.csv"
-        forecast_io = ["--attitude-series", str(attitude), "--emotion-series", str(emotion)]
-        chain = [
-            ["ingest", "--messages", str(messages_path), "--out", str(stage)],
-            ["score", "--lexicon", str(lexicon_path), "--buckets", str(stage / "buckets.json"),
-             "--out", str(stage)],
-            ["smooth", "--series", str(stage / "emotion_series.csv"), "--out", str(emotion)],
-            ["smooth", "--series", str(attitude_path), "--out", str(attitude)],
-            ["correlate", "--series-a", str(emotion), "--column-a", "valence_mean",
-             "--series-b", str(attitude), "--out", str(track)],
-            ["suite", *forecast_io, "--out", str(stage / "models.json")],
-            ["surrogate", *forecast_io, "--model", "both-arousal", "--surrogates", "50",
-             "--seed", "7", "--out", str(stage / "surrogate.json")],
-        ]
+        inputs = (lexicon_path, messages_path, attitude_path)
+        chain = readme_chain(inputs, stage, {"--surrogates": 50, "--seed": 7})
         assert [run_cli(*argv) for argv in chain] == [0] * len(chain)
         assert run_cli(
             "run", "--lexicon", str(lexicon_path), "--messages", str(messages_path),
             "--attitude", str(attitude_path), "--out", str(full), "--surrogates", "50",
             "--seed", "7", "--surrogate-model", "both-arousal",
         ) == 0
-        staged = sorted(p.name for p in stage.iterdir())
-        assert len(staged) == 9
-        for name in staged:
-            expected = full / name
-            if name == track.name:
-                expected = full / "correlations" / "smoothed" / name
-            assert (stage / name).read_bytes() == expected.read_bytes(), name
+        assert_staged_files_are_runs(stage, full)
+
+    @pytest.fixture(scope="class")
+    def fixture_writers(self):
+        """``tools/make_fixtures.py`` loaded as a module, for its corpus writers."""
+        path = Path(__file__).resolve().parents[1] / "tools" / "make_fixtures.py"
+        spec = importlib.util.spec_from_file_location("make_fixtures", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        corpus=st.integers(12, 30).flatmap(lambda months: st.tuples(
+            st.just(months), st.integers(0, 2**32 - 1), st.none() | st.integers(1, months - 2)
+        )),
+        setting=st.fixed_dictionaries({
+            # Every kept month has at least three threads of three or more
+            # messages, so the corpus and the attitude series share their months.
+            "--min-messages": st.integers(1, 3),
+            "--smooth-window": st.integers(1, 8),
+            "--corr-window": st.integers(1, 8).map(lambda half: 2 * half + 1),
+            "--alpha": st.floats(0.001, 0.5),
+            "--p": st.integers(0, 3),
+            "--q": st.integers(1, 3),
+            "--gap-policy": st.sampled_from(GAP_POLICIES),
+            "--surrogates": st.integers(1, 5),
+            "--seed": st.integers(0, 2**32 - 1),
+        }),
+    )
+    def test_readme_chain_matches_run_for_drawn_settings(
+        self, tmp_path, fixture_writers, capsys, corpus, setting
+    ):
+        # A drawn corpus, sometimes with one inner month of no messages, and
+        # a drawn value of every flag the stages share with ``run``.
+        months, seed, gap = corpus
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        inputs = (work / "lexicon.csv", work / "messages.jsonl", work / "approval.csv")
+        fixture_writers.N_MONTHS = months
+        rng = np.random.default_rng(seed)
+        fixture_writers.write_lexicon(inputs[0])
+        fixture_writers.write_messages(inputs[1], rng)
+        fixture_writers.write_attitude(inputs[2], rng)
+        if gap is not None:
+            year, month = fixture_writers.month_axis()[gap]
+            stamp = f'"timestamp": "{year:04d}-{month:02d}-'
+            lines = inputs[1].read_text(encoding="utf-8").splitlines(keepends=True)
+            inputs[1].write_text("".join(l for l in lines if stamp not in l), encoding="utf-8")
+        stage, full = work / "stage", work / "full"
+        codes = []
+        for argv in readme_chain(inputs, stage, setting):
+            codes.append(run_cli(*argv))
+            if codes[-1]:
+                break
+        def run(out):
+            return run_cli(
+                "run", "--lexicon", str(inputs[0]), "--messages", str(inputs[1]),
+                "--attitude", str(inputs[2]), "--out", str(out),
+                "--surrogate-model", "both-arousal",
+                *(str(item) for flag in setting.items() for item in flag),
+            )
+
+        run_code = run(full)
+        # Both succeed or both fail: a setting that fails one side only fails here.
+        assert (codes[-1] == 0) == (run_code == 0), (codes, run_code, capsys.readouterr().err)
+        if run_code == 0:
+            assert_staged_files_are_runs(stage, full)
+            # A second run into a fresh directory writes the same artifacts (the
+            # manifest hashes each one); only the creation time, the output
+            # path and the stage times differ.
+            assert run(work / "again") == 0
+            manifests = [json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+                         for out in (full, work / "again")]
+            for manifest in manifests:
+                del manifest["created_utc"], manifest["timings"], manifest["config"]["out"]
+            assert manifests[0] == manifests[1]
 
     def test_smoothed_rates_of_100_stay_legal_rates(self, tmp_path, pipeline_run):
         # Unclamped, smoothing a rate of 100 could give 100.00000000000001,

@@ -2,7 +2,7 @@ import math
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from moodcast.emotion import (
     COMPONENTS,
@@ -13,7 +13,7 @@ from moodcast.emotion import (
     top_lexicon_words,
 )
 from moodcast.ingest import MonthlyBucket
-from moodcast.lexicon import LexiconEntry
+from moodcast.lexicon import SCALE_MAX, SCALE_MIN, LexiconEntry
 from moodcast.pipeline import score_stage
 
 
@@ -28,49 +28,127 @@ def _bucket(month="2004-01", thread_count=1, **counts):
     return MonthlyBucket(month=month, token_counts=counts, thread_count=thread_count)
 
 
+def _scored(bucket, lexicon):
+    """``score_month``'s row as {component: value}, and its counts."""
+    row, counts = score_month(bucket, lexicon)
+    return dict(zip(COMPONENTS, row)), counts
+
+
+def reference_score_month(bucket, lexicon):
+    """The former dict-based scoring, kept as the oracle of ``score_month``.
+
+    Returns ``(mean, std, match_count, thread_count)``; ``mean`` and ``std``
+    map each dimension to its frequency-weighted population statistic, or to
+    None when no token matched.
+    """
+    matched = []
+    for token, count in bucket.token_counts.items():
+        entry = lexicon.get(token)
+        if entry is not None:
+            scores = {dim: getattr(entry, dim) for dim in DIMENSIONS}
+            matched.append((count, scores))
+    match_count = sum(count for count, _ in matched)
+    if match_count == 0:
+        missing = {dim: None for dim in DIMENSIONS}
+        return dict(missing), dict(missing), 0, bucket.thread_count
+    mean, std = {}, {}
+    for dim in DIMENSIONS:
+        values = {scores[dim] for _, scores in matched}
+        if len(values) == 1:
+            only = values.pop()
+            mean[dim] = only
+            std[dim] = 0.0
+            continue
+        total = math.fsum(count * scores[dim] for count, scores in matched)
+        mu = total / match_count
+        var = math.fsum(count * (scores[dim] - mu) ** 2 for count, scores in matched) / match_count
+        lo = min(scores[dim] for _, scores in matched)
+        hi = max(scores[dim] for _, scores in matched)
+        mean[dim] = min(max(mu, lo), hi)
+        std[dim] = math.sqrt(max(var, 0.0))
+    return mean, std, match_count, bucket.thread_count
+
+
+# Few words and few distinct scores and counts, so that draws often repeat a
+# count or give every matched word of a dimension the same score.
+_WORDS = ("a", "b", "c", "d")
+_SCORES = st.sampled_from([1.1, 2.08, 3.3, 9.0]) | st.floats(SCALE_MIN, SCALE_MAX)
+_LEXICONS = st.dictionaries(
+    st.sampled_from(_WORDS), st.tuples(_SCORES, _SCORES, _SCORES), max_size=len(_WORDS)
+).map(lambda entries: _lex(*[(word, *scores) for word, scores in entries.items()]))
+_BUCKETS = st.builds(
+    lambda counts, threads: _bucket(thread_count=threads, **counts),
+    st.dictionaries(
+        st.sampled_from(_WORDS + ("zzz",)), st.sampled_from([1, 2, 7]) | st.integers(1, 10**6)
+    ),
+    st.integers(0, 50),
+)
+
+
+# No match; equal valences whose weighted mean is not exact (3.2999999999999994
+# unless taken as exact); a mean that rounds past the larger score unless
+# clamped; repeated counts.
+@example(bucket=_bucket(zzz=5, thread_count=3), lexicon=TWO_WORD_LEX)
+@example(bucket=_bucket(x=1, y=2), lexicon=_lex(("x", 3.3, 5.0, 5.0), ("y", 3.3, 6.0, 5.0)))
+@example(
+    bucket=_bucket(x=1199, y=641621),
+    lexicon=_lex(("x", 6.345225609854807, 5.0, 5.0), ("y", 6.345225609854808, 6.0, 5.0)),
+)
+@example(bucket=_bucket(a=3, b=3, zzz=3), lexicon=TWO_WORD_LEX)
+@given(bucket=_BUCKETS, lexicon=_LEXICONS)
+def test_score_month_equals_the_dict_reference_bit_for_bit(bucket, lexicon):
+    row, counts = score_month(bucket, lexicon)
+    mean, std, match_count, thread_count = reference_score_month(bucket, lexicon)
+    expected = [mean[dim] for dim in DIMENSIONS] + [std[dim] for dim in DIMENSIONS]
+    assert len(row) == len(COMPONENTS)
+    assert [v if v is None else v.hex() for v in row] == [
+        v if v is None else v.hex() for v in expected
+    ]
+    assert counts == MonthCounts(match_count, thread_count)
+
+
 class TestScoreMonth:
     def test_single_occurrence(self):
         lex = _lex(("war", 2.08, 7.49, 6.38))
-        result = score_month(_bucket(war=1), lex)
-        assert result.mean["valence"] == 2.08
-        assert result.std["valence"] == 0.0
-        assert result.mean["arousal"] == 7.49
-        assert result.match_count == 1
+        stats, counts = _scored(_bucket(war=1), lex)
+        assert stats["mean-valence"] == 2.08
+        assert stats["std-valence"] == 0.0
+        assert stats["mean-arousal"] == 7.49
+        assert counts.match_count == 1
 
     def test_weighted_mean_and_std(self):
         # {a:3, b:1} with valence 2 and 8 expands to [2,2,2,8]:
         # mean 3.5, population variance 27/4.
-        result = score_month(_bucket(a=3, b=1), TWO_WORD_LEX)
-        assert result.mean["valence"] == pytest.approx(3.5, abs=1e-12)
-        assert result.std["valence"] == pytest.approx(math.sqrt(27.0 / 4.0), abs=1e-12)
-        assert result.match_count == 4
+        stats, counts = _scored(_bucket(a=3, b=1), TWO_WORD_LEX)
+        assert stats["mean-valence"] == pytest.approx(3.5, abs=1e-12)
+        assert stats["std-valence"] == pytest.approx(math.sqrt(27.0 / 4.0), abs=1e-12)
+        assert counts.match_count == 4
 
     def test_no_matches_gives_missing(self):
-        result = score_month(_bucket(unknown=5), TWO_WORD_LEX)
+        stats, counts = _scored(_bucket(unknown=5), TWO_WORD_LEX)
         for dim in DIMENSIONS:
-            assert result.mean[dim] is None
-            assert result.std[dim] is None
-        assert result.match_count == 0
+            assert stats[f"mean-{dim}"] is None
+            assert stats[f"std-{dim}"] is None
+        assert counts.match_count == 0
 
     def test_unmatched_tokens_ignored(self):
-        with_noise = score_month(_bucket(a=3, b=1, zzz=9), TWO_WORD_LEX)
-        without = score_month(_bucket(a=3, b=1), TWO_WORD_LEX)
-        assert with_noise.mean == without.mean
-        assert with_noise.std == without.std
+        with_noise, _ = _scored(_bucket(a=3, b=1, zzz=9), TWO_WORD_LEX)
+        without, _ = _scored(_bucket(a=3, b=1), TWO_WORD_LEX)
+        assert with_noise == without
 
     def test_identical_scores_give_exact_zero_std(self):
         lex = _lex(("x", 3.3, 5.0, 5.0), ("y", 3.3, 5.0, 5.0))
-        result = score_month(_bucket(x=7, y=13), lex)
-        assert result.mean["valence"] == 3.3
-        assert result.std["valence"] == 0.0
+        stats, _ = _scored(_bucket(x=7, y=13), lex)
+        assert stats["mean-valence"] == 3.3
+        assert stats["std-valence"] == 0.0
 
     def test_doubling_counts_preserves_stats(self):
-        base = score_month(_bucket(a=3, b=1), TWO_WORD_LEX)
-        doubled = score_month(_bucket(a=6, b=2), TWO_WORD_LEX)
+        base, base_counts = _scored(_bucket(a=3, b=1), TWO_WORD_LEX)
+        doubled, doubled_counts = _scored(_bucket(a=6, b=2), TWO_WORD_LEX)
         for dim in DIMENSIONS:
-            assert doubled.mean[dim] == pytest.approx(base.mean[dim], abs=1e-12)
-            assert doubled.std[dim] == pytest.approx(base.std[dim], abs=1e-12)
-        assert doubled.match_count == 2 * base.match_count
+            assert doubled[f"mean-{dim}"] == pytest.approx(base[f"mean-{dim}"], abs=1e-12)
+            assert doubled[f"std-{dim}"] == pytest.approx(base[f"std-{dim}"], abs=1e-12)
+        assert doubled_counts.match_count == 2 * base_counts.match_count
 
     @given(
         st.dictionaries(
@@ -86,11 +164,11 @@ class TestScoreMonth:
             ("c", 8.5, 7.0, 6.0),
             ("d", 6.0, 3.5, 8.0),
         )
-        result = score_month(_bucket(**counts), lex)
+        stats, _ = _scored(_bucket(**counts), lex)
         for dim in DIMENSIONS:
-            scores = [lex[w].score(dim) for w in counts]
-            assert min(scores) <= result.mean[dim] <= max(scores)
-            assert result.std[dim] >= 0.0
+            scores = [getattr(lex[w], dim) for w in counts]
+            assert min(scores) <= stats[f"mean-{dim}"] <= max(scores)
+            assert stats[f"std-{dim}"] >= 0.0
 
 
 class TestBuildSeries:
@@ -144,12 +222,11 @@ class TestComponentSeries:
     def test_components_and_counts_are_the_scored_months(self, corpus_buckets, lexicon):
         series = build_series(corpus_buckets, lexicon)
         for i, bucket in enumerate(corpus_buckets):
-            scored = score_month(bucket, lexicon)
-            assert series.months[i] == scored.month
-            for dim in DIMENSIONS:
-                assert series.components[f"mean-{dim}"].values[i] == scored.mean[dim]
-                assert series.components[f"std-{dim}"].values[i] == scored.std[dim]
-            assert series.records[i] == MonthCounts(scored.match_count, scored.thread_count)
+            row, counts = score_month(bucket, lexicon)
+            assert series.months[i] == bucket.month
+            for name, value in zip(COMPONENTS, row, strict=True):
+                assert series.components[name].values[i] == value
+            assert series.records[i] == counts
 
 
 class TestTopWords:

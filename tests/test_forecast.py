@@ -408,6 +408,36 @@ class TestEvaluateHoldout:
         with pytest.raises(ValueError, match="holdout"):
             evaluate_holdout(ArmaSpec(1, 0, ()), target, {}, holdout=9)
 
+    @pytest.fixture(scope="class")
+    def shipped_models(self, pipeline_run, reference):
+        """Each suite model's spec and series on the shipped corpus's smoothed run output."""
+        out, _ = pipeline_run
+        target = read_series_csv(out / "attitude_smoothed.csv")
+        components = read_emotion_csv(out / "emotion_series_smoothed.csv").components
+        return [
+            (ArmaSpec(reference.p, reference.q, names), target, {n: components[n] for n in names})
+            for names in MODEL_EXOGENOUS.values()
+        ]
+
+    def test_evaluation_from_a_later_row_is_the_tail_of_the_full_one(self, shipped_models):
+        for spec, target, exogenous in shipped_models:
+            model = fit_arma(spec, target, exogenous)
+            full = evaluate(model, target, exogenous)
+            for first_row in range(len(full.errors)):
+                report = evaluate(model, target, exogenous, first_row)
+                assert report.errors == full.errors[first_row:], (spec, first_row)
+                assert report.months == full.months[first_row:]
+
+    def test_holdout_is_the_prefix_model_evaluated_from_the_split(self, shipped_models):
+        for spec, target, exogenous in shipped_models:
+            for holdout in (1, 12, 24):
+                split = len(target) - holdout
+                model, report = evaluate_holdout(spec, target, exogenous, holdout)
+                prefix = {n: s[:split] for n, s in exogenous.items()}
+                assert model == fit_arma(spec, target[:split], prefix)
+                assert report == evaluate(model, target, exogenous, split - spec.max_lag)
+                assert report.months[0] == target.months[split]
+
 
 class TestModelSuite:
     def test_ten_models_fixed_order(self, reference):

@@ -3,6 +3,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from moodcast.emotion import DIMENSIONS
 from moodcast.errors import InputFormatError
 from moodcast.lexicon import (
     LexiconEntry,
@@ -54,10 +55,9 @@ def test_load_lexicon_from_fixture(lexicon):
 
 
 def test_entry_score_by_dimension():
+    # Scoring reads a dimension's score as the entry field of that name.
     entry = LexiconEntry("hope", 7.9, 5.4, 6.1)
-    assert entry.score("valence") == 7.9
-    assert entry.score("arousal") == 5.4
-    assert entry.score("dominance") == 6.1
+    assert [getattr(entry, dim) for dim in DIMENSIONS] == [7.9, 5.4, 6.1]
 
 
 def test_rejects_bad_header(load_text):
@@ -94,6 +94,17 @@ def test_rejects_empty_word_and_whitespace_word(load_text):
         load_text("word,valence,arousal,dominance\n,2,7,6\n")
     with pytest.raises(InputFormatError):
         load_text('word,valence,arousal,dominance\n"two words",2,7,6\n')
+
+
+@pytest.mark.parametrize("word", ["self-esteem", "R2D2", "'tis", "tis'", "don''t", "x y"])
+def test_rejects_a_word_that_is_not_one_token(load_text, word):
+    # ``tokenize`` splits each of these, so no subject token could ever equal it.
+    with pytest.raises(InputFormatError, match=re.escape(f"row 3: invalid word {word!r}")):
+        load_text(f"word,valence,arousal,dominance\nwar,2,7,6\n{word},2,7,6\n")
+
+
+def test_accepts_a_word_with_an_inner_apostrophe(load_text):
+    assert list(load_text("word,valence,arousal,dominance\nDon't,2,7,6\n")) == ["don't"]
 
 
 def test_rejects_no_data_rows(load_text):

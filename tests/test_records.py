@@ -14,7 +14,7 @@ import pytest
 
 import moodcast
 from moodcast.analysis import CorrelationTrack, NumericSeries
-from moodcast.emotion import COMPONENTS, EmotionSeries, MonthCounts, MonthEmotion, WeightedWord
+from moodcast.emotion import COMPONENTS, EmotionSeries, MonthCounts, WeightedWord
 from moodcast.forecast import (
     ArmaModel,
     ArmaSpec,
@@ -29,13 +29,10 @@ from moodcast.months import MonthAxis
 from moodcast.pipeline import PipelineConfig
 from moodcast.records import Record
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 AXIS = MonthAxis(24000, 3)
 # Arrays compare element-wise, so both copies of a regression system share them.
 ARRAYS = np.ones((3, 2)), np.ones(3)
-
-
-def _emotion():
-    return MonthEmotion("2000-01", {"valence": 5.0}, {"valence": 1.0}, 3, 2)
 
 
 def _components(order=COMPONENTS):
@@ -46,7 +43,7 @@ def _model():
     return ArmaModel(ArmaSpec(1, 1, ("x",)), [0.5], [[0.25]], 0.5)
 
 
-def _report():
+def _evaluation():
     return EvaluationReport(AXIS[1:], [0.5, 0.0], [0.5, 0.25], 0.25)
 
 
@@ -59,7 +56,6 @@ RECORDS = {
         lambda: CorrelationTrack(AXIS, [None, 0.5, 1.0], [2, 3, 2], [None, 0.5, 0.0],
                                  [False, False, True]),
     ),
-    MonthEmotion: (("month", "mean", "std", "match_count", "thread_count"), _emotion),
     MonthCounts: (("match_count", "thread_count"), lambda: MonthCounts(3, 2)),
     EmotionSeries: (("components", "records"),
                     lambda: EmotionSeries(_components(), [MonthCounts(3, 2)] * 3)),
@@ -79,9 +75,9 @@ RECORDS = {
     ArmaModel: (("spec", "ar_coeffs", "exog_coeffs", "sse"), _model),
     EvaluationReport: (
         ("months", "errors", "cumulative_mean_abs_error", "mae"),
-        _report,
+        _evaluation,
     ),
-    SuiteEntry: (("name", "model", "report"), lambda: SuiteEntry("x", _model(), _report())),
+    SuiteEntry: (("name", "model", "report"), lambda: SuiteEntry("x", _model(), _evaluation())),
     SurrogateReport: (("n_surrogates", "empirical_mae", "surrogate_maes", "p_hat", "seed"),
                       lambda: SurrogateReport(2, 0.5, [0.25, 0.75], 0.5, 0)),
     PipelineConfig: (
@@ -170,3 +166,14 @@ def test_checked_records_reject_bad_fields(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
+
+
+@pytest.mark.parametrize(
+    "kind, named_tuples", [("Named tuples", True), ("Read-only slot classes", False)]
+)
+def test_readme_lists_each_record_class_by_kind(kind, named_tuples):
+    # The first sentence of README's "*<kind>*" item under Library layout names its classes.
+    layout = README.read_text(encoding="utf-8").split("## Library layout", 1)[1]
+    item = re.search(rf"^- \*{kind}\*(.*?)\.\s", layout, re.MULTILINE | re.DOTALL)
+    listed = set(re.findall(r"`(\w+)`", item.group(1)))
+    assert listed == {cls.__name__ for cls in RECORDS if hasattr(cls, "_fields") is named_tuples}

@@ -10,11 +10,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from moodcast.analysis import CorrelationTrack, NumericSeries
 from moodcast.emotion import (
-    DIMENSIONS,
-    STATS,
+    COMPONENTS,
     EmotionSeries,
     MonthCounts,
-    MonthEmotion,
     WeightedWord,
 )
 from moodcast.errors import InputFormatError
@@ -53,69 +51,46 @@ def months_from(first, count):
 
 
 def month_record(month, base, match_count=5, thread_count=0):
-    mean = {"valence": base, "arousal": base + 0.5, "dominance": base + 1.0}
-    std = {"valence": 0.0, "arousal": base / 7.0, "dominance": base / 3.0}
-    return MonthEmotion(
-        month=month, mean=mean, std=std, match_count=match_count, thread_count=thread_count
-    )
+    """One month's emotion-table row: the month, six ``COMPONENTS`` values, ``MonthCounts``."""
+    values = (base, base + 0.5, base + 1.0, 0.0, base / 7.0, base / 3.0)
+    return month, values, MonthCounts(match_count, thread_count)
 
 
 def emotion_series(rows):
-    """The emotion series of per-month ``MonthEmotion`` rows."""
-    axis = check_contiguous([row.month for row in rows])
-    components = {
-        f"{stat}-{dim}": NumericSeries(axis, [getattr(row, stat)[dim] for row in rows])
-        for stat in STATS
-        for dim in DIMENSIONS
-    }
-    counts = [MonthCounts(row.match_count, row.thread_count) for row in rows]
-    return EmotionSeries(components, counts)
+    """The emotion series of ``(month, values, counts)`` rows."""
+    months, values, counts = zip(*rows)
+    axis = check_contiguous(list(months))
+    columns = zip(COMPONENTS, zip(*values))
+    return EmotionSeries({name: NumericSeries(axis, list(v)) for name, v in columns}, list(counts))
 
 
 def emotion_rows(series):
-    """The per-month ``MonthEmotion`` rows of an emotion series."""
-    def stats(stat, i):
-        return {dim: series.components[f"{stat}-{dim}"].values[i] for dim in DIMENSIONS}
-
-    return [
-        MonthEmotion(month, stats("mean", i), stats("std", i), *counts)
-        for i, (month, counts) in enumerate(zip(series.months, series.records))
-    ]
+    """The ``(month, values, counts)`` rows of an emotion series."""
+    columns = [series.components[name].values for name in COMPONENTS]
+    return list(zip(series.months, zip(*columns), series.records))
 
 
 class TestEmotionCsv:
     def test_round_trip(self, tmp_path):
         months = months_from("2000-11", 4)
         records = [month_record(m, i + 1.125, thread_count=i) for i, m in enumerate(months)]
-        records[2] = MonthEmotion(
-            month=months[2],
-            mean={d: None for d in ("valence", "arousal", "dominance")},
-            std={d: None for d in ("valence", "arousal", "dominance")},
-            match_count=0,
-            thread_count=2,
-        )
+        records[2] = (months[2], (None,) * 6, MonthCounts(match_count=0, thread_count=2))
         series = emotion_series(records)
         counts = {m: i for i, m in enumerate(months)}
         path = tmp_path / "emotion.csv"
         write_emotion_csv(path, series)
         loaded = read_emotion_csv(path)
         assert list(loaded.months) == months
-        assert {r.month: r.thread_count for r in emotion_rows(loaded)} == counts
-        for original, copy in zip(records, emotion_rows(loaded)):
-            assert copy.mean == original.mean
-            assert copy.std == original.std
-            assert copy.match_count == original.match_count
+        assert {month: c.thread_count for month, _, c in emotion_rows(loaded)} == counts
+        for (_, values, original), (_, copy, copied) in zip(records, emotion_rows(loaded)):
+            assert copy[:3] == values[:3]  # the means
+            assert copy[3:] == values[3:]  # the spreads
+            assert copied.match_count == original.match_count
 
     def test_missing_values_become_empty_fields(self, tmp_path):
         months = months_from("2000-01", 1)
         series = emotion_series([
-            MonthEmotion(
-                month=months[0],
-                mean={"valence": 1.5, "arousal": None, "dominance": None},
-                std={"valence": 0.0, "arousal": None, "dominance": None},
-                match_count=2,
-                thread_count=2,
-            )
+            (months[0], (1.5, None, None, 0.0, None, None), MonthCounts(2, 2)),
         ])
         path = tmp_path / "emotion.csv"
         write_emotion_csv(path, series)
@@ -129,21 +104,15 @@ class TestEmotionCsv:
         spreads = [0.1 + 0.2, 1.0 / 3.0, 1e-17, 4.0 - 4e-16, 2.08]
         months = months_from("2001-01", len(spreads))
         records = [
-            MonthEmotion(
-                month=m,
-                mean={"valence": u, "arousal": u, "dominance": u},
-                std={"valence": v, "arousal": v, "dominance": v},
-                match_count=1,
-                thread_count=0,
-            )
+            (m, (u, u, u, v, v, v), MonthCounts(match_count=1, thread_count=0))
             for m, u, v in zip(months, on_scale, spreads)
         ]
         path = tmp_path / "emotion.csv"
         write_emotion_csv(path, emotion_series(records))
         loaded = read_emotion_csv(path)
-        for record, u, v in zip(emotion_rows(loaded), on_scale, spreads):
-            assert record.mean["valence"] == u
-            assert record.std["dominance"] == v
+        for (_, values, _), u, v in zip(emotion_rows(loaded), on_scale, spreads):
+            assert values[COMPONENTS.index("mean-valence")] == u
+            assert values[COMPONENTS.index("std-dominance")] == v
 
     @pytest.mark.parametrize(
         "cells, message",
@@ -497,14 +466,13 @@ class TestRoundTrips:
     def test_emotion_csv(self, tmp_path, axis, data):
         # A mean lies on the lexicon's [1, 9] scale and a spread on [0, 4]; a
         # month has all six statistics, or none and no match.
-        means = st.fixed_dictionaries({dim: st.floats(SCALE_MIN, SCALE_MAX) for dim in DIMENSIONS})
-        spreads = st.fixed_dictionaries({dim: st.floats(0.0, 4.0) for dim in DIMENSIONS})
-        unscored = {dim: None for dim in DIMENSIONS}
+        means = st.tuples(*[st.floats(SCALE_MIN, SCALE_MAX)] * 3)
+        spreads = st.tuples(*[st.floats(0.0, 4.0)] * 3)
         records = [
-            MonthEmotion(month, data.draw(means), data.draw(spreads), data.draw(_COUNTS),
-                         data.draw(_COUNTS))
+            (month, data.draw(means) + data.draw(spreads),
+             MonthCounts(data.draw(_COUNTS), data.draw(_COUNTS)))
             if data.draw(st.booleans())
-            else MonthEmotion(month, dict(unscored), dict(unscored), 0, data.draw(_COUNTS))
+            else (month, (None,) * 6, MonthCounts(0, data.draw(_COUNTS)))
             for month in axis
         ]
         series = emotion_series(records)
