@@ -111,14 +111,14 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    return _cmd_suite(args, model=args.model)
+    return _cmd_suite(args, names=(args.model,))
 
 
-def _cmd_suite(args, model: Optional[str] = None) -> int:
+def _cmd_suite(args, names: tuple[str, ...] = MODEL_NAMES) -> int:
     target, components = _load_forecast_inputs(args)
     _, paths = suite_stage(
-        target, components, args.out, ar_order=args.p, exog_order=args.q,
-        holdout=args.holdout or None, model=model,
+        target, components, args.out, names=names, ar_order=args.p, exog_order=args.q,
+        holdout=args.holdout,
     )
     return _wrote(paths)
 

@@ -13,7 +13,7 @@ the subcommands that fit no model start without it.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .analysis import NumericSeries
 from .emotion import COMPONENTS, DIMENSIONS
@@ -88,30 +88,28 @@ def assemble_regression(
             raise ValueError(f"exogenous series {name!r} is not on the target month axis")
     import numpy as np
 
-    arrays: dict[str, np.ndarray] = {}
-    for label, series in [("target", target)] + [
-        (name, exogenous[name]) for name in spec.exogenous_names
+    start = spec.max_lag
+    total = len(target.months)
+    columns = []
+    for label, series, lags in [("target", target, spec.ar_order)] + [
+        (name, exogenous[name], spec.exog_order) for name in spec.exogenous_names
     ]:
         if None in series.values:
             month = series.months[series.values.index(None)]
             raise ValueError(f"series {label!r} has a missing value at {month}")
-        arrays[label] = np.asarray(series.values, dtype=float)
-    start = spec.max_lag
-    total = len(target.months)
+        values = np.asarray(series.values, dtype=float)
+        if label == "target":
+            response = values[start:]
+        # Column i of a series holds its lag-i values for the rows start..total-1.
+        columns.extend(values[start - i : total - i] for i in range(1, lags + 1))
     if total - start < 2:
         raise ValueError(
             f"series of length {total} is too short for maximum lag {start}"
         )
-    # Column i of a series holds its lag-i values for the rows start..total-1.
-    tv = arrays["target"]
-    columns = [tv[start - i : total - i] for i in range(1, spec.ar_order + 1)]
-    for name in spec.exogenous_names:
-        ev = arrays[name]
-        columns.extend(ev[start - i : total - i] for i in range(1, spec.exog_order + 1))
     # column_stack needs a column; ``ArmaSpec(0, q, ())`` (``run --p 0``'s "ar" model) has none.
     return RegressionSystem(
         regressors=np.column_stack(columns) if columns else np.empty((total - start, 0)),
-        response=tv[start:],
+        response=response,
         months=target.months[start:],
     )
 
@@ -220,12 +218,13 @@ def evaluate_holdout(
     """
     if holdout < 1:
         raise ValueError(f"holdout must be >= 1, got {holdout}")
-    total = len(target.months)
-    split = total - holdout
-    if split < spec.max_lag + 2:
+    split = len(target.months) - holdout
+    # The training rows after the first max_lag months: at least two, and
+    # at least one per coefficient.
+    need = spec.max_lag + max(2, spec.ar_order + spec.n_exogenous * spec.exog_order)
+    if split < need:
         raise ValueError(
-            f"holdout of {holdout} leaves only {split} training months; "
-            f"need at least {spec.max_lag + 2}"
+            f"holdout of {holdout} leaves only {split} training months; need at least {need}"
         )
     model = fit_arma(spec, target[:split], {n: s[:split] for n, s in exogenous.items()})
     # Regression row ``split - max_lag`` is the first to predict month ``split``.
@@ -243,31 +242,26 @@ class SuiteEntry(NamedTuple):
 def model_suite(
     target: NumericSeries,
     components: Mapping[str, NumericSeries],
+    names: tuple[str, ...],
     ar_order: int,
     exog_order: int,
-    holdout: Optional[int] = None,
+    holdout: int,
 ) -> list[SuiteEntry]:
-    """Fit and evaluate the ten standard models in their fixed order.
+    """Fit and evaluate the named standard models, in the order named.
 
-    ``components`` must supply the six emotion component series named
-    ``mean-valence`` .. ``std-dominance``. The pure-autoregressive
-    benchmark uses the same lag orders as the rest so every model is
-    evaluated over the same months. ``holdout`` switches every model from
-    the default in-sample evaluation to the held-out split.
+    ``components`` must supply the component series those models use. The
+    pure-autoregressive benchmark uses the same lag orders as the rest so
+    every model is evaluated over the same months. A ``holdout`` of 0 is
+    the in-sample evaluation; any other takes the held-out split.
     """
-    missing = [n for names in MODEL_EXOGENOUS.values() for n in names if n not in components]
+    missing = {n for name in names for n in MODEL_EXOGENOUS[name] if n not in components}
     if missing:
-        raise ValueError(f"components are missing series: {sorted(set(missing))}")
+        raise ValueError(f"components are missing series: {sorted(missing)}")
     entries = []
-    for name in MODEL_NAMES:
-        exog_names = MODEL_EXOGENOUS[name]
-        spec = ArmaSpec(
-            ar_order=ar_order,
-            exog_order=exog_order,
-            exogenous_names=exog_names,
-        )
-        exog = {n: components[n] for n in exog_names}
-        if holdout is None:
+    for name in names:
+        spec = ArmaSpec(ar_order, exog_order, MODEL_EXOGENOUS[name])
+        exog = {n: components[n] for n in spec.exogenous_names}
+        if holdout == 0:
             model = fit_arma(spec, target, exog)
             report = evaluate(model, target, exog)
         else:
@@ -290,6 +284,7 @@ def permute_series(series: NumericSeries, rng: np.random.Generator) -> NumericSe
 class SurrogateReport(NamedTuple):
     """Permutation-test outcome for one model's exogenous information."""
 
+    spec: ArmaSpec
     n_surrogates: int
     empirical_mae: float
     surrogate_maes: list[float]
@@ -337,6 +332,7 @@ def surrogate_test(
         maes.append(evaluate(model, target, shuffled).mae)
     at_or_below = sum(1 for m in maes if m <= empirical.mae)
     return SurrogateReport(
+        spec=spec,
         n_surrogates=n_surrogates,
         empirical_mae=empirical.mae,
         surrogate_maes=maes,

@@ -195,22 +195,15 @@ def suite_stage(
     components: Mapping[str, NumericSeries],
     path: Path,
     *,
+    names: tuple[str, ...],
     ar_order: int,
     exog_order: int,
-    holdout: Optional[int] = None,
-    model: Optional[str] = None,
+    holdout: int,
 ) -> tuple[list[SuiteEntry], list[Path]]:
-    """Fit and evaluate the ten-model suite into a models JSON at ``path``.
-
-    ``holdout`` switches to the held-out evaluation; ``model`` keeps only
-    that model's entry.
-    """
-    entries = model_suite(
-        target, components, ar_order=ar_order, exog_order=exog_order, holdout=holdout
-    )
-    if model is not None:
-        entries = [e for e in entries if e.name == model]
-    write_models_json(path, entries, "in-sample" if holdout is None else "held-out")
+    """Fit and evaluate the named models into a models JSON at ``path``,
+    in-sample at a ``holdout`` of 0 and on the held-out split otherwise."""
+    entries = model_suite(target, components, names, ar_order, exog_order, holdout)
+    write_models_json(path, entries, "held-out" if holdout else "in-sample")
     return entries, [path]
 
 
@@ -230,10 +223,7 @@ def surrogate_stage(
     spec = ArmaSpec(ar_order, exog_order, MODEL_EXOGENOUS[model])
     exogenous = {name: components[name] for name in spec.exogenous_names}
     report = surrogate_test(spec, target, exogenous, n_surrogates=n_surrogates, seed=seed)
-    write_surrogate_json(
-        path, report, model_name=model, ar_order=ar_order, exog_order=exog_order,
-        exogenous=list(spec.exogenous_names), include_maes=include_maes,
-    )
+    write_surrogate_json(path, report, model_name=model, include_maes=include_maes)
     return report, [path]
 
 
@@ -353,7 +343,8 @@ def run_pipeline(config: PipelineConfig, progress: Optional[TextIO] = None) -> d
             stage("forecast", f"{len(MODEL_NAMES)} models, lag orders {config.p}/{config.q}")
             lags = {"ar_order": config.p, "exog_order": config.q}
             entries, paths = suite_stage(
-                smooth_attitude, smoothed.components, out / "models.json", **lags
+                smooth_attitude, smoothed.components, out / "models.json",
+                names=MODEL_NAMES, holdout=0, **lags,
             )
             artifacts += paths
 

@@ -313,12 +313,10 @@ def write_surrogate_json(
     path: Union[str, Path],
     report: SurrogateReport,
     model_name: str,
-    ar_order: int,
-    exog_order: int,
-    exogenous: list[str],
     include_maes: bool,
 ) -> None:
-    """Write the permutation-test outcome with summary quantiles."""
+    """Write the permutation-test outcome, with its model's lag orders and
+    series from ``report.spec``, and summary quantiles."""
     ordered = sorted(report.surrogate_maes)
 
     def quantile(q: float) -> float:
@@ -328,9 +326,9 @@ def write_surrogate_json(
 
     payload = {
         "model": model_name,
-        "ar_order": ar_order,
-        "exog_order": exog_order,
-        "exogenous": exogenous,
+        "ar_order": report.spec.ar_order,
+        "exog_order": report.spec.exog_order,
+        "exogenous": list(report.spec.exogenous_names),
         "seed": report.seed,
         "n_surrogates": report.n_surrogates,
         "empirical_mae": float(report.empirical_mae),

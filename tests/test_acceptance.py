@@ -7,7 +7,6 @@ asserting. Tolerances and runtime budgets are pinned in each test.
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,7 +304,7 @@ def test_criterion_10_suite_shape(verdict, reference):
         drive = 0.6 * mean_a[t - 1] + (0.4 * std_a[t - 2] if t >= 2 else 0.0)
         x[t] = 0.8 * x[t - 1] + drive + rng.normal(0, 0.05)
 
-    entries = model_suite(ns(x), components, reference.p, reference.q)
+    entries = model_suite(ns(x), components, MODEL_NAMES, reference.p, reference.q, 0)
     problems = []
     if [e.name for e in entries] != list(MODEL_NAMES):
         problems.append(f"model order {[e.name for e in entries]}")

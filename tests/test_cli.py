@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -26,8 +27,36 @@ from moodcast.pipeline import GAP_POLICIES, PipelineConfig, fill_gaps, run_pipel
 from moodcast.reports import EMOTION_HEADER
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def source_files():
+    """Every Python file under ``src/``, ``tests/`` and ``tools/``."""
+    return [p for d in ("src", "tests", "tools") for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def unused_imports(source):
+    """The names that ``source`` imports at module level, or under ``if TYPE_CHECKING:``,
+    and never reads; ``__future__`` imports are exempt."""
+    tree = ast.parse(source)
+    statements = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            statements += node.body
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unused = []
+    for node in statements:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            # ``import a.b`` binds ``a``.
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            unused += [name for name in bound if name not in read]
+    return unused
 
 
 def readme_chain(inputs, stage, options):
@@ -314,7 +343,7 @@ class TestParserBasics:
             analysis.rolling_correlation: ["window", "alpha"],
             analysis.fisher_significance: ["alpha"],
             ingest.filter_threads: ["min_messages"],
-            forecast.model_suite: ["ar_order", "exog_order"],
+            forecast.model_suite: ["names", "ar_order", "exog_order", "holdout"],
             forecast.surrogate_test: ["n_surrogates", "seed"],
             forecast.evaluate_holdout: ["holdout"],
             reports.suite_entry_payload: ["evaluation_mode"],
@@ -343,7 +372,7 @@ class TestParserBasics:
             import tomllib
         except ModuleNotFoundError:  # Python 3.10
             tomllib = pytest.importorskip("tomli")
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        pyproject = ROOT / "pyproject.toml"
         project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
         assert project["version"] == moodcast.__version__
         target = project["scripts"]["moodcast"]
@@ -364,14 +393,26 @@ class TestParserBasics:
         # pyproject.toml allows Python 3.10, so no file may use newer syntax
         # (``except*``, PEP 695 type parameters), which a newer interpreter
         # would import without complaint.
-        root = Path(__file__).resolve().parents[1]
-        files = [p for d in ("src", "tests", "tools") for p in sorted((root / d).rglob("*.py"))]
-        assert root / "src" / "moodcast" / "cli.py" in files
+        files = source_files()
+        assert ROOT / "src" / "moodcast" / "cli.py" in files
         for path in files:
             ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
         for newer in ("try:\n    pass\nexcept* ValueError:\n    pass\n", "type Pair = tuple\n"):
             with pytest.raises(SyntaxError):
                 ast.parse(newer, feature_version=(3, 10))
+
+    def test_every_module_level_import_is_read(self):
+        assert unused_imports(
+            "from __future__ import annotations\nimport math\nimport os.path\n"
+            "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np\n"
+            "def f():\n    import re\n    return os.sep\n"
+        ) == ["math", "np"]
+        unused = [
+            f"{path.relative_to(ROOT)}: {name}"
+            for path in source_files()
+            for name in unused_imports(path.read_text(encoding="utf-8"))
+        ]
+        assert not unused, unused
 
     @pytest.mark.skipif(
         shutil.which("moodcast") is None,
@@ -869,7 +910,7 @@ class TestComposition:
     @pytest.fixture(scope="class")
     def fixture_writers(self):
         """``tools/make_fixtures.py`` loaded as a module, for its corpus writers."""
-        path = Path(__file__).resolve().parents[1] / "tools" / "make_fixtures.py"
+        path = ROOT / "tools" / "make_fixtures.py"
         spec = importlib.util.spec_from_file_location("make_fixtures", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -932,6 +973,18 @@ class TestComposition:
         assert (codes[-1] == 0) == (run_code == 0), (codes, run_code, capsys.readouterr().err)
         if run_code == 0:
             assert_staged_files_are_runs(stage, full)
+            # ``forecast`` on the same files writes run's entry of its model.
+            forecast = work / "model.json"
+            assert run_cli(
+                "forecast", "--attitude-series", str(stage / "attitude_smoothed.csv"),
+                "--emotion-series", str(stage / "emotion_series_smoothed.csv"),
+                "--p", str(setting["--p"]), "--q", str(setting["--q"]),
+                "--model", "both-arousal", "--out", str(forecast),
+            ) == 0
+            suite = json.loads((full / "models.json").read_text(encoding="utf-8"))["models"]
+            assert json.loads(forecast.read_text(encoding="utf-8"))["models"] == [
+                next(m for m in suite if m["name"] == "both-arousal")
+            ]
             # A second run into a fresh directory writes the same artifacts (the
             # manifest hashes each one); only the creation time, the output
             # path and the stage times differ.
@@ -1111,6 +1164,66 @@ class TestForecastOptions:
         payload = json.loads(frag.read_text(encoding="utf-8"))["models"][0]
         assert payload["evaluation_mode"] == "held-out"
         assert len(payload["errors"]) == 12
+
+    def test_forecast_fits_only_its_model(self, tmp_path, pipeline_run, capsys):
+        # With every valence_std 0.0, std-valence and both-valence are
+        # rank-deficient; forecasting ar fits neither, so nothing warns.
+        out, _ = pipeline_run
+        table = (out / "emotion_series_smoothed.csv").read_text(encoding="utf-8").splitlines()
+        rows = [row.split(",") for row in table[1:]]
+        emotion = tmp_path / "emotion.csv"
+        emotion.write_text("\n".join([table[0], *(
+            ",".join([*row[:2], "0.0", *row[3:]]) for row in rows
+        )]) + "\n", encoding="utf-8")
+        frag = tmp_path / "model.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(
+                "forecast",
+                "--attitude-series", str(out / "attitude_smoothed.csv"),
+                "--emotion-series", str(emotion),
+                "--model", "ar",
+                "--out", str(frag),
+            ) == 0
+        assert [str(w.message) for w in caught] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+    def test_forecast_holdout_is_checked_for_its_model_only(self, tmp_path, pipeline_run):
+        # 61 of 66 months held out leave the 5 that ar needs; a one-series
+        # model would need 7.
+        out, _ = pipeline_run
+        frag = tmp_path / "model.json"
+        assert run_cli(
+            "forecast",
+            "--attitude-series", str(out / "attitude_smoothed.csv"),
+            "--emotion-series", str(out / "emotion_series_smoothed.csv"),
+            "--model", "ar",
+            "--holdout", "61",
+            "--out", str(frag),
+        ) == 0
+        (payload,) = json.loads(frag.read_text(encoding="utf-8"))["models"]
+        assert payload["evaluation_mode"] == "held-out"
+        assert len(payload["errors"]) == 61
+
+    @pytest.mark.parametrize("holdout, message", [
+        (56, None),
+        (57, "holdout of 57 leaves only 9 training months; need at least 10"),
+        (61, "holdout of 61 leaves only 5 training months; need at least 7"),
+    ])
+    def test_suite_holdout_needs_a_row_per_coefficient(
+        self, tmp_path, pipeline_run, capsys, holdout, message
+    ):
+        out, _ = pipeline_run
+        code = run_cli(
+            "suite",
+            "--attitude-series", str(out / "attitude_smoothed.csv"),
+            "--emotion-series", str(out / "emotion_series_smoothed.csv"),
+            "--holdout", str(holdout),
+            "--out", str(tmp_path / "models.json"),
+        )
+        assert (code, capsys.readouterr().err) == (
+            (0, "") if message is None else (3, f"error: {message}\n")
+        )
 
     def test_surrogate_full_flag_adds_mae_list(self, tmp_path, pipeline_run):
         out, _ = pipeline_run

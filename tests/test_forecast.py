@@ -1,4 +1,4 @@
-import math
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +20,14 @@ from moodcast.forecast import (
 )
 from moodcast.months import month_ord, ord_month
 from moodcast.reports import read_emotion_csv, read_series_csv
+
+
+@pytest.fixture(scope="module")
+def shipped_smoothed(pipeline_run):
+    """The smoothed attitude series and emotion components of the shipped run."""
+    out, _ = pipeline_run
+    target = read_series_csv(out / "attitude_smoothed.csv")
+    return target, read_emotion_csv(out / "emotion_series_smoothed.csv").components
 
 
 def predict_one_step(model, target, exogenous, month):
@@ -409,11 +417,9 @@ class TestEvaluateHoldout:
             evaluate_holdout(ArmaSpec(1, 0, ()), target, {}, holdout=9)
 
     @pytest.fixture(scope="class")
-    def shipped_models(self, pipeline_run, reference):
+    def shipped_models(self, shipped_smoothed, reference):
         """Each suite model's spec and series on the shipped corpus's smoothed run output."""
-        out, _ = pipeline_run
-        target = read_series_csv(out / "attitude_smoothed.csv")
-        components = read_emotion_csv(out / "emotion_series_smoothed.csv").components
+        target, components = shipped_smoothed
         return [
             (ArmaSpec(reference.p, reference.q, names), target, {n: components[n] for n in names})
             for names in MODEL_EXOGENOUS.values()
@@ -438,39 +444,80 @@ class TestEvaluateHoldout:
                 assert report == evaluate(model, target, exogenous, split - spec.max_lag)
                 assert report.months[0] == target.months[split]
 
+    def test_largest_admitted_holdout_fits_and_one_more_is_rejected(self, shipped_models):
+        # Training needs max_lag months, then at least two rows and one row
+        # per coefficient: on the shipped 66 months (p 1, q 3) that is 5
+        # months for ar, 7 for one series and 10 for a pair.
+        for spec, target, exogenous in shipped_models:
+            coefficients = spec.ar_order + spec.n_exogenous * spec.exog_order
+            need = spec.max_lag + max(2, coefficients)
+            largest = len(target) - need
+            model, report = evaluate_holdout(spec, target, exogenous, largest)
+            assert len(model.coefficient_vector()) == coefficients
+            assert len(report.errors) == largest
+            message = (f"holdout of {largest + 1} leaves only {need - 1} training months; "
+                       f"need at least {need}")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evaluate_holdout(spec, target, exogenous, largest + 1)
+
 
 class TestModelSuite:
+    @pytest.fixture(scope="class")
+    def full_suites(self, shipped_smoothed, reference):
+        """The full suite on the shipped smoothed run output, in-sample and holding out 12."""
+        target, components = shipped_smoothed
+        return {
+            holdout: model_suite(
+                target, components, MODEL_NAMES, reference.p, reference.q, holdout
+            )
+            for holdout in (0, 12)
+        }
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        names=st.lists(st.sampled_from(MODEL_NAMES), min_size=1, unique=True).map(tuple),
+        holdout=st.sampled_from((0, 12)),
+    )
+    def test_named_models_fit_as_in_the_full_suite(
+        self, shipped_smoothed, full_suites, reference, names, holdout
+    ):
+        target, components = shipped_smoothed
+        entries = model_suite(target, components, names, reference.p, reference.q, holdout)
+        by_name = {entry.name: entry for entry in full_suites[holdout]}
+        # Exact equality: every coefficient, error and curve point bit for bit.
+        assert entries == [by_name[name] for name in names]
+
     def test_ten_models_fixed_order(self, reference):
         rng = np.random.default_rng(43)
         target = ns(rng.normal(50, 5, 66))
-        entries = model_suite(target, make_components(43), reference.p, reference.q)
+        entries = model_suite(target, make_components(43), MODEL_NAMES, reference.p, reference.q, 0)
         assert [e.name for e in entries] == list(MODEL_NAMES)
         assert len(entries) == 10
 
     def test_shared_evaluation_months(self, reference):
         rng = np.random.default_rng(47)
         target = ns(rng.normal(50, 5, 66))
-        entries = model_suite(target, make_components(47), reference.p, reference.q)
+        entries = model_suite(target, make_components(47), MODEL_NAMES, reference.p, reference.q, 0)
         first = entries[0].report.months
         assert all(e.report.months == first for e in entries)
 
     def test_exogenous_wiring_matches_names(self, reference):
         rng = np.random.default_rng(53)
         target = ns(rng.normal(50, 5, 66))
-        entries = model_suite(target, make_components(53), reference.p, reference.q)
+        entries = model_suite(target, make_components(53), MODEL_NAMES, reference.p, reference.q, 0)
         for entry in entries:
             assert entry.model.spec.exogenous_names == MODEL_EXOGENOUS[entry.name]
 
     def test_driven_target_makes_both_arousal_win(self, reference):
         target, components = _arousal_driven_fixture(0)
-        entries = model_suite(target, components, reference.p, reference.q)
+        entries = model_suite(target, components, MODEL_NAMES, reference.p, reference.q, 0)
         best = min(entries, key=lambda e: e.report.mae)
         assert best.name == "both-arousal"
 
     def test_nested_sse_dominance_within_suite(self, reference):
         rng = np.random.default_rng(59)
         target = ns(rng.normal(50, 5, 66))
-        entries = model_suite(target, make_components(59), reference.p, reference.q)
+        entries = model_suite(target, make_components(59), MODEL_NAMES, reference.p, reference.q, 0)
         ar_sse = next(e for e in entries if e.name == "ar").model.sse
         for entry in entries:
             assert entry.model.sse <= ar_sse + 1e-9
@@ -483,7 +530,7 @@ class TestModelSuite:
         components = {name: ns([5.0] * 66) for name in make_components(0)}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            entries = model_suite(target, components, reference.p, reference.q)
+            entries = model_suite(target, components, MODEL_NAMES, reference.p, reference.q, 0)
         assert [e.name for e in entries] == list(MODEL_NAMES)
         ar_sse = next(e for e in entries if e.name == "ar").model.sse
         for entry in entries:
@@ -495,7 +542,7 @@ class TestModelSuite:
         components = make_components(67)
         del components["std-dominance"]
         with pytest.raises(ValueError, match="std-dominance"):
-            model_suite(target, components, reference.p, reference.q)
+            model_suite(target, components, MODEL_NAMES, reference.p, reference.q, 0)
 
 
 def _arousal_driven_fixture(seed):

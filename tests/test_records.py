@@ -78,8 +78,10 @@ RECORDS = {
         _evaluation,
     ),
     SuiteEntry: (("name", "model", "report"), lambda: SuiteEntry("x", _model(), _evaluation())),
-    SurrogateReport: (("n_surrogates", "empirical_mae", "surrogate_maes", "p_hat", "seed"),
-                      lambda: SurrogateReport(2, 0.5, [0.25, 0.75], 0.5, 0)),
+    SurrogateReport: (
+        ("spec", "n_surrogates", "empirical_mae", "surrogate_maes", "p_hat", "seed"),
+        lambda: SurrogateReport(ArmaSpec(1, 1, ("x",)), 2, 0.5, [0.25, 0.75], 0.5, 0),
+    ),
     PipelineConfig: (
         ("lexicon", "messages", "attitude", "out", "min_messages", "smooth_window",
          "corr_window", "alpha", "p", "q", "surrogates", "seed", "gap_policy",

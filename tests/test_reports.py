@@ -562,6 +562,7 @@ class TestSurrogateJson:
         rng = np.random.default_rng(5)
         rng.shuffle(maes)
         return SurrogateReport(
+            spec=ArmaSpec(1, 3, ("mean-arousal", "std-arousal")),
             n_surrogates=101,
             empirical_mae=3.0,
             surrogate_maes=maes,
@@ -571,10 +572,7 @@ class TestSurrogateJson:
 
     def test_quantiles_on_known_grid(self, tmp_path):
         path = tmp_path / "surrogate.json"
-        write_surrogate_json(
-            path, self.make_report(), "both-arousal", 1, 3,
-            ["mean-arousal", "std-arousal"], include_maes=False,
-        )
+        write_surrogate_json(path, self.make_report(), "both-arousal", include_maes=False)
         payload = json.loads(path.read_text(encoding="utf-8"))
         quantiles = payload["surrogate_mae_quantiles"]
         assert quantiles == {
@@ -594,15 +592,13 @@ class TestSurrogateJson:
         report = self.make_report()._replace(empirical_mae=float("nan"))
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_surrogate_json(
-                tmp_path / "surrogate.json", report, "both-arousal", 1, 3, [], include_maes=False
+                tmp_path / "surrogate.json", report, "both-arousal", include_maes=False
             )
 
     def test_full_list_behind_flag(self, tmp_path):
         report = self.make_report()
         path = tmp_path / "surrogate.json"
-        write_surrogate_json(
-            path, report, "both-arousal", 1, 3, ["mean-arousal"], include_maes=True
-        )
+        write_surrogate_json(path, report, "both-arousal", include_maes=True)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["surrogate_maes"] == report.surrogate_maes
 
