@@ -3,8 +3,9 @@
 The model is linear in lagged values: the target regressed on its last
 ``ar_order`` values and on the last ``exog_order`` values of each exogenous
 series, with no intercept. Coefficients come from ordinary least squares.
-Evaluation is in-sample one-step-ahead: mean absolute error plus the
-running mean of absolute errors over the evaluated months.
+Evaluation is one-step-ahead, by mean absolute error and its running mean:
+``evaluate`` scores a fit in sample, or from a later row (``first_row``), and
+``evaluate_holdout`` fits on all but the last months and scores those.
 
 numpy is imported by the functions that compute, not at module import, so
 the subcommands that fit no model start without it.

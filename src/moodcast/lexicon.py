@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
 
 from .errors import InputFormatError
-from .tables import number_cell, quote_cell, read_table
+from .tables import bounded_cell, quote_cell, read_table
 
 SCALE_MIN = 1.0
 SCALE_MAX = 9.0
@@ -28,9 +28,8 @@ _TOKEN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)*")
 
 
 class LexiconEntry(NamedTuple):
-    """One word's mean score on each of the three 9-point scales."""
+    """One word's mean score on each of the three 9-point scales; the lexicon's key is the word."""
 
-    word: str
     valence: float
     arousal: float
     dominance: float
@@ -54,8 +53,8 @@ def load_lexicon(path: Union[str, Path]) -> Lexicon:
     """Load a lexicon from CSV with header ``word,valence,arousal,dominance``.
 
     Words are normalized to lowercase and must each be one ``tokenize``
-    token. Rejects other words, duplicate words, scores outside [1, 9],
-    malformed rows and files with no data rows.
+    token. Rejects other words, duplicate words, scores missing or outside
+    [1, 9], malformed rows and files with no data rows.
 
     Raises:
         InputFormatError: on any format violation, naming the file and row.
@@ -74,14 +73,14 @@ def load_lexicon(path: Union[str, Path]) -> Lexicon:
             raise InputFormatError(f"{path} row {rownum}: invalid word {quote_cell(row[0])}")
         if word in entries:
             raise InputFormatError(f"{path} row {rownum}: duplicate word {quote_cell(word)}")
-        scores = [number_cell(path, rownum, cell) for cell in row[1:]]
-        for name, cell, value in zip(LEXICON_HEADER[1:], row[1:], scores):
-            if value is None or not SCALE_MIN <= value <= SCALE_MAX:
-                raise InputFormatError(
-                    f"{path} row {rownum}: {name} {quote_cell(cell)} outside "
-                    f"[{SCALE_MIN:g}, {SCALE_MAX:g}]"
-                )
-        entries[word] = LexiconEntry(word, *scores)
+        scores = [
+            bounded_cell(path, rownum, name, cell, SCALE_MIN, SCALE_MAX)
+            for name, cell in zip(LEXICON_HEADER[1:], row[1:])
+        ]
+        if None in scores:
+            missing = LEXICON_HEADER[1 + scores.index(None)]
+            raise InputFormatError(f"{path} row {rownum}: {missing} is missing")
+        entries[word] = LexiconEntry(*scores)
 
     if not entries:
         raise InputFormatError(f"{path}: no data rows")

@@ -3,19 +3,20 @@
 Every writer is deterministic: fixed column and key order, Unix newlines,
 floats serialized with ``repr`` round-trip fidelity, dictionary keys sorted
 where insertion order is not meaningful. Missing values become empty CSV
-fields and JSON nulls. A non-finite float is never written: the writer
-raises ``ValueError`` and leaves no file at its target. Tables
-are read and written in the one CSV dialect of ``moodcast.tables``. Every
-reader rejects malformed and non-finite numbers with an
-``InputFormatError`` naming the file and row, and the series readers
-reject a month axis that is empty or not contiguous. A ``month,rate``
-series is an attitude series: every read of one checks each rate is in [0, 100].
+fields and JSON nulls. A writer builds its text before it opens its target,
+so one that refuses a non-finite float (``ValueError``) leaves the target as
+it was. Tables go through the CSV dialect of ``moodcast.tables``, JSON
+through ``_read_json`` and ``_write_json``. Every reader rejects malformed
+and non-finite numbers (in JSON, anywhere in the file) with an
+``InputFormatError`` naming the file and row, and the series readers reject
+a month axis that is empty or not contiguous. A ``month,rate`` series is an
+attitude series: every read of one checks each rate is in [0, 100].
 """
 
 from __future__ import annotations
 
 import json
-import os
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Union
@@ -30,6 +31,7 @@ from .months import check_month
 from .tables import (
     MAX_COUNT,
     Table,
+    bounded_cell,
     check_next_month,
     format_number,
     monthly_rows,
@@ -89,7 +91,7 @@ def read_emotion_csv(path: Union[str, Path], table: Optional[Table] = None) -> E
     records: list[MonthCounts] = []
     for rownum, _, row in checked:
         stats = [
-            _bounded_cell(path, rownum, column, cell, *_EMOTION_BOUNDS[column])
+            bounded_cell(path, rownum, column, cell, *_EMOTION_BOUNDS[column])
             for column, cell in zip(EMOTION_COLUMNS, row[1:7])
         ]
         counts = MonthCounts(*(number_cell(path, rownum, cell, int) for cell in row[7:9]))
@@ -107,18 +109,6 @@ def read_emotion_csv(path: Union[str, Path], table: Optional[Table] = None) -> E
         records.append(counts)
     columns = dict(zip(EMOTION_COLUMNS.values(), map(list, zip(*stat_rows))))
     return EmotionSeries({name: NumericSeries(axis, columns[name]) for name in COMPONENTS}, records)
-
-
-def _bounded_cell(
-    path: Union[str, Path], rownum: int, column: str, cell: str, low: float, high: float
-) -> Optional[float]:
-    """A float cell that is empty or in [low, high]; an error names the row and column."""
-    value = number_cell(path, rownum, cell)
-    if value is not None and not low <= value <= high:
-        raise InputFormatError(
-            f"{path} row {rownum}: {column} {quote_cell(cell)} outside [{low:g}, {high:g}]"
-        )
-    return value
 
 
 def write_series_csv(path: Union[str, Path], series: NumericSeries, value_name: str) -> None:
@@ -156,15 +146,15 @@ def _read_series(
             f"{path}: expected value column {value_name!r} in the header, "
             f"got {quote_cell(header[1])}"
         )
-    rate = header[1].strip() == ATTITUDE_HEADER[1]
+    column = header[1].strip()
+    # A rate is a percentage; ``number_cell`` holds any other value to a finite float.
+    low, high = (0.0, 100.0) if column == ATTITUDE_HEADER[1] else (-math.inf, math.inf)
     axis, checked = monthly_rows(path, rows)
     values: list[Optional[float]] = []
     for rownum, _, row in checked:
-        value = number_cell(path, rownum, row[1])
+        value = bounded_cell(path, rownum, column, row[1], low, high)
         if value is None and value_name is not None:
             raise InputFormatError(f"{path} row {rownum}: {value_name} is missing")
-        if rate and value is not None and not 0.0 <= value <= 100.0:
-            raise InputFormatError(f"{path} row {rownum}: rate {value!r} outside [0, 100]")
         values.append(value)
     return NumericSeries(months=axis, values=values)
 
@@ -196,9 +186,9 @@ def read_correlation_csv(path: Union[str, Path]) -> CorrelationTrack:
     p_value: list[Optional[float]] = []
     significant: list[bool] = []
     for rownum, _, row in checked:
-        r.append(_bounded_cell(path, rownum, "r", row[1], -1.0, 1.0))
+        r.append(bounded_cell(path, rownum, "r", row[1], -1.0, 1.0))
         n_window.append(number_cell(path, rownum, row[2], int))
-        p_value.append(_bounded_cell(path, rownum, "p_value", row[3], 0.0, 1.0))
+        p_value.append(bounded_cell(path, rownum, "p_value", row[3], 0.0, 1.0))
         if row[4] not in ("true", "false"):
             raise InputFormatError(f"{path} row {rownum}: significant must be true or false")
         significant.append(row[4] == "true")
@@ -242,9 +232,10 @@ def write_buckets_json(path: Union[str, Path], buckets: list[MonthlyBucket]) -> 
 
 
 def _count(value) -> int:
-    """A count from JSON: an integer in [0, MAX_COUNT], and not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= MAX_COUNT:
-        raise ValueError(f"count must be an integer in [0, 2**53], got {value!r}")
+    """A count from JSON: the report's ``count`` kind, an integer in [0, MAX_COUNT]."""
+    test, wording = _KINDS["count"]
+    if not test(value):
+        raise ValueError(f"count must be {wording}, got {value!r}")
     return value
 
 
@@ -349,16 +340,11 @@ def write_surrogate_json(
 
 
 def _write_json(path: Union[str, Path], payload: dict) -> None:
-    # NaN and infinity are not JSON; refuse them rather than write them, and
-    # remove the partial file. The text streams to the file, never whole in memory.
-    handle = open(path, "w", encoding="utf-8")
-    try:
-        with handle:
-            json.dump(payload, handle, indent=2, allow_nan=False)
-            handle.write("\n")
-    except BaseException:
-        os.remove(path)
-        raise
+    # NaN and infinity are not JSON: the text is built before the file opens,
+    # so refusing one leaves the target as it was.
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text + "\n")
 
 
 def _float_range(parse):
@@ -374,20 +360,21 @@ def _float_range(parse):
     return hook
 
 
-# ``json.load`` number hooks for a run file, whose numbers the report renders
-# as floats: NaN and the infinities reach ``parse_constant``, 1e999 reads as
-# an infinite float, and an integer must fit a float too.
-_RUN_FILE_NUMBERS = {
+# ``json.load`` number hooks for every JSON read: NaN and the infinities
+# reach ``parse_constant``, 1e999 reads as an infinite float, and an integer
+# must fit a float too, as the report renders numbers as floats.
+_JSON_NUMBERS = {
     "parse_int": _float_range(int),
     "parse_float": _float_range(float),
     "parse_constant": _float_range(float),
 }
 
 
-def _read_json(path: Union[str, Path], **number_hooks) -> dict:
+def _read_json(path: Union[str, Path]) -> dict:
+    """A JSON object whose every number is a finite 64-bit float."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            payload = json.load(handle, **number_hooks)
+            payload = json.load(handle, **_JSON_NUMBERS)
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None
         except (ValueError, RecursionError) as exc:
@@ -464,13 +451,13 @@ def _section(title: str, headers: list[str], rows: list[list[str]]) -> list[str]
 def _render_run_report(run_dir: Path) -> str:
     manifest_path, models_path = run_dir / "run_manifest.json", run_dir / "models.json"
     surrogate_path = run_dir / "surrogate.json"
-    manifest = _read_json(manifest_path, **_RUN_FILE_NUMBERS)
+    manifest = _read_json(manifest_path)
     manifest.setdefault("warnings", [])
     _check_fields(manifest_path, manifest, _MANIFEST_FIELDS)
-    models = _read_json(models_path, **_RUN_FILE_NUMBERS)["models"]
+    models = _read_json(models_path)["models"]
     for number, entry in enumerate(models):
         _check_fields(models_path, entry, _MODEL_FIELDS, f"models[{number}].")
-    surrogate = _read_json(surrogate_path, **_RUN_FILE_NUMBERS)
+    surrogate = _read_json(surrogate_path)
     _check_fields(surrogate_path, surrogate, _SURROGATE_FIELDS)
 
     lines = [

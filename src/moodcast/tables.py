@@ -3,8 +3,8 @@
 A table is a UTF-8 file with one header row, comma-separated fields and
 Unix newlines. Floats are written in their shortest round-trip form and a
 missing value is an empty field. Readers skip blank rows, check each row's
-width, month and numeric cells, and every error is an ``InputFormatError``
-that names the file and, for a row, its number.
+width, month and numeric cells (a range by ``bounded_cell``), and every error
+is an ``InputFormatError`` that names the file and, for a row, its number.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def write_table(
     path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence[str]]
 ) -> None:
     """Write a header and rows of formatted cells, every row formatted before
-    the file opens: a cell that fails to format leaves no file."""
+    the file opens: a cell that fails to format leaves the target as it was."""
     rows = list(rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -120,6 +120,18 @@ def number_cell(path: Union[str, Path], rownum: int, cell: str, kind: type = flo
             )
     elif not math.isfinite(value):
         raise InputFormatError(f"{path} row {rownum}: not a finite number: {quote_cell(cell)}")
+    return value
+
+
+def bounded_cell(
+    path: Union[str, Path], rownum: int, column: str, cell: str, low: float, high: float
+) -> Optional[float]:
+    """A float cell that is empty or in [low, high]; an error names the row and column."""
+    value = number_cell(path, rownum, cell)
+    if value is not None and not low <= value <= high:
+        raise InputFormatError(
+            f"{path} row {rownum}: {column} {quote_cell(cell)} outside [{low:g}, {high:g}]"
+        )
     return value
 
 

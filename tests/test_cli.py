@@ -59,6 +59,25 @@ def unused_imports(source):
     return unused
 
 
+# The one module allowed each CSV and JSON reader and writer call; ``ingest``'s
+# ``json.loads`` of message lines is not a file rule.
+FILE_RULE_OWNERS = {
+    "csv.reader": "tables.py", "csv.writer": "tables.py",
+    "json.load": "reports.py", "json.dump": "reports.py", "json.dumps": "reports.py",
+}
+
+
+def file_rule_uses(source):
+    """The ``FILE_RULE_OWNERS`` names that ``source`` reads as attributes or imports by name."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            uses.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom):
+            uses += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [name for name in uses if name in FILE_RULE_OWNERS]
+
+
 def readme_chain(inputs, stage, options):
     """The README's stage-by-stage commands, each given those of ``options`` (flag -> value)
     that it takes."""
@@ -100,6 +119,15 @@ def assert_staged_files_are_runs(stage, full):
 def _bucket_file(token_counts):
     entry = f'{{"month": "2001-01", "thread_count": 1, "token_counts": {token_counts}}}'
     return f'{{"buckets": [{entry}]}}'
+
+
+def _noted_buckets(place, number):
+    """A valid buckets file with a ``note`` member, which no reader reads, holding ``number``
+    as a top-level key or as a key of its bucket."""
+    bucket = {"month": "2001-01", "thread_count": 1, "token_counts": {"war": 1}}
+    payload = {"buckets": [bucket]}
+    {"top-level-key": payload, "bucket-key": bucket}[place]["note"] = "NOTE"
+    return json.dumps(payload).replace('"NOTE"', number)
 
 
 def _buckets_on(*months):
@@ -174,6 +202,12 @@ MALFORMED = {
         '{"buckets": [{"month": "2001-01", "thread_count": true, "token_counts": {}}]}',
         "score",
     ),
+    # Every number of a JSON file is a finite float, in a member no reader reads too.
+    **{
+        f"buckets-ignored-{place}-{name}": ("buckets.json", _noted_buckets(place, number), "score")
+        for name, number in (("nan", "NaN"), ("minus-infinity", "-Infinity"), ("1e999", "1e999"))
+        for place in ("top-level-key", "bucket-key")
+    },
     "empty-manifest": ("run_manifest.json", "{}", "report"),
     # A run file's numbers are finite floats, and its lists of names are lists of strings.
     "models-mae-nan": ("models.json", _run_file(r'"mae": [^,]+', '"mae": NaN'), "report"),
@@ -414,6 +448,19 @@ class TestParserBasics:
         ]
         assert not unused, unused
 
+    def test_csv_and_json_files_are_read_and_written_in_one_module_each(self):
+        assert file_rule_uses(
+            "import csv, json\nfrom json import dump as d\n"
+            "rows = csv.reader(f)\nobj = json.loads(line)\njson.dumps(obj)\n"
+        ) == ["json.dump", "csv.reader", "json.dumps"]
+        strays = [
+            f"{path.name}: {name}"
+            for path in sorted((ROOT / "src" / "moodcast").glob("*.py"))
+            for name in file_rule_uses(path.read_text(encoding="utf-8"))
+            if FILE_RULE_OWNERS[name] != path.name
+        ]
+        assert not strays, strays
+
     @pytest.mark.skipif(
         shutil.which("moodcast") is None,
         reason="no moodcast console script on PATH (package not installed)",
@@ -650,8 +697,10 @@ class TestExitCodes:
             assert str(path) in err and "not valid UTF-8" in err
         if callable(MALFORMED[case][1]):
             assert str(path) in err
+        if case.startswith("buckets-ignored-"):
+            assert f"error: {path}: invalid JSON (not a finite 64-bit float: " in err
         if case.startswith("rate-150"):
-            assert f"{path} row 3: rate 150.0 outside [0, 100]" in err
+            assert err == f"error: {path} row 3: rate '150' outside [0, 100]\n"
 
     @pytest.mark.parametrize(
         "name, text, where",
@@ -833,7 +882,7 @@ class TestExitCodes:
         "rows, message",
         [(["2001-02,50", "2001-01,50", "2001-03,50"], "row 3: expected month 2001-03, got 2001-01"),
          (["2001-01,50", "2001-02,", "2001-03,50"], "row 3: rate is missing"),
-         (["2001-01,50", "2001-02,150", "2001-03,50"], "row 3: rate 150.0 outside [0, 100]")],
+         (["2001-01,50", "2001-02,150", "2001-03,50"], "row 3: rate '150' outside [0, 100]")],
         ids=["out-of-order", "empty-rate", "rate-150"],
     )
     def test_malformed_attitude_run_is_2(

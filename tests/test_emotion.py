@@ -18,7 +18,7 @@ from moodcast.pipeline import score_stage
 
 
 def _lex(*entries):
-    return MappingProxyType({word: LexiconEntry(word, v, a, d) for word, v, a, d in entries})
+    return MappingProxyType({word: LexiconEntry(v, a, d) for word, v, a, d in entries})
 
 
 TWO_WORD_LEX = _lex(("a", 2.0, 3.0, 4.0), ("b", 8.0, 5.0, 6.0))

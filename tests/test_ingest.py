@@ -921,10 +921,11 @@ class TestLoadAttitude:
     @pytest.mark.parametrize(
         "cell, message",
         [("", "row 3: rate is missing"), ("nan", "row 3: not a finite number"),
-         ("-0.5", "row 3: rate -0.5 outside"), ("150", "row 3: rate 150.0 outside")],
+         ("-0.5", "row 3: rate '-0.5' outside [0, 100]"),
+         ("150", "row 3: rate '150' outside [0, 100]")],
     )
     def test_every_rate_present_and_in_range(self, load_text, cell, message):
-        with pytest.raises(InputFormatError, match=message):
+        with pytest.raises(InputFormatError, match=re.escape(message)):
             load_text(f"month,rate\n2004-01,0\n2004-02,{cell}\n2004-03,100\n")
 
     def test_first_bad_row_named_whatever_its_fault(self, load_text):

@@ -44,7 +44,7 @@ def test_load_lexicon_basic(load_text):
 def test_loaded_lexicon_is_read_only(load_text):
     lex = load_text(GOOD_CSV)
     with pytest.raises(TypeError):
-        lex["peace"] = LexiconEntry("peace", 8.1, 3.2, 6.5)
+        lex["peace"] = LexiconEntry(8.1, 3.2, 6.5)
     assert "peace" not in lex
 
 
@@ -56,7 +56,7 @@ def test_load_lexicon_from_fixture(lexicon):
 
 def test_entry_score_by_dimension():
     # Scoring reads a dimension's score as the entry field of that name.
-    entry = LexiconEntry("hope", 7.9, 5.4, 6.1)
+    entry = LexiconEntry(7.9, 5.4, 6.1)
     assert [getattr(entry, dim) for dim in DIMENSIONS] == [7.9, 5.4, 6.1]
 
 
@@ -69,6 +69,18 @@ def test_rejects_score_out_of_range(load_text):
     bad = "word,valence,arousal,dominance\nwar,0.5,7.49,6.38\n"
     with pytest.raises(InputFormatError, match="row 2.*valence"):
         load_text(bad)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("war,,7.49,6.38", "row 2: valence is missing"),
+     ("war,2.08,7.49,", "row 2: dominance is missing"),
+     ("war,2.08,9.5,6.38", "row 2: arousal '9.5' outside [1, 9]")],
+)
+def test_every_score_present_and_in_range(load_text, row, message):
+    # The same wording as an attitude file's rates.
+    with pytest.raises(InputFormatError, match=re.escape(message)):
+        load_text(f"word,valence,arousal,dominance\n{row}\n")
 
 
 def test_long_score_out_of_range_is_quoted_in_part(load_text):

@@ -61,8 +61,7 @@ RECORDS = {
                     lambda: EmotionSeries(_components(), [MonthCounts(3, 2)] * 3)),
     WeightedWord: (("word", "occurrences", "display_weight"),
                    lambda: WeightedWord("war", 4, 2.0)),
-    LexiconEntry: (("word", "valence", "arousal", "dominance"),
-                   lambda: LexiconEntry("war", 2.08, 7.49, 4.0)),
+    LexiconEntry: (("valence", "arousal", "dominance"), lambda: LexiconEntry(2.08, 7.49, 4.0)),
     ThreadTally: (("threads", "message_count"),
                   lambda: ThreadTally({"t": ["2000-01-01T00:00:00+00:00", "war", 2]}, 2)),
     ThreadSummary: (("thread_id", "subject", "message_count", "first_month"),
