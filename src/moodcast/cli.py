@@ -15,7 +15,7 @@ import argparse
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from . import __version__
 from .analysis import NumericSeries, hamming_smooth, rolling_correlation
@@ -54,19 +54,30 @@ def _wrote(paths: list[Path]) -> int:
     return 0
 
 
+def _read_series_or_table(
+    path: Path,
+) -> tuple[Union[NumericSeries, EmotionSeries], Optional[str]]:
+    """Read and check a whole emotion table or ``month,value`` series, by its
+    header; for a series, also return its value column's name."""
+    table = read_table(path)
+    if table[0] == EMOTION_HEADER:
+        return read_emotion_csv(path, table), None
+    return read_series_csv(path, table=table), table[0][1].strip()
+
+
 def _load_series_column(path: Path, column: Optional[str]) -> NumericSeries:
     """Load a two-column series CSV, or the named column of an emotion table."""
-    table = read_table(path)
-    if table[0] != EMOTION_HEADER:
+    data, name = _read_series_or_table(path)
+    if name is not None:
         if column is not None:
             raise ValueError(f"{path} is a two-column series; drop its column flag ({column!r})")
-        return read_series_csv(path, table=table)
+        return data
     choices = ", ".join(sorted(EMOTION_COLUMNS))
     if column is None:
         raise ValueError(f"{path} is an emotion table; pick a column from {choices}")
     if column not in EMOTION_COLUMNS:
         raise ValueError(f"unknown emotion column {column!r}; choose from {choices}")
-    return read_emotion_csv(path, table).components[EMOTION_COLUMNS[column]]
+    return data.components[EMOTION_COLUMNS[column]]
 
 
 def _load_forecast_inputs(args) -> tuple[NumericSeries, dict[str, NumericSeries]]:
@@ -88,15 +99,12 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
-    path, out = args.series, args.out
-    table = read_table(path)
-    if table[0] == EMOTION_HEADER:
-        series = read_emotion_csv(path, table)
+    out = args.out
+    series, name = _read_series_or_table(args.series)
+    if name is None:
         components, _ = fill_gaps(series.components, args.gap_policy)
         smooth_emotion(EmotionSeries(components, series.records), out, window=args.smooth_window)
     else:
-        series = read_series_csv(path, table=table)
-        name = table[0][1]
         filled, _ = fill_gaps({name: series}, args.gap_policy)
         write_series_csv(out, hamming_smooth(filled[name], args.smooth_window), name)
     return _wrote([out])

@@ -3,6 +3,8 @@
 Turns monthly token buckets into per-dimension mean and standard deviation
 series. Scoring is frequency weighted: a token that appears five times in a
 month's subjects counts five times in that month's population statistics.
+``top_lexicon_words`` ranks the most frequent matched words of some buckets
+as (word, count) pairs.
 """
 
 from __future__ import annotations
@@ -95,27 +97,12 @@ def build_series(buckets: list[MonthlyBucket], lexicon: Lexicon) -> EmotionSerie
     return EmotionSeries(columns, list(records))
 
 
-class WeightedWord(NamedTuple):
-    """A ranked word with its count and square-root display weight."""
-
-    word: str
-    occurrences: int
-    display_weight: float
-
-
-def top_lexicon_words(buckets: list[MonthlyBucket], lexicon: Lexicon) -> list[WeightedWord]:
-    """Rank the ``TOP_WORDS`` most frequent lexicon-matched words of the buckets.
-
-    Ties break alphabetically. ``display_weight`` is the square root of the
-    count, for size-proportional rendering downstream.
-    """
+def top_lexicon_words(buckets: list[MonthlyBucket], lexicon: Lexicon) -> list[tuple[str, int]]:
+    """The ``TOP_WORDS`` most frequent lexicon-matched words of the buckets,
+    as (word, count) pairs, most frequent first; ties break alphabetically."""
     totals: dict[str, int] = {}
     for bucket in buckets:
         for token, count in bucket.token_counts.items():
             if token in lexicon:
                 totals[token] = totals.get(token, 0) + count
-    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:TOP_WORDS]
-    return [
-        WeightedWord(word=w, occurrences=c, display_weight=math.sqrt(c))
-        for w, c in ranked
-    ]
+    return sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:TOP_WORDS]

@@ -2,7 +2,8 @@
 
 The model is linear in lagged values: the target regressed on its last
 ``ar_order`` values and on the last ``exog_order`` values of each exogenous
-series, with no intercept. Coefficients come from ordinary least squares.
+series, with no intercept. Coefficients come from ordinary least squares; a
+fitted ``ArmaModel`` keeps them as one vector in the design's column order.
 Evaluation is one-step-ahead, by mean absolute error and its running mean:
 ``evaluate`` scores a fit in sample, or from a later row (``first_row``), and
 ``evaluate_holdout`` fits on all but the last months and scores those.
@@ -116,20 +117,13 @@ def assemble_regression(
 
 
 class ArmaModel(NamedTuple):
-    """A fitted lagged-regression model."""
+    """A fitted lagged-regression model: its coefficients in the column order
+    of ``assemble_regression``, the target's lags and then each exogenous
+    series' lags."""
 
     spec: ArmaSpec
-    ar_coeffs: list[float]
-    exog_coeffs: list[list[float]]
+    coefficients: list[float]
     sse: float
-
-    def coefficient_vector(self) -> np.ndarray:
-        import numpy as np
-
-        flat = list(self.ar_coeffs)
-        for per_series in self.exog_coeffs:
-            flat.extend(per_series)
-        return np.asarray(flat, dtype=float)
 
 
 def fit_arma(
@@ -160,12 +154,7 @@ def fit_arma(
         )
     residual = system.response - system.regressors @ solution
     sse = float(residual @ residual)
-    return ArmaModel(
-        spec=spec,
-        ar_coeffs=solution[: spec.ar_order].tolist(),
-        exog_coeffs=solution[spec.ar_order :].reshape(spec.n_exogenous, spec.exog_order).tolist(),
-        sse=sse,
-    )
+    return ArmaModel(spec=spec, coefficients=solution.tolist(), sse=sse)
 
 
 class EvaluationReport(NamedTuple):
@@ -193,7 +182,7 @@ def evaluate(
     system = assemble_regression(model.spec, target, exogenous)
     # Predict every row, then keep the tail: a row's prediction does not
     # depend on ``first_row`` (a one-row product can differ in the last bit).
-    predictions = system.regressors @ model.coefficient_vector()
+    predictions = system.regressors @ np.asarray(model.coefficients, dtype=float)
     errors = (system.response - predictions)[first_row:]
     cumulative = np.cumsum(np.abs(errors)) / np.arange(1, len(errors) + 1)
     return EvaluationReport(

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .analysis import CorrelationTrack, NumericSeries
-from .emotion import COMPONENTS, DIMENSIONS, STATS, EmotionSeries, MonthCounts, WeightedWord
+from .emotion import COMPONENTS, DIMENSIONS, STATS, EmotionSeries, MonthCounts
 from .errors import InputFormatError, json_problem
 from .forecast import SuiteEntry, SurrogateReport
 from .ingest import MonthlyBucket
@@ -206,13 +206,15 @@ def write_counts_csv(path: Union[str, Path], buckets: list[MonthlyBucket]) -> No
 
 def write_top_words_csv(
     path: Union[str, Path],
-    per_year: dict[str, list[WeightedWord]],
+    per_year: dict[str, list[tuple[str, int]]],
 ) -> None:
-    """Write ranked lexicon words per year, years in ascending order."""
+    """Write ranked (word, count) pairs per year, years in ascending order.
+    ``display_weight`` is the square root of the count, for size-proportional
+    rendering downstream."""
     write_table(path, TOP_WORDS_HEADER, (
-        [year, str(rank), word.word, str(word.occurrences), format_number(word.display_weight)]
+        [year, str(rank), word, str(count), format_number(math.sqrt(count))]
         for year in sorted(per_year)
-        for rank, word in enumerate(per_year[year], start=1)
+        for rank, (word, count) in enumerate(per_year[year], start=1)
     ))
 
 
@@ -267,17 +269,23 @@ def read_buckets_json(path: Union[str, Path]) -> list[MonthlyBucket]:
 
 
 def suite_entry_payload(entry: SuiteEntry, evaluation_mode: str) -> dict:
-    """JSON-ready description of one fitted and evaluated model."""
+    """JSON-ready description of one fitted and evaluated model: its
+    coefficient vector split into the target's lags and one list per
+    exogenous series."""
     report = entry.report
+    spec = entry.model.spec
+    p, q = spec.ar_order, spec.exog_order
+    coefficients = [float(c) for c in entry.model.coefficients]
+    ar, exogenous = coefficients[:p], coefficients[p:]
     return {
         "name": entry.name,
-        "ar_order": entry.model.spec.ar_order,
-        "exog_order": entry.model.spec.exog_order,
-        "exogenous": list(entry.model.spec.exogenous_names),
+        "ar_order": p,
+        "exog_order": q,
+        "exogenous": list(spec.exogenous_names),
         "evaluation_mode": evaluation_mode,
         "coefficients": {
-            "ar": [float(c) for c in entry.model.ar_coeffs],
-            "exogenous": [[float(c) for c in row] for row in entry.model.exog_coeffs],
+            "ar": ar,
+            "exogenous": [exogenous[i * q : (i + 1) * q] for i in range(spec.n_exogenous)],
             "intercept": 0.0,
         },
         "sse": float(entry.model.sse),

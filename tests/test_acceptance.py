@@ -171,7 +171,7 @@ def test_criterion_05_ar1_recovery(verdict):
         for _ in range(199):
             x.append(0.95 * x[-1] + rng.normal(0, 0.01))
         model = fit_arma(ArmaSpec(1, 0, ()), ns(x), {})
-        if abs(model.ar_coeffs[0] - 0.95) <= 0.02:
+        if abs(model.coefficients[0] - 0.95) <= 0.02:
             hits += 1
     elapsed = time.perf_counter() - start
     ok = hits >= 95 and elapsed < 5.0

@@ -577,6 +577,51 @@ class TestStartup:
         ]
 
 
+def _python_3_10():
+    """A CPython 3.10 that starts: ``python3.10`` on PATH, else one that pyenv
+    installed; None if there is none. (A pyenv shim can be on PATH and fail.)"""
+    pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    candidates = [shutil.which("python3.10"), *sorted(pyenv.glob("versions/3.10*/bin/python"))]
+    check = ("import sys; "
+             "assert sys.version_info[:2] == (3, 10) and sys.implementation.name == 'cpython'")
+    for python in filter(None, candidates):
+        if subprocess.run([python, "-c", check], capture_output=True).returncode == 0:
+            return str(python)
+    return None
+
+
+class TestOldestPython:
+    def test_stages_without_a_model_write_the_same_bytes_on_python_3_10(
+        self, tmp_path, lexicon_path, messages_path, attitude_path
+    ):
+        # pyproject.toml allows Python 3.10. The stages that fit no model
+        # load no numpy, so they run on a bare 3.10, whose ``fromisoformat``
+        # reads no "Z" suffix (the shipped timestamps have one).
+        python = _python_3_10()
+        if python is None:
+            pytest.skip("no CPython 3.10 starts here")
+        inputs = (lexicon_path, messages_path, attitude_path)
+        here, old = tmp_path / "here", tmp_path / "py310"
+        for argv in readme_chain(inputs, here, {})[:5]:
+            assert run_cli(*argv) == 0, argv
+        script = (
+            "import json, sys\n"
+            "from moodcast.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        result = subprocess.run(
+            [python, "-c", script, json.dumps(readme_chain(inputs, old, {})[:5])],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(moodcast.__file__).resolve().parents[1])},
+        )
+        assert result.returncode == 0, result.stderr
+        names = sorted(p.name for p in here.iterdir())
+        assert len(names) == 7 and sorted(p.name for p in old.iterdir()) == names
+        for name in names:
+            assert (old / name).read_bytes() == (here / name).read_bytes(), name
+
+
 class TestFillGaps:
     @pytest.mark.parametrize("values", [[1.0, None, 3.0], [1.0, 2.0, 3.0]])
     def test_unknown_policy_is_rejected(self, values):
@@ -849,6 +894,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {attitude_path} is a two-column series; drop its column flag" in err
         assert not (tmp_path / "corr.csv").exists()
+
+    @staticmethod
+    def neither_kind_or_bad_row(kind, smoothed):
+        """A file that ``correlate`` must refuse before it judges a column flag,
+        and the end of its error."""
+        header, *rows = smoothed.read_text(encoding="utf-8").splitlines()
+        if kind == "misspelled-header":
+            lines = [header.replace("valence_mean", "Valence_mean"), *rows]
+            return lines, ": expected a month,value header"
+        if kind == "one-column":
+            return ["month", "2001-01", "2001-02"], ": expected a month,value header"
+        cells = rows[1].split(",")
+        cells[header.split(",").index("valence_mean")] = "99"
+        lines = [header, rows[0], ",".join(cells), *rows[2:]]
+        return lines, " row 3: valence_mean '99' outside [1, 9]"
+
+    @pytest.mark.parametrize("flag", [[], ["--column-a", "nope"], ["--column-a", "valence_mean"]],
+                             ids=["no-flag", "unknown-column", "valid-column"])
+    @pytest.mark.parametrize("kind", ["misspelled-header", "one-column", "bad-row"])
+    def test_correlate_refuses_a_malformed_file_whatever_its_column_flag(
+        self, tmp_path, capsys, pipeline_run, kind, flag
+    ):
+        # A file is read and checked whole before its column flag is judged:
+        # a 9-column table with a misspelled header is not an emotion table,
+        # and neither it nor a one-column file is a month,value series.
+        lines, ending = self.neither_kind_or_bad_row(
+            kind, pipeline_run[0] / "emotion_series_smoothed.csv"
+        )
+        path = tmp_path / "series.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_cli(
+            "correlate", "--series-a", str(path), *flag,
+            "--series-b", str(pipeline_run[0] / "attitude_smoothed.csv"),
+            "--out", str(tmp_path / "corr.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}{ending}\n"
+        assert not (tmp_path / "corr.csv").exists()
+
+    def test_smooth_writes_the_value_column_name_it_checked(
+        self, tmp_path, attitude_path, pipeline_run
+    ):
+        # ``run`` reads a ``month, rate`` header as ``month,rate``; so does ``smooth``.
+        header, *rows = attitude_path.read_text(encoding="utf-8").splitlines()
+        assert header == "month,rate"
+        padded = tmp_path / "approval.csv"
+        padded.write_text("\n".join(["month, rate", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "attitude_smoothed.csv"
+        assert run_cli("smooth", "--series", str(padded), "--out", str(out)) == 0
+        assert out.read_bytes() == (pipeline_run[0] / "attitude_smoothed.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ["smooth", "correlate", "suite"])
     @pytest.mark.parametrize(

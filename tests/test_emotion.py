@@ -15,6 +15,7 @@ from moodcast.emotion import (
 from moodcast.ingest import MonthlyBucket
 from moodcast.lexicon import SCALE_MAX, SCALE_MIN, LexiconEntry
 from moodcast.pipeline import score_stage
+from moodcast.reports import write_top_words_csv
 
 
 def _lex(*entries):
@@ -230,18 +231,21 @@ class TestComponentSeries:
 
 
 class TestTopWords:
-    def test_display_weight_is_sqrt(self):
+    def test_display_weight_is_sqrt(self, tmp_path):
         buckets = [_bucket(a=100)]
-        (word,) = top_lexicon_words(buckets, TWO_WORD_LEX)
-        assert word.word == "a"
-        assert word.occurrences == 100
-        assert word.display_weight == pytest.approx(10.0)
+        path = tmp_path / "top_words.csv"
+        write_top_words_csv(path, {"2004": top_lexicon_words(buckets, TWO_WORD_LEX)})
+        _, row = path.read_text(encoding="utf-8").splitlines()
+        _, _, word, occurrences, display_weight = row.split(",")
+        assert word == "a"
+        assert int(occurrences) == 100
+        assert float(display_weight) == pytest.approx(10.0)
 
     def test_tie_broken_alphabetically(self):
         lex = _lex(("pike", 5, 5, 5), ("ash", 5, 5, 5))
         buckets = [_bucket(pike=5, ash=5)]
         words = top_lexicon_words(buckets, lex)
-        assert [w.word for w in words] == ["ash", "pike"]
+        assert [w for w, _ in words] == ["ash", "pike"]
 
     def test_top_k_of_25_words(self):
         entries = [(f"w{i:02d}", 5.0, 5.0, 5.0) for i in range(25)]
@@ -250,10 +254,10 @@ class TestTopWords:
         buckets = [_bucket(**counts)]
         words = top_lexicon_words(buckets, lex)
         assert len(words) == 20
-        assert words[0].word == "w24" and words[0].occurrences == 25
-        assert all(words[i].occurrences >= words[i + 1].occurrences for i in range(19))
+        assert words[0] == ("w24", 25)
+        assert all(words[i][1] >= words[i + 1][1] for i in range(19))
         # the five lowest-count words are exactly the ones dropped
-        assert {w.word for w in words} == {f"w{i:02d}" for i in range(5, 25)}
+        assert {w for w, _ in words} == {f"w{i:02d}" for i in range(5, 25)}
 
     def test_each_year_ranks_its_own_buckets(self, tmp_path):
         buckets = [_bucket(month="2004-12", a=10), _bucket(month="2005-01", b=10)]
@@ -264,4 +268,4 @@ class TestTopWords:
     def test_non_lexicon_words_never_ranked(self):
         buckets = [_bucket(a=1, junk=500)]
         words = top_lexicon_words(buckets, TWO_WORD_LEX)
-        assert [w.word for w in words] == ["a"]
+        assert [w for w, _ in words] == ["a"]

@@ -43,11 +43,12 @@ def predict_one_step(model, target, exogenous, month):
         raise ValueError(f"month {month} is not on the target axis") from None
     if t < spec.max_lag:
         raise ValueError(f"month {month} has fewer than {spec.max_lag} months of history")
+    p, q = spec.ar_order, spec.exog_order
     acc = 0.0
-    for i, coeff in enumerate(model.ar_coeffs, start=1):
+    for i, coeff in enumerate(model.coefficients[:p], start=1):
         acc += coeff * target.values[t - i]
-    for name, per_series in zip(spec.exogenous_names, model.exog_coeffs):
-        for i, coeff in enumerate(per_series, start=1):
+    for k, name in enumerate(spec.exogenous_names):
+        for i, coeff in enumerate(model.coefficients[p + k * q : p + (k + 1) * q], start=1):
             acc += coeff * exogenous[name].values[t - i]
     return float(acc)
 
@@ -228,8 +229,8 @@ class TestFitArma:
         for _ in range(199):
             x.append(0.95 * x[-1] + rng.normal(0, 0.01))
         model = fit_arma(ArmaSpec(1, 0, ()), ns(x), {})
-        assert model.ar_coeffs[0] == pytest.approx(0.95, abs=0.02)
-        assert model.exog_coeffs == []
+        assert model.coefficients[0] == pytest.approx(0.95, abs=0.02)
+        assert model.coefficients[1:] == []
 
     def test_matches_closed_form_ols_slope(self):
         rng = np.random.default_rng(7)
@@ -237,7 +238,7 @@ class TestFitArma:
         model = fit_arma(ArmaSpec(1, 0, ()), ns(x), {})
         prev = np.array(x[:-1])
         cur = np.array(x[1:])
-        assert model.ar_coeffs[0] == pytest.approx(
+        assert model.coefficients[0] == pytest.approx(
             float(prev @ cur) / float(prev @ prev), rel=1e-12
         )
 
@@ -247,8 +248,8 @@ class TestFitArma:
         exog = {"y": ns(np.random.default_rng(0).normal(0, 1, 20))}
         with pytest.warns(RuntimeWarning):
             model = fit_arma(ArmaSpec(1, 2, ("y",)), target, exog)
-        assert model.ar_coeffs[0] == pytest.approx(0.0, abs=1e-12)
-        assert all(abs(c) < 1e-12 for c in model.exog_coeffs[0])
+        assert model.coefficients[0] == pytest.approx(0.0, abs=1e-12)
+        assert all(abs(c) < 1e-12 for c in model.coefficients[1:])
         assert model.sse == pytest.approx(0.0, abs=1e-24)
 
     def test_residual_orthogonal_to_regressors(self):
@@ -258,7 +259,7 @@ class TestFitArma:
         spec = ArmaSpec(1, 3, ("y",))
         model = fit_arma(spec, target, exog)
         system = assemble_regression(spec, target, exog)
-        residual = system.response - system.regressors @ model.coefficient_vector()
+        residual = system.response - system.regressors @ model.coefficients
         norms = np.linalg.norm(system.regressors, axis=0)
         dots = (system.regressors / norms).T @ residual
         assert np.max(np.abs(dots)) <= 1e-8
@@ -271,7 +272,7 @@ class TestFitArma:
         exog = {"a": ns(shared), "b": ns(shared)}
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
             model = fit_arma(ArmaSpec(1, 2, ("a", "b")), target, exog)
-        assert model.exog_coeffs[0] == pytest.approx(model.exog_coeffs[1], abs=1e-8)
+        assert model.coefficients[1:3] == pytest.approx(model.coefficients[3:5], abs=1e-8)
 
     def test_rejects_underdetermined(self):
         target = ns(np.arange(6))
@@ -293,13 +294,13 @@ class TestPredictOneStep:
         # one-term product with a fitted coefficient of 0.989
         target = ns([60.0, 60.0, 60.0, 60.0, 60.0])
         model = fit_arma(ArmaSpec(1, 0, ()), target, {})
-        manual = model.ar_coeffs[0] * 60.0
+        manual = model.coefficients[0] * 60.0
         assert predict_one_step(model, target, {}, target.months[-1]) == pytest.approx(manual)
 
     def test_documented_reference_product(self):
         # a near-unit coefficient of 0.989 applied to a level of 60.0
         target = ns([58.0, 59.0, 61.0, 60.0, 55.0])
-        model = fit_arma(ArmaSpec(1, 0, ()), target, {})._replace(ar_coeffs=[0.989])
+        model = fit_arma(ArmaSpec(1, 0, ()), target, {})._replace(coefficients=[0.989])
         predicted = predict_one_step(model, target, {}, target.months[-1])
         assert predicted == pytest.approx(59.34, abs=1e-12)
 
@@ -309,7 +310,7 @@ class TestPredictOneStep:
         spec = ArmaSpec(1, 1, ("y",))
         model = fit_arma(spec, target, exog)
         month = target.months[4]
-        expected = model.ar_coeffs[0] * 4.0 + model.exog_coeffs[0][0] * 3.5
+        expected = model.coefficients[0] * 4.0 + model.coefficients[1] * 3.5
         assert predict_one_step(model, target, exog, month) == pytest.approx(expected)
 
     def test_linear_in_coefficients(self):
@@ -317,10 +318,7 @@ class TestPredictOneStep:
         exog = {"y": ns([2.0, 1.0, 2.0, 1.0, 2.0, 1.0])}
         spec = ArmaSpec(1, 1, ("y",))
         base = fit_arma(spec, target, exog)
-        doubled = base._replace(
-            ar_coeffs=[2 * c for c in base.ar_coeffs],
-            exog_coeffs=[[2 * c for c in row] for row in base.exog_coeffs],
-        )
+        doubled = base._replace(coefficients=[2 * c for c in base.coefficients])
         month = target.months[-1]
         assert predict_one_step(doubled, target, exog, month) == pytest.approx(
             2 * predict_one_step(base, target, exog, month)
@@ -328,7 +326,7 @@ class TestPredictOneStep:
 
     def test_zero_coefficients_predict_zero(self):
         target = ns([1.0, 2.0, 3.0, 4.0, 5.0])
-        model = fit_arma(ArmaSpec(1, 0, ()), target, {})._replace(ar_coeffs=[0.0])
+        model = fit_arma(ArmaSpec(1, 0, ()), target, {})._replace(coefficients=[0.0])
         assert predict_one_step(model, target, {}, target.months[-1]) == 0.0
 
     def test_rejects_insufficient_history(self):
@@ -349,7 +347,7 @@ class TestPredictOneStep:
         spec = ArmaSpec(2, 3, ("a", "b"))
         model = fit_arma(spec, target, exog)
         system = assemble_regression(spec, target, exog)
-        rows = system.regressors @ model.coefficient_vector()
+        rows = system.regressors @ model.coefficients
         assert len(rows) == len(system.months) == 45
         for month, row in zip(system.months, rows):
             assert abs(row - predict_one_step(model, target, exog, month)) <= 1e-12
@@ -389,7 +387,7 @@ class TestEvaluate:
         model = fit_arma(ArmaSpec(1, 0, ()), target, {})
         report = evaluate(model, target, {})
         # Each error is the month's value minus its one-step AR(1) prediction.
-        (coefficient,) = model.ar_coeffs
+        (coefficient,) = model.coefficients
         values = target.values
         assert len(report.errors) == len(values) - 1
         for t, error in enumerate(report.errors, start=1):
@@ -409,7 +407,7 @@ class TestEvaluateHoldout:
         target = ns(values)
         model, _ = evaluate_holdout(ArmaSpec(1, 0, ()), target, {}, holdout=12)
         prefix_model = fit_arma(ArmaSpec(1, 0, ()), ns(values[:-12]), {})
-        assert model.ar_coeffs == prefix_model.ar_coeffs
+        assert model.coefficients == prefix_model.coefficients
 
     def test_rejects_oversized_holdout(self):
         target = ns(np.arange(10))
@@ -453,7 +451,7 @@ class TestEvaluateHoldout:
             need = spec.max_lag + max(2, coefficients)
             largest = len(target) - need
             model, report = evaluate_holdout(spec, target, exogenous, largest)
-            assert len(model.coefficient_vector()) == coefficients
+            assert len(model.coefficients) == coefficients
             assert len(report.errors) == largest
             message = (f"holdout of {largest + 1} leaves only {need - 1} training months; "
                        f"need at least {need}")

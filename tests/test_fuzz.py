@@ -8,16 +8,23 @@ that check an analysis precondition); nothing exits 4 or raises out of
 ``main``. ``run`` is fuzzed through the two small inputs it loads, the
 lexicon and the attitude series: it exits 0, 2 or 3, and a failed run
 leaves a ``run.failed`` naming one of its stages and no manifest. The
+message archive's reader is fuzzed against its per-line oracle: mutated
+archives must fold to the same threads or fail with the same error. The
 seeds are fixed, so a failure names a mutation that reproduces it.
 """
 
+import json
 import random
 import re
 import shutil
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from moodcast import ingest
 from moodcast.cli import main
+from moodcast.errors import InputFormatError
 
 # Cells that read as no finite number, or as one out of every range.
 _NUMBERS = [b"nan", b"inf", b"NaN", b"Infinity", b"1e999", b"9" * 30, b"1" + b"0" * 29]
@@ -121,3 +128,83 @@ def test_mutated_run_input_fails_one_named_stage(case, tmp_path, capsys, pipelin
             marker = (out / "run.failed").read_text(encoding="utf-8")
             assert marker.split(": ", 1)[0] in stages, failure
             assert code == 3 or marker.startswith("load-inputs: "), failure
+
+
+def _archive_lines():
+    """The first 300 messages of the shipped corpus: three 16 KiB chunks."""
+    path = Path(__file__).parent / "data" / "messages.jsonl"
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[:300]]
+
+
+# Archive -> how each message is written. ``json.dumps`` writes canonical
+# lines, which ``parse_messages`` reads with one ``findall`` per chunk; an
+# escaped "\u00e4" in every 20th subject, or compact separators, send
+# every chunk to its one ``json.loads``. A mutation that breaks a chunk
+# sends that chunk to the per-line read.
+ARCHIVES = {
+    "canonical": lambda i, obj: json.dumps(obj),
+    "escaped": lambda i, obj: json.dumps(
+        obj | {"subject": obj["subject"] + " w\u00e4r"} if i % 20 == 0 else obj, ensure_ascii=True
+    ),
+    "compact": lambda i, obj: json.dumps(obj, separators=(",", ":")),
+}
+# Strings an edit writes: JSON's structure, line ends ("\r" and "\n" end a
+# line; a form feed, NEL and U+2028 do not), a NUL, bytes that are not
+# UTF-8 alone, a letter that is, and the characters of ids and timestamps.
+_EDITS = [b'"', b"\\", b"{", b"}", b"[", b"]", b",", b":", b" ", b"\n", b"\r", b"\x00", b"\x0c",
+          "\x85".encode(), "\u2028".encode(), b"\xff", b"\xc3", "\u00e4".encode(), b"Z", b"T",
+          b"-", b"+", b"0", b"9"]
+ARCHIVE_MUTATIONS_PER_CASE = 34
+
+
+def _edit_bytes(data: bytes, rng: random.Random) -> tuple[bytes, str]:
+    """``data`` after one to three edits, each replacing, inserting before or
+    deleting one byte, and what they did."""
+    edits = []
+    for _ in range(rng.randint(1, 3)):
+        at, kind = rng.randrange(len(data)), rng.choice(["replace", "insert", "delete"])
+        text = b"" if kind == "delete" else rng.choice(_EDITS)
+        data = data[:at] + text + data[at + (kind != "insert") :]
+        edits.append(f"{kind} {text!r} at byte {at}")
+    return data, "; ".join(edits)
+
+
+def _tally_or_error(parse, path):
+    try:
+        tally = parse(path)
+    except InputFormatError as exc:
+        return f"error: {exc}"
+    return list(tally.threads.items()), len(tally)
+
+
+def _per_line_parse(path):
+    """The oracle: the whole file read as ``parse_messages`` opens it, one line at a time."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        return ingest._fold_messages(ingest._line_rows(handle.readlines(), 1, path))
+
+
+@pytest.mark.parametrize("archive", sorted(ARCHIVES))
+def test_mutated_archive_parses_as_its_per_line_read(archive, tmp_path):
+    original = "".join(ARCHIVES[archive](i, obj) + "\n" for i, obj in enumerate(_archive_lines()))
+    path = tmp_path / "messages.jsonl"
+    reads = {"findall": 0, "json.loads": 0, "per-line": 0}
+    decoded_rows = ingest._decoded_rows
+
+    def counting(chunk, lineno):
+        rows = decoded_rows(chunk, lineno)
+        kind = "per-line" if rows is None else "json.loads" if type(rows) is list else "findall"
+        reads[kind] += 1
+        return rows
+
+    rng = random.Random(archive)
+    with mock.patch.object(ingest, "_decoded_rows", counting):
+        path.write_text(original, encoding="utf-8")
+        assert len(ingest.parse_messages(path)) == 300
+        for _ in range(ARCHIVE_MUTATIONS_PER_CASE):
+            mutated, what = _edit_bytes(original.encode("utf-8"), rng)
+            path.write_bytes(mutated)
+            assert _tally_or_error(ingest.parse_messages, path) == _tally_or_error(
+                _per_line_parse, path
+            ), f"{archive}: {what}"
+    whole = "findall" if archive == "canonical" else "json.loads"
+    assert reads[whole] >= 3 and reads["per-line"] > 0, reads

@@ -14,7 +14,7 @@ import pytest
 
 import moodcast
 from moodcast.analysis import CorrelationTrack, NumericSeries
-from moodcast.emotion import COMPONENTS, EmotionSeries, MonthCounts, WeightedWord
+from moodcast.emotion import COMPONENTS, EmotionSeries, MonthCounts
 from moodcast.forecast import (
     ArmaModel,
     ArmaSpec,
@@ -40,7 +40,7 @@ def _components(order=COMPONENTS):
 
 
 def _model():
-    return ArmaModel(ArmaSpec(1, 1, ("x",)), [0.5], [[0.25]], 0.5)
+    return ArmaModel(ArmaSpec(1, 1, ("x",)), [0.5, 0.25], 0.5)
 
 
 def _evaluation():
@@ -59,8 +59,6 @@ RECORDS = {
     MonthCounts: (("match_count", "thread_count"), lambda: MonthCounts(3, 2)),
     EmotionSeries: (("components", "records"),
                     lambda: EmotionSeries(_components(), [MonthCounts(3, 2)] * 3)),
-    WeightedWord: (("word", "occurrences", "display_weight"),
-                   lambda: WeightedWord("war", 4, 2.0)),
     LexiconEntry: (("valence", "arousal", "dominance"), lambda: LexiconEntry(2.08, 7.49, 4.0)),
     ThreadTally: (("threads", "message_count"),
                   lambda: ThreadTally({"t": ["2000-01-01T00:00:00+00:00", "war", 2]}, 2)),
@@ -71,7 +69,7 @@ RECORDS = {
     ArmaSpec: (("ar_order", "exog_order", "exogenous_names"), lambda: ArmaSpec(1, 3, ("x",))),
     RegressionSystem: (("regressors", "response", "months"),
                        lambda: RegressionSystem(*ARRAYS, AXIS)),
-    ArmaModel: (("spec", "ar_coeffs", "exog_coeffs", "sse"), _model),
+    ArmaModel: (("spec", "coefficients", "sse"), _model),
     EvaluationReport: (
         ("months", "errors", "cumulative_mean_abs_error", "mae"),
         _evaluation,
@@ -91,7 +89,7 @@ RECORDS = {
 
 # The records whose every field is hashable; the others hold a list, dict or array.
 HASHABLE = {
-    MonthAxis, MonthCounts, WeightedWord, LexiconEntry, ThreadSummary, ArmaSpec, PipelineConfig
+    MonthAxis, MonthCounts, LexiconEntry, ThreadSummary, ArmaSpec, PipelineConfig
 }
 
 

@@ -13,7 +13,6 @@ from moodcast.emotion import (
     COMPONENTS,
     EmotionSeries,
     MonthCounts,
-    WeightedWord,
 )
 from moodcast.errors import InputFormatError
 from moodcast.forecast import ArmaSpec, SuiteEntry, SurrogateReport, evaluate, fit_arma
@@ -328,11 +327,8 @@ class TestCountsCsv:
 class TestTopWordsCsv:
     def test_years_ascending_ranks_from_one(self, tmp_path):
         per_year = {
-            "2001": [
-                WeightedWord(word="war", occurrences=100, display_weight=10.0),
-                WeightedWord(word="love", occurrences=25, display_weight=5.0),
-            ],
-            "2000": [WeightedWord(word="tax", occurrences=9, display_weight=3.0)],
+            "2001": [("war", 100), ("love", 25)],
+            "2000": [("tax", 9)],
         }
         path = tmp_path / "words.csv"
         write_top_words_csv(path, per_year)
@@ -621,7 +617,7 @@ def _writes(value):
             significant=[True, False, True],
         )),
         "top-words": lambda path: write_top_words_csv(
-            path, {"2000": [WeightedWord("war", 9, 3.0), WeightedWord("peace", 4, value)]}
+            path, {"2000": [("war", 9), ("peace", value)]}
         ),
         # Long enough that a dump streamed to the file would have written part of it
         # before it met the value.
