@@ -37,7 +37,6 @@ from .pipeline import (
 )
 from .reports import (
     EMOTION_COLUMNS,
-    EMOTION_HEADER,
     read_buckets_json,
     read_emotion_csv,
     read_series_csv,
@@ -45,7 +44,7 @@ from .reports import (
     write_correlation_csv,
     write_series_csv,
 )
-from .tables import parse_number, read_table
+from .tables import parse_number, read_table, write_file
 
 
 def _wrote(paths: list[Path]) -> int:
@@ -58,9 +57,10 @@ def _read_series_or_table(
     path: Path,
 ) -> tuple[Union[NumericSeries, EmotionSeries], Optional[str]]:
     """Read and check a whole emotion table or ``month,value`` series, by its
-    header; for a series, also return its value column's name."""
+    header's width (more than two columns is a table); for a series, also
+    return its value column's name."""
     table = read_table(path)
-    if table[0] == EMOTION_HEADER:
+    if len(table[0]) > 2:
         return read_emotion_csv(path, table), None
     return read_series_csv(path, table=table), table[0][1].strip()
 
@@ -146,7 +146,7 @@ def _cmd_report(args) -> int:
     if not args.run.is_dir():
         raise InputFormatError(f"{args.run} is not a directory")
     out = args.out or args.run / "report.md"
-    out.write_text(render_run_report(args.run), encoding="utf-8")
+    write_file(out, render_run_report(args.run))
     return _wrote([out])
 
 

@@ -15,7 +15,7 @@ leaves a ``run.failed`` marker naming the stage.
 
 from __future__ import annotations
 
-import os
+import re
 import time
 import warnings
 from datetime import datetime, timezone
@@ -68,6 +68,7 @@ from .reports import (
     write_surrogate_json,
     write_top_words_csv,
 )
+from .tables import write_file
 
 GAP_POLICIES = ("fail", "linear-interpolate")
 
@@ -252,8 +253,8 @@ class _StageRecorder:
 def run_pipeline(config: PipelineConfig, progress: Optional[TextIO] = None) -> dict:
     """Run every stage and return the manifest dictionary.
 
-    The manifest and failure marker of an earlier run are removed first,
-    and the new manifest is written last, by rename, so it only ever
+    The manifest, failure marker and temporary files of an earlier run are
+    removed first, and the new manifest is written last, so it only ever
     describes a finished run. The first stage checks every option, numeric
     ones with the checks of the stages that use them, before any input is read.
     A stage failure writes ``run.failed`` (stage name plus diagnostic) and
@@ -262,7 +263,12 @@ def run_pipeline(config: PipelineConfig, progress: Optional[TextIO] = None) -> d
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / FAILURE_MARKER
-    for stale in (marker, out / MANIFEST):
+    # A temporary file of a write that was killed: ``<name>.<pid>.tmp``.
+    temporaries = [
+        path for pattern in ("*.tmp", "correlations/*/*.tmp") for path in out.glob(pattern)
+        if re.fullmatch(r".+\.[0-9]+\.tmp", path.name)
+    ]
+    for stale in (marker, out / MANIFEST, *temporaries):
         stale.unlink(missing_ok=True)
     artifacts: list[Path] = []
     stage = _StageRecorder(progress)
@@ -392,12 +398,10 @@ def run_pipeline(config: PipelineConfig, progress: Optional[TextIO] = None) -> d
                 for path in sorted(artifacts)
             },
         }
-        pending = out / (MANIFEST + ".tmp")
-        _write_json(pending, manifest)
-        os.replace(pending, out / MANIFEST)
+        _write_json(out / MANIFEST, manifest)
         if progress is not None:
             print(f"run complete: {len(artifacts) + 1} artifacts in {out}", file=progress)
         return manifest
     except Exception as exc:
-        marker.write_text(f"{stage.name}: {exc}\n", encoding="utf-8")
+        write_file(marker, f"{stage.name}: {exc}\n")
         raise

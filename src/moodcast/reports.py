@@ -3,10 +3,11 @@
 Every writer is deterministic: fixed column and key order, Unix newlines,
 floats serialized with ``repr`` round-trip fidelity, dictionary keys sorted
 where insertion order is not meaningful. Missing values become empty CSV
-fields and JSON nulls. A writer builds its text before it opens its target,
-so one that refuses a non-finite float (``ValueError``) leaves the target as
-it was. Tables go through the CSV dialect of ``moodcast.tables``, JSON
-through ``_read_json`` and ``_write_json``. Every reader rejects malformed
+fields and JSON nulls. Every writer hands its whole text to
+``tables.write_file``, so a file lands whole or is left as it was, also when
+a writer refuses a non-finite float (``ValueError``) or the write fails.
+Tables go through the CSV dialect of ``moodcast.tables``, JSON through
+``_read_json`` and ``_write_json``. Every reader rejects malformed
 and non-finite numbers (in JSON, anywhere in the file) with an
 ``InputFormatError`` naming the file and row, and the series readers reject
 a month axis that is empty or not contiguous. A ``month,rate`` series is an
@@ -38,6 +39,7 @@ from .tables import (
     number_cell,
     quote_cell,
     read_table,
+    write_file,
     write_table,
 )
 
@@ -348,11 +350,8 @@ def write_surrogate_json(
 
 
 def _write_json(path: Union[str, Path], payload: dict) -> None:
-    # NaN and infinity are not JSON: the text is built before the file opens,
-    # so refusing one leaves the target as it was.
-    text = json.dumps(payload, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    # NaN and infinity are not JSON.
+    write_file(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _float_range(parse):

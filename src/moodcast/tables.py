@@ -5,12 +5,17 @@ Unix newlines. Floats are written in their shortest round-trip form and a
 missing value is an empty field. Readers skip blank rows, check each row's
 width, month and numeric cells (a range by ``bounded_cell``), and every error
 is an ``InputFormatError`` that names the file and, for a row, its number.
+
+``write_file`` is the one function that puts text in a file, a table or any
+other: the file lands whole or is left as it was.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -54,16 +59,42 @@ def read_table(path: Union[str, Path]) -> Table:
     return tuple(rows[0]), numbered()
 
 
+def write_file(path: Union[str, Path], text: str) -> None:
+    """Put ``text`` in ``path`` as UTF-8, whole or not at all.
+
+    The text goes to ``<name>.<pid>.tmp`` beside the target's real path (a
+    symlink is followed) and is renamed over it; on any exception the
+    temporary file is removed, the target is as it was and an ``OSError``
+    names the target. A target that exists and is not a regular file, such
+    as a FIFO or ``/dev/stdout``, is written in place, so a device node is
+    never replaced.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    target = Path(os.path.realpath(path))
+    pending = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(pending, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(pending, target)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        pending.unlink(missing_ok=True)
+
+
 def write_table(
     path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence[str]]
 ) -> None:
-    """Write a header and rows of formatted cells, every row formatted before
-    the file opens: a cell that fails to format leaves the target as it was."""
-    rows = list(rows)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a header and rows of formatted cells with ``write_file``: a cell
+    that fails to format leaves the target as it was."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_file(path, text.getvalue())
 
 
 def format_number(value: Optional[float]) -> str:

@@ -7,9 +7,11 @@ import os
 import random
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from collections import Counter
@@ -60,21 +62,35 @@ def unused_imports(source):
 
 
 # The one module allowed each CSV and JSON reader and writer call; ``ingest``'s
-# ``json.loads`` of message lines is not a file rule.
+# ``json.loads`` of message lines is not a file rule. Bytes reach a file only
+# through ``tables.write_file``: it alone renames, and opens a file to write.
 FILE_RULE_OWNERS = {
     "csv.reader": "tables.py", "csv.writer": "tables.py",
     "json.load": "reports.py", "json.dump": "reports.py", "json.dumps": "reports.py",
+    "os.replace": "tables.py", "os.rename": "tables.py",
+    ".write_text": "tables.py", ".write_bytes": "tables.py", "open to write": "tables.py",
 }
 
 
 def file_rule_uses(source):
-    """The ``FILE_RULE_OWNERS`` names that ``source`` reads as attributes or imports by name."""
+    """The ``FILE_RULE_OWNERS`` names that ``source`` reads as attributes or imports by
+    name, ``.write_text`` and ``.write_bytes`` of any object, and ``open to write`` for an
+    ``open`` call or ``.open`` method whose mode holds ``w``, ``a``, ``x`` or ``+`` or is
+    not a string literal."""
     uses = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
-            uses.append(ast.unparse(node))
+            uses += [ast.unparse(node), f".{node.attr}"]
         elif isinstance(node, ast.ImportFrom):
             uses += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "open":
+            # ``open(file, mode)``; a method, such as ``Path.open(mode)``, takes the mode first.
+            first = 1 if isinstance(node.func, ast.Name) else 0
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[first:][:1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                uses.append("open to write")
     return [name for name in uses if name in FILE_RULE_OWNERS]
 
 
@@ -453,6 +469,12 @@ class TestParserBasics:
             "import csv, json\nfrom json import dump as d\n"
             "rows = csv.reader(f)\nobj = json.loads(line)\njson.dumps(obj)\n"
         ) == ["json.dump", "csv.reader", "json.dumps"]
+        assert sorted(file_rule_uses(
+            "import os\nfrom os import rename\nopen(p)\nopen(p, 'rb')\nPath(p).open()\n"
+            "open(p, 'a')\nopen(p, mode='r+')\nopen(p, how)\npath.open('x')\n"
+            "os.replace(a, b)\nPath(p).write_bytes(data)\nmarker.write_text(text)\n"
+        )) == [".write_bytes", ".write_text", "open to write", "open to write", "open to write",
+               "open to write", "os.rename", "os.replace"]
         strays = [
             f"{path.name}: {name}"
             for path in sorted((ROOT / "src" / "moodcast").glob("*.py"))
@@ -832,7 +854,7 @@ class TestExitCodes:
                      "--surrogates", "2")
         assert ok == 0
         assert (out / "run_manifest.json").exists()
-        assert not (out / "run_manifest.json.tmp").exists()
+        assert not list(out.rglob("*.tmp"))
         failed = run_cli("run", *inputs, "--messages", str(tmp_path / "missing.jsonl"),
                          "--out", str(out), "--surrogates", "2")
         assert failed == 2
@@ -902,7 +924,7 @@ class TestExitCodes:
         header, *rows = smoothed.read_text(encoding="utf-8").splitlines()
         if kind == "misspelled-header":
             lines = [header.replace("valence_mean", "Valence_mean"), *rows]
-            return lines, ": expected a month,value header"
+            return lines, f": emotion header must be {','.join(EMOTION_HEADER)!r}"
         if kind == "one-column":
             return ["month", "2001-01", "2001-02"], ": expected a month,value header"
         cells = rows[1].split(",")
@@ -916,9 +938,9 @@ class TestExitCodes:
     def test_correlate_refuses_a_malformed_file_whatever_its_column_flag(
         self, tmp_path, capsys, pipeline_run, kind, flag
     ):
-        # A file is read and checked whole before its column flag is judged:
-        # a 9-column table with a misspelled header is not an emotion table,
-        # and neither it nor a one-column file is a month,value series.
+        # A file is read and checked whole before its column flag is judged: a
+        # header wider than two columns is checked as an emotion table's, any
+        # other as a month,value series'.
         lines, ending = self.neither_kind_or_bad_row(
             kind, pipeline_run[0] / "emotion_series_smoothed.csv"
         )
@@ -932,6 +954,18 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}{ending}\n"
         assert not (tmp_path / "corr.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["misspelled-header", "one-column", "bad-row"])
+    def test_smooth_refuses_a_malformed_file(self, tmp_path, capsys, pipeline_run, kind):
+        lines, ending = self.neither_kind_or_bad_row(
+            kind, pipeline_run[0] / "emotion_series_smoothed.csv"
+        )
+        path = tmp_path / "series.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "smoothed.csv"
+        assert run_cli("smooth", "--series", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {path}{ending}\n"
+        assert not out.exists()
 
     def test_smooth_writes_the_value_column_name_it_checked(
         self, tmp_path, attitude_path, pipeline_run
@@ -1561,3 +1595,128 @@ class TestKilledRun:
                 for rel, digest in listed.items():
                     assert reports.sha256_file(out / rel) == digest, (i, rel)
         assert any(code != 0 for code in codes), codes
+
+
+# Runs ``moodcast.cli.main`` on argv[2:] with no file allowed past argv[1] bytes;
+# a write past it fails with EFBIG instead of killing the process.
+_SIZE_LIMITED = (
+    "import resource, signal, sys\n"
+    "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+    "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), int(sys.argv[1])))\n"
+    "from moodcast.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
+def _files(root):
+    """Each file under ``root`` by its relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# The track that ``correlate`` writes in the tests below, as ``run`` names it.
+_TRACK = "correlations/smoothed/mean_valence__attitude.csv"
+
+
+class TestFailedWrite:
+    def test_a_write_cut_short_leaves_each_file_whole_or_as_it_was(
+        self, tmp_path, lexicon_path, messages_path, attitude_path
+    ):
+        # A good run, over a directory holding temporary files of killed
+        # writes, which it removes, and a file of the user's, which it keeps.
+        good = tmp_path / "good"
+        stale = [good / "buckets.json.4242.tmp",
+                 good / "correlations" / "raw" / "mean_valence__attitude.csv.4242.tmp"]
+        for path in [*stale, good / "notes.tmp"]:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("stale\n", encoding="utf-8")
+        argv = _run_argv(lexicon_path, messages_path, attitude_path, good, surrogates="5")
+        assert run_cli(*argv) == 0
+        assert run_cli("report", "--run", str(good)) == 0
+        assert not any(path.exists() for path in stale)
+        (good / "notes.tmp").unlink()
+        expected = _files(good)
+
+        # Each command, with every file limited to three quarters of the size of the one
+        # named; ``run`` writes buckets.json (24 kB) whole and fails at models.json (43 kB).
+        smoothed = ["--attitude-series", str(good / "attitude_smoothed.csv"),
+                    "--emotion-series", str(good / "emotion_series_smoothed.csv")]
+        commands = [
+            ("buckets.json", ["ingest", "--messages", str(messages_path)], "."),
+            ("emotion_series.csv", ["score", "--lexicon", str(lexicon_path),
+                                    "--buckets", str(good / "buckets.json")], "."),
+            (_TRACK, ["correlate", "--series-a", str(good / "emotion_series_smoothed.csv"),
+                      "--column-a", "valence_mean",
+                      "--series-b", str(good / "attitude_smoothed.csv")], _TRACK),
+            ("models.json", ["suite", *smoothed], "models.json"),
+            ("report.md", ["report", "--run", str(good)], "report.md"),
+            ("models.json", argv[:-2], "."),
+        ]
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": str(Path(moodcast.__file__).resolve().parents[1])}
+        for cut, command, target in commands:
+            # Once into an empty directory and once over the good run's files, side by side.
+            children = []
+            for over_a_run in (False, True):
+                out = tmp_path / f"{command[0]}-{over_a_run}"
+                if over_a_run:
+                    shutil.copytree(good, out)
+                else:
+                    (out / target).parent.mkdir(parents=True, exist_ok=True)
+                limit = str(len(expected[cut]) * 3 // 4)
+                child = subprocess.Popen(
+                    [sys.executable, "-c", _SIZE_LIMITED, limit, *command, "--out",
+                     str(out / target)],
+                    env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                )
+                children.append(((command[0], over_a_run), out, child))
+            for where, out, child in children:
+                stderr = child.communicate()[1]
+                assert child.returncode == 2, (where, stderr)
+                assert "File too large" in stderr, where
+                left = _files(out)
+                if where[0] == "run":
+                    assert left.pop("run.failed").startswith(b"forecast: "), where
+                changed = [name for name, data in left.items() if data != expected.get(name)]
+                assert not changed, (where, changed)
+
+
+class TestWriteTargets:
+    # Never /dev/null or /dev/stdout: run as root, a regression would replace the device.
+
+    @staticmethod
+    def correlate(run, out):
+        return run_cli(
+            "correlate", "--series-a", str(run / "emotion_series_smoothed.csv"),
+            "--column-a", "valence_mean", "--series-b", str(run / "attitude_smoothed.csv"),
+            "--out", str(out),
+        )
+
+    def test_a_fifo_is_written_in_place(self, tmp_path, pipeline_run):
+        fifo = tmp_path / "track.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert self.correlate(pipeline_run[0], fifo) == 0
+        reader.join(timeout=10)
+        assert received == [(pipeline_run[0] / _TRACK).read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_a_missing_directory_is_2_naming_the_target(self, tmp_path, capsys, pipeline_run):
+        out = tmp_path / "absent" / "track.csv"
+        assert self.correlate(pipeline_run[0], out) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
+    def test_a_symlink_is_kept_and_the_file_it_names_replaced(self, tmp_path, pipeline_run):
+        named = tmp_path / "elsewhere" / "track.csv"
+        named.parent.mkdir()
+        named.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "out" / "track.csv"
+        link.parent.mkdir()
+        link.symlink_to(named)
+        assert self.correlate(pipeline_run[0], link) == 0
+        assert link.is_symlink() and os.readlink(link) == str(named)
+        assert named.read_bytes() == (pipeline_run[0] / _TRACK).read_bytes()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["elsewhere", "out", "track.csv",
+                                                               "track.csv"]
