@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 from .errors import InputFormatError, json_problem
 from .lexicon import tokenize
-from .months import MonthAxis, month_ord
+from .months import MonthAxis
 from .records import Record
 from .tables import quote_cell
 
@@ -77,14 +77,13 @@ class ThreadTally(Record):
 class ThreadSummary(NamedTuple):
     """Per-thread rollup used by the monthly aggregation.
 
-    ``subject`` is the canonical subject: the earliest message's subject
-    line with repeated leading reply markers stripped.
+    ``subject`` is the canonical subject, the earliest message's subject less
+    its leading reply markers; ``month`` is the ``month_ord`` of its UTC month.
     """
 
-    thread_id: str
     subject: str
     message_count: int
-    first_month: str
+    month: int
 
 
 class MonthlyBucket(NamedTuple):
@@ -266,18 +265,13 @@ def build_threads(tally: ThreadTally) -> list[ThreadSummary]:
     """One summary per thread, in first appearance order of thread ids.
 
     The canonical subject comes from the thread's earliest message
-    (timestamp ties broken by input order); ``first_month`` is that
-    message's calendar month, read from its stored UTC timestamp.
+    (timestamp ties broken by input order); ``month`` is the ordinal of
+    that message's calendar month, read from its stored UTC timestamp.
     """
-    labels: dict[int, str] = {}  # first_month by year * 12 + month
-    summaries = []
-    for thread_id, (timestamp, subject, count) in tally.threads.items():
-        key = timestamp.year * 12 + timestamp.month
-        month = labels.get(key)
-        if month is None:
-            month = labels[key] = f"{timestamp.year:04d}-{timestamp.month:02d}"
-        summaries.append(ThreadSummary(thread_id, strip_reply_markers(subject), count, month))
-    return summaries
+    return [
+        ThreadSummary(strip_reply_markers(subject), count, stamp.year * 12 + stamp.month - 1)
+        for stamp, subject, count in tally.threads.values()
+    ]
 
 
 def check_min_messages(min_messages: int) -> None:
@@ -293,21 +287,19 @@ def filter_threads(threads: list[ThreadSummary], min_messages: int) -> list[Thre
 
 
 def monthly_subject_buckets(threads: list[ThreadSummary]) -> list[MonthlyBucket]:
-    """Bucket canonical-subject tokens by thread first-month.
+    """Bucket canonical-subject tokens by each thread's month.
 
-    The axis runs contiguously from the earliest to the latest first-month;
-    months with no threads appear with ``thread_count`` 0 and empty counts.
-    Each thread contributes its canonical subject's tokens exactly once.
+    The axis runs from the smallest to the largest month ordinal, which
+    ``MonthAxis`` checks; months with no threads appear with ``thread_count``
+    0 and empty counts. Each thread adds its subject's tokens exactly once.
     """
     if not threads:
         return []
-    # Each distinct label once, in first appearance order, so the first bad one is named.
-    ordinals = [month_ord(m) for m in dict.fromkeys(t.first_month for t in threads)]
-    first = min(ordinals)
-    months = MonthAxis(first, max(ordinals) - first + 1)
-    subjects: dict[str, list[str]] = {m: [] for m in months}
+    first = min(t.month for t in threads)
+    months = MonthAxis(first, max(t.month for t in threads) - first + 1)
+    subjects: list[list[str]] = [[] for _ in months]
     for thread in threads:
-        subjects[thread.first_month].append(thread.subject)
+        subjects[thread.month - first].append(thread.subject)
     # One tokenize call per month: no token spans a newline, and lowercasing
     # treats one as a string end (it is neither cased nor case-ignorable).
     return [
@@ -316,5 +308,5 @@ def monthly_subject_buckets(threads: list[ThreadSummary]) -> list[MonthlyBucket]
             token_counts=dict(Counter(tokenize("\n".join(month_subjects)))),
             thread_count=len(month_subjects),
         )
-        for m, month_subjects in subjects.items()
+        for m, month_subjects in zip(months, subjects)
     ]

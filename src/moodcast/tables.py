@@ -62,19 +62,21 @@ def read_table(path: Union[str, Path]) -> Table:
 def write_file(path: Union[str, Path], text: str) -> None:
     """Put ``text`` in ``path`` as UTF-8, whole or not at all.
 
-    The text goes to ``<name>.<pid>.tmp`` beside the target's real path (a
-    symlink is followed) and is renamed over it; on any exception the
-    temporary file is removed, the target is as it was and an ``OSError``
-    names the target. A target that exists and is not a regular file, such
-    as a FIFO or ``/dev/stdout``, is written in place, so a device node is
-    never replaced.
+    The text goes to ``<name>.<pid>.tmp`` (``<name>`` cut at a character to
+    fit 255 bytes) beside the target's real path (a symlink is followed) and
+    is renamed over it; on any exception the temporary file is removed, the
+    target is as it was and an ``OSError`` names the target. A target that
+    exists and is not a regular file, such as a FIFO or ``/dev/stdout``, is
+    written in place, so a device node is never replaced.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         return
     target = Path(os.path.realpath(path))
-    pending = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    tail = f".{os.getpid()}.tmp"
+    name = os.fsencode(target.name)[:255 - len(tail)].decode("utf-8", "ignore")
+    pending = target.with_name(name + tail)
     try:
         with open(pending, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -94,6 +94,10 @@ def file_rule_uses(source):
     return [name for name in uses if name in FILE_RULE_OWNERS]
 
 
+# A YYYY-MM month label as an f-string (``f"{year:04d}-{month:02d}"``) or a %-format.
+MONTH_LABEL_FORMAT = re.compile(r"\{[^{}]*:04d\}-\{[^{}]*:02d\}|%04d-%02d")
+
+
 def readme_chain(inputs, stage, options):
     """The README's stage-by-stage commands, each given those of ``options`` (flag -> value)
     that it takes."""
@@ -482,6 +486,18 @@ class TestParserBasics:
             if FILE_RULE_OWNERS[name] != path.name
         ]
         assert not strays, strays
+
+    def test_only_months_formats_a_month_label(self):
+        assert MONTH_LABEL_FORMAT.findall(
+            'a = f"{t.year:04d}-{t.month:02d}"\nb = "%04d-%02d" % (y, m)\n'
+            'c = f"{y:04d}{m:02d}"\nd = f"{day:02d}"\n'
+        ) == ['{t.year:04d}-{t.month:02d}', "%04d-%02d"]
+        formatters = [
+            path.name
+            for path in sorted((ROOT / "src" / "moodcast").glob("*.py"))
+            if MONTH_LABEL_FORMAT.search(path.read_text(encoding="utf-8"))
+        ]
+        assert formatters == ["months.py"], formatters
 
     @pytest.mark.skipif(
         shutil.which("moodcast") is None,
@@ -1720,3 +1736,23 @@ class TestWriteTargets:
         assert named.read_bytes() == (pipeline_run[0] / _TRACK).read_bytes()
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["elsewhere", "out", "track.csv",
                                                                "track.csv"]
+
+    # Two names of two-byte characters, one byte apart, so that one of them
+    # has a character across the byte limit whatever the length of the pid.
+    @pytest.mark.parametrize(
+        "name", ["a" * 251 + ".csv", "a" + "\u00e9" * 125 + ".csv", "\u00e9" * 125 + "a.csv"],
+        ids=["ascii", "two-byte", "two-byte-shifted"],
+    )
+    def test_a_name_of_255_bytes_is_written_whole(self, tmp_path, monkeypatch, name):
+        assert len(name.encode("utf-8")) == 255
+        pending = []
+        replace = os.replace
+        monkeypatch.setattr(tables.os, "replace", lambda a, b: (pending.append(a), replace(a, b)))
+        tables.write_file(tmp_path / name, "month,value\n")
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name).read_bytes() == b"month,value\n"
+        # The temporary name, cut at a character, keeps the tail that ``run`` sweeps.
+        (temporary,) = [Path(p).name for p in pending]
+        assert len(temporary.encode("utf-8")) <= 255
+        assert re.fullmatch(r".+\.[0-9]+\.tmp", temporary)
+        assert name.startswith(temporary[: -len(f".{os.getpid()}.tmp")])

@@ -7,7 +7,7 @@ import re
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +20,7 @@ from moodcast import ingest
 from moodcast.errors import InputFormatError
 from moodcast.ingest import (
     MESSAGE_KEYS,
+    MonthlyBucket,
     ThreadSummary,
     _fold_messages,
     _line_rows,
@@ -31,6 +32,7 @@ from moodcast.ingest import (
     strip_reply_markers,
 )
 from moodcast.lexicon import tokenize
+from moodcast.months import MonthAxis, month_ord
 from moodcast.reports import load_attitude_series, read_series_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,10 +50,9 @@ def _line(message_id, thread_id="t1", timestamp="2004-03-05T10:00:00Z", subject=
     )
 
 
-def _thread(thread_id, subject, month, count=3):
-    return ThreadSummary(
-        thread_id=thread_id, subject=subject, message_count=count, first_month=month
-    )
+def _thread(subject, month, count=3):
+    """A summary whose month is given as its YYYY-MM label."""
+    return ThreadSummary(subject=subject, message_count=count, month=month_ord(month))
 
 
 # The reference: the two-pass ingest that kept one record per message and
@@ -128,10 +129,9 @@ def _oracle_threads(records):
             earliest[record.thread_id] = key
     return [
         ThreadSummary(
-            thread_id=thread_id,
             subject=strip_reply_markers(first.subject),
             message_count=counts[thread_id],
-            first_month=f"{timestamp.year:04d}-{timestamp.month:02d}",
+            month=month_ord(f"{timestamp.year:04d}-{timestamp.month:02d}"),
         )
         for thread_id, (timestamp, _, first) in earliest.items()
     ]
@@ -586,12 +586,12 @@ class TestParseMessages:
         text = "\n".join(_line(f"m{i}") for i in range(3)) + "\n"
         tally = _parse(text)
         assert len(tally) == 3
-        assert [(t.thread_id, t.message_count) for t in build_threads(tally)] == [("t1", 3)]
+        assert [(t.subject, t.message_count) for t in build_threads(tally)] == [("war talk", 3)]
 
     def test_fields_reproduced(self):
         tally = _parse(_line("m0") + "\n")
         assert len(tally) == 1
-        assert build_threads(tally) == [_thread("t1", "war talk", "2004-03", count=1)]
+        assert build_threads(tally) == [_thread("war talk", "2004-03", count=1)]
         # The thread keeps the instant 2004-03-05T10:00Z: a later message at
         # that instant leaves its subject, one a second earlier replaces it.
         same = _line("m1", timestamp="2004-03-05T11:00:00+01:00", subject="same instant")
@@ -599,7 +599,7 @@ class TestParseMessages:
         for second, subject in ((same, "war talk"), (earlier, "a second earlier")):
             text = _line("m0") + "\n" + second + "\n"
             assert build_threads(_parse(text)) == [
-                _thread("t1", subject, "2004-03", count=2)
+                _thread(subject, "2004-03", count=2)
             ]
 
     def test_blank_lines_skipped(self):
@@ -693,7 +693,7 @@ class TestParseMessages:
     def test_offset_timestamp_converted_to_utc(self):
         text = _line("m0", timestamp="2004-03-31T22:30:00-05:00") + "\n"
         threads = build_threads(_parse(text))
-        assert threads == [_thread("t1", "war talk", "2004-04", count=1)]  # April in UTC
+        assert threads == [_thread("war talk", "2004-04", count=1)]  # April in UTC
 
 
 class TestStripReplyMarkers:
@@ -739,7 +739,7 @@ class TestBuildThreads:
         assert len(threads) == 1
         assert threads[0].subject == "Tax cuts"
         assert threads[0].message_count == 3
-        assert threads[0].first_month == "2004-03"
+        assert threads[0].month == month_ord("2004-03")
 
     def test_empty_input(self):
         tally = _parse("")
@@ -755,7 +755,7 @@ class TestBuildThreads:
         )
         threads = _fold(text)
         assert threads[0].subject == "Original"
-        assert threads[0].first_month == "2004-02"
+        assert threads[0].month == month_ord("2004-02")
 
     def test_timestamp_tie_broken_by_input_order(self):
         text = "\n".join(
@@ -768,32 +768,77 @@ class TestBuildThreads:
         assert threads[0].subject == "First in file"
 
     def test_two_threads_counted_separately(self):
-        lines = [_line(f"a{i}", thread_id="ta") for i in range(7)]
-        lines += [_line(f"b{i}", thread_id="tb") for i in range(3)]
+        lines = [_line(f"a{i}", thread_id="ta", subject="a talk") for i in range(7)]
+        lines += [_line(f"b{i}", thread_id="tb", subject="b talk") for i in range(3)]
         threads = _fold("\n".join(lines))
-        counts = {t.thread_id: t.message_count for t in threads}
-        assert counts == {"ta": 7, "tb": 3}
+        counts = {t.subject: t.message_count for t in threads}
+        assert counts == {"a talk": 7, "b talk": 3}
 
     def test_output_order_is_first_appearance(self):
         text = "\n".join(
             [
-                _line("m0", thread_id="tz"),
-                _line("m1", thread_id="ta"),
-                _line("m2", thread_id="tz"),
+                _line("m0", thread_id="tz", subject="z"),
+                _line("m1", thread_id="ta", subject="a"),
+                _line("m2", thread_id="tz", subject="z"),
             ]
         )
         threads = _fold(text)
-        assert [t.thread_id for t in threads] == ["tz", "ta"]
+        assert [t.subject for t in threads] == ["z", "a"]
+
+    @given(
+        st.integers(2 * 12 + 1, 9998 * 12 + 9),  # a month ordinal in years 2-9998
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),  # months after the first one
+                st.integers(-86400, 86400),  # seconds from that month's start, in UTC
+                st.integers(-14 * 60, 14 * 60),  # the written offset, in minutes
+                st.sampled_from(_SUBJECTS),
+            ),
+            max_size=8,
+        ),
+    )
+    @example(month_ord("2004-01"), [(0, -1, 14 * 60, "war"), (0, 0, -14 * 60, "re: war")])
+    @example(month_ord("9998-10"), [(2, 86400, -14 * 60, "war"), (0, -86400, 14 * 60, "love")])
+    @example(month_ord("0002-02"), [(0, -86400, -14 * 60, "war"), (1, 0, 0, "")])
+    def test_month_is_the_ordinal_of_the_utc_month(self, first, drawn):
+        rows, labels = [], []
+        for i, (step, seconds, minutes, subject) in enumerate(drawn):
+            year, month = divmod(first + step, 12)
+            instant = datetime(year, month + 1, 1, tzinfo=timezone.utc) + timedelta(seconds=seconds)
+            raw = instant.astimezone(timezone(timedelta(minutes=minutes))).isoformat()
+            rows.append((i + 1, (f"m{i}", f"t{i}", "g", raw, subject)))
+            labels.append(f"{instant.year:04d}-{instant.month:02d}")
+        threads = build_threads(_fold_messages(rows))
+        assert [t.month for t in threads] == [month_ord(label) for label in labels]
+        expected = _label_buckets(zip(labels, (t.subject for t in threads)))
+        assert monthly_subject_buckets(threads) == expected
+
+
+def _label_buckets(labelled):
+    """The buckets of ``(YYYY-MM label, canonical subject)`` pairs, grouped by
+    label as ``monthly_subject_buckets`` did when a thread's month was a label."""
+    labelled = list(labelled)
+    if not labelled:
+        return []
+    ordinals = [month_ord(m) for m in dict.fromkeys(m for m, _ in labelled)]
+    first = min(ordinals)
+    subjects = {m: [] for m in MonthAxis(first, max(ordinals) - first + 1)}
+    for month, subject in labelled:
+        subjects[month].append(subject)
+    return [
+        MonthlyBucket(m, dict(Counter(tokenize("\n".join(ss)))), len(ss))
+        for m, ss in subjects.items()
+    ]
 
 
 class TestFilterThreads:
     def test_boundary_counts(self):
-        threads = [_thread(f"t{i}", "s", "2004-01", count=c) for i, c in enumerate([1, 2, 3, 19000])]
+        threads = [_thread(f"s{i}", "2004-01", count=c) for i, c in enumerate([1, 2, 3, 19000])]
         kept = filter_threads(threads, 3)
         assert [t.message_count for t in kept] == [3, 19000]
 
     def test_min_one_is_identity(self):
-        threads = [_thread(f"t{i}", "s", "2004-01", count=c) for i, c in enumerate([1, 5])]
+        threads = [_thread(f"s{i}", "2004-01", count=c) for i, c in enumerate([1, 5])]
         assert filter_threads(threads, 1) == threads
 
     def test_empty_input(self):
@@ -808,17 +853,17 @@ class TestFilterThreads:
         st.integers(min_value=1, max_value=10),
     )
     def test_monotone_in_threshold(self, counts, min_messages):
-        threads = [_thread(f"t{i}", "s", "2004-01", count=c) for i, c in enumerate(counts)]
+        threads = [_thread(f"s{i}", "2004-01", count=c) for i, c in enumerate(counts)]
         lower = filter_threads(threads, min_messages)
         higher = filter_threads(threads, min_messages + 1)
-        assert set(t.thread_id for t in higher) <= set(t.thread_id for t in lower)
+        assert set(t.subject for t in higher) <= set(t.subject for t in lower)
 
 
 class TestMonthlyBuckets:
     def test_counting_by_definition(self):
         threads = [
-            _thread("t1", "war now", "2004-01"),
-            _thread("t2", "war talk", "2004-01"),
+            _thread("war now", "2004-01"),
+            _thread("war talk", "2004-01"),
         ]
         buckets = monthly_subject_buckets(threads)
         assert len(buckets) == 1
@@ -827,13 +872,13 @@ class TestMonthlyBuckets:
         assert buckets[0].thread_count == 2
 
     def test_single_thread_single_month(self):
-        buckets = monthly_subject_buckets([_thread("t1", "war", "2004-05")])
+        buckets = monthly_subject_buckets([_thread("war", "2004-05")])
         assert [b.month for b in buckets] == ["2004-05"]
 
     def test_gap_month_present_with_zero_count(self):
         threads = [
-            _thread("t1", "war", "2004-01"),
-            _thread("t2", "love", "2004-03"),
+            _thread("war", "2004-01"),
+            _thread("love", "2004-03"),
         ]
         buckets = monthly_subject_buckets(threads)
         assert [b.month for b in buckets] == ["2004-01", "2004-02", "2004-03"]
@@ -843,6 +888,12 @@ class TestMonthlyBuckets:
 
     def test_empty_input(self):
         assert monthly_subject_buckets([]) == []
+
+    @pytest.mark.parametrize("month", [-1, 10000 * 12])
+    def test_an_ordinal_off_the_month_range_is_refused(self, month):
+        threads = [_thread("war", "2004-01"), ThreadSummary("love", 3, month)]
+        with pytest.raises(ValueError, match="month axis out of range"):
+            monthly_subject_buckets(threads)
 
     @settings(max_examples=200)
     @given(st.lists(
@@ -855,12 +906,12 @@ class TestMonthlyBuckets:
     @example([("2004-01", "AΣ"), ("2004-01", "a"), ("2004-01", "aΣ'"), ("2004-01", "\u0307b")])
     @example([("2004-01", "don'"), ("2004-01", "t İ"), ("2004-01", "İ'"), ("2004-01", "Σ")])
     def test_one_tokenize_call_per_month_counts_as_one_per_thread(self, drawn):
-        threads = [_thread(f"t{i}", subject, month) for i, (month, subject) in enumerate(drawn)]
+        threads = [_thread(subject, month) for month, subject in drawn]
         expected = {}  # month -> (token counts in first-seen order, thread count)
-        for thread in threads:
-            counts, n = expected.get(thread.first_month, (Counter(), 0))
-            counts.update(tokenize(thread.subject))
-            expected[thread.first_month] = (counts, n + 1)
+        for month, subject in drawn:
+            counts, n = expected.get(month, (Counter(), 0))
+            counts.update(tokenize(subject))
+            expected[month] = (counts, n + 1)
         for bucket in monthly_subject_buckets(threads):
             counts, n = expected.pop(bucket.month, (Counter(), 0))
             assert list(bucket.token_counts.items()) == list(counts.items())

@@ -62,8 +62,8 @@ RECORDS = {
     LexiconEntry: (("valence", "arousal", "dominance"), lambda: LexiconEntry(2.08, 7.49, 4.0)),
     ThreadTally: (("threads", "message_count"),
                   lambda: ThreadTally({"t": ["2000-01-01T00:00:00+00:00", "war", 2]}, 2)),
-    ThreadSummary: (("thread_id", "subject", "message_count", "first_month"),
-                    lambda: ThreadSummary("t", "war", 3, "2000-01")),
+    ThreadSummary: (("subject", "message_count", "month"),
+                    lambda: ThreadSummary("war", 3, 24000)),
     MonthlyBucket: (("month", "token_counts", "thread_count"),
                     lambda: MonthlyBucket("2000-01", {"war": 2}, 1)),
     ArmaSpec: (("ar_order", "exog_order", "exogenous_names"), lambda: ArmaSpec(1, 3, ("x",))),
