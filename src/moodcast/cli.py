@@ -135,7 +135,7 @@ def _cmd_surrogate(args) -> int:
     target, components = _load_forecast_inputs(args)
     report, paths = surrogate_stage(
         target, components, args.out, model=args.model, ar_order=args.p,
-        exog_order=args.q, n_surrogates=args.surrogates, seed=args.seed, include_maes=args.full,
+        exog_order=args.q, n_surrogates=args.surrogates, seed=args.seed,
     )
     _wrote(paths)
     print(f"p_hat = {report.p_hat} over {report.n_surrogates} surrogates")
@@ -205,11 +205,9 @@ _OPTIONS = {
     ),
     "--surrogates": dict(type=_INT, help="number of surrogates (default %(default)s)"),
     "--seed": dict(type=_INT, help="RNG seed (default %(default)s)"),
-    "--full": dict(action="store_true", help="include every surrogate mae in the output"),
     "--surrogate-model": dict(
         choices=EXOGENOUS_MODELS, help="surrogate test model (default: lowest-mae exogenous model)"
     ),
-    "--surrogate-full": dict(action="store_true", help="add all surrogate maes to surrogate.json"),
 }
 
 _FORECAST_IO = ("--attitude-series", "--emotion-series", "--p", "--q")
@@ -245,7 +243,7 @@ _COMMANDS = {
     "surrogate": (
         "permutation significance test for one model",
         (*_FORECAST_IO, ("--model", dict(choices=EXOGENOUS_MODELS, help="model to test")),
-         "--surrogates", "--seed", "--full", "--out"),
+         "--surrogates", "--seed", "--out"),
     ),
     "report": (
         "render a markdown summary of a completed run",

@@ -100,7 +100,6 @@ class PipelineConfig(NamedTuple):
     seed: int = 0
     gap_policy: str = "fail"
     surrogate_model: Optional[str] = None
-    surrogate_full: bool = False
 
 
 def ingest_stage(
@@ -158,8 +157,9 @@ def fill_gaps(
     """Apply the gap policy to named series that may lack some months.
 
     ``fail`` rejects the first series, in name order, with a missing month;
-    ``linear-interpolate`` fills every gap; any other policy is rejected,
-    gaps or not. Returns the gap-free series and the filled months per series.
+    ``linear-interpolate`` fills every gap, and rejects the first series with
+    no value at all; any other policy is rejected, gaps or not. Returns the
+    gap-free series and the filled months per series.
     """
     check_gap_policy(policy)
     filled = dict(components)
@@ -169,12 +169,14 @@ def fill_gaps(
         gaps = [m for m, v in zip(series.months, series.values) if v is None]
         if not gaps:
             continue
+        span = f"{series.months[0]}..{series.months[-1]}"
         if policy == "fail":
             raise ValueError(
                 f"series {name} has no value for {gaps[0]} ({len(gaps)} gap month(s) in "
-                f"{series.months[0]}..{series.months[-1]}); rerun with "
-                "--gap-policy linear-interpolate to fill gaps"
+                f"{span}); rerun with --gap-policy linear-interpolate to fill gaps"
             )
+        if len(gaps) == len(series.values):
+            raise ValueError(f"series {name} has no value in {span}; nothing to interpolate from")
         filled[name] = linear_interpolate(series)
         interpolated[name] = gaps
     return filled, interpolated
@@ -218,13 +220,12 @@ def surrogate_stage(
     exog_order: int,
     n_surrogates: int,
     seed: int,
-    include_maes: bool,
 ) -> tuple[SurrogateReport, list[Path]]:
     """Surrogate test of one exogenous model, written as JSON at ``path``."""
     spec = ArmaSpec(ar_order, exog_order, MODEL_EXOGENOUS[model])
     exogenous = {name: components[name] for name in spec.exogenous_names}
     report = surrogate_test(spec, target, exogenous, n_surrogates=n_surrogates, seed=seed)
-    write_surrogate_json(path, report, model_name=model, include_maes=include_maes)
+    write_surrogate_json(path, report, model_name=model)
     return report, [path]
 
 
@@ -289,6 +290,12 @@ def run_pipeline(config: PipelineConfig, progress: Optional[TextIO] = None) -> d
         lexicon = load_lexicon(config.lexicon)
         tally = parse_messages(config.messages)
         attitude = load_attitude_series(config.attitude)
+        # Hashed before any artifact is written: an input may be a file this run replaces.
+        inputs = {
+            name: {"path": str(path), "sha256": sha256_file(path)}
+            for name in ("lexicon", "messages", "attitude")
+            for path in [getattr(config, name)]
+        }
 
         stage("ingest", f"{len(tally)} messages")
         buckets, corpus, paths = ingest_stage(tally, out, min_messages=config.min_messages)
@@ -361,8 +368,7 @@ def run_pipeline(config: PipelineConfig, progress: Optional[TextIO] = None) -> d
             stage("surrogate", f"model {chosen}, {config.surrogates} surrogates")
             surrogate, paths = surrogate_stage(
                 smooth_attitude, smoothed.components, out / "surrogate.json", model=chosen,
-                n_surrogates=config.surrogates, seed=config.seed,
-                include_maes=config.surrogate_full, **lags,
+                n_surrogates=config.surrogates, seed=config.seed, **lags,
             )
             artifacts += paths
 
@@ -374,11 +380,7 @@ def run_pipeline(config: PipelineConfig, progress: Optional[TextIO] = None) -> d
                 name: str(value) if isinstance(value, Path) else value
                 for name, value in config._asdict().items()
             },
-            "inputs": {
-                name: {"path": str(path), "sha256": sha256_file(path)}
-                for name in ("lexicon", "messages", "attitude")
-                for path in [getattr(config, name)]
-            },
+            "inputs": inputs,
             "corpus": {
                 **corpus,
                 "first_month": raw_emotion.months[0],

@@ -314,10 +314,10 @@ def write_surrogate_json(
     path: Union[str, Path],
     report: SurrogateReport,
     model_name: str,
-    include_maes: bool,
 ) -> None:
     """Write the permutation-test outcome, with its model's lag orders and
-    series from ``report.spec``, and summary quantiles."""
+    series from ``report.spec``, summary quantiles and every surrogate mae
+    in surrogate order."""
     ordered = sorted(report.surrogate_maes)
 
     def quantile(q: float) -> float:
@@ -343,9 +343,8 @@ def write_surrogate_json(
             "p95": quantile(0.95),
             "max": float(ordered[-1]),
         },
+        "surrogate_maes": [float(m) for m in report.surrogate_maes],
     }
-    if include_maes:
-        payload["surrogate_maes"] = [float(m) for m in report.surrogate_maes]
     _write_json(path, payload)
 
 

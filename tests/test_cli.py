@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import moodcast
-from moodcast import analysis, emotion, forecast, ingest, reports, tables
+from moodcast import analysis, cli, emotion, forecast, ingest, reports, tables
 from moodcast.cli import build_parser, main
 from moodcast.analysis import NumericSeries
 from moodcast.pipeline import GAP_POLICIES, PipelineConfig, fill_gaps, run_pipeline
@@ -389,6 +389,19 @@ class TestParserBasics:
         suite = build_parser().parse_args(self._SUITE)
         assert (suite.p, suite.q) == (config.p, config.q)
 
+    @staticmethod
+    def _orphan_flags():
+        """The flags of ``cli._OPTIONS`` that no subcommand takes."""
+        used = {option[0] if isinstance(option, tuple) else option
+                for _, options in cli._COMMANDS.values() for option in options}
+        return sorted(set(cli._OPTIONS) - used - set(cli._CONFIG_FIELDS))
+
+    def test_every_option_belongs_to_a_subcommand(self, monkeypatch):
+        assert self._orphan_flags() == []
+        # Self-test: a flag no subcommand lists is caught.
+        monkeypatch.setitem(cli._OPTIONS, "--orphan", dict(help="taken by no subcommand"))
+        assert self._orphan_flags() == ["--orphan"]
+
     def test_library_functions_take_each_run_setting(self):
         # A run setting has one default, PipelineConfig's: every library
         # function that uses one takes it as a required argument.
@@ -402,7 +415,6 @@ class TestParserBasics:
             forecast.evaluate_holdout: ["holdout"],
             reports.suite_entry_payload: ["evaluation_mode"],
             reports.write_models_json: ["evaluation_mode"],
-            reports.write_surrogate_json: ["include_maes"],
         }
         for function, names in required.items():
             parameters = inspect.signature(function).parameters
@@ -667,6 +679,13 @@ class TestFillGaps:
         with pytest.raises(ValueError, match=re.escape(f"one of {GAP_POLICIES}, got 'spline'")):
             fill_gaps({"x": series}, "spline")
 
+    def test_interpolating_a_series_with_no_value_names_it(self):
+        empty = NumericSeries(["2001-01", "2001-02", "2001-03"], [None, None, None])
+        gappy = NumericSeries(["2001-01", "2001-02", "2001-03"], [1.0, None, 3.0])
+        message = "series b has no value in 2001-01..2001-03; nothing to interpolate from"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fill_gaps({"c": empty, "a": gappy, "b": empty}, "linear-interpolate")
+
 
 class TestExitCodes:
     def test_missing_input_file_is_2(self, tmp_path, capsys):
@@ -726,6 +745,32 @@ class TestExitCodes:
         )
         assert code == 0
         assert (tmp_path / "s.csv").exists()
+
+    def test_gap_policy_interpolate_names_an_empty_series(self, tmp_path, capsys):
+        empty = tmp_path / "r.csv"
+        empty.write_text("month,rate\n2001-01,\n2001-02,\n2001-03,\n", encoding="utf-8")
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "smooth", "--series", str(empty), "--gap-policy", "linear-interpolate",
+            "--out", str(out),
+        )
+        assert (code, capsys.readouterr().err) == (
+            3, "error: series rate has no value in 2001-01..2001-03; nothing to interpolate from\n"
+        )
+        assert not out.exists()
+
+    def test_run_names_a_component_no_word_matched(
+        self, tmp_path, capsys, messages_path, attitude_path
+    ):
+        # No word of this lexicon occurs in the corpus, so every component is empty.
+        lexicon = tmp_path / "lexicon.csv"
+        lexicon.write_text("word,valence,arousal,dominance\nzzzqx,2.0,3.0,4.0\n", encoding="utf-8")
+        out = tmp_path / "run"
+        argv = _run_argv(lexicon, messages_path, attitude_path, out)
+        assert main([*argv, "--gap-policy", "linear-interpolate"]) == 3
+        message = "series mean-arousal has no value in 2000-01..2005-06; nothing to interpolate from"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (out / "run.failed").read_text(encoding="utf-8") == f"gaps: {message}\n"
 
     def test_failed_run_leaves_stage_marker(self, tmp_path, lexicon_path, attitude_path):
         out = tmp_path / "run"
@@ -1419,20 +1464,28 @@ class TestForecastOptions:
             (0, "") if message is None else (3, f"error: {message}\n")
         )
 
-    def test_surrogate_full_flag_adds_mae_list(self, tmp_path, pipeline_run):
+    def test_surrogate_writes_every_mae_without_a_flag(
+        self, tmp_path, pipeline_run, lexicon_path, messages_path, attitude_path
+    ):
         out, _ = pipeline_run
         frag = tmp_path / "surrogate.json"
-        assert run_cli(
+        argv = [
             "surrogate",
             "--attitude-series", str(out / "attitude_smoothed.csv"),
             "--emotion-series", str(out / "emotion_series_smoothed.csv"),
             "--model", "mean-valence",
             "--surrogates", "10",
-            "--full",
             "--out", str(frag),
-        ) == 0
+        ]
+        assert run_cli(*argv) == 0
         payload = json.loads(frag.read_text(encoding="utf-8"))
         assert len(payload["surrogate_maes"]) == 10
+        # The list is always written, so no flag asks for it.
+        run = _run_argv(lexicon_path, messages_path, attitude_path, tmp_path / "run")
+        for flagged in ([*argv, "--full"], [*run, "--surrogate-full"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(*flagged)
+            assert excinfo.value.code == 2
 
     def test_correlate_needs_column_for_emotion_table(self, tmp_path, pipeline_run, capsys):
         out, _ = pipeline_run
@@ -1538,6 +1591,33 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert err[3:6] == ["stage align: common range 2000-01..2005-06",
                             "stage gaps: interpolated 6 series", "stage smooth: window 4"]
+
+    def test_manifest_digests_an_input_the_run_replaces_as_it_was_read(
+        self, tmp_path, lexicon_path, messages_path, attitude_path
+    ):
+        # The attitude input sits where the run writes its smoothed attitude.
+        out = tmp_path / "o"
+        out.mkdir()
+        attitude = out / "attitude_smoothed.csv"
+        shutil.copyfile(attitude_path, attitude)
+        assert main(_run_argv(lexicon_path, messages_path, attitude, out, surrogates="5")) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        read = reports.sha256_file(attitude_path)
+        assert manifest["inputs"]["attitude"] == {"path": str(attitude), "sha256": read}
+        assert manifest["artifacts"]["attitude_smoothed.csv"] == reports.sha256_file(attitude)
+        assert reports.sha256_file(attitude) != read
+
+    def test_surrogate_json_holds_its_own_evidence(self, pipeline_run):
+        out, _ = pipeline_run
+        payload = json.loads((out / "surrogate.json").read_text(encoding="utf-8"))
+        maes, n = payload["surrogate_maes"], payload["n_surrogates"]
+        assert len(maes) == n == 50
+        assert payload["p_hat"] == sum(m <= payload["empirical_mae"] for m in maes) / n
+        ordered, quantiles = sorted(maes), payload["surrogate_mae_quantiles"]
+        # p50 is the nearest rank, as ``write_surrogate_json`` rounds it.
+        assert (quantiles["min"], quantiles["p50"], quantiles["max"]) == (
+            ordered[0], ordered[round(0.5 * (n - 1))], ordered[-1]
+        )
 
     def test_manifest_times_each_stage_before_the_manifest(self, pipeline_run):
         out, manifest = pipeline_run

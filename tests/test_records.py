@@ -82,7 +82,7 @@ RECORDS = {
     PipelineConfig: (
         ("lexicon", "messages", "attitude", "out", "min_messages", "smooth_window",
          "corr_window", "alpha", "p", "q", "surrogates", "seed", "gap_policy",
-         "surrogate_model", "surrogate_full"),
+         "surrogate_model"),
         lambda: PipelineConfig(Path("l.csv"), Path("m.jsonl"), Path("a.csv"), Path("o")),
     ),
 }

@@ -572,7 +572,7 @@ class TestSurrogateJson:
 
     def test_quantiles_on_known_grid(self, tmp_path):
         path = tmp_path / "surrogate.json"
-        write_surrogate_json(path, self.make_report(), "both-arousal", include_maes=False)
+        write_surrogate_json(path, self.make_report(), "both-arousal")
         payload = json.loads(path.read_text(encoding="utf-8"))
         quantiles = payload["surrogate_mae_quantiles"]
         assert quantiles == {
@@ -586,21 +586,20 @@ class TestSurrogateJson:
         }
         assert payload["model"] == "both-arousal"
         assert payload["p_hat"] == 4 / 101
-        assert "surrogate_maes" not in payload
 
     def test_refuses_non_finite_values(self, tmp_path):
         report = self.make_report()._replace(empirical_mae=float("nan"))
         with pytest.raises(ValueError, match="not JSON compliant"):
-            write_surrogate_json(
-                tmp_path / "surrogate.json", report, "both-arousal", include_maes=False
-            )
+            write_surrogate_json(tmp_path / "surrogate.json", report, "both-arousal")
 
-    def test_full_list_behind_flag(self, tmp_path):
+    def test_full_list_follows_the_quantiles(self, tmp_path):
         report = self.make_report()
         path = tmp_path / "surrogate.json"
-        write_surrogate_json(path, report, "both-arousal", include_maes=True)
+        write_surrogate_json(path, report, "both-arousal")
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["surrogate_maes"] == report.surrogate_maes
+        # In surrogate order (the report's list is shuffled), the last key.
+        assert payload["surrogate_maes"] == report.surrogate_maes != sorted(report.surrogate_maes)
+        assert list(payload)[-2:] == ["surrogate_mae_quantiles", "surrogate_maes"]
 
 
 def _writes(value):
