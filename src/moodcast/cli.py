@@ -102,7 +102,10 @@ def _cmd_smooth(args) -> int:
     out = args.out
     series, name = _read_series_or_table(args.series)
     if name is None:
-        components, _ = fill_gaps(series.components, args.gap_policy)
+        # A gap is named by the table's column; the series keep COMPONENTS order.
+        column = dict(zip(EMOTION_COLUMNS.values(), EMOTION_COLUMNS))
+        filled, _ = fill_gaps({column[c]: s for c, s in series.components.items()}, args.gap_policy)
+        components = {c: filled[column[c]] for c in series.components}
         smooth_emotion(EmotionSeries(components, series.records), out, window=args.smooth_window)
     else:
         filled, _ = fill_gaps({name: series}, args.gap_policy)

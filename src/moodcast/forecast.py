@@ -6,7 +6,7 @@ series, with no intercept. Coefficients come from ordinary least squares; a
 fitted ``ArmaModel`` keeps them as one vector in the design's column order.
 Evaluation is one-step-ahead, by mean absolute error and its running mean:
 ``evaluate`` scores a fit in sample, or from a later row (``first_row``), and
-``evaluate_holdout`` fits on all but the last months and scores those.
+a held-out evaluation fits the rows before that row (``fit_arma``'s ``stop``).
 
 numpy is imported by the functions that compute, not at module import, so
 the subcommands that fit no model start without it.
@@ -15,7 +15,7 @@ the subcommands that fit no model start without it.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 from .analysis import NumericSeries
 from .emotion import COMPONENTS, DIMENSIONS
@@ -130,8 +130,10 @@ def fit_arma(
     spec: ArmaSpec,
     target: NumericSeries,
     exogenous: Mapping[str, NumericSeries],
+    stop: Optional[int] = None,
 ) -> ArmaModel:
-    """Fit the lagged regression by ordinary least squares.
+    """Fit the lagged regression by ordinary least squares on the regression
+    rows before row ``stop`` (every row when it is None).
 
     On a rank-deficient design the minimum-norm solution is returned and a
     RuntimeWarning is issued.
@@ -139,12 +141,13 @@ def fit_arma(
     import numpy as np
 
     system = assemble_regression(spec, target, exogenous)
-    n_rows, n_cols = system.regressors.shape
+    regressors, response = system.regressors[:stop], system.response[:stop]
+    n_rows, n_cols = regressors.shape
     if n_rows < n_cols:
         raise ValueError(
             f"underdetermined fit: {n_rows} rows for {n_cols} coefficients"
         )
-    solution, _, rank, _ = np.linalg.lstsq(system.regressors, system.response, rcond=None)
+    solution, _, rank, _ = np.linalg.lstsq(regressors, response, rcond=None)
     if rank < n_cols:
         warnings.warn(
             f"rank-deficient design (rank {rank} of {n_cols} columns); "
@@ -152,7 +155,7 @@ def fit_arma(
             RuntimeWarning,
             stacklevel=2,
         )
-    residual = system.response - system.regressors @ solution
+    residual = response - regressors @ solution
     sse = float(residual @ residual)
     return ArmaModel(spec=spec, coefficients=solution.tolist(), sse=sse)
 
@@ -193,34 +196,6 @@ def evaluate(
     )
 
 
-def evaluate_holdout(
-    spec: ArmaSpec,
-    target: NumericSeries,
-    exogenous: Mapping[str, NumericSeries],
-    holdout: int,
-) -> tuple[ArmaModel, EvaluationReport]:
-    """Fit on all but the last ``holdout`` months, evaluate on those months.
-
-    Predictions on the held-out months are still one step ahead: each uses
-    the true lagged values, only the coefficients come from the shortened
-    training window. The default in-sample evaluation is ``evaluate``; this
-    split exists as a stricter sensitivity check.
-    """
-    if holdout < 1:
-        raise ValueError(f"holdout must be >= 1, got {holdout}")
-    split = len(target.months) - holdout
-    # The training rows after the first max_lag months: at least two, and
-    # at least one per coefficient.
-    need = spec.max_lag + max(2, spec.ar_order + spec.n_exogenous * spec.exog_order)
-    if split < need:
-        raise ValueError(
-            f"holdout of {holdout} leaves only {split} training months; need at least {need}"
-        )
-    model = fit_arma(spec, target[:split], {n: s[:split] for n, s in exogenous.items()})
-    # Regression row ``split - max_lag`` is the first to predict month ``split``.
-    return model, evaluate(model, target, exogenous, split - spec.max_lag)
-
-
 class SuiteEntry(NamedTuple):
     """One fitted and evaluated model of the comparison suite."""
 
@@ -242,21 +217,33 @@ def model_suite(
     ``components`` must supply the component series those models use. The
     pure-autoregressive benchmark uses the same lag orders as the rest so
     every model is evaluated over the same months. A ``holdout`` of 0 is
-    the in-sample evaluation; any other takes the held-out split.
+    the in-sample evaluation; any other fits the rows before the last
+    ``holdout`` months and predicts those, one step ahead from true lags.
     """
     missing = {n for name in names for n in MODEL_EXOGENOUS[name] if n not in components}
     if missing:
         raise ValueError(f"components are missing series: {sorted(missing)}")
+    if holdout < 0:
+        raise ValueError(f"holdout must be >= 0, got {holdout}")
+    split = len(target.months) - holdout
+    if holdout and split < 1:
+        raise ValueError(
+            f"holdout of {holdout} is not shorter than the series of {len(target.months)} months"
+        )
     entries = []
     for name in names:
         spec = ArmaSpec(ar_order, exog_order, MODEL_EXOGENOUS[name])
-        exog = {n: components[n] for n in spec.exogenous_names}
-        if holdout == 0:
-            model = fit_arma(spec, target, exog)
-            report = evaluate(model, target, exog)
-        else:
-            model, report = evaluate_holdout(spec, target, exog, holdout)
-        entries.append(SuiteEntry(name=name, model=model, report=report))
+        # The training rows after the first max_lag months: at least two, and
+        # at least one per coefficient.
+        need = spec.max_lag + max(2, spec.ar_order + spec.n_exogenous * spec.exog_order)
+        if holdout and split < need:
+            raise ValueError(
+                f"holdout of {holdout} leaves only {split} training months; need at least {need}"
+            )
+        # Regression row ``split - max_lag`` is the first to predict month ``split``.
+        first_row = split - spec.max_lag if holdout else 0
+        model = fit_arma(spec, target, components, first_row or None)
+        entries.append(SuiteEntry(name, model, evaluate(model, target, components, first_row)))
     return entries
 
 

@@ -15,7 +15,6 @@ leaves a ``run.failed`` marker naming the stage.
 
 from __future__ import annotations
 
-import re
 import time
 import warnings
 from datetime import datetime, timezone
@@ -56,6 +55,7 @@ from .ingest import (
 from .lexicon import Lexicon, load_lexicon
 from .months import month_ord
 from .reports import (
+    MANIFEST,
     _write_json,
     load_attitude_series,
     sha256_file,
@@ -68,7 +68,7 @@ from .reports import (
     write_surrogate_json,
     write_top_words_csv,
 )
-from .tables import write_file
+from .tables import TEMPORARY_NAME, write_file
 
 GAP_POLICIES = ("fail", "linear-interpolate")
 
@@ -76,7 +76,6 @@ GAP_POLICIES = ("fail", "linear-interpolate")
 SERIES_ORDER = tuple(name.replace("-", "_") for name in COMPONENTS) + ("attitude",)
 
 FAILURE_MARKER = "run.failed"
-MANIFEST = "run_manifest.json"
 
 
 class PipelineConfig(NamedTuple):
@@ -223,8 +222,7 @@ def surrogate_stage(
 ) -> tuple[SurrogateReport, list[Path]]:
     """Surrogate test of one exogenous model, written as JSON at ``path``."""
     spec = ArmaSpec(ar_order, exog_order, MODEL_EXOGENOUS[model])
-    exogenous = {name: components[name] for name in spec.exogenous_names}
-    report = surrogate_test(spec, target, exogenous, n_surrogates=n_surrogates, seed=seed)
+    report = surrogate_test(spec, target, components, n_surrogates=n_surrogates, seed=seed)
     write_surrogate_json(path, report, model_name=model)
     return report, [path]
 
@@ -264,10 +262,10 @@ def run_pipeline(config: PipelineConfig, progress: Optional[TextIO] = None) -> d
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / FAILURE_MARKER
-    # A temporary file of a write that was killed: ``<name>.<pid>.tmp``.
+    # The temporary files of writes that were killed.
     temporaries = [
         path for pattern in ("*.tmp", "correlations/*/*.tmp") for path in out.glob(pattern)
-        if re.fullmatch(r".+\.[0-9]+\.tmp", path.name)
+        if TEMPORARY_NAME.fullmatch(path.name)
     ]
     for stale in (marker, out / MANIFEST, *temporaries):
         stale.unlink(missing_ok=True)

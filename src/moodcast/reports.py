@@ -62,6 +62,8 @@ TOP_WORDS_HEADER = ("year", "rank", "word", "occurrences", "display_weight")
 
 ATTITUDE_HEADER = ("month", "rate")
 
+MANIFEST = "run_manifest.json"
+
 
 def sha256_file(path: Union[str, Path]) -> str:
     """Hex SHA-256 digest of a file's bytes."""
@@ -455,7 +457,7 @@ def _section(title: str, headers: list[str], rows: list[list[str]]) -> list[str]
 
 
 def _render_run_report(run_dir: Path) -> str:
-    manifest_path, models_path = run_dir / "run_manifest.json", run_dir / "models.json"
+    manifest_path, models_path = run_dir / MANIFEST, run_dir / "models.json"
     surrogate_path = run_dir / "surrogate.json"
     manifest = _read_json(manifest_path)
     manifest.setdefault("warnings", [])

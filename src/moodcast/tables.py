@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import os
+import re
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -57,6 +58,10 @@ def read_table(path: Union[str, Path]) -> Table:
             yield rownum, row
 
     return tuple(rows[0]), numbered()
+
+
+# The name of ``write_file``'s temporary file: ``<name>.<pid>.tmp``.
+TEMPORARY_NAME = re.compile(r".+\.[0-9]+\.tmp")
 
 
 def write_file(path: Union[str, Path], text: str) -> None:

@@ -412,7 +412,6 @@ class TestParserBasics:
             ingest.filter_threads: ["min_messages"],
             forecast.model_suite: ["names", "ar_order", "exog_order", "holdout"],
             forecast.surrogate_test: ["n_surrogates", "seed"],
-            forecast.evaluate_holdout: ["holdout"],
             reports.suite_entry_payload: ["evaluation_mode"],
             reports.write_models_json: ["evaluation_mode"],
         }
@@ -757,6 +756,28 @@ class TestExitCodes:
         assert (code, capsys.readouterr().err) == (
             3, "error: series rate has no value in 2001-01..2001-03; nothing to interpolate from\n"
         )
+        assert not out.exists()
+
+    # The statistics of the months that start with ``blank`` are emptied: "" empties all.
+    @pytest.mark.parametrize("policy, blank, message", [
+        ("fail", "2000-02", "series arousal_mean has no value for 2000-02 (1 gap month(s) in "
+         "2000-01..2005-06); rerun with --gap-policy linear-interpolate to fill gaps"),
+        ("linear-interpolate", "", "series arousal_mean has no value in 2000-01..2005-06; "
+         "nothing to interpolate from"),
+    ])
+    def test_smooth_names_an_emotion_gap_by_its_column(
+        self, tmp_path, capsys, pipeline_run, policy, blank, message
+    ):
+        header, *rows = (pipeline_run[0] / "emotion_series.csv").read_text(
+            encoding="utf-8").splitlines()
+        table = tmp_path / "emotion.csv"
+        table.write_text("\n".join([header, *(
+            f"{row[:7]},,,,,,,0,{row.rsplit(',', 1)[1]}" if row.startswith(blank) else row
+            for row in rows
+        )]) + "\n", encoding="utf-8")
+        out = tmp_path / "s.csv"
+        code = run_cli("smooth", "--series", str(table), "--gap-policy", policy, "--out", str(out))
+        assert (code, capsys.readouterr().err) == (3, f"error: {message}\n")
         assert not out.exists()
 
     def test_run_names_a_component_no_word_matched(
@@ -1464,6 +1485,26 @@ class TestForecastOptions:
             (0, "") if message is None else (3, f"error: {message}\n")
         )
 
+    @pytest.mark.parametrize("command", [("suite",), ("forecast", "--model", "ar")])
+    @pytest.mark.parametrize("holdout, message", [
+        (-1, "holdout must be >= 0, got -1"),
+        (66, "holdout of 66 is not shorter than the series of 66 months"),
+        (70, "holdout of 70 is not shorter than the series of 66 months"),
+    ])
+    def test_holdout_out_of_range_names_its_bound(
+        self, tmp_path, pipeline_run, capsys, command, holdout, message
+    ):
+        out, _ = pipeline_run
+        code = run_cli(
+            *command,
+            "--attitude-series", str(out / "attitude_smoothed.csv"),
+            "--emotion-series", str(out / "emotion_series_smoothed.csv"),
+            "--holdout", str(holdout),
+            "--out", str(tmp_path / "models.json"),
+        )
+        assert (code, capsys.readouterr().err) == (3, f"error: {message}\n")
+        assert not (tmp_path / "models.json").exists()
+
     def test_surrogate_writes_every_mae_without_a_flag(
         self, tmp_path, pipeline_run, lexicon_path, messages_path, attitude_path
     ):
@@ -1834,5 +1875,5 @@ class TestWriteTargets:
         # The temporary name, cut at a character, keeps the tail that ``run`` sweeps.
         (temporary,) = [Path(p).name for p in pending]
         assert len(temporary.encode("utf-8")) <= 255
-        assert re.fullmatch(r".+\.[0-9]+\.tmp", temporary)
+        assert tables.TEMPORARY_NAME.fullmatch(temporary)
         assert name.startswith(temporary[: -len(f".{os.getpid()}.tmp")])

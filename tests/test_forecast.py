@@ -3,16 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from moodcast import forecast
 from moodcast.analysis import NumericSeries
 from moodcast.forecast import (
     MODEL_EXOGENOUS,
     MODEL_NAMES,
     ArmaSpec,
+    SuiteEntry,
     assemble_regression,
     evaluate,
-    evaluate_holdout,
     fit_arma,
     model_suite,
     permute_series,
@@ -394,37 +395,52 @@ class TestEvaluate:
             assert values[t] - coefficient * values[t - 1] == pytest.approx(error, abs=1e-12)
 
 
+def prefix_suite(target, components, names, ar_order, exog_order, holdout):
+    """Oracle: the suite as it once held out months, each model fitted on
+    series cut to the training prefix and evaluated from the split row."""
+    split = len(target) - holdout
+    entries = []
+    for name in names:
+        spec = ArmaSpec(ar_order, exog_order, MODEL_EXOGENOUS[name])
+        exogenous = {n: components[n] for n in spec.exogenous_names}
+        model = fit_arma(spec, target[:split], {n: s[:split] for n, s in exogenous.items()})
+        first_row = split - spec.max_lag if holdout else 0
+        entries.append(SuiteEntry(name, model, evaluate(model, target, exogenous, first_row)))
+    return entries
+
+
 class TestEvaluateHoldout:
     def test_holdout_months_are_the_tail(self):
         rng = np.random.default_rng(37)
         target = ns(rng.normal(50, 5, 66))
-        _, report = evaluate_holdout(ArmaSpec(1, 0, ()), target, {}, holdout=12)
+        ((_, _, report),) = model_suite(target, {}, ("ar",), 1, 0, holdout=12)
         assert report.months == target.months[-12:]
 
     def test_coefficients_come_from_training_prefix_only(self):
         rng = np.random.default_rng(41)
         values = list(rng.normal(50, 5, 66))
         target = ns(values)
-        model, _ = evaluate_holdout(ArmaSpec(1, 0, ()), target, {}, holdout=12)
+        ((_, model, _),) = model_suite(target, {}, ("ar",), 1, 0, holdout=12)
         prefix_model = fit_arma(ArmaSpec(1, 0, ()), ns(values[:-12]), {})
         assert model.coefficients == prefix_model.coefficients
 
     def test_rejects_oversized_holdout(self):
         target = ns(np.arange(10))
         with pytest.raises(ValueError, match="holdout"):
-            evaluate_holdout(ArmaSpec(1, 0, ()), target, {}, holdout=9)
+            model_suite(target, {}, ("ar",), 1, 0, holdout=9)
 
     @pytest.fixture(scope="class")
     def shipped_models(self, shipped_smoothed, reference):
-        """Each suite model's spec and series on the shipped corpus's smoothed run output."""
+        """Each suite model's name, spec and series on the shipped corpus's smoothed run output."""
         target, components = shipped_smoothed
         return [
-            (ArmaSpec(reference.p, reference.q, names), target, {n: components[n] for n in names})
-            for names in MODEL_EXOGENOUS.values()
+            (name, ArmaSpec(reference.p, reference.q, names), target,
+             {n: components[n] for n in names})
+            for name, names in MODEL_EXOGENOUS.items()
         ]
 
     def test_evaluation_from_a_later_row_is_the_tail_of_the_full_one(self, shipped_models):
-        for spec, target, exogenous in shipped_models:
+        for _, spec, target, exogenous in shipped_models:
             model = fit_arma(spec, target, exogenous)
             full = evaluate(model, target, exogenous)
             for first_row in range(len(full.errors)):
@@ -433,10 +449,12 @@ class TestEvaluateHoldout:
                 assert report.months == full.months[first_row:]
 
     def test_holdout_is_the_prefix_model_evaluated_from_the_split(self, shipped_models):
-        for spec, target, exogenous in shipped_models:
+        for name, spec, target, exogenous in shipped_models:
             for holdout in (1, 12, 24):
                 split = len(target) - holdout
-                model, report = evaluate_holdout(spec, target, exogenous, holdout)
+                ((_, model, report),) = model_suite(
+                    target, exogenous, (name,), spec.ar_order, spec.exog_order, holdout
+                )
                 prefix = {n: s[:split] for n, s in exogenous.items()}
                 assert model == fit_arma(spec, target[:split], prefix)
                 assert report == evaluate(model, target, exogenous, split - spec.max_lag)
@@ -446,17 +464,71 @@ class TestEvaluateHoldout:
         # Training needs max_lag months, then at least two rows and one row
         # per coefficient: on the shipped 66 months (p 1, q 3) that is 5
         # months for ar, 7 for one series and 10 for a pair.
-        for spec, target, exogenous in shipped_models:
+        for name, spec, target, exogenous in shipped_models:
             coefficients = spec.ar_order + spec.n_exogenous * spec.exog_order
             need = spec.max_lag + max(2, coefficients)
             largest = len(target) - need
-            model, report = evaluate_holdout(spec, target, exogenous, largest)
+            lags = spec.ar_order, spec.exog_order
+            ((_, model, report),) = model_suite(target, exogenous, (name,), *lags, largest)
             assert len(model.coefficients) == coefficients
             assert len(report.errors) == largest
             message = (f"holdout of {largest + 1} leaves only {need - 1} training months; "
                        f"need at least {need}")
             with pytest.raises(ValueError, match=re.escape(message)):
-                evaluate_holdout(spec, target, exogenous, largest + 1)
+                model_suite(target, exogenous, (name,), *lags, largest + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        length=st.integers(12, 120),
+        ar_order=st.integers(0, 3),
+        exog_order=st.integers(0, 3),
+        constant=st.sampled_from((None, *MODEL_EXOGENOUS["both-arousal"])),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_held_out_rows_of_the_one_design_fit_as_prefix_series(
+        self, length, ar_order, exog_order, constant, seed, data
+    ):
+        # A zero exogenous order admits the benchmark alone; a constant
+        # component makes the designs that use it rank-deficient.
+        assume(ar_order or exog_order)
+        names = MODEL_NAMES if exog_order else ("ar",)
+        max_lag = max(ar_order, exog_order)
+        need = max_lag + max(2, ar_order + (2 if exog_order else 0) * exog_order)
+        holdout = data.draw(st.integers(0, length - need), label="holdout")
+        rng = np.random.default_rng(seed)
+        target = ns(rng.normal(50, 5, length))
+        components = {name: ns(rng.normal(5, 1, length)) for name in make_components(0)}
+        if constant is not None:
+            components[constant] = ns([5.0] * length)
+        lags = ar_order, exog_order
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            entries = model_suite(target, components, names, *lags, holdout)
+            assert entries == prefix_suite(target, components, names, *lags, holdout)
+
+    @pytest.mark.parametrize("holdout", [0, 12])
+    def test_one_fit_and_one_evaluation_per_model_and_no_series_slice(
+        self, monkeypatch, reference, holdout
+    ):
+        rng = np.random.default_rng(71)
+        target, components = ns(rng.normal(50, 5, 66)), make_components(71)
+        calls = []
+
+        def counted(kind, function):
+            def wrapper(*args, **kwargs):
+                calls.append(kind)
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(forecast, "fit_arma", counted("fit", forecast.fit_arma))
+        monkeypatch.setattr(forecast, "evaluate", counted("evaluate", forecast.evaluate))
+        monkeypatch.setattr(
+            NumericSeries, "__getitem__", counted("slice", NumericSeries.__getitem__)
+        )
+        entries = model_suite(target, components, MODEL_NAMES, reference.p, reference.q, holdout)
+        assert len(entries) == len(MODEL_NAMES)
+        assert calls == ["fit", "evaluate"] * len(MODEL_NAMES)
 
 
 class TestModelSuite:
