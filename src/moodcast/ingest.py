@@ -13,10 +13,10 @@ import json
 import re
 from collections import Counter
 from datetime import datetime, timezone
-from itertools import chain
-from operator import itemgetter
+from itertools import repeat
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .errors import InputFormatError, json_problem
 from .lexicon import tokenize
@@ -27,21 +27,26 @@ from .tables import quote_cell
 MESSAGE_KEYS = ("message_id", "thread_id", "group", "timestamp", "subject")
 _KEY_SET = frozenset(MESSAGE_KEYS)
 _message_fields = itemgetter(*MESSAGE_KEYS)
+_tzinfo = attrgetter("tzinfo")
 
-# A message's five strings, in ``MESSAGE_KEYS`` order, and messages by line number.
-_Message = tuple[str, str, str, str, str]
-_Rows = Iterable[tuple[int, _Message]]
+# The four strings of a message that the fold reads: id, thread id, timestamp
+# and subject; and a batch, the line numbers of some messages and the messages.
+_Message = tuple[str, str, str, str]
+_Batch = tuple[Sequence[int], list[_Message]]
 
 # A canonical message line: what ``json.dumps`` writes for a message with its
 # keys in ``MESSAGE_KEYS`` order, when no value holds '"', '\\' or U+0000-U+001F.
 # Such a value needs no escape, so by RFC 8259 section 7 each group is exactly
-# the string that ``json.loads`` decodes from the line. A match starts at a
-# line start and holds one newline, its last character.
-_CANONICAL_VALUE = r'"([^"\\\x00-\x1f]*)"'
+# the string that ``json.loads`` decodes from the line. A value here excludes
+# only '"', which sre matches in its fast single-character loop; the chunk's
+# backslash and ``_CONTROL_BYTES`` checks in ``_decoded_rows`` exclude the
+# rest. The groups are the four values the fold reads, not ``group``.
 _CANONICAL_LINE = re.compile(
-    r"^\{" + ", ".join(f'"{key}": {_CANONICAL_VALUE}' for key in MESSAGE_KEYS) + r"\}\n",
+    r"^\{" + ", ".join(f'"{key}": ' + ('"[^"]*"' if key == "group" else '"([^"]*)"')
+                       for key in MESSAGE_KEYS) + r"\}\n",
     re.MULTILINE,
 )
+_CONTROL_BYTES = bytes(range(32)).replace(b"\n", b"")  # U+0000-U+001F but the newline
 
 # A byte that is not UTF-8, as the "surrogateescape" error handler decodes it;
 # ``findall`` and ``json.loads`` would both take it for a character.
@@ -59,16 +64,18 @@ class ThreadTally(Record):
     """What ``parse_messages`` returns: a message archive folded per thread.
 
     Read it through ``len()``, the message count, and ``build_threads``.
-    ``threads`` is this module's working layout, not an interface: each
-    thread id, in first appearance order, maps to ``[timestamp, subject,
-    message count]``, the UTC timestamp and raw subject of the thread's
-    earliest message.
+    The three maps, each keyed by thread id in first appearance order and
+    filled a batch at a time by ``_fold_messages``, are this module's
+    working layout: the UTC timestamp and raw subject of the thread's
+    earliest message, and its message count. Their values hold no
+    reference, so CPython leaves the maps untracked by the cycle collector.
     """
 
-    __slots__ = ("threads", "message_count")
+    __slots__ = ("stamps", "subjects", "counts", "message_count")
 
-    def __init__(self, threads: dict[str, list], message_count: int) -> None:
-        super().__init__(threads, message_count)
+    def __init__(self, stamps: dict[str, datetime], subjects: dict[str, str],
+                 counts: dict[str, int], message_count: int) -> None:
+        super().__init__(stamps, subjects, counts, message_count)
 
     def __len__(self) -> int:
         return self.message_count
@@ -119,16 +126,19 @@ def parse_messages(path: Union[str, Path]) -> ThreadTally:
     duplicate message ids by name. Only the message ids and one entry per
     thread are kept, never a record per message.
 
-    The file is opened once and read a chunk of lines at a time. The first
-    bad line is named, whatever its fault: a chunk that fails is read again
-    line by line, from memory, before the fold reaches its first line.
+    The file is opened once and read a chunk of lines at a time, and a
+    chunk is folded as one batch, column by column. The first bad line is
+    named, whatever its fault: a chunk that does not decode whole is read
+    again line by line, from memory, one message per batch, before the fold
+    reaches its first line; a batch that fails a column check is checked
+    again row by row.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        return _fold_messages(chain.from_iterable(_chunk_rows(handle, path)))
+        return _fold_messages(_batches(handle, path))
 
 
-def _line_rows(lines: Iterable[str], first_lineno: int, path: Union[str, Path]) -> _Rows:
-    """``(line number, message)`` for each non-blank line from ``first_lineno`` on, one by one."""
+def _line_rows(lines: Iterable[str], first_lineno: int, path: Union[str, Path]) -> Iterator[_Batch]:
+    """A batch of one message for each non-blank line from ``first_lineno`` on, one by one."""
     for lineno, line in enumerate(lines, start=first_lineno):
         if _UNDECODABLE.search(line):
             try:
@@ -143,34 +153,35 @@ def _line_rows(lines: Iterable[str], first_lineno: int, path: Union[str, Path]) 
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:
             raise InputFormatError(f"messages line {lineno}: {json_problem(exc)}") from None
-        yield lineno, _message(lineno, obj)
+        yield (lineno,), [_message(lineno, obj)]
 
 
-def _chunk_rows(handle: TextIO, path: Union[str, Path]) -> Iterator[_Rows]:
-    """What ``_line_rows`` yields, one chunk of lines per batch.
+def _batches(handle: TextIO, path: Union[str, Path]) -> Iterator[_Batch]:
+    """The file's messages, one batch per chunk of lines that ``_decoded_rows`` reads whole.
 
-    A chunk that ``_decoded_rows`` does not read whole is read by
-    ``_line_rows``, lazily, so a fold error in an earlier line of it is
-    still met first.
+    Any other chunk is read by ``_line_rows``, lazily, so a fold error in an
+    earlier line of it is still met first.
     """
     lineno = 1  # of the chunk's first line
     while chunk := handle.readlines(_CHUNK_BYTES):
-        rows = _decoded_rows(chunk, lineno)
-        yield _line_rows(chunk, lineno, path) if rows is None else rows
+        batch = _decoded_rows(chunk, lineno)
+        yield from _line_rows(chunk, lineno, path) if batch is None else (batch,)
         lineno += len(chunk)
 
 
-def _decoded_rows(chunk: list[str], lineno: int) -> Optional[_Rows]:
-    """The messages of a chunk whose first line is ``lineno``, or None if not all are.
+def _decoded_rows(chunk: list[str], lineno: int) -> Optional[_Batch]:
+    """The batch of a chunk whose first line is ``lineno``, or None if it does not decode whole.
 
     A chunk that holds a byte that is not UTF-8 gives None before it is
     read. A chunk whose lines are all canonical (see ``_CANONICAL_LINE``) is
     read with one ``findall``. It is taken only if it holds no backslash and
-    its first line matches, and then only if it has as many matches as
-    lines. Each match is then a whole line: it starts at a line start and
-    ends at that line's newline, and no two share a line, so every line is
-    a match and the matches tile the chunk. A last line without a newline
-    matches nothing, so its chunk falls short of the count.
+    its first line matches, then only if it has as many matches as lines,
+    and then only if one ``bytes.translate`` finds no control character but
+    the newlines. Each match starts at a line start and ends with a newline,
+    and no two overlap, so a match that took in a newline inside a value
+    would leave fewer matches than lines. So every match is one whole line
+    and the matches tile the chunk. A last line without a newline matches
+    nothing, so its chunk falls short of the count.
 
     Any other chunk decodes as the rows of ``[[line 1],[line 2],...]``,
     each line keeping its own newline. Strict JSON puts no raw newline
@@ -187,56 +198,94 @@ def _decoded_rows(chunk: list[str], lineno: int) -> Optional[_Rows]:
     if "\\" not in text and _CANONICAL_LINE.match(text):
         messages = _CANONICAL_LINE.findall(text)
         if len(messages) == len(chunk):
-            return zip(range(lineno, lineno + len(chunk)), messages)
+            data = text.encode()
+            if len(data.translate(None, _CONTROL_BYTES)) == len(data):
+                return range(lineno, lineno + len(chunk)), messages
     try:
         rows = json.loads("[[" + "],[".join(chunk) + "]]")
         if len(rows) != len(chunk):
             return None
-        batch = []
+        linenos, messages = [], []
         for lineno, row in enumerate(rows, start=lineno):
             if type(row) is not list or len(row) > 1:
                 return None
             if row:
-                batch.append((lineno, _message(lineno, row[0])))
+                linenos.append(lineno)
+                messages.append(_message(lineno, row[0]))
     except (ValueError, RecursionError):  # InputFormatError too
         return None
-    return batch
+    return linenos, messages
 
 
 def _message(lineno: int, obj: object) -> _Message:
-    """The five strings of a decoded line, which must be a message."""
+    """The four strings that the fold reads of a decoded line, which must be a message."""
     # Fast path for a well-formed message; the detailed check runs only on failure.
     if type(obj) is dict and obj.keys() == _KEY_SET:
-        fields = _message_fields(obj)
-        message_id, thread_id, group, raw, subject = fields
+        message_id, thread_id, group, raw, subject = _message_fields(obj)
         if (type(message_id) is str and type(thread_id) is str and type(group) is str
                 and type(raw) is str and type(subject) is str):
-            return fields
+            return message_id, thread_id, raw, subject
     raise InputFormatError(f"messages line {lineno}: {_message_problem(obj)}")
 
 
-def _fold_messages(rows: _Rows) -> ThreadTally:
-    """Fold each message into its thread."""
-    threads: dict[str, list] = {}
-    seen_ids: set[str] = set()
-    for lineno, (message_id, thread_id, _, raw, subject) in rows:
+def _fold_messages(batches: Iterable[_Batch]) -> ThreadTally:
+    """Fold each batch of messages into its threads, column by column."""
+    stamps: dict[str, datetime] = {}
+    subjects: dict[str, str] = {}
+    counts: dict[str, int] = {}
+    seen: set[str] = set()
+    for linenos, messages in batches:
+        if not messages:
+            continue
+        threads, moments, texts = _columns(linenos, messages, seen)
+        for thread, moment, subject in zip(threads, moments, texts):
+            first = stamps.get(thread)
+            if first is None:
+                stamps[thread] = moment
+                subjects[thread] = subject
+                counts[thread] = 1
+            else:
+                counts[thread] += 1
+                if moment < first:  # strict: a tie keeps the earlier line
+                    stamps[thread] = moment
+                    subjects[thread] = subject
+    return ThreadTally(stamps, subjects, counts, len(seen))
+
+
+def _columns(linenos: Sequence[int], messages: list[_Message], seen: set[str]
+             ) -> tuple[tuple[str, ...], list[datetime], tuple[str, ...]]:
+    """A batch's thread ids, UTC timestamps and subjects; its ids join ``seen``.
+
+    One ``fromisoformat`` pass reads the timestamps and one set update adds
+    the ids. If a timestamp is not a UTC instant as it stands, or an id was
+    seen or repeats, ``seen`` is restored and the rows are read one by one,
+    so the first bad timestamp or duplicate id raises.
+    """
+    ids, threads, raws, texts = zip(*messages)
+    try:
+        moments = list(map(datetime.fromisoformat, raws))
+    except ValueError:
+        moments = []
+    # A zero offset parses to the UTC singleton; naive and other offsets do not.
+    utc = moments and all(map(is_, map(_tzinfo, moments), repeat(timezone.utc)))
+    if utc and seen.isdisjoint(ids):
+        size = len(seen) + len(ids)
+        seen.update(ids)
+        if len(seen) == size:
+            return threads, moments, texts
+        seen.difference_update(ids)  # exact: ``seen`` held none of ``ids``; one repeats
+    moments = []
+    for lineno, message_id, raw in zip(linenos, ids, raws):
         try:
-            timestamp = _parse_timestamp(raw)
+            moments.append(_parse_timestamp(raw))
         except (ValueError, OverflowError):
             raise InputFormatError(
                 f"messages line {lineno}: bad timestamp {quote_cell(raw)}"
             ) from None
-        if message_id in seen_ids:
+        if message_id in seen:
             raise InputFormatError(f"duplicate message_id: {quote_cell(message_id)}")
-        seen_ids.add(message_id)
-        entry = threads.get(thread_id)
-        if entry is None:
-            threads[thread_id] = [timestamp, subject, 1]
-        else:
-            entry[2] += 1
-            if timestamp < entry[0]:  # strict: a tie keeps the earlier line
-                entry[0], entry[1] = timestamp, subject
-    return ThreadTally(threads=threads, message_count=len(seen_ids))
+        seen.add(message_id)
+    return threads, moments, texts
 
 
 def _message_problem(obj) -> str:
@@ -270,7 +319,9 @@ def build_threads(tally: ThreadTally) -> list[ThreadSummary]:
     """
     return [
         ThreadSummary(strip_reply_markers(subject), count, stamp.year * 12 + stamp.month - 1)
-        for stamp, subject, count in tally.threads.values()
+        for stamp, subject, count in zip(
+            tally.stamps.values(), tally.subjects.values(), tally.counts.values()
+        )
     ]
 
 

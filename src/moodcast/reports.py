@@ -89,7 +89,10 @@ def read_emotion_csv(path: Union[str, Path], table: Optional[Table] = None) -> E
     """Read an emotion table back into a series; ``table`` is ``read_table(path)`` if read."""
     header, rows = read_table(path) if table is None else table
     if header != EMOTION_HEADER:
-        raise InputFormatError(f"{path}: emotion header must be {','.join(EMOTION_HEADER)!r}")
+        raise InputFormatError(
+            f"{path}: emotion header must be {','.join(EMOTION_HEADER)!r}, "
+            f"got {quote_cell(','.join(header))}"
+        )
     axis, checked = monthly_rows(path, rows)
     stat_rows: list[list[Optional[float]]] = []
     records: list[MonthCounts] = []
@@ -144,7 +147,9 @@ def _read_series(
     value column and every row must hold a value."""
     header, rows = read_table(path) if table is None else table
     if len(header) != 2 or header[0].strip() != "month":
-        raise InputFormatError(f"{path}: expected a month,value header")
+        raise InputFormatError(
+            f"{path}: expected a month,value header, got {quote_cell(','.join(header))}"
+        )
     if value_name is not None and header[1].strip() != value_name:
         raise InputFormatError(
             f"{path}: expected value column {value_name!r} in the header, "
@@ -182,7 +187,8 @@ def read_correlation_csv(path: Union[str, Path]) -> CorrelationTrack:
     header, rows = read_table(path)
     if header != CORRELATION_HEADER:
         raise InputFormatError(
-            f"{path}: correlation header must be {','.join(CORRELATION_HEADER)!r}"
+            f"{path}: correlation header must be {','.join(CORRELATION_HEADER)!r}, "
+            f"got {quote_cell(','.join(header))}"
         )
     axis, checked = monthly_rows(path, rows)
     r: list[Optional[float]] = []

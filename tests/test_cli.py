@@ -1006,9 +1006,10 @@ class TestExitCodes:
         header, *rows = smoothed.read_text(encoding="utf-8").splitlines()
         if kind == "misspelled-header":
             lines = [header.replace("valence_mean", "Valence_mean"), *rows]
-            return lines, f": emotion header must be {','.join(EMOTION_HEADER)!r}"
+            return lines, (f": emotion header must be {','.join(EMOTION_HEADER)!r}, "
+                           f"got {tables.quote_cell(lines[0])}")
         if kind == "one-column":
-            return ["month", "2001-01", "2001-02"], ": expected a month,value header"
+            return ["month", "2001-01", "2001-02"], ": expected a month,value header, got 'month'"
         cells = rows[1].split(",")
         cells[header.split(",").index("valence_mean")] = "99"
         lines = [header, rows[0], ",".join(cells), *rows[2:]]

@@ -174,7 +174,7 @@ def _tally_or_error(parse, path):
         tally = parse(path)
     except InputFormatError as exc:
         return f"error: {exc}"
-    return list(tally.threads.items()), len(tally)
+    return ingest.build_threads(tally), len(tally)
 
 
 def _per_line_parse(path):
@@ -192,7 +192,7 @@ def test_mutated_archive_parses_as_its_per_line_read(archive, tmp_path):
 
     def counting(chunk, lineno):
         rows = decoded_rows(chunk, lineno)
-        kind = "per-line" if rows is None else "json.loads" if type(rows) is list else "findall"
+        kind = "per-line" if rows is None else "findall" if type(rows[0]) is range else "json.loads"
         reads[kind] += 1
         return rows
 

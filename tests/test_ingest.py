@@ -1,3 +1,4 @@
+import gc
 import importlib
 import importlib.util
 import io
@@ -228,7 +229,7 @@ class TestAgainstTwoPassOracle:
 
 
 def _tally_outcome(tally):
-    return list(tally.threads.items()), len(tally)
+    return build_threads(tally), len(tally)
 
 
 def _decoded_lines(raw: bytes, path):
@@ -392,6 +393,34 @@ class TestChunkedDecoding:
         ending="\r\n", last_newline=True, chunk_bytes=16 * 1024,
     )
     @example(lines=[_M[0], _M[1] + "\udce2\udc82"], ending="\n", last_newline=False, chunk_bytes=1)
+    # The canonical pattern lets a value hold any character but '"': the
+    # chunk's control check turns away a raw control character, and the
+    # match count a value cut by a raw newline.
+    @example(
+        lines=[_M[0].replace("war talk", "war\x01talk"), _M[1]],
+        ending="\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
+    @example(
+        lines=[_M[0], _M[1].replace("war talk", "war\ttalk"), _M[2]],
+        ending="\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
+    @example(
+        lines=[_M[0], _M[1].replace("war talk", "war\ntalk"), _M[2]],
+        ending="\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
+    # A batch that fails a column check is read row by row: an offset and a
+    # naive timestamp, a duplicate id before a bad timestamp (the duplicate
+    # is named), and an id repeated within the batch after another new id.
+    @example(
+        lines=[_M[0], _M[1], _line("m2", "t0", "2004-03-05T11:59:59+02:00", "offset"),
+               _line("m3", "t1", "2004-03-05T09:00:00", "naive")],
+        ending="\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
+    @example(
+        lines=[_M[0], _M[1], _line("m0", "t1"), _line("m9", timestamp="yesterday")],
+        ending="\n", last_newline=True, chunk_bytes=16 * 1024,
+    )
+    @example(lines=[_M[0], _M[1], _M[1]], ending="\n", last_newline=True, chunk_bytes=16 * 1024)
     def test_same_tally_or_error_as_the_per_line_read(self, lines, ending, last_newline, chunk_bytes):
         text = ending.join(lines) + (ending if last_newline else "")
         raw = text.encode("utf-8", "surrogateescape")
@@ -406,6 +435,29 @@ class TestChunkedDecoding:
         with mock.patch.object(ingest.json, "loads", side_effect=AssertionError("json.loads")):
             tally = parse_messages(path)
         assert _tally_outcome(tally) == _outcomes_of_both_sources(path.read_bytes(), 16 * 1024)[1]
+
+    @pytest.mark.parametrize(
+        "blank, subject, reads",
+        [([], "war", (False, False)), ([], 'a "quoted" word', (True, False)),
+         (["\x0c"], "war", (True, True))],
+        ids=["findall", "json-loads", "per-line"],
+    )
+    def test_tally_maps_are_untracked_by_the_cycle_collector(self, tmp_path, blank, subject,
+                                                              reads):
+        # A dict that holds no object which can hold a reference is left
+        # untracked, so no collection walks the tally however large it grows.
+        # A form feed is blank to the per-line read but not to JSON, so its
+        # chunk is read line by line.
+        lines = blank + [_line(f"m{i}", f"t{i % 7}", subject=subject) for i in range(400)]
+        path = tmp_path / "messages.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with mock.patch.object(ingest.json, "loads", wraps=json.loads) as loads, \
+                mock.patch.object(ingest, "_line_rows", wraps=ingest._line_rows) as line_rows:
+            tally = parse_messages(path)
+        assert (loads.called, line_rows.called) == reads
+        assert len(tally) == 400
+        maps = [tally.stamps, tally.subjects, tally.counts]
+        assert [len(m) for m in maps] == [7] * 3 and not any(map(gc.is_tracked, maps))
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_valid_file_is_read_in_chunks_only(self, tmp_path, ending):
@@ -430,6 +482,8 @@ def test_shipped_and_generated_archives_are_canonical(tmp_path):
     for path in (ROOT / "tests" / "data" / "messages.jsonl", tmp_path / "messages.jsonl"):
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         assert lines and all(ingest._CANONICAL_LINE.fullmatch(line) for line in lines), path
+        # The pattern leaves control characters to the chunk's check.
+        assert type(ingest._decoded_rows(lines, 1)[0]) is range, path
 
 
 def _regex_opcodes(node):
@@ -526,7 +580,7 @@ class TestChunkBoundaries:
     def test_every_line_counted_once(self, tmp_path, lines):
         tally = self.parse(tmp_path, lines)
         assert len(tally) == self.LINES
-        assert sum(count for _, _, count in tally.threads.values()) == self.LINES
+        assert sum(thread.message_count for thread in build_threads(tally)) == self.LINES
 
 
 def _reference_parse_timestamp(raw):
@@ -801,14 +855,16 @@ class TestBuildThreads:
     @example(month_ord("9998-10"), [(2, 86400, -14 * 60, "war"), (0, -86400, 14 * 60, "love")])
     @example(month_ord("0002-02"), [(0, -86400, -14 * 60, "war"), (1, 0, 0, "")])
     def test_month_is_the_ordinal_of_the_utc_month(self, first, drawn):
-        rows, labels = [], []
+        lines, labels = [], []
         for i, (step, seconds, minutes, subject) in enumerate(drawn):
             year, month = divmod(first + step, 12)
             instant = datetime(year, month + 1, 1, tzinfo=timezone.utc) + timedelta(seconds=seconds)
             raw = instant.astimezone(timezone(timedelta(minutes=minutes))).isoformat()
-            rows.append((i + 1, (f"m{i}", f"t{i}", "g", raw, subject)))
+            lines.append(_line(f"m{i}", f"t{i}", raw, subject) + "\n")
             labels.append(f"{instant.year:04d}-{instant.month:02d}")
-        threads = build_threads(_fold_messages(rows))
+        tally = _parse("".join(lines))
+        assert len(tally) == len(drawn)
+        threads = build_threads(tally)
         assert [t.month for t in threads] == [month_ord(label) for label in labels]
         expected = _label_buckets(zip(labels, (t.subject for t in threads)))
         assert monthly_subject_buckets(threads) == expected

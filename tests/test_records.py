@@ -7,6 +7,7 @@ import inspect
 import pickle
 import pkgutil
 import re
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +61,9 @@ RECORDS = {
     EmotionSeries: (("components", "records"),
                     lambda: EmotionSeries(_components(), [MonthCounts(3, 2)] * 3)),
     LexiconEntry: (("valence", "arousal", "dominance"), lambda: LexiconEntry(2.08, 7.49, 4.0)),
-    ThreadTally: (("threads", "message_count"),
-                  lambda: ThreadTally({"t": ["2000-01-01T00:00:00+00:00", "war", 2]}, 2)),
+    ThreadTally: (("stamps", "subjects", "counts", "message_count"),
+                  lambda: ThreadTally({"t": datetime(2000, 1, 1, tzinfo=timezone.utc)},
+                                      {"t": "war"}, {"t": 2}, 2)),
     ThreadSummary: (("subject", "message_count", "month"),
                     lambda: ThreadSummary("war", 3, 24000)),
     MonthlyBucket: (("month", "token_counts", "thread_count"),

@@ -40,6 +40,7 @@ from moodcast.reports import (
     write_surrogate_json,
     write_top_words_csv,
 )
+from moodcast.tables import quote_cell
 
 AWKWARD = [0.1 + 0.2, 1.0 / 3.0, 1e-17, 12345.678900000001, 2.08]
 
@@ -227,6 +228,28 @@ class TestSeriesCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+@pytest.mark.parametrize(
+    "read, header, expected",
+    [(load_attitude_series, "month,rate", "expected a month,value header"),
+     (read_series_csv, "month,rate", "expected a month,value header"),
+     (read_emotion_csv, ",".join(EMOTION_HEADER),
+      f"emotion header must be {','.join(EMOTION_HEADER)!r}"),
+     (read_correlation_csv, ",".join(CORRELATION_HEADER),
+      f"correlation header must be {','.join(CORRELATION_HEADER)!r}")],
+    ids=["attitude", "series", "emotion", "correlation"],
+)
+def test_header_error_names_the_header_read(tmp_path, read, header, expected):
+    # A UTF-8 byte order mark is read as part of the first cell: the header
+    # looks right, and only the quoted header shows why it is refused.
+    read_header = "\ufeff" + header
+    path = tmp_path / "table.csv"
+    path.write_text(read_header + "\n2000-01,50\n", encoding="utf-8")
+    message = f"{path}: {expected}, got {quote_cell(read_header)}"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        read(path)
+    assert "\\ufeffmonth" in message
 
 
 class TestCorrelationCsv:
