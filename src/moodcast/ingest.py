@@ -110,11 +110,32 @@ def _parse_timestamp(raw: str) -> datetime:
         if text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"
         moment = datetime.fromisoformat(text)
+    return _as_utc(moment)
+
+
+def _as_utc(moment: datetime) -> datetime:
+    """A parsed instant in UTC; a naive one is taken as UTC."""
     if moment.tzinfo is timezone.utc:  # a zero offset parses to the UTC singleton
         return moment
     if moment.tzinfo is None:
         return moment.replace(tzinfo=timezone.utc)
     return moment.astimezone(timezone.utc)
+
+
+def _utc_moments(raws: Sequence[str]) -> Optional[list[datetime]]:
+    """What ``_parse_timestamp`` gives for each of ``raws``, read as one column.
+
+    None if a timestamp does not parse as it stands or does not fit in UTC.
+    One ``fromisoformat`` pass reads the column; only a column with a naive
+    or offset timestamp is then moved to UTC, one moment at a time.
+    """
+    try:
+        moments = list(map(datetime.fromisoformat, raws))
+        if not all(map(is_, map(_tzinfo, moments), repeat(timezone.utc))):
+            moments = list(map(_as_utc, moments))
+    except (ValueError, OverflowError):
+        return None
+    return moments
 
 
 def parse_messages(path: Union[str, Path]) -> ThreadTally:
@@ -129,38 +150,49 @@ def parse_messages(path: Union[str, Path]) -> ThreadTally:
     The file is opened once and read a chunk of lines at a time, and a
     chunk is folded as one batch, column by column. The first bad line is
     named, whatever its fault: a chunk that does not decode whole is read
-    again line by line, from memory, one message per batch, before the fold
-    reaches its first line; a batch that fails a column check is checked
-    again row by row.
+    again line by line, from memory, and the messages before its first bad
+    line are folded before that line's error is raised; a batch that fails a
+    column check is checked again row by row.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return _fold_messages(_batches(handle, path))
 
 
 def _line_rows(lines: Iterable[str], first_lineno: int, path: Union[str, Path]) -> Iterator[_Batch]:
-    """A batch of one message for each non-blank line from ``first_lineno`` on, one by one."""
-    for lineno, line in enumerate(lines, start=first_lineno):
-        if _UNDECODABLE.search(line):
+    """The batch of the non-blank lines from ``first_lineno`` on, each read on its own.
+
+    A line that is not a message raises only after the batch of the lines
+    before it is yielded, so a fold error in an earlier line is met first.
+    """
+    linenos: list[int] = []
+    messages: list[_Message] = []
+    try:
+        for lineno, line in enumerate(lines, start=first_lineno):
+            if _UNDECODABLE.search(line):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise InputFormatError(
+                        f"messages line {lineno}: {path} is not valid UTF-8 ({exc.reason})"
+                    ) from None
+            if not line.strip():
+                continue
             try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InputFormatError(
-                    f"messages line {lineno}: {path} is not valid UTF-8 ({exc.reason})"
-                ) from None
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise InputFormatError(f"messages line {lineno}: {json_problem(exc)}") from None
-        yield (lineno,), [_message(lineno, obj)]
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise InputFormatError(f"messages line {lineno}: {json_problem(exc)}") from None
+            messages.append(_message(lineno, obj))
+            linenos.append(lineno)
+    except InputFormatError:
+        yield linenos, messages
+        raise
+    yield linenos, messages
 
 
 def _batches(handle: TextIO, path: Union[str, Path]) -> Iterator[_Batch]:
-    """The file's messages, one batch per chunk of lines that ``_decoded_rows`` reads whole.
+    """The file's messages, one batch per chunk of lines.
 
-    Any other chunk is read by ``_line_rows``, lazily, so a fold error in an
-    earlier line of it is still met first.
+    A chunk that ``_decoded_rows`` does not read whole is read by ``_line_rows``.
     """
     lineno = 1  # of the chunk's first line
     while chunk := handle.readlines(_CHUNK_BYTES):
@@ -256,32 +288,31 @@ def _columns(linenos: Sequence[int], messages: list[_Message], seen: set[str]
              ) -> tuple[tuple[str, ...], list[datetime], tuple[str, ...]]:
     """A batch's thread ids, UTC timestamps and subjects; its ids join ``seen``.
 
-    One ``fromisoformat`` pass reads the timestamps and one set update adds
-    the ids. If a timestamp is not a UTC instant as it stands, or an id was
-    seen or repeats, ``seen`` is restored and the rows are read one by one,
-    so the first bad timestamp or duplicate id raises.
+    A batch of more than one message is read as columns: ``_utc_moments``
+    reads the timestamps and one set update adds the ids. If a timestamp
+    does not parse, or an id was seen or repeats, ``seen`` is restored and
+    the rows are checked one by one, so the first bad timestamp or duplicate
+    id raises; timestamps that parsed as a column are not parsed again. A
+    batch of one message is checked as a row straight away.
     """
     ids, threads, raws, texts = zip(*messages)
-    try:
-        moments = list(map(datetime.fromisoformat, raws))
-    except ValueError:
-        moments = []
-    # A zero offset parses to the UTC singleton; naive and other offsets do not.
-    utc = moments and all(map(is_, map(_tzinfo, moments), repeat(timezone.utc)))
-    if utc and seen.isdisjoint(ids):
+    moments = _utc_moments(raws) if len(raws) > 1 else None
+    if moments is not None and seen.isdisjoint(ids):
         size = len(seen) + len(ids)
         seen.update(ids)
         if len(seen) == size:
             return threads, moments, texts
         seen.difference_update(ids)  # exact: ``seen`` held none of ``ids``; one repeats
-    moments = []
-    for lineno, message_id, raw in zip(linenos, ids, raws):
-        try:
-            moments.append(_parse_timestamp(raw))
-        except (ValueError, OverflowError):
-            raise InputFormatError(
-                f"messages line {lineno}: bad timestamp {quote_cell(raw)}"
-            ) from None
+    parsed, moments = moments or repeat(None), []
+    for lineno, message_id, raw, moment in zip(linenos, ids, raws, parsed):
+        if moment is None:
+            try:
+                moment = _parse_timestamp(raw)
+            except (ValueError, OverflowError):
+                raise InputFormatError(
+                    f"messages line {lineno}: bad timestamp {quote_cell(raw)}"
+                ) from None
+        moments.append(moment)
         if message_id in seen:
             raise InputFormatError(f"duplicate message_id: {quote_cell(message_id)}")
         seen.add(message_id)

@@ -174,13 +174,19 @@ def _tally_or_error(parse, path):
         tally = parse(path)
     except InputFormatError as exc:
         return f"error: {exc}"
-    return ingest.build_threads(tally), len(tally)
+    stamps = [(thread, stamp.isoformat()) for thread, stamp in tally.stamps.items()]
+    return stamps, list(tally.subjects.items()), list(tally.counts.items()), len(tally)
 
 
 def _per_line_parse(path):
-    """The oracle: the whole file read as ``parse_messages`` opens it, one line at a time."""
+    """The oracle: the whole file read as ``parse_messages`` opens it, one line at a time,
+    and folded one message at a time."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        return ingest._fold_messages(ingest._line_rows(handle.readlines(), 1, path))
+        rows = ingest._line_rows(handle.readlines(), 1, path)
+        return ingest._fold_messages(
+            ((lineno,), [message]) for linenos, messages in rows
+            for lineno, message in zip(linenos, messages)
+        )
 
 
 @pytest.mark.parametrize("archive", sorted(ARCHIVES))

@@ -229,7 +229,9 @@ class TestAgainstTwoPassOracle:
 
 
 def _tally_outcome(tally):
-    return build_threads(tally), len(tally)
+    """All that a tally holds; a timestamp as its ISO text, which shows its offset."""
+    stamps = [(thread, stamp.isoformat()) for thread, stamp in tally.stamps.items()]
+    return stamps, list(tally.subjects.items()), list(tally.counts.items()), len(tally)
 
 
 def _decoded_lines(raw: bytes, path):
@@ -249,6 +251,13 @@ def _decoded_lines(raw: bytes, path):
         yield body + "\n" if body != text else body
 
 
+def _one_by_one(batches):
+    """Each message of ``batches`` as a batch of its own, which the fold checks as a row."""
+    for linenos, messages in batches:
+        for lineno, message in zip(linenos, messages):
+            yield (lineno,), [message]
+
+
 def _outcomes_of_both_sources(raw: bytes, chunk_bytes: int):
     """``parse_messages`` and the per-line fold alone, on one file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -258,7 +267,8 @@ def _outcomes_of_both_sources(raw: bytes, chunk_bytes: int):
             chunked = _outcome(lambda p: _tally_outcome(parse_messages(p)), path)
 
         def per_line(p):
-            return _tally_outcome(_fold_messages(_line_rows(_decoded_lines(raw, p), 1, p)))
+            rows = _one_by_one(_line_rows(_decoded_lines(raw, p), 1, p))
+            return _tally_outcome(_fold_messages(rows))
 
         return chunked, _outcome(per_line, path)
 
@@ -465,6 +475,30 @@ class TestChunkedDecoding:
         lines = [_line(f"m{i}", f"t{i % 7}") for i in range(400)]
         path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
         with mock.patch.object(ingest, "_line_rows", side_effect=AssertionError("re-read")):
+            tally = parse_messages(path)
+        assert len(tally) == 400
+        assert _tally_outcome(tally) == _outcomes_of_both_sources(path.read_bytes(), 16 * 1024)[1]
+
+    @pytest.mark.parametrize("bad", ["{not json", '"x"', "\udcff", _line("m9", timestamp="x")])
+    def test_a_fold_error_is_met_before_a_later_bad_line_of_its_chunk(self, tmp_path, bad):
+        # The form feed sends the chunk to the per-line read, which yields the
+        # messages before its bad line, then raises.
+        path = tmp_path / "messages.jsonl"
+        lines = [_M[0], "\x0c", _M[1], _line("m0", "t1"), bad, _M[2]]
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+        with pytest.raises(InputFormatError, match="^duplicate message_id: 'm0'$"):
+            parse_messages(path)
+
+    @pytest.mark.parametrize("zone", ["+02:00", "-05:30", "", "+00:00"])
+    def test_a_chunk_of_valid_timestamps_is_parsed_once(self, tmp_path, zone):
+        # Naive and offset timestamps that parse as a column are moved to UTC
+        # from the column, not parsed again row by row.
+        path = tmp_path / "messages.jsonl"
+        lines = [_line(f"m{i}", f"t{i % 7}", f"2004-03-{1 + i % 28:02d}T23:30:00{zone}")
+                 for i in range(400)]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with mock.patch.object(ingest, "_parse_timestamp",
+                               side_effect=AssertionError("parsed again")):
             tally = parse_messages(path)
         assert len(tally) == 400
         assert _tally_outcome(tally) == _outcomes_of_both_sources(path.read_bytes(), 16 * 1024)[1]
