@@ -2,16 +2,16 @@
 
 Folds message archives (JSONL) into discussion threads in one pass,
 applies the minimum-thread-size spam filter and buckets canonical thread
-subjects by calendar month. All outputs are plain immutable records on a
-YYYY-MM month axis. The attitude series is a table, read by
-``moodcast.reports.load_attitude_series``.
+subjects by calendar month. A thread is a plain tuple of the tally's
+columns; the buckets are immutable records on a YYYY-MM month axis. The
+attitude series is a table, read by ``moodcast.reports.load_attitude_series``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from datetime import datetime, timezone
 from itertools import repeat
 from operator import attrgetter, is_, itemgetter
@@ -33,6 +33,10 @@ _tzinfo = attrgetter("tzinfo")
 # and subject; and a batch, the line numbers of some messages and the messages.
 _Message = tuple[str, str, str, str]
 _Batch = tuple[Sequence[int], list[_Message]]
+
+# A thread: its message count, and its earliest message's UTC timestamp and
+# raw subject; a plain tuple of such values is one the cycle collector untracks.
+_Thread = tuple[int, datetime, str]
 
 # A canonical message line: what ``json.dumps`` writes for a message with its
 # keys in ``MESSAGE_KEYS`` order, when no value holds '"', '\\' or U+0000-U+001F.
@@ -81,18 +85,6 @@ class ThreadTally(Record):
         return self.message_count
 
 
-class ThreadSummary(NamedTuple):
-    """Per-thread rollup used by the monthly aggregation.
-
-    ``subject`` is the canonical subject, the earliest message's subject less
-    its leading reply markers; ``month`` is the ``month_ord`` of its UTC month.
-    """
-
-    subject: str
-    message_count: int
-    month: int
-
-
 class MonthlyBucket(NamedTuple):
     """Token counts over canonical subjects of threads starting in a month."""
 
@@ -106,11 +98,18 @@ def _parse_timestamp(raw: str) -> datetime:
     try:  # most instants parse as they stand ("Z" too, from Python 3.11 on)
         moment = datetime.fromisoformat(raw)
     except ValueError:
-        text = raw.strip()
-        if text.endswith(("Z", "z")):
-            text = text[:-1] + "+00:00"
-        moment = datetime.fromisoformat(text)
+        moment = datetime.fromisoformat(_iso_text(raw))
     return _as_utc(moment)
+
+
+def _iso_text(raw: str) -> str:
+    """``raw`` stripped, with a trailing "Z" written as "+00:00", which
+    ``fromisoformat`` reads before Python 3.11 too; an instant that parses
+    as it stands parses to the same instant from this text."""
+    text = raw.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    return text
 
 
 def _as_utc(moment: datetime) -> datetime:
@@ -125,12 +124,17 @@ def _as_utc(moment: datetime) -> datetime:
 def _utc_moments(raws: Sequence[str]) -> Optional[list[datetime]]:
     """What ``_parse_timestamp`` gives for each of ``raws``, read as one column.
 
-    None if a timestamp does not parse as it stands or does not fit in UTC.
-    One ``fromisoformat`` pass reads the column; only a column with a naive
-    or offset timestamp is then moved to UTC, one moment at a time.
+    None if a timestamp does not parse or does not fit in UTC. One
+    ``fromisoformat`` pass reads the column, and a second reads it through
+    ``_iso_text`` if it does not parse as it stands (before Python 3.11, if
+    it holds a "Z"). Only a column with a naive or offset timestamp is then
+    moved to UTC, one moment at a time.
     """
     try:
-        moments = list(map(datetime.fromisoformat, raws))
+        try:
+            moments = list(map(datetime.fromisoformat, raws))
+        except ValueError:
+            moments = list(map(datetime.fromisoformat, map(_iso_text, raws)))
         if not all(map(is_, map(_tzinfo, moments), repeat(timezone.utc))):
             moments = list(map(_as_utc, moments))
     except (ValueError, OverflowError):
@@ -341,19 +345,11 @@ def strip_reply_markers(subject: str) -> str:
     return subject[_REPLY_RE.match(subject).end():]
 
 
-def build_threads(tally: ThreadTally) -> list[ThreadSummary]:
-    """One summary per thread, in first appearance order of thread ids.
-
-    The canonical subject comes from the thread's earliest message
-    (timestamp ties broken by input order); ``month`` is the ordinal of
-    that message's calendar month, read from its stored UTC timestamp.
-    """
-    return [
-        ThreadSummary(strip_reply_markers(subject), count, stamp.year * 12 + stamp.month - 1)
-        for stamp, subject, count in zip(
-            tally.stamps.values(), tally.subjects.values(), tally.counts.values()
-        )
-    ]
+def build_threads(tally: ThreadTally) -> list[_Thread]:
+    """Each thread of ``tally`` as ``(message_count, first_timestamp, raw_subject)``,
+    in first appearance order: the UTC timestamp and the subject of the thread's
+    earliest message, timestamp ties broken by input order."""
+    return list(zip(tally.counts.values(), tally.stamps.values(), tally.subjects.values()))
 
 
 def check_min_messages(min_messages: int) -> None:
@@ -362,33 +358,34 @@ def check_min_messages(min_messages: int) -> None:
         raise ValueError(f"min_messages must be >= 1, got {min_messages}")
 
 
-def filter_threads(threads: list[ThreadSummary], min_messages: int) -> list[ThreadSummary]:
+def filter_threads(threads: list[_Thread], min_messages: int) -> list[_Thread]:
     """Keep threads with at least ``min_messages`` messages, order preserved."""
     check_min_messages(min_messages)
-    return [t for t in threads if t.message_count >= min_messages]
+    return [thread for thread in threads if thread[0] >= min_messages]
 
 
-def monthly_subject_buckets(threads: list[ThreadSummary]) -> list[MonthlyBucket]:
-    """Bucket canonical-subject tokens by each thread's month.
+def monthly_subject_buckets(threads: list[_Thread]) -> list[MonthlyBucket]:
+    """Bucket canonical-subject tokens by the UTC month each thread starts in.
 
-    The axis runs from the smallest to the largest month ordinal, which
-    ``MonthAxis`` checks; months with no threads appear with ``thread_count``
-    0 and empty counts. Each thread adds its subject's tokens exactly once.
+    A thread's canonical subject is its raw subject less its leading reply
+    markers. The axis runs from the first month to the last; months with no
+    threads appear with ``thread_count`` 0 and empty counts. Each thread
+    adds its subject's tokens exactly once.
     """
     if not threads:
         return []
-    first = min(t.month for t in threads)
-    months = MonthAxis(first, max(t.month for t in threads) - first + 1)
-    subjects: list[list[str]] = [[] for _ in months]
-    for thread in threads:
-        subjects[thread.month - first].append(thread.subject)
+    subjects: defaultdict[int, list[str]] = defaultdict(list)  # by month ordinal
+    for _, stamp, subject in threads:
+        subjects[stamp.year * 12 + stamp.month - 1].append(strip_reply_markers(subject))
+    first = min(subjects)
+    months = MonthAxis(first, max(subjects) - first + 1)
     # One tokenize call per month: no token spans a newline, and lowercasing
     # treats one as a string end (it is neither cased nor case-ignorable).
     return [
         MonthlyBucket(
             month=m,
-            token_counts=dict(Counter(tokenize("\n".join(month_subjects)))),
-            thread_count=len(month_subjects),
+            token_counts=dict(Counter(tokenize("\n".join(subjects[ordinal])))),
+            thread_count=len(subjects[ordinal]),
         )
-        for m, month_subjects in zip(months, subjects)
+        for ordinal, m in enumerate(months, start=first)
     ]

@@ -645,7 +645,8 @@ class TestOldestPython:
     ):
         # pyproject.toml allows Python 3.10. The stages that fit no model
         # load no numpy, so they run on a bare 3.10, whose ``fromisoformat``
-        # reads no "Z" suffix (the shipped timestamps have one).
+        # reads no "Z" suffix (the shipped timestamps have one); ingest still
+        # reads every timestamp as part of a column, never row by row.
         python = _python_3_10()
         if python is None:
             pytest.skip("no CPython 3.10 starts here")
@@ -655,12 +656,18 @@ class TestOldestPython:
             assert run_cli(*argv) == 0, argv
         script = (
             "import json, sys\n"
+            "from unittest import mock\n"
+            "from moodcast import ingest\n"
             "from moodcast.cli import main\n"
+            "with mock.patch.object(ingest, '_parse_timestamp',\n"
+            "                       side_effect=AssertionError('a timestamp read as a row')):\n"
+            "    assert len(ingest.parse_messages(sys.argv[2])) == 1690\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0, argv\n"
         )
         result = subprocess.run(
-            [python, "-c", script, json.dumps(readme_chain(inputs, old, {})[:5])],
+            [python, "-c", script, json.dumps(readme_chain(inputs, old, {})[:5]),
+             str(messages_path)],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(Path(moodcast.__file__).resolve().parents[1])},
         )

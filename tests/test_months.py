@@ -48,6 +48,14 @@ def test_month_axis_rejects_negative_length():
         MonthAxis(month_ord("2001-02"), -1)
 
 
+@pytest.mark.parametrize("ordinal", [-1, 10000 * 12])
+def test_month_axis_refuses_an_ordinal_off_the_month_range(ordinal):
+    # The axis from 2004-01 to an ordinal before 0000-01 or after 9999-12.
+    first = min(month_ord("2004-01"), ordinal)
+    with pytest.raises(ValueError, match="month axis out of range"):
+        MonthAxis(first, max(month_ord("2004-01"), ordinal) - first + 1)
+
+
 # Axes that start anywhere in 1998-2001 and run up to four years, so that
 # most of them cross at least one year boundary.
 AXES = st.builds(

@@ -24,7 +24,7 @@ from moodcast.forecast import (
     SuiteEntry,
     SurrogateReport,
 )
-from moodcast.ingest import MonthlyBucket, ThreadSummary, ThreadTally
+from moodcast.ingest import MonthlyBucket, ThreadTally
 from moodcast.lexicon import LexiconEntry
 from moodcast.months import MonthAxis
 from moodcast.pipeline import PipelineConfig
@@ -64,8 +64,6 @@ RECORDS = {
     ThreadTally: (("stamps", "subjects", "counts", "message_count"),
                   lambda: ThreadTally({"t": datetime(2000, 1, 1, tzinfo=timezone.utc)},
                                       {"t": "war"}, {"t": 2}, 2)),
-    ThreadSummary: (("subject", "message_count", "month"),
-                    lambda: ThreadSummary("war", 3, 24000)),
     MonthlyBucket: (("month", "token_counts", "thread_count"),
                     lambda: MonthlyBucket("2000-01", {"war": 2}, 1)),
     ArmaSpec: (("ar_order", "exog_order", "exogenous_names"), lambda: ArmaSpec(1, 3, ("x",))),
@@ -91,7 +89,7 @@ RECORDS = {
 
 # The records whose every field is hashable; the others hold a list, dict or array.
 HASHABLE = {
-    MonthAxis, MonthCounts, LexiconEntry, ThreadSummary, ArmaSpec, PipelineConfig
+    MonthAxis, MonthCounts, LexiconEntry, ArmaSpec, PipelineConfig
 }
 
 

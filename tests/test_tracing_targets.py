@@ -59,11 +59,12 @@ def test_cli_import_loads_every_traced_module(tracing):
     assert result.returncode == 0, result.stderr
 
 
-def test_hooks_read_what_the_hooked_functions_return(tracing, messages_path, lexicon):
+def test_hooks_read_what_the_hooked_functions_return(tracing, messages_path, lexicon, tmp_path):
     # Each hook reads its function's arguments and result at the span
     # boundary (``len()`` of the ingest results, the records' match counts),
     # so a change of those results breaks the traced counts; checked here on
-    # the shipped corpus with the arguments the pipeline passes.
+    # the shipped corpus with the arguments the pipeline passes, against the
+    # corpus counts that the ingest stage gives the manifest.
     from moodcast.emotion import build_series
     from moodcast.ingest import (
         build_threads,
@@ -71,6 +72,7 @@ def test_hooks_read_what_the_hooked_functions_return(tracing, messages_path, lex
         monthly_subject_buckets,
         parse_messages,
     )
+    from moodcast.pipeline import ingest_stage
 
     tally = parse_messages(messages_path)
     threads = build_threads(tally)
@@ -87,6 +89,9 @@ def test_hooks_read_what_the_hooked_functions_return(tracing, messages_path, lex
     counters = Counter()
     for name, (args, result) in calls.items():
         hooks[name](counters, args, {}, result)
+    _, corpus, _ = ingest_stage(tally, tmp_path, min_messages=3)
+    assert corpus == {"messages": 1690, "threads": counters["ingest.threads"],
+                      "threads_kept": counters["ingest.threads_kept"]}
     assert counters["ingest.messages"] == 1690
     assert counters["ingest.threads"] >= counters["ingest.threads_kept"] > 0
     assert counters["emotion.tokens"] >= counters["emotion.matched"] > 0
