@@ -1,6 +1,8 @@
 """Corpus ingestion.
 
-Folds message archives (JSONL) into discussion threads in one pass,
+Folds message archives (JSONL) into discussion threads in one pass, a
+chunk of lines at a time: a chunk is read whole, as columns, or checked
+line by line, and the first bad line is named whatever its fault. Then it
 applies the minimum-thread-size spam filter and buckets canonical thread
 subjects by calendar month. A thread is a plain tuple of the tally's
 columns; the buckets are immutable records on a YYYY-MM month axis. The
@@ -16,7 +18,7 @@ from datetime import datetime, timezone
 from itertools import repeat
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InputFormatError, json_problem
 from .lexicon import tokenize
@@ -30,9 +32,10 @@ _message_fields = itemgetter(*MESSAGE_KEYS)
 _tzinfo = attrgetter("tzinfo")
 
 # The four strings of a message that the fold reads: id, thread id, timestamp
-# and subject; and a batch, the line numbers of some messages and the messages.
+# and subject; and a chunk's columns, the thread ids, UTC timestamps and
+# subjects of its messages.
 _Message = tuple[str, str, str, str]
-_Batch = tuple[Sequence[int], list[_Message]]
+_Columns = tuple[Sequence[str], Sequence[datetime], Sequence[str]]
 
 # A thread: its message count, and its earliest message's UTC timestamp and
 # raw subject; a plain tuple of such values is one the cycle collector untracks.
@@ -69,7 +72,7 @@ class ThreadTally(Record):
 
     Read it through ``len()``, the message count, and ``build_threads``.
     The three maps, each keyed by thread id in first appearance order and
-    filled a batch at a time by ``_fold_messages``, are this module's
+    filled a chunk at a time by ``parse_messages``, are this module's
     working layout: the UTC timestamp and raw subject of the thread's
     earliest message, and its message count. Their values hold no
     reference, so CPython leaves the maps untracked by the cycle collector.
@@ -93,15 +96,6 @@ class MonthlyBucket(NamedTuple):
     thread_count: int
 
 
-def _parse_timestamp(raw: str) -> datetime:
-    """Parse an ISO-8601 instant; naive values are taken as UTC."""
-    try:  # most instants parse as they stand ("Z" too, from Python 3.11 on)
-        moment = datetime.fromisoformat(raw)
-    except ValueError:
-        moment = datetime.fromisoformat(_iso_text(raw))
-    return _as_utc(moment)
-
-
 def _iso_text(raw: str) -> str:
     """``raw`` stripped, with a trailing "Z" written as "+00:00", which
     ``fromisoformat`` reads before Python 3.11 too; an instant that parses
@@ -122,13 +116,14 @@ def _as_utc(moment: datetime) -> datetime:
 
 
 def _utc_moments(raws: Sequence[str]) -> Optional[list[datetime]]:
-    """What ``_parse_timestamp`` gives for each of ``raws``, read as one column.
+    """Each of ``raws`` read as an ISO-8601 instant in UTC, a naive one taken as UTC.
 
     None if a timestamp does not parse or does not fit in UTC. One
     ``fromisoformat`` pass reads the column, and a second reads it through
     ``_iso_text`` if it does not parse as it stands (before Python 3.11, if
     it holds a "Z"). Only a column with a naive or offset timestamp is then
-    moved to UTC, one moment at a time.
+    moved to UTC, one moment at a time. A row's timestamp is read as a
+    column of one.
     """
     try:
         try:
@@ -151,62 +146,96 @@ def parse_messages(path: Union[str, Path]) -> ThreadTally:
     duplicate message ids by name. Only the message ids and one entry per
     thread are kept, never a record per message.
 
-    The file is opened once and read a chunk of lines at a time, and a
-    chunk is folded as one batch, column by column. The first bad line is
-    named, whatever its fault: a chunk that does not decode whole is read
-    again line by line, from memory, and the messages before its first bad
-    line are folded before that line's error is raised; a batch that fails a
-    column check is checked again row by row.
+    The file is opened once and read a chunk of lines at a time. A chunk
+    is read whole, as columns, by ``_chunk_columns``; one that it does not
+    read is checked line by line, from memory, by ``_row_columns``, which
+    raises the error of its first bad line, whatever its fault. Either way
+    the chunk's columns are folded into the tally's three maps.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        return _fold_messages(_batches(handle, path))
-
-
-def _line_rows(lines: Iterable[str], first_lineno: int, path: Union[str, Path]) -> Iterator[_Batch]:
-    """The batch of the non-blank lines from ``first_lineno`` on, each read on its own.
-
-    A line that is not a message raises only after the batch of the lines
-    before it is yielded, so a fold error in an earlier line is met first.
-    """
-    linenos: list[int] = []
-    messages: list[_Message] = []
-    try:
-        for lineno, line in enumerate(lines, start=first_lineno):
-            if _UNDECODABLE.search(line):
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise InputFormatError(
-                        f"messages line {lineno}: {path} is not valid UTF-8 ({exc.reason})"
-                    ) from None
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise InputFormatError(f"messages line {lineno}: {json_problem(exc)}") from None
-            messages.append(_message(lineno, obj))
-            linenos.append(lineno)
-    except InputFormatError:
-        yield linenos, messages
-        raise
-    yield linenos, messages
-
-
-def _batches(handle: TextIO, path: Union[str, Path]) -> Iterator[_Batch]:
-    """The file's messages, one batch per chunk of lines.
-
-    A chunk that ``_decoded_rows`` does not read whole is read by ``_line_rows``.
-    """
+    stamps: dict[str, datetime] = {}
+    subjects: dict[str, str] = {}
+    counts: dict[str, int] = {}
+    seen: set[str] = set()
     lineno = 1  # of the chunk's first line
-    while chunk := handle.readlines(_CHUNK_BYTES):
-        batch = _decoded_rows(chunk, lineno)
-        yield from _line_rows(chunk, lineno, path) if batch is None else (batch,)
-        lineno += len(chunk)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        while chunk := handle.readlines(_CHUNK_BYTES):
+            columns = _chunk_columns(chunk, seen) or _row_columns(chunk, lineno, path, seen)
+            lineno += len(chunk)
+            for thread, moment, subject in zip(*columns):
+                first = stamps.get(thread)
+                if first is None:
+                    stamps[thread] = moment
+                    subjects[thread] = subject
+                    counts[thread] = 1
+                else:
+                    counts[thread] += 1
+                    if moment < first:  # strict: a tie keeps the earlier line
+                        stamps[thread] = moment
+                        subjects[thread] = subject
+    return ThreadTally(stamps, subjects, counts, len(seen))
 
 
-def _decoded_rows(chunk: list[str], lineno: int) -> Optional[_Batch]:
-    """The batch of a chunk whose first line is ``lineno``, or None if it does not decode whole.
+def _chunk_columns(chunk: list[str], seen: set[str]) -> Optional[_Columns]:
+    """A chunk's columns, read whole; its ids join ``seen``.
+
+    None, with ``seen`` as it was, if the chunk does not decode whole (see
+    ``_decoded_rows``) or holds no message, if a timestamp does not parse as
+    part of the column, or if an id was seen or repeats in the chunk.
+    """
+    messages = _decoded_rows(chunk)
+    if not messages:
+        return None
+    ids, threads, raws, texts = zip(*messages)
+    moments = _utc_moments(raws)
+    if moments is None or not seen.isdisjoint(ids):
+        return None
+    size = len(seen) + len(ids)
+    seen.update(ids)
+    if len(seen) != size:
+        seen.difference_update(ids)  # exact: ``seen`` held none of ``ids``; one repeats
+        return None
+    return threads, moments, texts
+
+
+def _row_columns(chunk: list[str], lineno: int, path: Union[str, Path], seen: set[str]
+                 ) -> _Columns:
+    """The columns of a chunk whose first line is ``lineno``, each line checked on its own.
+
+    The first bad line raises its error, whatever its fault: a byte that is
+    not UTF-8, a line that is not a message, a bad timestamp or an id seen
+    before. Lines that ``str.strip`` leaves empty are skipped. The ids of
+    the lines read join ``seen``.
+    """
+    threads, moments, texts = [], [], []
+    for lineno, line in enumerate(chunk, start=lineno):
+        if _UNDECODABLE.search(line):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputFormatError(
+                    f"messages line {lineno}: {path} is not valid UTF-8 ({exc.reason})"
+                ) from None
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise InputFormatError(f"messages line {lineno}: {json_problem(exc)}") from None
+        message_id, thread, raw, text = _message(obj, lineno)
+        moment = _utc_moments((raw,))
+        if moment is None:
+            raise InputFormatError(f"messages line {lineno}: bad timestamp {quote_cell(raw)}")
+        if message_id in seen:
+            raise InputFormatError(f"duplicate message_id: {quote_cell(message_id)}")
+        seen.add(message_id)
+        threads.append(thread)
+        moments += moment
+        texts.append(text)
+    return threads, moments, texts
+
+
+def _decoded_rows(chunk: list[str]) -> Optional[list[_Message]]:
+    """The messages of a chunk, or None if it does not decode whole.
 
     A chunk that holds a byte that is not UTF-8 gives None before it is
     read. A chunk whose lines are all canonical (see ``_CANONICAL_LINE``) is
@@ -236,25 +265,25 @@ def _decoded_rows(chunk: list[str], lineno: int) -> Optional[_Batch]:
         if len(messages) == len(chunk):
             data = text.encode()
             if len(data.translate(None, _CONTROL_BYTES)) == len(data):
-                return range(lineno, lineno + len(chunk)), messages
+                return messages
     try:
         rows = json.loads("[[" + "],[".join(chunk) + "]]")
         if len(rows) != len(chunk):
             return None
-        linenos, messages = [], []
-        for lineno, row in enumerate(rows, start=lineno):
+        messages = []
+        for row in rows:
             if type(row) is not list or len(row) > 1:
                 return None
             if row:
-                linenos.append(lineno)
-                messages.append(_message(lineno, row[0]))
+                messages.append(_message(row[0]))
     except (ValueError, RecursionError):  # InputFormatError too
         return None
-    return linenos, messages
+    return messages
 
 
-def _message(lineno: int, obj: object) -> _Message:
-    """The four strings that the fold reads of a decoded line, which must be a message."""
+def _message(obj: object, lineno: Optional[int] = None) -> _Message:
+    """The four strings that the fold reads of a decoded line, which must be a
+    message; the error names ``lineno``, when it is kept."""
     # Fast path for a well-formed message; the detailed check runs only on failure.
     if type(obj) is dict and obj.keys() == _KEY_SET:
         message_id, thread_id, group, raw, subject = _message_fields(obj)
@@ -262,65 +291,6 @@ def _message(lineno: int, obj: object) -> _Message:
                 and type(raw) is str and type(subject) is str):
             return message_id, thread_id, raw, subject
     raise InputFormatError(f"messages line {lineno}: {_message_problem(obj)}")
-
-
-def _fold_messages(batches: Iterable[_Batch]) -> ThreadTally:
-    """Fold each batch of messages into its threads, column by column."""
-    stamps: dict[str, datetime] = {}
-    subjects: dict[str, str] = {}
-    counts: dict[str, int] = {}
-    seen: set[str] = set()
-    for linenos, messages in batches:
-        if not messages:
-            continue
-        threads, moments, texts = _columns(linenos, messages, seen)
-        for thread, moment, subject in zip(threads, moments, texts):
-            first = stamps.get(thread)
-            if first is None:
-                stamps[thread] = moment
-                subjects[thread] = subject
-                counts[thread] = 1
-            else:
-                counts[thread] += 1
-                if moment < first:  # strict: a tie keeps the earlier line
-                    stamps[thread] = moment
-                    subjects[thread] = subject
-    return ThreadTally(stamps, subjects, counts, len(seen))
-
-
-def _columns(linenos: Sequence[int], messages: list[_Message], seen: set[str]
-             ) -> tuple[tuple[str, ...], list[datetime], tuple[str, ...]]:
-    """A batch's thread ids, UTC timestamps and subjects; its ids join ``seen``.
-
-    A batch of more than one message is read as columns: ``_utc_moments``
-    reads the timestamps and one set update adds the ids. If a timestamp
-    does not parse, or an id was seen or repeats, ``seen`` is restored and
-    the rows are checked one by one, so the first bad timestamp or duplicate
-    id raises; timestamps that parsed as a column are not parsed again. A
-    batch of one message is checked as a row straight away.
-    """
-    ids, threads, raws, texts = zip(*messages)
-    moments = _utc_moments(raws) if len(raws) > 1 else None
-    if moments is not None and seen.isdisjoint(ids):
-        size = len(seen) + len(ids)
-        seen.update(ids)
-        if len(seen) == size:
-            return threads, moments, texts
-        seen.difference_update(ids)  # exact: ``seen`` held none of ``ids``; one repeats
-    parsed, moments = moments or repeat(None), []
-    for lineno, message_id, raw, moment in zip(linenos, ids, raws, parsed):
-        if moment is None:
-            try:
-                moment = _parse_timestamp(raw)
-            except (ValueError, OverflowError):
-                raise InputFormatError(
-                    f"messages line {lineno}: bad timestamp {quote_cell(raw)}"
-                ) from None
-        moments.append(moment)
-        if message_id in seen:
-            raise InputFormatError(f"duplicate message_id: {quote_cell(message_id)}")
-        seen.add(message_id)
-    return threads, moments, texts
 
 
 def _message_problem(obj) -> str:

@@ -646,7 +646,7 @@ class TestOldestPython:
         # pyproject.toml allows Python 3.10. The stages that fit no model
         # load no numpy, so they run on a bare 3.10, whose ``fromisoformat``
         # reads no "Z" suffix (the shipped timestamps have one); ingest still
-        # reads every timestamp as part of a column, never row by row.
+        # reads every chunk whole, as columns, never line by line.
         python = _python_3_10()
         if python is None:
             pytest.skip("no CPython 3.10 starts here")
@@ -659,8 +659,8 @@ class TestOldestPython:
             "from unittest import mock\n"
             "from moodcast import ingest\n"
             "from moodcast.cli import main\n"
-            "with mock.patch.object(ingest, '_parse_timestamp',\n"
-            "                       side_effect=AssertionError('a timestamp read as a row')):\n"
+            "with mock.patch.object(ingest, '_row_columns',\n"
+            "                       side_effect=AssertionError('a chunk read line by line')):\n"
             "    assert len(ingest.parse_messages(sys.argv[2])) == 1690\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0, argv\n"

@@ -8,7 +8,8 @@ that check an analysis precondition); nothing exits 4 or raises out of
 ``main``. ``run`` is fuzzed through the two small inputs it loads, the
 lexicon and the attitude series: it exits 0, 2 or 3, and a failed run
 leaves a ``run.failed`` naming one of its stages and no manifest. The
-message archive's reader is fuzzed against its per-line oracle: mutated
+message archive's reader is fuzzed against the reference read of
+``reference_ingest``, which checks one line at a time: mutated
 archives must fold to the same threads or fail with the same error. The
 seeds are fixed, so a failure names a mutation that reproduces it.
 """
@@ -25,6 +26,7 @@ import pytest
 from moodcast import ingest
 from moodcast.cli import main
 from moodcast.errors import InputFormatError
+from reference_ingest import reference_parse
 
 # Cells that read as no finite number, or as one out of every range.
 _NUMBERS = [b"nan", b"inf", b"NaN", b"Infinity", b"1e999", b"9" * 30, b"1" + b"0" * 29]
@@ -140,7 +142,7 @@ def _archive_lines():
 # lines, which ``parse_messages`` reads with one ``findall`` per chunk; an
 # escaped "\u00e4" in every 20th subject, or compact separators, send
 # every chunk to its one ``json.loads``. A mutation that breaks a chunk
-# sends that chunk to the per-line read.
+# sends that chunk to the row check, line by line.
 ARCHIVES = {
     "canonical": lambda i, obj: json.dumps(obj),
     "escaped": lambda i, obj: json.dumps(
@@ -178,39 +180,32 @@ def _tally_or_error(parse, path):
     return stamps, list(tally.subjects.items()), list(tally.counts.items()), len(tally)
 
 
-def _per_line_parse(path):
-    """The oracle: the whole file read as ``parse_messages`` opens it, one line at a time,
-    and folded one message at a time."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        rows = ingest._line_rows(handle.readlines(), 1, path)
-        return ingest._fold_messages(
-            ((lineno,), [message]) for linenos, messages in rows
-            for lineno, message in zip(linenos, messages)
-        )
-
-
 @pytest.mark.parametrize("archive", sorted(ARCHIVES))
 def test_mutated_archive_parses_as_its_per_line_read(archive, tmp_path):
     original = "".join(ARCHIVES[archive](i, obj) + "\n" for i, obj in enumerate(_archive_lines()))
     path = tmp_path / "messages.jsonl"
-    reads = {"findall": 0, "json.loads": 0, "per-line": 0}
+    reads = {"findall": 0, "json.loads": 0}
     decoded_rows = ingest._decoded_rows
+    loads = mock.Mock(wraps=json.loads)
 
-    def counting(chunk, lineno):
-        rows = decoded_rows(chunk, lineno)
-        kind = "per-line" if rows is None else "findall" if type(rows[0]) is range else "json.loads"
-        reads[kind] += 1
-        return rows
+    def counting(chunk):
+        calls = loads.call_count
+        messages = decoded_rows(chunk)
+        if messages is not None:
+            reads["findall" if loads.call_count == calls else "json.loads"] += 1
+        return messages
 
     rng = random.Random(archive)
-    with mock.patch.object(ingest, "_decoded_rows", counting):
+    with mock.patch.object(ingest, "_decoded_rows", counting), \
+            mock.patch.object(ingest.json, "loads", loads), \
+            mock.patch.object(ingest, "_row_columns", wraps=ingest._row_columns) as rows:
         path.write_text(original, encoding="utf-8")
         assert len(ingest.parse_messages(path)) == 300
         for _ in range(ARCHIVE_MUTATIONS_PER_CASE):
             mutated, what = _edit_bytes(original.encode("utf-8"), rng)
             path.write_bytes(mutated)
             assert _tally_or_error(ingest.parse_messages, path) == _tally_or_error(
-                _per_line_parse, path
+                reference_parse, path
             ), f"{archive}: {what}"
     whole = "findall" if archive == "canonical" else "json.loads"
-    assert reads[whole] >= 3 and reads["per-line"] > 0, reads
+    assert reads[whole] >= 3 and rows.call_count > 0, (reads, rows.call_count)

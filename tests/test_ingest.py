@@ -23,9 +23,6 @@ from moodcast.ingest import (
     MESSAGE_KEYS,
     MonthlyBucket,
     ThreadTally,
-    _fold_messages,
-    _line_rows,
-    _parse_timestamp,
     build_threads,
     filter_threads,
     monthly_subject_buckets,
@@ -35,6 +32,7 @@ from moodcast.ingest import (
 from moodcast.lexicon import tokenize
 from moodcast.months import MonthAxis, month_ord, ord_month
 from moodcast.reports import load_attitude_series, read_series_csv
+from reference_ingest import reference_parse, reference_timestamp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,16 +75,6 @@ class _Record:
     subject: str
 
 
-def _oracle_timestamp(raw):
-    text = raw.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    moment = datetime.fromisoformat(text)
-    if moment.tzinfo is None:
-        return moment.replace(tzinfo=timezone.utc)
-    return moment.astimezone(timezone.utc)
-
-
 def _oracle_parse(text):
     records = []
     seen_ids = set()
@@ -114,7 +102,7 @@ def _oracle_parse(text):
             if not isinstance(obj[key], str):
                 raise InputFormatError(f"messages line {lineno}: {key} must be a string")
         try:
-            timestamp = _oracle_timestamp(obj["timestamp"])
+            timestamp = reference_timestamp(obj["timestamp"])
         except (ValueError, OverflowError):
             raise InputFormatError(
                 f"messages line {lineno}: bad timestamp {obj['timestamp']!r}"
@@ -236,43 +224,14 @@ def _tally_outcome(tally):
     return stamps, list(tally.subjects.items()), list(tally.counts.items()), len(tally)
 
 
-def _decoded_lines(raw: bytes, path):
-    """The lines of ``raw`` as universal newlines split them, each decoded on its own.
-
-    A line that is not UTF-8 raises when it is reached, so a bad line
-    before it is named first.
-    """
-    for lineno, line in enumerate(re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", raw), start=1):
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(
-                f"messages line {lineno}: {path} is not valid UTF-8 ({exc.reason})"
-            ) from None
-        body = text.rstrip("\r\n")
-        yield body + "\n" if body != text else body
-
-
-def _one_by_one(batches):
-    """Each message of ``batches`` as a batch of its own, which the fold checks as a row."""
-    for linenos, messages in batches:
-        for lineno, message in zip(linenos, messages):
-            yield (lineno,), [message]
-
-
 def _outcomes_of_both_sources(raw: bytes, chunk_bytes: int):
-    """``parse_messages`` and the per-line fold alone, on one file."""
+    """``parse_messages`` and the reference read (``reference_ingest``), on one file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "messages.jsonl"
         path.write_bytes(raw)
         with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
             chunked = _outcome(lambda p: _tally_outcome(parse_messages(p)), path)
-
-        def per_line(p):
-            rows = _one_by_one(_line_rows(_decoded_lines(raw, p), 1, p))
-            return _tally_outcome(_fold_messages(rows))
-
-        return chunked, _outcome(per_line, path)
+        return chunked, _outcome(lambda p: _tally_outcome(reference_parse(p)), path)
 
 
 _M = [_line(f"m{i}", f"t{i % 2}") for i in range(4)]
@@ -294,7 +253,9 @@ _message_lines = st.builds(
     st.integers(0, 60),  # ids repeat now and then: a duplicate message_id
     st.sampled_from(["t0", "t1", "t2"]),
     st.sampled_from(_CLOCKS),
-    st.sampled_from(_ZONES + [" ", "+25:00"]),  # and, rarely, a bad timestamp
+    # A trailing space is stripped, so the timestamp stays valid; "+25:00"
+    # and "Q" make, rarely, a bad timestamp.
+    st.sampled_from(_ZONES + [" ", "+25:00", "Q"]),
     st.sampled_from(_SUBJECTS),
 )
 _wrong_messages = st.sampled_from(
@@ -357,7 +318,7 @@ _SPLIT_OBJECT = [_M[0][:_SPLIT], _M[0][_SPLIT:], _M[1] + "," + _M[2]]
 
 
 class TestChunkedDecoding:
-    """``parse_messages`` decodes chunks of lines; the per-line read is the oracle."""
+    """``parse_messages`` decodes chunks of lines; ``reference_parse`` is the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -420,9 +381,10 @@ class TestChunkedDecoding:
         lines=[_M[0], _M[1].replace("war talk", "war\ntalk"), _M[2]],
         ending="\n", last_newline=True, chunk_bytes=16 * 1024,
     )
-    # A batch that fails a column check is read row by row: an offset and a
-    # naive timestamp, a duplicate id before a bad timestamp (the duplicate
-    # is named), and an id repeated within the batch after another new id.
+    # A chunk that fails a column check is checked line by line: an offset
+    # and a naive timestamp, a duplicate id before a bad timestamp (the
+    # duplicate is named), and an id repeated within the chunk after another
+    # new id.
     @example(
         lines=[_M[0], _M[1], _line("m2", "t0", "2004-03-05T11:59:59+02:00", "offset"),
                _line("m3", "t1", "2004-03-05T09:00:00", "naive")],
@@ -458,15 +420,15 @@ class TestChunkedDecoding:
                                                               reads):
         # A dict that holds no object which can hold a reference is left
         # untracked, so no collection walks the tally however large it grows.
-        # A form feed is blank to the per-line read but not to JSON, so its
-        # chunk is read line by line.
+        # A form feed is blank to the row check but not to JSON, so its
+        # chunk is checked line by line.
         lines = blank + [_line(f"m{i}", f"t{i % 7}", subject=subject) for i in range(400)]
         path = tmp_path / "messages.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         with mock.patch.object(ingest.json, "loads", wraps=json.loads) as loads, \
-                mock.patch.object(ingest, "_line_rows", wraps=ingest._line_rows) as line_rows:
+                mock.patch.object(ingest, "_row_columns", wraps=ingest._row_columns) as rows:
             tally = parse_messages(path)
-        assert (loads.called, line_rows.called) == reads
+        assert (loads.called, rows.called) == reads
         assert len(tally) == 400
         maps = [tally.stamps, tally.subjects, tally.counts]
         assert [len(m) for m in maps] == [7] * 3 and not any(map(gc.is_tracked, maps))
@@ -476,20 +438,53 @@ class TestChunkedDecoding:
         path = tmp_path / "messages.jsonl"
         lines = [_line(f"m{i}", f"t{i % 7}") for i in range(400)]
         path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
-        with mock.patch.object(ingest, "_line_rows", side_effect=AssertionError("re-read")):
+        with mock.patch.object(ingest, "_row_columns", side_effect=AssertionError("re-read")):
             tally = parse_messages(path)
         assert len(tally) == 400
         assert _tally_outcome(tally) == _outcomes_of_both_sources(path.read_bytes(), 16 * 1024)[1]
 
     @pytest.mark.parametrize("bad", ["{not json", '"x"', "\udcff", _line("m9", timestamp="x")])
     def test_a_fold_error_is_met_before_a_later_bad_line_of_its_chunk(self, tmp_path, bad):
-        # The form feed sends the chunk to the per-line read, which yields the
-        # messages before its bad line, then raises.
+        # The form feed sends the chunk to the row check, which meets the
+        # duplicate id on its line, before the bad line after it.
         path = tmp_path / "messages.jsonl"
         lines = [_M[0], "\x0c", _M[1], _line("m0", "t1"), bad, _M[2]]
         path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
         with pytest.raises(InputFormatError, match="^duplicate message_id: 'm0'$"):
             parse_messages(path)
+
+    @pytest.mark.parametrize(
+        "line_2, line_4, message",
+        [(_line("m1", timestamp="yesterday"), _line("m0", "t1"),
+          "messages line 2: bad timestamp 'yesterday'"),
+         (_line("m0", "t1"), _line("m3", timestamp="yesterday"), "duplicate message_id: 'm0'"),
+         (_line("m0", timestamp="yesterday"), _line("m3"),
+          "messages line 2: bad timestamp 'yesterday'")],
+        ids=["timestamp-first", "duplicate-first", "both-on-one-line"],
+    )
+    def test_a_canonical_chunk_names_its_first_column_fault(self, tmp_path, line_2, line_4,
+                                                            message):
+        # The chunk reads whole but fails its column checks; the row check
+        # then names the earlier of its two faults, whichever kind it is, and
+        # a line's bad timestamp before its repeated id.
+        lines = [_M[0] + "\n", line_2 + "\n", _M[2] + "\n", line_4 + "\n", _line("m4") + "\n"]
+        assert len(ingest._decoded_rows(lines)) == len(lines)
+        path = tmp_path / "messages.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+            parse_messages(path)
+
+    def test_a_form_feed_line_is_skipped_by_one_row_check(self, tmp_path):
+        # A form feed is blank to str.strip, not to JSON: its chunk alone is
+        # checked line by line, and the tally is the one without it.
+        lines = [_line(f"m{i}", f"t{i % 7}") + "\n" for i in range(400)]
+        path = tmp_path / "messages.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        without = _tally_outcome(parse_messages(path))
+        path.write_text("".join(lines[:200] + ["\x0c\n"] + lines[200:]), encoding="utf-8")
+        with mock.patch.object(ingest, "_row_columns", wraps=ingest._row_columns) as rows:
+            assert _tally_outcome(parse_messages(path)) == without
+        assert rows.call_count == 1
 
     @pytest.mark.parametrize("zone", ["+02:00", "-05:30", "", "+00:00"])
     def test_a_chunk_of_valid_timestamps_is_parsed_once(self, tmp_path, zone):
@@ -499,7 +494,7 @@ class TestChunkedDecoding:
         lines = [_line(f"m{i}", f"t{i % 7}", f"2004-03-{1 + i % 28:02d}T23:30:00{zone}")
                  for i in range(400)]
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        with mock.patch.object(ingest, "_parse_timestamp",
+        with mock.patch.object(ingest, "_row_columns",
                                side_effect=AssertionError("parsed again")):
             tally = parse_messages(path)
         assert len(tally) == 400
@@ -519,7 +514,8 @@ def test_shipped_and_generated_archives_are_canonical(tmp_path):
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         assert lines and all(ingest._CANONICAL_LINE.fullmatch(line) for line in lines), path
         # The pattern leaves control characters to the chunk's check.
-        assert type(ingest._decoded_rows(lines, 1)[0]) is range, path
+        with mock.patch.object(ingest.json, "loads", side_effect=AssertionError("json.loads")):
+            assert len(ingest._decoded_rows(lines)) == len(lines), path
 
 
 def _regex_opcodes(node):
@@ -591,21 +587,21 @@ class TestChunkBoundaries:
         [(b"{not json", "messages line 1000: invalid JSON", 1),
          (_line("x").encode().replace(b"war", b"w\xffr"),
           "messages line 1000: {path} is not valid UTF-8 (invalid start byte)", 1),
-         (_line("m5").encode(), "duplicate message_id: 'm5'", 0)],
+         (_line("m5").encode(), "duplicate message_id: 'm5'", 1)],
         ids=["bad-json", "not-utf8", "duplicate-id"],
     )
     def test_fault_on_the_last_line_reads_the_file_once(self, tmp_path, lines, last, message,
                                                         line_reads):
-        # Only the chunk that holds the fault is read line by line, from memory.
+        # Only the chunk that holds the fault is checked line by line, from memory.
         path = tmp_path / "messages.jsonl"
         path.write_bytes("".join(line + "\n" for line in lines[:-1]).encode() + last + b"\n")
         with mock.patch.object(ingest, "open", wraps=open, create=True) as opened, \
-                mock.patch.object(ingest, "_line_rows", wraps=ingest._line_rows) as line_rows:
+                mock.patch.object(ingest, "_row_columns", wraps=ingest._row_columns) as rows:
             with pytest.raises(InputFormatError, match=re.escape(message.format(path=path))):
                 parse_messages(path)
         assert opened.call_count == 1
-        assert line_rows.call_count == line_reads
-        for (chunk, first_lineno, _), _ in line_rows.call_args_list:
+        assert rows.call_count == line_reads
+        for (chunk, first_lineno, _, _), _ in rows.call_args_list:
             assert 1 < first_lineno and first_lineno + len(chunk) - 1 == self.LINES
 
     def test_duplicate_id_across_chunks_is_caught(self, tmp_path, lines):
@@ -619,24 +615,19 @@ class TestChunkBoundaries:
         assert sum(count for count, _, _ in build_threads(tally)) == self.LINES
 
 
-def _reference_parse_timestamp(raw):
-    """``_parse_timestamp`` before its ``fromisoformat`` fast path."""
-    text = raw.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    moment = datetime.fromisoformat(text)
-    if moment.tzinfo is timezone.utc:
-        return moment
-    if moment.tzinfo is None:
-        return moment.replace(tzinfo=timezone.utc)
-    return moment.astimezone(timezone.utc)
+def _utc_moment(raw):
+    """``raw`` read as a column of one, as the row check reads a timestamp."""
+    moments = ingest._utc_moments((raw,))
+    if moments is None:
+        raise ValueError(f"bad timestamp {raw!r}")
+    return moments[0]
 
 
 def _timestamp_outcome(parse, raw):
     try:
         moment = parse(raw)
-    except Exception as exc:  # the type is the outcome
-        return type(exc)
+    except (ValueError, OverflowError):  # either is a bad timestamp to parse_messages
+        return "bad timestamp"
     return moment, moment.tzinfo
 
 
@@ -664,8 +655,8 @@ class TestParseTimestamp:
     @example("9999-12-31T23:30:00+01:00")
     @example(" 2004-03-05T10:00:00z ")
     def test_matches_the_reference(self, raw):
-        got = _timestamp_outcome(_parse_timestamp, raw)
-        expected = _timestamp_outcome(_reference_parse_timestamp, raw)
+        got = _timestamp_outcome(_utc_moment, raw)
+        expected = _timestamp_outcome(reference_timestamp, raw)
         assert got == expected
         if isinstance(expected, tuple):
             assert got[1] is expected[1]
